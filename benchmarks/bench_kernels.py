@@ -1,10 +1,11 @@
-"""Time each numeric kernel in both implementations.
+"""Time each numeric kernel.
 
-Run as ``python3 benchmarks/bench_kernels.py``. The numba timings
-exclude JIT compilation (one warmup call per kernel); outputs are also
-cross-checked bitwise so the table can't silently compare different
-math. Input sizes are chosen to resemble a mid-sized scenario, not the
-tiny fixtures the tests use.
+Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``. Each
+kernel is called once untimed, then timed over ``--repeats`` calls, and
+the best call is reported. The split kernels get one tree node's
+candidate columns, as the forest grower passes them: 1000 rows by 8
+candidate features, each column sorted. The other inputs resemble a
+mid-sized scenario, not the tiny fixtures the tests use.
 """
 
 import argparse
@@ -12,19 +13,25 @@ import time
 
 import numpy as np
 
-from metaselect.learners._kernels import USING_NUMBA, kernel_pairs
+from metaselect.learners import _kernels
+
+NODE_ROWS, NODE_CANDIDATES, N_CLASSES, MIN_LEAF = 1000, 8, 4, 5
+
+
+def node_columns(rng):
+    shape = (NODE_ROWS, NODE_CANDIDATES)
+    values = np.sort(np.round(rng.normal(size=shape), 2), axis=0)
+    return values, rng.uniform(0.1, 2.0, size=shape)
 
 
 def bench_inputs(name, rng):
     if name == "best_split_reg":
-        n = 20000
-        values = np.sort(rng.normal(size=n))
-        return (values, rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), 5)
+        values, weights = node_columns(rng)
+        return (values, rng.normal(size=values.shape), weights, MIN_LEAF)
     if name == "best_split_cls":
-        n = 20000
-        values = np.sort(rng.normal(size=n))
-        labels = rng.integers(0, 4, size=n).astype(np.int64)
-        return (values, labels, rng.uniform(0.1, 2.0, size=n), 4, 5)
+        values, weights = node_columns(rng)
+        labels = rng.integers(0, N_CLASSES, size=values.shape)
+        return (values, labels, weights, N_CLASSES, MIN_LEAF)
     if name == "pairwise_sq_dists":
         return (rng.normal(size=(400, 32)), rng.normal(size=(300, 32)))
     if name == "kmeans_accumulate":
@@ -51,6 +58,7 @@ def full_tree(depth):
 
 
 def best_of(fn, args, repeats):
+    fn(*args)
     timings = []
     for _ in range(repeats):
         started = time.perf_counter()
@@ -59,32 +67,29 @@ def best_of(fn, args, repeats):
     return min(timings)
 
 
-def as_tuple(result):
-    return result if isinstance(result, tuple) else (result,)
+KERNELS = (
+    "best_split_reg",
+    "best_split_cls",
+    "pairwise_sq_dists",
+    "kmeans_accumulate",
+    "tree_apply",
+)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=5,
+    parser.add_argument("--repeats", type=int, default=20,
                         help="timed calls per kernel; best-of is reported")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"active family: {'numba' if USING_NUMBA else 'numpy'} "
-          f"(METASELECT_NUMBA flag)")
-    header = f"{'kernel':<22}{'numpy ms':>12}{'numba ms':>12}{'speedup':>10}"
+    header = f"{'kernel':<22}{'ms':>10}"
     print(header)
     print("-" * len(header))
-    for name, np_impl, nb_impl in kernel_pairs():
-        inputs = bench_inputs(name, rng)
-        np_out = np_impl(*inputs)
-        nb_out = nb_impl(*inputs)  # warmup doubles as the JIT compile
-        for a, b in zip(as_tuple(np_out), as_tuple(nb_out)):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        np_ms = best_of(np_impl, inputs, args.repeats) * 1e3
-        nb_ms = best_of(nb_impl, inputs, args.repeats) * 1e3
-        print(f"{name:<22}{np_ms:>12.3f}{nb_ms:>12.3f}{np_ms / nb_ms:>9.1f}x")
+    for name in KERNELS:
+        ms = best_of(getattr(_kernels, name), bench_inputs(name, rng), args.repeats) * 1e3
+        print(f"{name:<22}{ms:>10.3f}")
 
 
 if __name__ == "__main__":

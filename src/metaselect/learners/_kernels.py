@@ -1,213 +1,103 @@
-"""Numeric hot loops, each in two interchangeable implementations.
+"""Numeric hot loops of the learners, in plain numpy.
 
-Every kernel exists as a plain-numpy version (``np_...``) and a numba
-version (``nb_...``). The public unprefixed names bind to one family at
-import time: numba by default, numpy when the ``METASELECT_NUMBA``
-environment variable is "0", "false" or "off", or when numba is not
-importable. Both families are kept callable so tests and the benchmark
-can compare them directly.
-
-The two implementations of each kernel are written to accumulate in the
-same order, so their float64 outputs are bit-identical, not just close.
 Callers guarantee finite inputs; missing values are imputed upstream.
+The learners call every kernel through this module at call time, so a
+wrapper bound to a kernel's name here sees each call.
+
+The split kernels score all candidate features of a tree node at once:
+each column of their (rows x candidates) inputs is one feature, sorted
+ascending. Prefix sums run along axis 0, which accumulates each column
+sequentially from the first row, so every column's result is bit for
+bit what the same search on that column alone would give.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def _flag_enabled() -> bool:
-    raw = os.environ.get("METASELECT_NUMBA", "1").strip().lower()
-    return raw not in ("0", "false", "off")
-
+USING_NUMBA = False  # one numpy implementation per kernel; kept for result stamps
 
 # ---------------------------------------------------------------- splits
 
 
-def np_best_split_reg(values, targets, weights, min_leaf):
-    """Best weighted-SSE split of a node, on one presorted feature.
+def _no_split(m):
+    return np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
 
-    `values` must be ascending; rows in `targets`/`weights` follow the
-    same order. Returns (score, pos) where pos rows go left, or
-    (inf, -1) when no position satisfies the leaf-size and
-    distinct-value constraints.
+
+def _split_window(n, min_leaf):
+    """Prefix rows [lo, hi) whose split positions (row + 1) leave at
+    least `min_leaf` rows, and at least one row, on either side; empty
+    when the node is too small to split."""
+    edge = max(min_leaf, 1)
+    return edge - 1, n - edge
+
+
+def _pick_best(score, values, wl, wr, lo, hi):
+    """Per column: the first lowest score among valid split positions."""
+    valid = (values[lo + 1 : hi + 1] != values[lo:hi]) & (wl > 0.0) & (wr > 0.0)
+    score = np.where(valid, score, np.inf)
+    best = score.argmin(axis=0)
+    cols = np.arange(score.shape[1])
+    found = valid.any(axis=0)
+    best_score = np.where(found, score[best, cols], np.inf)
+    best_pos = np.where(found, best + lo + 1, -1)
+    return best_score, best_pos
+
+
+def best_split_reg(values, targets, weights, min_leaf):
+    """Best weighted-SSE split of each column of a node.
+
+    `values`, `targets` and `weights` have shape (n, m); each column of
+    `values` is ascending and the other two follow its row order.
+    Returns (score, pos), each of shape (m,): the first pos rows of a
+    column go left. A column with no position that satisfies the
+    leaf-size and distinct-value constraints gets (inf, -1).
     """
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return np.inf, -1
-    cw = np.cumsum(weights)
-    cwy = np.cumsum(weights * targets)
-    cwyy = np.cumsum(weights * targets * targets)
-    total_w, total_wy, total_wyy = cw[-1], cwy[-1], cwyy[-1]
-
-    pos = np.arange(1, n)
-    wl, wyl, wyyl = cw[:-1], cwy[:-1], cwyy[:-1]
-    wr = total_w - wl
-    wyr = total_wy - wyl
-    wyyr = total_wyy - wyyl
-    valid = (
-        (pos >= min_leaf)
-        & (pos <= n - min_leaf)
-        & (values[1:] != values[:-1])
-        & (wl > 0.0)
-        & (wr > 0.0)
-    )
-    if not valid.any():
-        return np.inf, -1
+    n, m = values.shape
+    lo, hi = _split_window(n, min_leaf)
+    if hi <= lo:
+        return _no_split(m)
+    wy = weights * targets
+    cw = weights.cumsum(axis=0)
+    cwy = wy.cumsum(axis=0)
+    cwyy = (wy * targets).cumsum(axis=0)
+    wl, wyl, wyyl = cw[lo:hi], cwy[lo:hi], cwyy[lo:hi]
+    wr = cw[-1] - wl
+    wyr = cwy[-1] - wyl
+    wyyr = cwyy[-1] - wyyl
     with np.errstate(divide="ignore", invalid="ignore"):
         score = (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr)
-    score = np.where(valid, score, np.inf)
-    best = int(np.argmin(score))
-    return float(score[best]), int(pos[best])
+    return _pick_best(score, values, wl, wr, lo, hi)
 
 
-@njit(cache=True)
-def nb_best_split_reg(values, targets, weights, min_leaf):
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return np.inf, -1
-    cw = np.empty(n)
-    cwy = np.empty(n)
-    cwyy = np.empty(n)
-    aw = 0.0
-    awy = 0.0
-    awyy = 0.0
-    for i in range(n):
-        aw += weights[i]
-        awy += weights[i] * targets[i]
-        awyy += weights[i] * targets[i] * targets[i]
-        cw[i] = aw
-        cwy[i] = awy
-        cwyy[i] = awyy
-    total_w, total_wy, total_wyy = cw[n - 1], cwy[n - 1], cwyy[n - 1]
-
-    best_score = np.inf
-    best_pos = -1
-    for p in range(1, n):
-        if p < min_leaf or p > n - min_leaf:
-            continue
-        if values[p] == values[p - 1]:
-            continue
-        wl = cw[p - 1]
-        wr = total_w - wl
-        if wl <= 0.0 or wr <= 0.0:
-            continue
-        wyl = cwy[p - 1]
-        wyyl = cwyy[p - 1]
-        wyr = total_wy - wyl
-        wyyr = total_wyy - wyyl
-        score = (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr)
-        if score < best_score:
-            best_score = score
-            best_pos = p
-    return best_score, best_pos
-
-
-def np_best_split_cls(values, labels, weights, n_classes, min_leaf):
-    """Best weighted-Gini split, same contract as np_best_split_reg."""
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return np.inf, -1
-    onehot = (labels[:, None] == np.arange(n_classes)[None, :]) * weights[:, None]
-    class_prefix = np.cumsum(onehot, axis=0)
-    cw = np.cumsum(weights)
-    total_w = cw[-1]
-    class_total = class_prefix[-1]
-
-    pos = np.arange(1, n)
-    wl = cw[:-1]
-    wr = total_w - wl
-    left = class_prefix[:-1]
-    # summed over classes sequentially: keeps the accumulation order
-    # identical to the numba loop, so results match bit for bit
-    sq_left = np.zeros(n - 1)
-    sq_right = np.zeros(n - 1)
-    for k in range(n_classes):
-        sq_left = sq_left + left[:, k] * left[:, k]
-        rk = class_total[k] - left[:, k]
-        sq_right = sq_right + rk * rk
-    valid = (
-        (pos >= min_leaf)
-        & (pos <= n - min_leaf)
-        & (values[1:] != values[:-1])
-        & (wl > 0.0)
-        & (wr > 0.0)
-    )
-    if not valid.any():
-        return np.inf, -1
+def best_split_cls(values, labels, weights, n_classes, min_leaf):
+    """Best weighted-Gini split of each column, same contract as
+    best_split_reg; `labels` holds class ids in [0, n_classes)."""
+    n, m = values.shape
+    lo, hi = _split_window(n, min_leaf)
+    if hi <= lo:
+        return _no_split(m)
+    cw = weights.cumsum(axis=0)
+    wl = cw[lo:hi]
+    wr = cw[-1] - wl
+    # per-class prefix sums, shape (n, m, n_classes)
+    onehot = (labels[..., None] == np.arange(n_classes)) * weights[..., None]
+    prefix = onehot.cumsum(axis=0)
+    left = prefix[lo:hi]
+    right = prefix[-1] - left
+    # squares summed over classes in order by an accumulate, not a
+    # reduction, whose pairwise summation could round differently
+    sq_left = (left * left).cumsum(axis=-1)[..., -1]
+    sq_right = (right * right).cumsum(axis=-1)[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         score = (wl - sq_left / wl) + (wr - sq_right / wr)
-    score = np.where(valid, score, np.inf)
-    best = int(np.argmin(score))
-    return float(score[best]), int(pos[best])
-
-
-@njit(cache=True)
-def nb_best_split_cls(values, labels, weights, n_classes, min_leaf):
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return np.inf, -1
-    class_prefix = np.zeros((n, n_classes))
-    cw = np.empty(n)
-    acc = np.zeros(n_classes)
-    aw = 0.0
-    for i in range(n):
-        for k in range(n_classes):
-            if labels[i] == k:
-                acc[k] = acc[k] + weights[i]
-            else:
-                acc[k] = acc[k] + 0.0
-            class_prefix[i, k] = acc[k]
-        aw += weights[i]
-        cw[i] = aw
-    total_w = cw[n - 1]
-
-    best_score = np.inf
-    best_pos = -1
-    for p in range(1, n):
-        if p < min_leaf or p > n - min_leaf:
-            continue
-        if values[p] == values[p - 1]:
-            continue
-        wl = cw[p - 1]
-        wr = total_w - wl
-        if wl <= 0.0 or wr <= 0.0:
-            continue
-        sq_left = 0.0
-        sq_right = 0.0
-        for k in range(n_classes):
-            lk = class_prefix[p - 1, k]
-            sq_left = sq_left + lk * lk
-            rk = class_prefix[n - 1, k] - lk
-            sq_right = sq_right + rk * rk
-        score = (wl - sq_left / wl) + (wr - sq_right / wr)
-        if score < best_score:
-            best_score = score
-            best_pos = p
-    return best_score, best_pos
+    return _pick_best(score, values, wl, wr, lo, hi)
 
 
 # ------------------------------------------------------------- distances
 
 
-def np_pairwise_sq_dists(a, b):
+def pairwise_sq_dists(a, b):
     """Squared euclidean distances, shape (len(a), len(b))."""
     out = np.zeros((a.shape[0], b.shape[0]))
     for j in range(a.shape[1]):
@@ -216,25 +106,10 @@ def np_pairwise_sq_dists(a, b):
     return out
 
 
-@njit(cache=True)
-def nb_pairwise_sq_dists(a, b):
-    na, d = a.shape
-    nb = b.shape[0]
-    out = np.zeros((na, nb))
-    for i in range(na):
-        for j in range(nb):
-            s = 0.0
-            for col in range(d):
-                diff = a[i, col] - b[j, col]
-                s = s + diff * diff
-            out[i, j] = s
-    return out
-
-
 # ---------------------------------------------------------------- kmeans
 
 
-def np_kmeans_accumulate(x, assign, k):
+def kmeans_accumulate(x, assign, k):
     """Per-cluster coordinate sums and member counts."""
     d = x.shape[1]
     sums = np.zeros((k, d))
@@ -244,23 +119,10 @@ def np_kmeans_accumulate(x, assign, k):
     return sums, counts
 
 
-@njit(cache=True)
-def nb_kmeans_accumulate(x, assign, k):
-    n, d = x.shape
-    sums = np.zeros((k, d))
-    counts = np.zeros(k)
-    for i in range(n):
-        c = assign[i]
-        for col in range(d):
-            sums[c, col] = sums[c, col] + x[i, col]
-        counts[c] = counts[c] + 1.0
-    return sums, counts
-
-
 # ------------------------------------------------------------ tree apply
 
 
-def np_tree_apply(feature, threshold, left, right, x):
+def tree_apply(feature, threshold, left, right, x):
     """Leaf index reached by each row; internal nodes have feature >= 0."""
     n = x.shape[0]
     node = np.zeros(n, dtype=np.int64)
@@ -271,54 +133,3 @@ def np_tree_apply(feature, threshold, left, right, x):
         node[active] = np.where(go_left, left[current], right[current])
         active = active[feature[node[active]] >= 0]
     return node
-
-
-@njit(cache=True)
-def nb_tree_apply(feature, threshold, left, right, x):
-    n = x.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        cur = 0
-        while feature[cur] >= 0:
-            if x[i, feature[cur]] <= threshold[cur]:
-                cur = left[cur]
-            else:
-                cur = right[cur]
-        node[i] = cur
-    return node
-
-
-_NUMPY_KERNELS = {
-    "best_split_reg": np_best_split_reg,
-    "best_split_cls": np_best_split_cls,
-    "pairwise_sq_dists": np_pairwise_sq_dists,
-    "kmeans_accumulate": np_kmeans_accumulate,
-    "tree_apply": np_tree_apply,
-}
-
-_NUMBA_KERNELS = {
-    "best_split_reg": nb_best_split_reg,
-    "best_split_cls": nb_best_split_cls,
-    "pairwise_sq_dists": nb_pairwise_sq_dists,
-    "kmeans_accumulate": nb_kmeans_accumulate,
-    "tree_apply": nb_tree_apply,
-}
-
-if _flag_enabled() and not _HAVE_NUMBA:  # pragma: no cover
-    warnings.warn("numba not importable, falling back to numpy kernels", RuntimeWarning)
-
-USING_NUMBA = _flag_enabled() and _HAVE_NUMBA
-_ACTIVE = _NUMBA_KERNELS if USING_NUMBA else _NUMPY_KERNELS
-
-best_split_reg = _ACTIVE["best_split_reg"]
-best_split_cls = _ACTIVE["best_split_cls"]
-pairwise_sq_dists = _ACTIVE["pairwise_sq_dists"]
-kmeans_accumulate = _ACTIVE["kmeans_accumulate"]
-tree_apply = _ACTIVE["tree_apply"]
-
-
-def kernel_pairs():
-    """(name, numpy_impl, numba_impl) triples, for comparisons."""
-    return [
-        (name, _NUMPY_KERNELS[name], _NUMBA_KERNELS[name]) for name in _NUMPY_KERNELS
-    ]

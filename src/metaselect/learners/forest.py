@@ -4,8 +4,7 @@ Trees are grown on bootstrap resamples with per-node random feature
 subsets. Node storage is flat arrays (feature, threshold, child ids), so
 prediction is a batched descent through the `tree_apply` kernel. All
 randomness is drawn at numpy level from a per-tree generator; the
-kernels are pure functions, so results are independent of which kernel
-backend is active.
+kernels are pure functions.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ class _Tree:
 class _TreeGrower:
     def __init__(self, x, y, w, mtry, min_leaf, max_depth, rng, classification, n_classes):
         self.x, self.y, self.w = x, y, w
+        self.labels = y.astype(np.int64) if classification else None
         self.mtry, self.min_leaf = mtry, min_leaf
         self.max_depth = max_depth if max_depth is not None else -1
         self.rng = rng
@@ -49,8 +49,7 @@ class _TreeGrower:
         w = self.w[rows]
         total = w.sum()
         if self.classification:
-            hist = np.zeros(self.n_classes)
-            np.add.at(hist, self.y[rows].astype(np.int64), w)
+            hist = np.bincount(self.labels[rows], weights=w, minlength=self.n_classes)
             if total > 0:
                 hist = hist / total
             else:
@@ -71,46 +70,50 @@ class _TreeGrower:
         return len(self.feature) - 1
 
     def _find_split(self, rows):
+        """Best split of a node as (feature, pos, the node's rows sorted
+        by that feature, their sorted values), or None when no candidate
+        feature can split it.
+
+        All candidates are scored in one kernel call. The first candidate
+        with the lowest score wins, so ties go to the earlier draw; a NaN
+        score never wins.
+        """
         d = self.x.shape[1]
         candidates = self.rng.choice(d, size=min(self.mtry, d), replace=False)
-        best = (np.inf, -1, -1, None)  # score, feature, pos, order
-        for f in candidates:
-            values = self.x[rows, f]
-            order = np.argsort(values, kind="stable")
-            sorted_values = np.ascontiguousarray(values[order])
-            sorted_w = np.ascontiguousarray(self.w[rows][order])
-            if self.classification:
-                sorted_y = np.ascontiguousarray(self.y[rows][order].astype(np.int64))
-                score, pos = _kernels.best_split_cls(
-                    sorted_values, sorted_y, sorted_w, self.n_classes, self.min_leaf
-                )
-            else:
-                sorted_y = np.ascontiguousarray(self.y[rows][order])
-                score, pos = _kernels.best_split_reg(
-                    sorted_values, sorted_y, sorted_w, self.min_leaf
-                )
-            if pos >= 0 and score < best[0]:
-                best = (score, int(f), pos, order)
-        return best
+        order = self.x[rows[:, None], candidates].argsort(axis=0, kind="stable")
+        sorted_rows = rows[order]
+        sorted_values = self.x[sorted_rows, candidates]
+        sorted_w = self.w[sorted_rows]
+        if self.classification:
+            scores, positions = _kernels.best_split_cls(
+                sorted_values, self.labels[sorted_rows], sorted_w, self.n_classes, self.min_leaf
+            )
+        else:
+            scores, positions = _kernels.best_split_reg(
+                sorted_values, self.y[sorted_rows], sorted_w, self.min_leaf
+            )
+        scores = np.where(np.isnan(scores), np.inf, scores)
+        j = int(scores.argmin())
+        if scores[j] == np.inf:
+            return None
+        return int(candidates[j]), int(positions[j]), sorted_rows[:, j], sorted_values[:, j]
 
     def grow(self, rows) -> int:
         node = self._new_node()
         stack = [(node, rows, 0)]
         while stack:
             nid, node_rows, depth = stack.pop()
-            if (
+            split = None
+            if not (
                 node_rows.size < 2 * self.min_leaf
                 or (self.max_depth >= 0 and depth >= self.max_depth)
-                or np.all(self.y[node_rows] == self.y[node_rows[0]])
+                or (self.y[node_rows] == self.y[node_rows[0]]).all()
             ):
+                split = self._find_split(node_rows)
+            if split is None:
                 self.payload[nid] = self._leaf_payload(node_rows)
                 continue
-            score, f, pos, order = self._find_split(node_rows)
-            if pos < 0:
-                self.payload[nid] = self._leaf_payload(node_rows)
-                continue
-            sorted_rows = node_rows[order]
-            values = self.x[sorted_rows, f]
+            f, pos, sorted_rows, values = split
             thr = values[pos - 1] + (values[pos] - values[pos - 1]) / 2.0
             if thr >= values[pos]:
                 thr = values[pos - 1]  # midpoint rounded into the right block

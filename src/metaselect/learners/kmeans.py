@@ -1,8 +1,8 @@
 """Lloyd's k-means with k-means++ seeding.
 
 Randomness (seeding, empty-cluster handling order) lives at numpy level;
-the per-iteration assignment and accumulation go through the kernel
-backends. Empty clusters are reseeded to the point currently farthest
+the per-iteration assignment and accumulation go through the numeric
+kernels. Empty clusters are reseeded to the point currently farthest
 from its own centroid.
 """
 

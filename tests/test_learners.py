@@ -1,18 +1,17 @@
 """Learner internals: kernels, forests, knn, kmeans, preprocessing.
 
-The kernel family check is the load-bearing one: the numpy and numba
-implementations must agree bit for bit, because which family is active
-depends on an environment flag and results must not.
+The split kernels are checked bit for bit against a one-feature
+reference search, and pinned digests hold every tree a seeded forest
+grows, so a change to the grower cannot shift a split unnoticed.
 """
 
-import os
-import subprocess
-import sys
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metaselect.errors import AllColumnsDropped, DegenerateData, KTooLarge
 from metaselect.learners import (
@@ -22,87 +21,163 @@ from metaselect.learners import (
     Preprocessor,
     fit_kmeans,
 )
-from metaselect.learners._kernels import USING_NUMBA, kernel_pairs
+from metaselect.learners import _kernels
+from metaselect.learners.forest import _TreeGrower
 from metaselect.learners.preprocess import fit_variance_threshold
 
 
-def _kernel_inputs(name, rng):
-    if name == "best_split_reg":
-        n = int(rng.integers(2, 40))
-        values = np.sort(rng.normal(size=n))
-        return (values, rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), 2)
-    if name == "best_split_cls":
-        n = int(rng.integers(2, 40))
-        values = np.sort(rng.normal(size=n))
-        labels = rng.integers(0, 3, size=n).astype(np.int64)
-        return (values, labels, rng.uniform(0.1, 2.0, size=n), 3, 1)
-    if name == "pairwise_sq_dists":
-        return (rng.normal(size=(7, 4)), rng.normal(size=(5, 4)))
-    if name == "kmeans_accumulate":
-        x = rng.normal(size=(20, 3))
-        assign = rng.integers(0, 4, size=20).astype(np.int64)
-        return (x, assign, 4)
-    if name == "tree_apply":
-        # a fixed 3-node tree: root splits feature 0 at 0.0
-        feature = np.array([0, -1, -1], dtype=np.int64)
-        threshold = np.array([0.0, 0.0, 0.0])
-        left = np.array([1, -1, -1], dtype=np.int64)
-        right = np.array([2, -1, -1], dtype=np.int64)
-        return (feature, threshold, left, right, rng.normal(size=(30, 2)))
-    raise AssertionError(f"no input recipe for kernel {name!r}")
-
-
-@pytest.mark.parametrize("name,np_impl,nb_impl", kernel_pairs())
-def test_kernel_families_agree_bitwise(name, np_impl, nb_impl):
-    rng = np.random.default_rng(99)
-    for _ in range(25):
-        args = _kernel_inputs(name, rng)
-        a, b = np_impl(*args), nb_impl(*args)
-        flat_a = a if isinstance(a, tuple) else (a,)
-        flat_b = b if isinstance(b, tuple) else (b,)
-        for xa, xb in zip(flat_a, flat_b):
-            np.testing.assert_array_equal(np.asarray(xa), np.asarray(xb))
-
-
-def test_numba_flag_controls_active_family():
-    # default environment in this suite has the flag unset or truthy
-    code = (
-        "from metaselect.learners._kernels import USING_NUMBA; "
-        "print(int(USING_NUMBA))"
+def _ref_best_split_reg(values, targets, weights, min_leaf):
+    """One presorted feature: the split search the kernel vectorizes."""
+    n = values.shape[0]
+    if n < 2 * min_leaf:
+        return np.inf, -1
+    cw = np.cumsum(weights)
+    cwy = np.cumsum(weights * targets)
+    cwyy = np.cumsum(weights * targets * targets)
+    pos = np.arange(1, n)
+    wl, wyl, wyyl = cw[:-1], cwy[:-1], cwyy[:-1]
+    wr, wyr, wyyr = cw[-1] - wl, cwy[-1] - wyl, cwyy[-1] - wyyl
+    valid = (
+        (pos >= min_leaf)
+        & (pos <= n - min_leaf)
+        & (values[1:] != values[:-1])
+        & (wl > 0.0)
+        & (wr > 0.0)
     )
-    env = dict(os.environ, METASELECT_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    if not valid.any():
+        return np.inf, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr)
+    score = np.where(valid, score, np.inf)
+    best = int(np.argmin(score))
+    return float(score[best]), int(pos[best])
+
+
+def _ref_best_split_cls(values, labels, weights, n_classes, min_leaf):
+    n = values.shape[0]
+    if n < 2 * min_leaf:
+        return np.inf, -1
+    onehot = (labels[:, None] == np.arange(n_classes)[None, :]) * weights[:, None]
+    class_prefix = np.cumsum(onehot, axis=0)
+    cw = np.cumsum(weights)
+    pos = np.arange(1, n)
+    wl = cw[:-1]
+    wr = cw[-1] - wl
+    left = class_prefix[:-1]
+    sq_left = np.zeros(n - 1)
+    sq_right = np.zeros(n - 1)
+    for k in range(n_classes):
+        sq_left = sq_left + left[:, k] * left[:, k]
+        rk = class_prefix[-1, k] - left[:, k]
+        sq_right = sq_right + rk * rk
+    valid = (
+        (pos >= min_leaf)
+        & (pos <= n - min_leaf)
+        & (values[1:] != values[:-1])
+        & (wl > 0.0)
+        & (wr > 0.0)
     )
-    assert out.stdout.strip() == "0"
+    if not valid.any():
+        return np.inf, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (wl - sq_left / wl) + (wr - sq_right / wr)
+    score = np.where(valid, score, np.inf)
+    best = int(np.argmin(score))
+    return float(score[best]), int(pos[best])
 
 
-def test_flag_off_predictions_match_flag_on():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(40, 3))
-    y = x[:, 0] * 2.0 + rng.normal(scale=0.1, size=40)
-    here = ForestRegressor(n_trees=10, seed=5).fit(x, y).predict(x)
-    code = (
-        "import sys, numpy as np\n"
-        "from metaselect.learners import ForestRegressor\n"
-        "rng = np.random.default_rng(3)\n"
-        "x = rng.normal(size=(40, 3))\n"
-        "y = x[:, 0] * 2.0 + rng.normal(scale=0.1, size=40)\n"
-        "pred = ForestRegressor(n_trees=10, seed=5).fit(x, y).predict(x)\n"
-        "np.save(sys.argv[1], pred)\n"
-    )
-    import tempfile
+@st.composite
+def _node_columns(draw):
+    """A node's presorted candidate columns: few distinct values, so
+    ties are common, and weights that are often zero."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, 4))
+    shape = (n, m)
+    values = draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0])))
+    targets = draw(arrays(np.float64, shape, elements=st.floats(-8.0, 8.0, width=32)))
+    weights = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.7])))
+    n_classes = draw(st.integers(1, 5))
+    labels = draw(arrays(np.int64, shape, elements=st.integers(0, n_classes - 1)))
+    if m > 1 and draw(st.booleans()):  # equal best scores in two columns
+        for a in (values, targets, weights, labels):
+            a[:, -1] = a[:, 0]
+    if draw(st.booleans()):  # a column no position can split
+        values[:, 0] = values[0, 0]
+    values.sort(axis=0)
+    min_leaf = draw(st.integers(1, 4))
+    return values, targets, weights, labels, n_classes, min_leaf
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "pred.npy")
-        flipped = "0" if USING_NUMBA else "1"
-        env = dict(os.environ, METASELECT_NUMBA=flipped)
-        res = subprocess.run(
-            [sys.executable, "-c", code, path], env=env, capture_output=True, text=True
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_columns())
+def test_split_kernels_match_the_one_feature_search(node):
+    values, targets, weights, labels, n_classes, min_leaf = node
+    reg = _kernels.best_split_reg(values, targets, weights, min_leaf)
+    cls = _kernels.best_split_cls(values, labels, weights, n_classes, min_leaf)
+    for j in range(values.shape[1]):
+        cols = values[:, j], targets[:, j], weights[:, j]
+        ref_score, ref_pos = _ref_best_split_reg(*cols, min_leaf)
+        assert _same_bits(reg[0][j], ref_score) and reg[1][j] == ref_pos
+        ref_score, ref_pos = _ref_best_split_cls(
+            values[:, j], labels[:, j], weights[:, j], n_classes, min_leaf
         )
-        assert res.returncode == 0, res.stderr
-        other = np.load(path)
-    np.testing.assert_array_equal(here, other)
+        assert _same_bits(cls[0][j], ref_score) and cls[1][j] == ref_pos
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_equal_best_scores_go_to_the_earlier_candidate(classification):
+    # two identical features score identically; the first one drawn wins
+    rng = np.random.default_rng(8)
+    col = np.round(rng.normal(size=30), 1)
+    x = np.column_stack([col, col, col])
+    y = (col > 0).astype(np.float64)
+    for seed in range(6):
+        grower = _TreeGrower(
+            x, y, np.ones(30), 2, 1, None, np.random.default_rng(seed), classification, 2
+        )
+        drawn = np.random.default_rng(seed).choice(3, size=2, replace=False)
+        feature, *_ = grower._find_split(np.arange(30))
+        assert feature == drawn[0]
+
+
+def _forest_digest(model):
+    digest = hashlib.sha256()
+    for tree in model.trees_:
+        for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.payload):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def test_seeded_regressor_trees_are_pinned():
+    rng = np.random.default_rng(11)
+    x = np.round(rng.normal(size=(120, 6)), 1)
+    y = x[:, 0] - 2.0 * x[:, 1] + rng.normal(scale=0.3, size=120)
+    model = ForestRegressor(n_trees=12, min_leaf=2, seed=21).fit(x, y)
+    assert sum(tree.feature.size for tree in model.trees_) == 1100
+    assert _forest_digest(model) == (
+        "ce3647b9a7b362fb546d0b80b6426cc75eae815bd1940e55a9284c068f7808ec"
+    )
+
+
+def test_weighted_classifier_trees_are_pinned():
+    # duplicated rows (some with conflicting labels), a constant feature
+    # and zero weights exercise every tie rule of the split search
+    rng = np.random.default_rng(12)
+    base = np.round(rng.normal(size=(45, 5)), 1)
+    base[:, 2] = 1.5
+    x = np.vstack([base, base])
+    y = np.concatenate([(base[:, 0] > 0) + (base[:, 1] > 0.5), rng.integers(0, 3, size=45)])
+    w = rng.uniform(0.0, 2.0, size=90)
+    w[::7] = 0.0
+    model = ForestClassifier(n_trees=12, mtry=3, seed=5, n_classes=3).fit(x, y, w)
+    assert sum(tree.feature.size for tree in model.trees_) == 734
+    assert _forest_digest(model) == (
+        "45e3100bb1d22acd8be1122d89e5c080ca15fb690d812eaefd7a22f2fe8f5101"
+    )
 
 
 class TestForest:
