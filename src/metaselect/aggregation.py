@@ -16,24 +16,11 @@ first-wins matches argmax over votes exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyEnsemble, InvalidConfig
 
 WEIGHT_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class SelectorOutput:
-    """One member's scored opinion on one instance."""
-
-    selector_id: str
-    scores: np.ndarray
-
-    def choice(self) -> int:
-        return int(np.argmin(self.scores))
 
 
 def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -122,10 +109,6 @@ def combine_scores(name: str, score_rows: np.ndarray, weights=None) -> np.ndarra
             f"unknown aggregation {name!r}, expected one of {sorted(AGGREGATIONS)}"
         ) from None
     return fn(score_rows, weights)
-
-
-def aggregate_choice(name: str, score_rows: np.ndarray, weights=None) -> int:
-    return int(np.argmin(combine_scores(name, score_rows, weights)))
 
 
 def weight_from_npar10(value: float) -> float:

@@ -1,10 +1,11 @@
 """Ensembles of algorithm selectors: voting, bagging, boosting, stacking.
 
-Each ensemble is itself a selector (fit / scores / select), so the
-evaluation harness treats them like any other approach. Member
-selectors are created from spec strings under the caller's global seed;
-a plain member inside voting or stacking therefore trains bit-identically
-to the same spec run standalone.
+Each ensemble is itself a selector: it implements `_fit` and
+`scores_batch` only, scoring its members on the same feature batch
+through their own `scores_batch`, so the evaluation harness treats it
+like any other approach. Member selectors are created from spec strings
+under the caller's global seed; a plain member inside voting or stacking
+therefore trains bit-identically to the same spec run standalone.
 """
 
 from __future__ import annotations
@@ -16,24 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import AGGREGATIONS, combine_scores, weight_from_npar10
-from .errors import (
-    BoostingCollapsed,
-    DegenerateTraining,
-    EmptyEnsemble,
-    InvalidConfig,
-    UnknownInstanceFeatures,
-)
+from .errors import BoostingCollapsed, DegenerateTraining, EmptyEnsemble, InvalidConfig
 from .learners import Preprocessor, fit_variance_threshold
-from .metrics import (
-    SelectionTrace,
-    npar10,
-    oracle_par10,
-    fixed_algorithm_par10,
-    single_best,
-    trace_par10,
-)
+from .metrics import fixed_algorithm_par10, npar10, oracle_par10, single_best, trace_par10
 from .scenario import ScenarioSpec
-from .selectors import Selector, make_selector
+from .selectors import Selector, make_selector, selector_trace
 
 MAX_EXHAUSTIVE_MEMBERS = 15
 ALPHA_CAP = math.log(1e12)
@@ -60,8 +48,33 @@ class CompositionSearchResult:
 
     aggregation: str
     masks: tuple[tuple[int, ...], ...]
-    train_npar10: tuple[float, ...]
+    train_par10: tuple[float, ...]
     best_mask: tuple[int, ...]
+
+
+def wmaj_weights(members, scenario: ScenarioSpec, train_indices: np.ndarray) -> np.ndarray:
+    """Weighted-majority member weights: inverse training nPAR10.
+
+    When the single best algorithm is also the oracle on the training
+    instances, nPAR10 has no scale; every member then weighs 1, so wmaj
+    votes exactly like maj.
+    """
+    oracle = oracle_par10(scenario, train_indices)
+    sbs_value = fixed_algorithm_par10(scenario, train_indices, single_best(scenario, train_indices))
+    if sbs_value <= oracle:
+        return np.ones(len(members))
+    return np.array(
+        [
+            weight_from_npar10(
+                npar10(
+                    trace_par10(scenario, selector_trace(m, scenario, train_indices)),
+                    oracle,
+                    sbs_value,
+                )
+            )
+            for m in members
+        ]
+    )
 
 
 class _Ensemble(Selector):
@@ -85,44 +98,10 @@ class _Ensemble(Selector):
     def _active_members(self) -> list[Selector]:
         return self.members_
 
-    def _member_rows(self, x) -> np.ndarray:
-        members = self._active_members()
-        if not members:
-            raise EmptyEnsemble(f"{self.spec} has no trained members")
-        if x is None and self.needs_features:
-            raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
-        return np.stack([m.scores(x) for m in members])
-
-    def _stack_member_rows(self, members: list[Selector], x: np.ndarray) -> np.ndarray:
-        """(members, instances, algorithms) score tensor for a feature batch."""
-        return np.stack(
-            [
-                m.scores_batch(x)
-                if m.needs_features
-                else np.tile(m.scores(), (x.shape[0], 1))
-                for m in members
-            ]
-        )
-
-
-def _member_train_npar10(
-    member: Selector,
-    scenario: ScenarioSpec,
-    train_indices: np.ndarray,
-    oracle: float,
-    sbs_value: float,
-) -> float:
-    if member.needs_features:
-        choices = member.select_batch(scenario.features[train_indices])
-    else:
-        choices = np.full(train_indices.size, member.select(), dtype=np.int64)
-    trace = SelectionTrace(train_indices, choices, charge_feature_costs=member.needs_features)
-    return npar10(trace_par10(scenario, trace), oracle, sbs_value)
-
 
 class VotingEnsemble(_Ensemble):
     """Members vote through an aggregation; optionally only the subset
-    that minimizes training nPAR10 stays active (exhaustive search over
+    that minimizes training PAR10 stays active (exhaustive search over
     all 2^n - 1 compositions, members trained once)."""
 
     def __init__(self, spec, global_seed, member_specs, aggregation="maj", search="all"):
@@ -155,38 +134,19 @@ class VotingEnsemble(_Ensemble):
         for member in self.members_:
             member.fit(scenario, train_indices)
 
-        need_npar10 = self.aggregation == "wmaj" or self.search == "exhaustive"
-        if need_npar10:
-            oracle = oracle_par10(scenario, train_indices)
-            sbs_value = fixed_algorithm_par10(
-                scenario, train_indices, single_best(scenario, train_indices)
-            )
         if self.aggregation == "wmaj":
-            self.weights_ = np.array(
-                [
-                    weight_from_npar10(
-                        _member_train_npar10(m, scenario, train_indices, oracle, sbs_value)
-                    )
-                    for m in self.members_
-                ]
-            )
+            self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
         if self.search == "exhaustive":
-            self.active_, self.search_result_ = self._search(
-                scenario, train_indices, oracle, sbs_value
-            )
+            self.active_, self.search_result_ = self._search(scenario, train_indices)
         else:
             self.active_ = tuple(range(len(self.members_)))
 
-    def _search(self, scenario, train_indices, oracle, sbs_value):
+    def _search(self, scenario, train_indices):
+        # Ranked on PAR10, not nPAR10: on a positive training gap both give
+        # the same order, and a zero gap leaves nPAR10 undefined.
         n_members = len(self.members_)
-        rows = np.stack(
-            [
-                m.scores_batch(scenario.features[train_indices])
-                if m.needs_features
-                else np.tile(m.scores(), (train_indices.size, 1))
-                for m in self.members_
-            ]
-        )
+        x = scenario.features[train_indices]
+        rows = np.stack([m.scores_batch(x) for m in self.members_])
         pr10 = scenario.pr10_matrix()
         costs = scenario.feature_costs
 
@@ -205,7 +165,7 @@ class VotingEnsemble(_Ensemble):
             per_instance = pr10[train_indices, choices]
             if any(self.members_[i].needs_features for i in subset):
                 per_instance = per_instance + costs[train_indices]
-            value = npar10(float(per_instance.mean()), oracle, sbs_value)
+            value = float(per_instance.mean())
             masks.append(subset)
             values.append(value)
             key = (value, len(subset), subset)
@@ -214,7 +174,7 @@ class VotingEnsemble(_Ensemble):
         result = CompositionSearchResult(
             aggregation=self.aggregation,
             masks=tuple(masks),
-            train_npar10=tuple(values),
+            train_par10=tuple(values),
             best_mask=best[1],
         )
         return best[1], result
@@ -226,13 +186,8 @@ class VotingEnsemble(_Ensemble):
             return self.weights_
         return self.weights_[list(self.active_)]
 
-    def scores(self, x=None):
-        rows = np.stack([m.scores(x) for m in self._active_members()])
-        return combine_scores(self.aggregation, rows, self._active_weights())
-
     def scores_batch(self, x):
-        x = np.atleast_2d(x)
-        rows = self._stack_member_rows(self._active_members(), x)
+        rows = np.stack([m.scores_batch(x) for m in self._active_members()])
         weights = self._active_weights()
         return np.stack(
             [
@@ -284,25 +239,10 @@ class BaggingEnsemble(_Ensemble):
             self.bootstrap_indices_.append(train_indices[sample])
         self.weights_ = None
         if self.aggregation == "wmaj":
-            oracle = oracle_par10(scenario, train_indices)
-            sbs_value = fixed_algorithm_par10(
-                scenario, train_indices, single_best(scenario, train_indices)
-            )
-            self.weights_ = np.array(
-                [
-                    weight_from_npar10(
-                        _member_train_npar10(m, scenario, train_indices, oracle, sbs_value)
-                    )
-                    for m in self.members_
-                ]
-            )
-
-    def scores(self, x=None):
-        return combine_scores(self.aggregation, self._member_rows(x), self.weights_)
+            self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
 
     def scores_batch(self, x):
-        x = np.atleast_2d(x)
-        rows = self._stack_member_rows(self.members_, x)
+        rows = np.stack([m.scores_batch(x) for m in self.members_])
         return np.stack(
             [
                 combine_scores(self.aggregation, rows[:, i, :], self.weights_)
@@ -349,11 +289,7 @@ class BoostingEnsemble(_Ensemble):
                 sample = rng.choice(n, size=n, replace=True, p=weights)
                 member = make_selector(self.member_spec, self.global_seed, salt=(attempts,))
             member.fit(scenario, train_indices[sample])
-            if member.needs_features:
-                choices = member.select_batch(features)
-            else:
-                choices = np.full(n, member.select(), dtype=np.int64)
-            miss = choices != labels
+            miss = member.select_batch(features) != labels
             err = float(weights[miss].sum())
             if err >= 1.0 - 1.0 / k:
                 continue
@@ -371,26 +307,10 @@ class BoostingEnsemble(_Ensemble):
             )
         self.alphas_ = np.asarray(self.alphas_)
 
-    def scores(self, x=None):
-        members = self._active_members()
-        if not members:
-            raise EmptyEnsemble(f"{self.spec} has no trained members")
-        if x is None and self.needs_features:
-            raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
-        votes = np.zeros(self.n_algorithms_)
-        for member, alpha in zip(members, self.alphas_):
-            votes[member.select(x)] += alpha
-        return -votes
-
     def scores_batch(self, x):
-        x = np.atleast_2d(x)
         votes = np.zeros((x.shape[0], self.n_algorithms_))
         for member, alpha in zip(self.members_, self.alphas_):
-            if member.needs_features:
-                choices = member.select_batch(x)
-            else:
-                choices = np.full(x.shape[0], member.select(), dtype=np.int64)
-            votes[np.arange(x.shape[0]), choices] += alpha
+            votes[np.arange(x.shape[0]), member.select_batch(x)] += alpha
         return -votes
 
 
@@ -462,25 +382,11 @@ class StackingEnsemble(_Ensemble):
         self.meta_.fit(scenario.with_features(full), meta_idx)
 
     def _augment(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if not self.include_base_scores:
             return x
-        parts = [x]
-        for member in self.members_:
-            if member.needs_features:
-                parts.append(member.scores_batch(x))
-            else:
-                parts.append(np.tile(member.scores(), (x.shape[0], 1)))
-        return np.hstack(parts)
-
-    def scores(self, x=None):
-        if x is None:
-            raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
-        return self.scores_batch(x)[0]
+        return np.hstack([x] + [m.scores_batch(x) for m in self.members_])
 
     def scores_batch(self, x):
-        if x is None:
-            raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
         augmented = self._augment(x)
         if self.feature_selection == "vt":
             augmented = self.scaler_.transform(augmented)[:, self.mask_]

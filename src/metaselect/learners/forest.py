@@ -201,17 +201,13 @@ class _BaseForest:
 
     def _accumulate(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)
-        one_row = x.ndim == 1
-        if one_row:
-            x = x[None, :]
         if not self.trees_:
             raise DegenerateData("forest used before fit")
         width = self.trees_[0].payload.shape[1]
         acc = np.zeros((x.shape[0], width))
         for tree in self.trees_:
             acc = acc + tree.payload[tree.apply(x)]
-        acc = acc / len(self.trees_)
-        return acc[0] if one_row else acc
+        return acc / len(self.trees_)
 
 
 class ForestRegressor(_BaseForest):
@@ -222,8 +218,7 @@ class ForestRegressor(_BaseForest):
         return self._fit_arrays(x, y, sample_weight)
 
     def predict(self, x):
-        out = self._accumulate(x)
-        return out[..., 0]
+        return self._accumulate(x)[:, 0]
 
 
 class ForestClassifier(_BaseForest):
@@ -255,5 +250,4 @@ class ForestClassifier(_BaseForest):
         return self._accumulate(x)
 
     def predict(self, x):
-        proba = self.predict_proba(x)
-        return np.argmax(proba, axis=-1)
+        return np.argmax(self.predict_proba(x), axis=1)

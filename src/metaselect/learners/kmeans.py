@@ -32,21 +32,13 @@ class KMeansModel:
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Nearest-centroid index per query row (first wins on ties)."""
         x = np.ascontiguousarray(x, dtype=np.float64)
-        one_row = x.ndim == 1
-        if one_row:
-            x = x[None, :]
         dists = _kernels.pairwise_sq_dists(x, self.centroids)
-        labels = np.argmin(dists, axis=1)
-        return int(labels[0]) if one_row else labels
+        return np.argmin(dists, axis=1)
 
     def distance_to_assigned(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
-        one_row = x.ndim == 1
-        if one_row:
-            x = x[None, :]
         dists = _kernels.pairwise_sq_dists(x, self.centroids)
-        out = np.sqrt(dists.min(axis=1))
-        return float(out[0]) if one_row else out
+        return np.sqrt(dists.min(axis=1))
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

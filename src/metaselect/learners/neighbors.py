@@ -36,10 +36,6 @@ class KnnIndex:
         if k < 1 or k > self.n_points:
             raise KTooLarge(f"k={k} outside [1, {self.n_points}]")
         x = np.ascontiguousarray(x, dtype=np.float64)
-        one_row = x.ndim == 1
-        if one_row:
-            x = x[None, :]
         dists = _kernels.pairwise_sq_dists(x, self.points_)
         # stable sort: equal distances keep ascending row id
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        return order[0] if one_row else order
+        return np.argsort(dists, axis=1, kind="stable")[:, :k]

@@ -39,12 +39,8 @@ class Preprocessor:
         if self.medians_ is None:
             raise DegenerateData("preprocessor used before fit")
         x = np.asarray(x, dtype=np.float64)
-        one_row = x.ndim == 1
-        if one_row:
-            x = x[None, :]
         filled = np.where(np.isnan(x), self.medians_[None, :], x)
-        out = (filled - self.means_[None, :]) / self.scales_[None, :]
-        return out[0] if one_row else out
+        return (filled - self.means_[None, :]) / self.scales_[None, :]
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)

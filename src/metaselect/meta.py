@@ -7,6 +7,11 @@ acquisition included. Any selector spec can then be trained on that
 scenario as a meta learner. The training signal comes from inner
 cross-validation so the matrix reflects out-of-sample behaviour, not
 resubstitution.
+
+`AlgorithmSelectorSelector` is itself a selector: like every other
+model it implements only `_fit` and `scores_batch`, routing each row of
+a feature batch through the meta learner's `select_batch` to one
+deployed base selector's `scores_batch`.
 """
 
 from __future__ import annotations
@@ -88,12 +93,10 @@ def build_meta_scenario(
         for s, spec in enumerate(specs):
             member = make_selector(spec, global_seed, salt=(fold,))
             member.fit(source, inner_train)
+            choices = member.select_batch(source.features[inner_test])
+            values = pr10[inner_test, choices]
             if member.needs_features:
-                choices = member.select_batch(source.features[inner_test])
-                values = pr10[inner_test, choices] + costs[inner_test]
-            else:
-                choices = np.full(inner_test.size, member.select(), dtype=np.int64)
-                values = pr10[inner_test, choices]
+                values = values + costs[inner_test]
             performance[held, s] = values
 
     deployed = tuple(make_selector(spec, global_seed).fit(source, train_indices) for spec in specs)
@@ -128,12 +131,6 @@ def fit_meta_learner(meta: MetaScenario, meta_spec: str, global_seed: int = 0) -
     return learner
 
 
-def select_with_meta(meta: MetaScenario, learner: Selector, x) -> int:
-    """Let the meta learner pick a selector, then that selector picks."""
-    chosen = learner.select(x)
-    return meta.deployed[chosen].select(x)
-
-
 class AlgorithmSelectorSelector(Selector):
     """Two-level selector: a meta learner picks a base selector, the
     picked selector picks the algorithm. Both levels read the same
@@ -166,46 +163,10 @@ class AlgorithmSelectorSelector(Selector):
         )
         self.meta_ = fit_meta_learner(self.meta_scenario_, self.meta_spec, self.global_seed)
 
-    def selector_choice(self, x) -> int:
-        return self.meta_.select(x)
-
-    def scores(self, x=None):
-        chosen = self.meta_.select(x)
-        member = self.meta_scenario_.deployed[chosen]
-        return member.scores(x)
-
-    def select(self, x=None) -> int:
-        chosen = self.meta_.select(x)
-        return self.meta_scenario_.deployed[chosen].select(x)
-
-    def select_batch(self, x):
-        x = np.atleast_2d(x)
-        if self.meta_.needs_features:
-            chosen = self.meta_.select_batch(x)
-        else:
-            chosen = np.full(x.shape[0], self.meta_.select(), dtype=np.int64)
-        out = np.empty(x.shape[0], dtype=np.int64)
-        for s in np.unique(chosen):
-            member = self.meta_scenario_.deployed[s]
-            mask = chosen == s
-            if member.needs_features:
-                out[mask] = member.select_batch(x[mask])
-            else:
-                out[mask] = member.select()
-        return out
-
     def scores_batch(self, x):
-        x = np.atleast_2d(x)
-        if self.meta_.needs_features:
-            chosen = self.meta_.select_batch(x)
-        else:
-            chosen = np.full(x.shape[0], self.meta_.select(), dtype=np.int64)
+        chosen = self.meta_.select_batch(x)
         out = np.empty((x.shape[0], self.n_algorithms_))
         for s in np.unique(chosen):
-            member = self.meta_scenario_.deployed[s]
             mask = chosen == s
-            if member.needs_features:
-                out[mask] = member.scores_batch(x[mask])
-            else:
-                out[mask] = np.tile(member.scores(), (int(mask.sum()), 1))
+            out[mask] = self.meta_scenario_.deployed[s].scores_batch(x[mask])
         return out

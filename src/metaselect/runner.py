@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores, weight_from_npar10
+from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores
 from .approaches import ORACLE, build_approach, canonical_approach_spec, parse_approach
 from .config import ExperimentConfig
-from .ensembles import MAX_EXHAUSTIVE_MEMBERS
+from .ensembles import MAX_EXHAUSTIVE_MEMBERS, wmaj_weights
 from .errors import DegenerateGap, InvalidConfig, MetaselectError
 from .metrics import (
     SelectionTrace,
@@ -45,18 +45,9 @@ from .report import (
     SweepRow,
 )
 from .scenario import ScenarioSpec
-from .selectors import Selector, make_selector
+from .selectors import Selector, make_selector, selector_trace
 
 SBS = "sbs"
-
-
-def selector_trace(model: Selector, scenario: ScenarioSpec, indices: np.ndarray) -> SelectionTrace:
-    """Run a fitted model over `indices`, charging costs iff it reads features."""
-    if model.needs_features:
-        choices = model.select_batch(scenario.features[indices])
-    else:
-        choices = np.full(indices.size, model.select(), dtype=np.int64)
-    return SelectionTrace(indices, choices, charge_feature_costs=model.needs_features)
 
 
 def is_plain_selector(canonical_spec: str) -> bool:
@@ -296,30 +287,8 @@ def sweep_voting(
 
         members = [make_selector(s, global_seed).fit(scenario, train) for s in specs]
         needs = [m.needs_features for m in members]
-        rows = np.stack(
-            [
-                m.scores_batch(scenario.features[test])
-                if m.needs_features
-                else np.tile(m.scores(), (test.size, 1))
-                for m in members
-            ]
-        )
-        weights = None
-        if aggregation == "wmaj":
-            oracle_train = oracle_par10(scenario, train)
-            sbs_train = fixed_algorithm_par10(scenario, train, single_best(scenario, train))
-            weights = np.array(
-                [
-                    weight_from_npar10(
-                        npar10(
-                            trace_par10(scenario, selector_trace(m, scenario, train)),
-                            oracle_train,
-                            sbs_train,
-                        )
-                    )
-                    for m in members
-                ]
-            )
+        rows = np.stack([m.scores_batch(scenario.features[test]) for m in members])
+        weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
 
         for mask in masks:
             subset = list(mask)

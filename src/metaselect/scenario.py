@@ -162,28 +162,6 @@ class ScenarioSpec:
         train = np.flatnonzero(self.folds != fold)
         return train, test
 
-    def subset(self, indices, name: str | None = None) -> "ScenarioSpec":
-        """A scenario restricted to `indices` (repeats allowed, for bootstraps).
-
-        The result skips strict validation because bootstrap subsets
-        repeat instance ids.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        spec = ScenarioSpec(
-            name=name or self.name,
-            instances=tuple(self.instances[i] for i in idx),
-            algorithms=self.algorithms,
-            cutoff=self.cutoff,
-            runtimes=_frozen(self.runtimes[idx]),
-            solved=_frozen(self.solved[idx]),
-            features=_frozen(self.features[idx]),
-            feature_costs=_frozen(self.feature_costs[idx]),
-            folds=_frozen(self.folds[idx]),
-        )
-        object.__setattr__(spec, "_instance_index", None)
-        object.__setattr__(spec, "_algorithm_index", None)
-        return spec
-
     def with_features(self, features, name: str | None = None) -> "ScenarioSpec":
         """Same runs and folds, different feature matrix.
 
@@ -208,12 +186,3 @@ class ScenarioSpec:
         object.__setattr__(spec, "_instance_index", self._instance_index)
         object.__setattr__(spec, "_algorithm_index", self._algorithm_index)
         return spec
-
-    def drop_unsolved_by_all(self) -> "ScenarioSpec":
-        """Remove instances no algorithm solves.
-
-        Kept by default everywhere; this hook exists for configurations
-        that prefer to exclude hopeless instances from training.
-        """
-        keep = np.flatnonzero(self.solved.any(axis=1))
-        return self.subset(keep)

@@ -1,8 +1,13 @@
 """Per-instance algorithm selectors.
 
 A selector is fit on the training slice of a scenario and afterwards
-maps a raw feature vector to a score per algorithm, lower meaning
-better; `select` takes the argmin (lowest index wins ties). Five
+maps a batch of raw feature rows to one score per algorithm and row,
+lower meaning better. Subclasses implement exactly two methods, `_fit`
+and `scores_batch` ((n, d) features -> (n, K) scores); `Selector`
+derives `scores`, `select` and `select_batch` from the latter, taking
+the argmin (lowest index wins ties). `needs_features` only decides
+whether feature acquisition costs are charged: a feature-free model
+still receives the feature rows and sizes its output from them. Five
 feature-based strategies plus the feature-free single-best baseline:
 
 * ``peralgo``: one runtime regressor per algorithm,
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateTraining, InvalidConfig, UnknownInstanceFeatures
 from .learners import ForestClassifier, ForestRegressor, KnnIndex, Preprocessor, fit_kmeans
-from .metrics import single_best
+from .metrics import SelectionTrace, single_best
 from .scenario import ScenarioSpec
 
 
@@ -40,7 +45,7 @@ def dummy_scores(n_algorithms: int, favored: int) -> np.ndarray:
 
 
 class Selector:
-    """Common behaviour; subclasses implement _fit and scores."""
+    """Common behaviour; subclasses implement `_fit` and `scores_batch`."""
 
     needs_features = True
 
@@ -63,15 +68,19 @@ class Selector:
     def _fit(self, scenario, train_indices):
         raise NotImplementedError
 
-    def scores(self, x) -> np.ndarray:
+    def scores_batch(self, x: np.ndarray) -> np.ndarray:
+        """(n, K) scores for an (n, d) matrix of raw feature rows."""
         raise NotImplementedError
 
-    def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([self.scores(row) for row in np.atleast_2d(x)])
+    def scores(self, x=None) -> np.ndarray:
+        """Scores for one feature vector; feature-free models accept None."""
+        if x is None:
+            if self.needs_features:
+                raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
+            x = np.zeros((1, 0))
+        return self.scores_batch(np.atleast_2d(x))[0]
 
     def select(self, x=None) -> int:
-        # feature-free selectors and ensembles accept no argument; the
-        # feature-based ones raise UnknownInstanceFeatures on x=None
         return int(np.argmin(self.scores(x)))
 
     def select_batch(self, x: np.ndarray) -> np.ndarray:
@@ -81,17 +90,18 @@ class Selector:
         return f"{type(self).__name__}({self.spec!r})"
 
 
+def selector_trace(model: Selector, scenario: ScenarioSpec, indices: np.ndarray) -> SelectionTrace:
+    """Run a fitted model over `indices`, charging costs iff it reads features."""
+    choices = model.select_batch(scenario.features[indices])
+    return SelectionTrace(indices, choices, charge_feature_costs=model.needs_features)
+
+
 class _FeatureBasedSelector(Selector):
     def _prepare(self, scenario, train_indices):
         self.preprocessor_ = Preprocessor()
         x = self.preprocessor_.fit_transform(scenario.features[train_indices])
         pr10 = scenario.pr10_matrix()[train_indices]
         return x, pr10
-
-    def _transform(self, x):
-        if x is None:
-            raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
-        return self.preprocessor_.transform(np.asarray(x, dtype=np.float64))
 
 
 class PerAlgorithmRegressorSelector(_FeatureBasedSelector):
@@ -113,11 +123,8 @@ class PerAlgorithmRegressorSelector(_FeatureBasedSelector):
             )
             self.models_.append(forest.fit(x, pr10[:, a]))
 
-    def scores(self, x):
-        return self.scores_batch(x)[0]
-
     def scores_batch(self, x):
-        z = np.atleast_2d(self._transform(x))
+        z = self.preprocessor_.transform(x)
         return np.stack([m.predict(z) for m in self.models_], axis=1)
 
 
@@ -138,11 +145,8 @@ class MulticlassSelector(_FeatureBasedSelector):
             n_classes=scenario.n_algorithms,
         ).fit(x, labels)
 
-    def scores(self, x):
-        return self.scores_batch(x)[0]
-
     def scores_batch(self, x):
-        z = np.atleast_2d(self._transform(x))
+        z = self.preprocessor_.transform(x)
         return 1.0 - self.model_.predict_proba(z)
 
 
@@ -177,11 +181,8 @@ class PairwiseSelector(_FeatureBasedSelector):
                 forest.fit(x, labels)  # every pair tied: learn the prior
             self.models_.append((a, b, forest))
 
-    def scores(self, x):
-        return self.scores_batch(x)[0]
-
     def scores_batch(self, x):
-        z = np.atleast_2d(self._transform(x))
+        z = self.preprocessor_.transform(x)
         k = self.n_algorithms_
         votes = np.zeros((z.shape[0], k))
         for a, b, forest in self.models_:
@@ -206,11 +207,8 @@ class SunnySelector(_FeatureBasedSelector):
         self.pr10_ = pr10
         self.k_effective_ = min(self.k, x.shape[0])
 
-    def scores(self, x):
-        return self.scores_batch(x)[0]
-
     def scores_batch(self, x):
-        z = np.atleast_2d(self._transform(x))
+        z = self.preprocessor_.transform(x)
         neighbors = self.index_.query(z, self.k_effective_)
         return self.pr10_[neighbors].mean(axis=1)
 
@@ -247,13 +245,10 @@ class IsacSelector(_FeatureBasedSelector):
         )
         self.fallback_ = int(single_best(scenario, train_indices))
 
-    def scores(self, x):
-        return self.scores_batch(x)[0]
-
     def scores_batch(self, x):
-        z = np.atleast_2d(self._transform(x))
-        clusters = np.atleast_1d(self.model_.assign(z))
-        dist = np.atleast_1d(self.model_.distance_to_assigned(z))
+        z = self.preprocessor_.transform(x)
+        clusters = self.model_.assign(z)
+        dist = self.model_.distance_to_assigned(z)
         out = self.cluster_scores_[clusters].copy()
         far = dist > self.distance_threshold_
         if far.any():
@@ -269,15 +264,8 @@ class SingleBestSelector(Selector):
     def _fit(self, scenario, train_indices):
         self.algorithm_ = single_best(scenario, train_indices)
 
-    def scores(self, x=None):
-        return dummy_scores(self.n_algorithms_, self.algorithm_)
-
     def scores_batch(self, x):
-        n = 1 if x is None else np.atleast_2d(x).shape[0]
-        return np.tile(self.scores(), (n, 1))
-
-    def select(self, x=None) -> int:
-        return self.algorithm_
+        return np.tile(dummy_scores(self.n_algorithms_, self.algorithm_), (x.shape[0], 1))
 
 
 _REGISTRY = {

@@ -17,7 +17,7 @@ import numpy as np
 
 from metaselect import selectors
 from metaselect.scenario import ScenarioSpec
-from metaselect.selectors import Selector
+from metaselect.selectors import Selector, dummy_scores
 
 
 class _HalfSpaceStub(Selector):
@@ -27,14 +27,12 @@ class _HalfSpaceStub(Selector):
     def _fit(self, scenario, train_indices):
         pass
 
-    def scores(self, x):
+    def scores_batch(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x[0] * self.side > 0:
-            out = np.ones(self.n_algorithms_)
-            out[self.favored] = 0.0
-            return out
         # uninformative side: constant, so mean aggregation sees 0.5
-        return np.full(self.n_algorithms_, 0.5)
+        out = np.full((x.shape[0], self.n_algorithms_), 0.5)
+        out[x[:, 0] * self.side > 0] = dummy_scores(self.n_algorithms_, self.favored)
+        return out
 
 
 class PositiveHalfStub(_HalfSpaceStub):
@@ -51,10 +49,16 @@ class NoiseStub(Selector):
     def _fit(self, scenario, train_indices):
         self._key = int(self._seed_sequence().generate_state(1)[0])
 
-    def scores(self, x):
+    def scores_batch(self, x):
         x = np.asarray(x, dtype=np.float64)
-        rng = np.random.default_rng([self._key, zlib.crc32(x.tobytes())])
-        return rng.random(self.n_algorithms_)
+        return np.stack(
+            [
+                np.random.default_rng([self._key, zlib.crc32(row.tobytes())]).random(
+                    self.n_algorithms_
+                )
+                for row in x
+            ]
+        )
 
 
 STUB_REGISTRY = {

@@ -14,12 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 from metaselect.aggregation import (
     AGGREGATIONS,
-    SelectorOutput,
     agg_borda,
     agg_majority,
     agg_mean,
     agg_weighted_majority,
-    aggregate_choice,
     combine_scores,
     minmax_normalize,
     ranks_from_scores,
@@ -84,6 +82,22 @@ def test_ranks_all_tied():
     )
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [0.0, 1.0, 1.0, 1.0],
+        [2.0, 2.0, 2.0],
+        [3.5, -1.0, 0.25, 7.0, 2.0],
+        [1.0, 0.0, 2.0, 0.0, 1.0, 2.0, 2.0, 0.0],
+    ],
+)
+def test_ranks_match_scipy_rankdata(scores):
+    stats = pytest.importorskip("scipy.stats")
+    np.testing.assert_array_equal(
+        ranks_from_scores(np.array(scores)), stats.rankdata(scores, method="average")
+    )
+
+
 def test_minmax_constant_maps_to_half():
     np.testing.assert_array_equal(minmax_normalize(np.array([3.0, 3.0])), [0.5, 0.5])
 
@@ -106,7 +120,7 @@ def test_majority_ignores_weights_argument():
 def test_borda_prefers_consistent_runner_up():
     # member picks differ but algorithm 1 is never worse than second
     rows = np.array([[0.0, 0.5, 1.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.5]])
-    assert aggregate_choice("borda", rows) == 1
+    assert int(np.argmin(combine_scores("borda", rows))) == 1
 
 
 def test_empty_rows_raise():
@@ -126,10 +140,6 @@ def test_weight_floor_caps_inverse():
     assert weight_from_npar10(-1.0) == 1e6
 
 
-def test_selector_output_choice():
-    assert SelectorOutput("s", np.array([0.3, 0.1, 0.2])).choice() == 1
-
-
 # -- randomized equivalence ------------------------------------------------
 
 
@@ -145,7 +155,7 @@ def test_matches_naive_reference_on_random_instances(name):
         else:
             rows = rng.integers(0, 3, size=(m, k)).astype(float)
         weights = rng.uniform(0.5, 3.0, size=m)
-        assert aggregate_choice(name, rows, weights) == ref_choice(name, rows, weights)
+        assert int(np.argmin(combine_scores(name, rows, weights))) == ref_choice(name, rows, weights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,4 +187,6 @@ def test_borda_rank_sums_are_conserved(rows):
 )
 def test_choices_invariant_under_positive_scaling(rows, scale):
     for name in AGGREGATIONS:
-        assert aggregate_choice(name, rows) == aggregate_choice(name, rows * scale)
+        assert int(np.argmin(combine_scores(name, rows))) == int(
+            np.argmin(combine_scores(name, rows * scale))
+        )

@@ -15,7 +15,6 @@ from metaselect.ensembles import (
 )
 from metaselect.errors import (
     BoostingCollapsed,
-    DegenerateGap,
     DegenerateTraining,
     EmptyEnsemble,
     InvalidConfig,
@@ -108,12 +107,12 @@ class TestVoting:
         result = model.search_result_
         assert len(result.masks) == 2 ** len(MEMBER_SPECS) - 1
         assert result.best_mask == model.active_
-        best_value = min(result.train_npar10)
-        picked = result.train_npar10[result.masks.index(result.best_mask)]
+        best_value = min(result.train_par10)
+        picked = result.train_par10[result.masks.index(result.best_mask)]
         assert picked == best_value
         # never worse on training data than the best single member
         singles = [
-            v for m, v in zip(result.masks, result.train_npar10) if len(m) == 1
+            v for m, v in zip(result.masks, result.train_par10) if len(m) == 1
         ]
         assert best_value <= min(singles)
 
@@ -147,16 +146,25 @@ class TestVoting:
         )
         np.testing.assert_array_equal(model.scores_batch(xs), expected)
 
-    def test_degenerate_train_gap_propagates(self):
-        # identical runtime columns: oracle == sbs on the training folds
+    def test_wmaj_falls_back_to_maj_on_a_zero_train_gap(self):
+        # algorithm 0 wins every training instance: oracle == sbs there,
+        # while the stubs still disagree, so vote ties are exercised
+        from stubs import registered_stubs
+
+        rng = np.random.default_rng(3)
         sc = scenario_of(
-            runtimes=np.tile([5.0, 5.0], (8, 1)),
-            features=np.arange(8, dtype=float)[:, None],
+            runtimes=np.tile([1.0, 5.0, 5.0], (30, 1)),
+            features=rng.normal(size=(30, 2)),
         )
-        with pytest.raises(DegenerateGap):
-            VotingEnsemble("v", 0, ["sunny(k=2)"], aggregation="wmaj").fit(
-                sc, np.arange(8)
-            )
+        train = np.arange(30)
+        specs = ["halfpos", "halfneg", "noisy"]
+        with registered_stubs():
+            wmaj = VotingEnsemble("v", 0, specs, aggregation="wmaj").fit(sc, train)
+            maj = VotingEnsemble("v", 0, specs, aggregation="maj").fit(sc, train)
+        np.testing.assert_array_equal(wmaj.weights_, np.ones(len(specs)))
+        np.testing.assert_array_equal(
+            wmaj.scores_batch(sc.features), maj.scores_batch(sc.features)
+        )
 
     def test_feature_free_members_make_a_feature_free_ensemble(self, toy):
         train, test = toy.fold_split(1)

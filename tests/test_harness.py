@@ -12,6 +12,7 @@ from conftest import TOY_DIR
 from metaselect.cli import main
 from metaselect.config import ExperimentConfig, config_from_mapping, load_config
 from metaselect.errors import InvalidConfig, MetaselectError
+from metaselect.metrics import fixed_algorithm_par10, oracle_par10, single_best
 from metaselect.aggregation import ranks_from_scores
 from metaselect.aslib import write_scenario
 from metaselect.report import (
@@ -29,6 +30,7 @@ from metaselect.runner import (
     run_experiment,
     sweep_voting,
 )
+from metaselect.scenario import ScenarioSpec
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 # a dummy synthetic block satisfies "exactly one source" when the
@@ -516,6 +518,58 @@ class TestSweepVoting:
             canonical_selector_spec_checked("oracle")
         with pytest.raises(InvalidConfig):
             canonical_selector_spec_checked("bagging{sunny;k=3}")
+
+
+# -- degenerate training gap ------------------------------------------------
+
+
+def one_winner_train_scenario() -> ScenarioSpec:
+    """Algorithm 0 wins every instance of fold 2, so fold 1's training
+    set has its single best equal to its oracle; fold 1 itself alternates
+    winners, so its own test gap is positive."""
+    n = 12
+    fold1 = np.arange(n) < 6
+    a1_wins = fold1 & (np.arange(n) % 2 == 1)
+    return ScenarioSpec.create(
+        name="one-winner",
+        instances=[f"i{j:02d}" for j in range(n)],
+        algorithms=["a0", "a1"],
+        cutoff=100.0,
+        runtimes=np.where(a1_wins[:, None], [5.0, 1.0], [1.0, 5.0]),
+        solved=np.ones((n, 2), dtype=bool),
+        features=np.arange(n, dtype=float)[:, None],
+        folds=np.where(fold1, 1, 2),
+    )
+
+
+class TestDegenerateTrainGap:
+    APPROACHES = (
+        "sunny(k=2)",
+        "stacking{meta=sunny(k=2);bases=sunny(k=2)}",
+        "voting[wmaj]{sunny(k=2),isac(clusters=2)}",
+        "bagging[wmaj]{sunny(k=2);k=3}",
+        "voting[maj]{sunny(k=2),isac(clusters=2),sbs;search=exhaustive}",
+    )
+
+    def test_ensembles_score_the_fold_plain_selectors_score(self):
+        sc = one_winner_train_scenario()
+        train, _ = sc.fold_split(1)
+        assert oracle_par10(sc, train) == fixed_algorithm_par10(
+            sc, train, single_best(sc, train)
+        )
+        report, _ = run_experiment(make_config(self.APPROACHES), scenario=sc)
+        fold1 = {c.approach: c for c in report.cells if c.fold == 1}
+        assert len(fold1) == len(self.APPROACHES)
+        for approach, cell in fold1.items():
+            assert cell.error is None, (approach, cell.error)
+            assert cell.npar10 is not None, approach
+
+    def test_wmaj_sweep_completes(self):
+        sweep = sweep_voting(
+            one_winner_train_scenario(), ["sunny(k=2)", "isac(clusters=2)"], aggregation="wmaj"
+        )
+        assert [r.members for r in sweep.rows] == [(0,), (1,), (0, 1)]
+        assert all(r.fold_npar10[0] is not None for r in sweep.rows)
 
 
 def invoke(*args):

@@ -144,6 +144,16 @@ def test_equal_best_scores_go_to_the_earlier_candidate(classification):
         assert feature == drawn[0]
 
 
+def test_pairwise_sq_dists_match_scipy_cdist():
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(7, 4)), rng.normal(scale=3.0, size=(5, 4))
+    b[0] = a[2]  # an exact zero distance
+    np.testing.assert_allclose(
+        _kernels.pairwise_sq_dists(a, b), distance.cdist(a, b, "sqeuclidean"), rtol=1e-12
+    )
+
+
 def _forest_digest(model):
     digest = hashlib.sha256()
     for tree in model.trees_:
@@ -247,7 +257,7 @@ class TestKnn:
         # distinct rows with probability 1 under a continuous draw
         index = KnnIndex().fit(pts)
         for i in range(len(pts)):
-            assert index.query(pts[i], 1)[0] == i
+            assert index.query(pts[i : i + 1], 1)[0, 0] == i
 
 
 class TestKmeans:
@@ -299,7 +309,7 @@ class TestPreprocessor:
 
     def test_single_row_query_keeps_shape(self):
         pre = Preprocessor().fit(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        assert pre.transform(np.array([1.0, 2.0])).shape == (2,)
+        assert pre.transform(np.array([[1.0, 2.0]])).shape == (1, 2)
 
 
 def test_variance_threshold_keeps_informative_columns():

@@ -16,7 +16,6 @@ from metaselect.meta import (
     AlgorithmSelectorSelector,
     build_meta_scenario,
     fit_meta_learner,
-    select_with_meta,
 )
 from metaselect.metrics import oracle_par10
 from metaselect.scenario import ScenarioSpec
@@ -137,7 +136,6 @@ def test_fit_meta_learner_and_route(toy):
     for x in toy.features[test][:3]:
         picked = learner.select(x)
         assert 0 <= picked < len(SPECS)
-        assert select_with_meta(meta, learner, x) == meta.deployed[picked].select(x)
 
 
 class TestAlgorithmSelectorSelector:

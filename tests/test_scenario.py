@@ -54,14 +54,6 @@ def test_fold_split_partitions():
     assert train.tolist() == [0, 1] and test.tolist() == [2]
 
 
-def test_subset_keeps_alignment():
-    sc = small_scenario()
-    sub = sc.subset([2, 0])
-    assert sub.instances == ("r", "p")
-    np.testing.assert_array_equal(sub.runtimes, sc.runtimes[[2, 0]])
-    np.testing.assert_array_equal(sub.feature_costs, sc.feature_costs[[2, 0]])
-
-
 def test_with_features_swaps_matrix_only():
     sc = small_scenario()
     wide = sc.with_features(np.zeros((3, 5)))
@@ -93,12 +85,3 @@ def test_validate_false_skips_checks():
         runtimes=[[1.0, 9.0], [10.0, 2.0], [3.0, 4.0]], validate=False
     )
     assert sc.runtimes[0, 1] == 9.0
-
-
-def test_drop_unsolved_by_all():
-    sc = small_scenario(
-        solved=[[False, False], [False, True], [True, True]],
-        runtimes=[[10.0, 10.0], [10.0, 2.0], [3.0, 4.0]],
-    )
-    kept = sc.drop_unsolved_by_all()
-    assert kept.instances == ("q", "r")
