@@ -8,7 +8,7 @@ identifiers. Sparse ARFF and attribute weights are not supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedArff
 

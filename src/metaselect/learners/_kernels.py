@@ -9,6 +9,19 @@ each column of their (rows x candidates) inputs is one feature, sorted
 ascending. Prefix sums run along axis 0, which accumulates each column
 sequentially from the first row, so every column's result is bit for
 bit what the same search on that column alone would give.
+
+The distance kernel walks the rows of `a` in blocks of about
+BLOCK_CELLS output cells, so that a block of output and one scratch
+buffer of the same size stay in L2 cache. Inside a block it adds the
+squared differences feature by feature, in column order, into the
+zeroed block, so every distance is (((0 + d0²) + d1²) + ...) in that
+order and bit for bit what a whole-matrix pass per feature gives. No
+(len(a), len(b), d) temporary is ever built. The difference of a
+column of `a` and a row of `b` is a broadcast that numpy's ufunc loop
+copies through buffers of `np.getbufsize()` elements; the kernel
+shrinks them to UFUNC_BUFFER elements, so that they stay in L1 cache,
+and restores the caller's size on return. Buffering moves values, it
+does not change the arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 USING_NUMBA = False  # one numpy implementation per kernel; kept for result stamps
+
+BLOCK_CELLS = 32768  # cells per distance block: block and scratch are 256 KiB each
+UFUNC_BUFFER = 1024  # elements per ufunc buffer in the distance kernel: 8 KiB
 
 # ---------------------------------------------------------------- splits
 
@@ -99,10 +115,23 @@ def best_split_cls(values, labels, weights, n_classes, min_leaf):
 
 def pairwise_sq_dists(a, b):
     """Squared euclidean distances, shape (len(a), len(b))."""
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for j in range(a.shape[1]):
-        diff = a[:, j, None] - b[None, :, j]
-        out = out + diff * diff
+    n_a, n_b = a.shape[0], b.shape[0]
+    out = np.zeros((n_a, n_b))
+    at = np.ascontiguousarray(a.T, dtype=np.float64)
+    bt = np.ascontiguousarray(b.T, dtype=np.float64)
+    rows = max(1, BLOCK_CELLS // max(n_b, 1))
+    scratch = np.empty((min(rows, n_a), n_b))
+    previous = np.setbufsize(UFUNC_BUFFER)
+    try:
+        for lo in range(0, n_a, rows):
+            block = out[lo : lo + rows]
+            diff = scratch[: block.shape[0]]
+            for a_col, b_col in zip(at[:, lo : lo + rows, None], bt):
+                np.subtract(a_col, b_col, out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add(block, diff, out=block)
+    finally:
+        np.setbufsize(previous)
     return out
 
 

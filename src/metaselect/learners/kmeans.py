@@ -29,16 +29,16 @@ class KMeansModel:
     def n_clusters(self) -> int:
         return self.centroids.shape[0]
 
-    def assign(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-centroid index per query row (first wins on ties)."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        dists = _kernels.pairwise_sq_dists(x, self.centroids)
-        return np.argmin(dists, axis=1)
+    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-centroid index per query row (first wins on ties) and
+        the euclidean distance to that centroid."""
+        return _nearest(np.ascontiguousarray(x, dtype=np.float64), self.centroids)
 
-    def distance_to_assigned(self, x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        dists = _kernels.pairwise_sq_dists(x, self.centroids)
-        return np.sqrt(dists.min(axis=1))
+
+def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    dists = _kernels.pairwise_sq_dists(x, centroids)
+    closest = np.argmin(dists, axis=1)
+    return closest, np.sqrt(dists[np.arange(x.shape[0]), closest])
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,9 +97,7 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
         if converged:
             break
 
-    final_d = _kernels.pairwise_sq_dists(x, centroids)
-    assignments = np.argmin(final_d, axis=1).astype(np.int64)
-    train_distances = np.sqrt(final_d[np.arange(n), assignments])
+    assignments, train_distances = _nearest(x, centroids)
     return KMeansModel(
         centroids=centroids,
         assignments=assignments,

@@ -15,7 +15,6 @@ if they need parallelism.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 

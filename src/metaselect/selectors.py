@@ -247,8 +247,7 @@ class IsacSelector(_FeatureBasedSelector):
 
     def scores_batch(self, x):
         z = self.preprocessor_.transform(x)
-        clusters = self.model_.assign(z)
-        dist = self.model_.distance_to_assigned(z)
+        clusters, dist = self.model_.nearest(z)
         out = self.cluster_scores_[clusters].copy()
         far = dist > self.distance_threshold_
         if far.any():

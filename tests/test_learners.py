@@ -1,8 +1,9 @@
 """Learner internals: kernels, forests, knn, kmeans, preprocessing.
 
 The split kernels are checked bit for bit against a one-feature
-reference search, and pinned digests hold every tree a seeded forest
-grows, so a change to the grower cannot shift a split unnoticed.
+reference search and the distance kernel against a column-by-column
+one; pinned digests hold every tree a seeded forest grows, so a change
+to the grower cannot shift a split unnoticed.
 """
 
 import hashlib
@@ -154,6 +155,58 @@ def test_pairwise_sq_dists_match_scipy_cdist():
     )
 
 
+def _ref_pairwise_sq_dists(a, b):
+    """Whole-matrix passes, one feature column at a time."""
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        out = out + diff * diff
+    return out
+
+
+_BLOCK = _kernels.BLOCK_CELLS
+_DIST_SHAPES = [  # (n_a, n_b, d)
+    (3 * (_BLOCK // 100) + 7, 100, 3),  # several row blocks, a ragged last one
+    (3, _BLOCK + 5, 2),  # n_b larger than a block
+    (1, 40, 5),
+    (40, 1, 5),
+    (1, 1, 3),
+    (25, 30, 0),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_DIST_SHAPES),
+        st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 8)),
+    ),
+    st.integers(0, 2**31 - 1),
+)
+def test_pairwise_sq_dists_match_the_column_reference(shape, seed):
+    n_a, n_b, d = shape
+    rng = np.random.default_rng(seed)
+    # columns of mixed scale, so that a changed summation order rounds differently
+    scale = 10.0 ** rng.integers(-3, 4, size=d)
+    a = rng.normal(size=(n_a, d)) * scale
+    b = rng.normal(size=(n_b, d)) * scale
+    if n_a > 1:
+        a[-1] = a[0]  # duplicated rows
+    if n_a and n_b:
+        b[-1] = a[0]
+    got = _kernels.pairwise_sq_dists(a, b)
+    want = _ref_pairwise_sq_dists(a, b)
+    assert got.shape == (n_a, n_b)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_pairwise_sq_dists_restore_the_ufunc_buffer_size():
+    with np.errstate():
+        np.setbufsize(4096)
+        _kernels.pairwise_sq_dists(np.ones((3, 2)), np.zeros((4, 2)))
+        assert np.getbufsize() == 4096
+
+
 def _forest_digest(model):
     digest = hashlib.sha256()
     for tree in model.trees_:
@@ -259,6 +312,31 @@ class TestKnn:
         for i in range(len(pts)):
             assert index.query(pts[i : i + 1], 1)[0, 0] == i
 
+    def test_a_tie_at_the_kth_place_goes_to_the_lower_row_id(self):
+        pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        index = KnnIndex().fit(pts)
+        origin = np.zeros((1, 2))
+        np.testing.assert_array_equal(index.query(origin, 1), [[2]])
+        np.testing.assert_array_equal(index.query(origin, 3), [[2, 0, 1]])
+        np.testing.assert_array_equal(index.query(origin, 5), [[2, 0, 1, 3, 4]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(0, 12))
+    def test_query_equals_a_stable_argsort(self, seed, n_points, n_queries):
+        rng = np.random.default_rng(seed)
+        # a 3 x 3 grid of positions: equal distances, also at the k-th place
+        pts = rng.integers(-1, 2, size=(n_points, 2)).astype(np.float64)
+        x = rng.integers(-1, 2, size=(n_queries, 2)).astype(np.float64)
+        order = np.argsort(_kernels.pairwise_sq_dists(x, pts), axis=1, kind="stable")
+        index = KnnIndex().fit(pts)
+        for k in {1, int(rng.integers(1, n_points + 1)), n_points}:
+            np.testing.assert_array_equal(index.query(x, k), order[:, :k])
+
+    def test_query_rejects_nonfinite_features(self):
+        index = KnnIndex().fit(np.zeros((4, 2)))
+        with pytest.raises(DegenerateData):
+            index.query(np.array([[0.0, np.nan]]), 1)
+
 
 class TestKmeans:
     def test_k_bounds(self):
@@ -272,11 +350,13 @@ class TestKmeans:
         hist = model.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
-    def test_assign_matches_training_assignment(self):
+    def test_nearest_matches_training_assignment(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(50, 2))
         model = fit_kmeans(x, 3, seed=2)
-        np.testing.assert_array_equal(model.assign(x), model.assignments)
+        clusters, distances = model.nearest(x)
+        np.testing.assert_array_equal(clusters, model.assignments)
+        np.testing.assert_array_equal(distances, model.train_distances)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(6)
