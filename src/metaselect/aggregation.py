@@ -1,20 +1,36 @@
-"""Combining several selectors' opinions on one instance.
+"""Combining several selectors' opinions, for one instance or a batch.
 
 Every selector emits a score vector over the algorithms, lower meaning
-better. An aggregation turns a stack of such vectors (one row per
-member) into a single combined vector; the joint choice is its argmin,
-with ties going to the lowest algorithm index. Four schemes:
+better. An aggregation turns the members' scores into one combined
+vector per instance; the joint choice is its argmin, with ties going to
+the lowest algorithm index. Four schemes:
 
 * majority: one vote per member for its top pick,
 * weighted majority: votes weighted per member,
 * mean: average of per-member min-max normalized scores,
 * borda: sum of per-member midranks.
 
-Vote-based schemes return negated vote counts so that argmin-with-
-first-wins matches argmax over votes exactly.
+All four are one additive engine over an (M, n, K) tensor of M members'
+scores on n instances over K algorithms. A scheme first maps every
+(member, instance) row to a term: a one-hot vote of 1 (`maj`) or of the
+member's weight (`wmaj`) at the row's argmin, the row's midranks
+(`borda`), or the row min-max normalized, a constant row giving 0.5
+(`mean`). A subset of members then combines by adding its terms to
+zeros in ascending member order and finishing the sum: vote schemes
+negate it, so that argmin-with-first-wins matches argmax over votes
+exactly, and `mean` divides it by the subset size. An (M, K) matrix is
+the one-instance case of the same code.
+
+`subset_choices` scores every nonempty member subset at once. It walks
+the subsets depth-first, each one's sum being its parent's plus the
+term of its highest member, so a subset's sum is bit-identical to the
+one `combine_scores` computes for it alone, and at most M partial
+(n, K) sums are alive at any time.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -23,92 +39,145 @@ from .errors import EmptyEnsemble, InvalidConfig
 WEIGHT_FLOOR = 1e-6
 
 
+def _midranks(scores: np.ndarray) -> np.ndarray:
+    """Midranks along the last axis; NaN ranks after every number and
+    ties with nothing."""
+    k = scores.shape[-1]
+    order = np.argsort(scores, axis=-1, kind="stable")
+    ordered = np.take_along_axis(scores, order, axis=-1)
+    positions = np.arange(k)
+    starts = np.ones(scores.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(scores.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, positions, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, positions, k - 1)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(scores.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    return ranks
+
+
+def _minmax(scores: np.ndarray) -> np.ndarray:
+    """Min-max normalization along the last axis; constant rows give 0.5."""
+    lo = scores.min(axis=-1, keepdims=True)
+    hi = scores.max(axis=-1, keepdims=True)
+    flat = hi == lo
+    out = (scores - lo) / np.where(flat, 1.0, hi - lo)
+    out[np.broadcast_to(flat, out.shape)] = 0.5
+    return out
+
+
 def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the mean of their positions.
 
     scores (0, 1, 1, 1) rank as (1, 3, 3, 3): the tied block occupies
     positions 2..4 and each member gets their average.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    return _midranks(np.asarray(scores, dtype=np.float64))
 
 
 def minmax_normalize(scores: np.ndarray) -> np.ndarray:
     """Map to [0, 1]; a constant vector maps to all 0.5."""
-    scores = np.asarray(scores, dtype=np.float64)
-    lo, hi = scores.min(), scores.max()
-    if hi == lo:
-        return np.full(scores.shape, 0.5)
-    return (scores - lo) / (hi - lo)
+    return _minmax(np.asarray(scores, dtype=np.float64))
 
 
-def _check_rows(score_rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(score_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise InvalidConfig("aggregation needs a (members, algorithms) matrix")
-    if rows.shape[0] == 0:
-        raise EmptyEnsemble("aggregation needs at least one member score row")
-    return rows
-
-
-def _vote_counts(score_rows: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    rows = _check_rows(score_rows)
+def _votes(rows: np.ndarray, weights) -> np.ndarray:
     if weights is None:
         weights = np.ones(rows.shape[0])
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (rows.shape[0],):
         raise InvalidConfig("one weight per member required")
-    votes = np.zeros(rows.shape[1])
-    picks = np.argmin(rows, axis=1)
-    np.add.at(votes, picks, weights)
-    return votes
+    picks = np.argmin(rows, axis=-1)[..., None]
+    terms = np.zeros(rows.shape)
+    column = weights.reshape((-1,) + (1,) * (rows.ndim - 1))
+    np.put_along_axis(terms, picks, np.broadcast_to(column, picks.shape), axis=-1)
+    return terms
 
 
-def agg_majority(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    return -_vote_counts(score_rows, None)
+def _negate(total: np.ndarray, size: int) -> np.ndarray:
+    return -total
 
 
-def agg_weighted_majority(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    return -_vote_counts(score_rows, weights)
+def _average(total: np.ndarray, size: int) -> np.ndarray:
+    return total / size
 
 
-def agg_mean(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    rows = _check_rows(score_rows)
-    normalized = np.stack([minmax_normalize(row) for row in rows])
-    return normalized.mean(axis=0)
+def _as_is(total: np.ndarray, size: int) -> np.ndarray:
+    return total
 
 
-def agg_borda(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    rows = _check_rows(score_rows)
-    return np.stack([ranks_from_scores(row) for row in rows]).sum(axis=0)
-
-
+# name -> (per-member terms of the (M, ..., K) scores, finish of a
+# subset's summed terms given its size)
 AGGREGATIONS = {
-    "maj": agg_majority,
-    "wmaj": agg_weighted_majority,
-    "mean": agg_mean,
-    "borda": agg_borda,
+    "maj": (lambda rows, weights: _votes(rows, None), _negate),
+    "wmaj": (_votes, _negate),
+    "mean": (lambda rows, weights: _minmax(rows), _average),
+    "borda": (lambda rows, weights: _midranks(rows), _as_is),
 }
 
 
-def combine_scores(name: str, score_rows: np.ndarray, weights=None) -> np.ndarray:
+def _member_terms(name: str, score_rows: np.ndarray, weights=None) -> np.ndarray:
+    """Per-member terms of an (M, K) or (M, n, K) score array."""
     try:
-        fn = AGGREGATIONS[name]
+        transform, _ = AGGREGATIONS[name]
     except KeyError:
         raise InvalidConfig(
             f"unknown aggregation {name!r}, expected one of {sorted(AGGREGATIONS)}"
         ) from None
-    return fn(score_rows, weights)
+    rows = np.asarray(score_rows, dtype=np.float64)
+    if rows.ndim not in (2, 3) or rows.shape[-1] == 0:
+        raise InvalidConfig("aggregation needs a (members, [instances,] algorithms) array")
+    if rows.shape[0] == 0:
+        raise EmptyEnsemble("aggregation needs at least one member score row")
+    return transform(rows, weights)
+
+
+def combine_scores(name: str, score_rows: np.ndarray, weights=None) -> np.ndarray:
+    """Combined scores of all members: (K,) for an (M, K) matrix, (n, K)
+    for an (M, n, K) tensor."""
+    terms = _member_terms(name, score_rows, weights)
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return AGGREGATIONS[name][1](total, terms.shape[0])
+
+
+def subset_choices(
+    name: str, score_rows: np.ndarray, weights=None
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (members, choices) for every nonempty subset of the M
+    members of an (M, n, K) tensor, depth-first: (0,), (0, 1),
+    (0, 1, 2), ..., (0, 2), (1,), ... `choices` is the (n,) argmin of
+    the subset's combined scores, exactly as `combine_scores` gives
+    them for that subset alone."""
+    terms = _member_terms(name, score_rows, weights)
+    return _subsets_below((), np.zeros(terms.shape[1:]), terms, AGGREGATIONS[name][1])
+
+
+def _subsets_below(members, total, terms, finish):
+    """Subsets extending `members` (whose summed terms are `total`) by
+    higher members, depth-first."""
+    for top in range(members[-1] + 1 if members else 0, terms.shape[0]):
+        subset = members + (top,)
+        subtotal = total + terms[top]
+        yield subset, np.argmin(finish(subtotal, len(subset)), axis=-1)
+        yield from _subsets_below(subset, subtotal, terms, finish)
+
+
+def agg_majority(score_rows: np.ndarray, weights=None) -> np.ndarray:
+    return combine_scores("maj", score_rows)
+
+
+def agg_weighted_majority(score_rows: np.ndarray, weights=None) -> np.ndarray:
+    return combine_scores("wmaj", score_rows, weights)
+
+
+def agg_mean(score_rows: np.ndarray, weights=None) -> np.ndarray:
+    return combine_scores("mean", score_rows)
+
+
+def agg_borda(score_rows: np.ndarray, weights=None) -> np.ndarray:
+    return combine_scores("borda", score_rows)
 
 
 def weight_from_npar10(value: float) -> float:

@@ -1,7 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 on configuration problems (bad config file,
-bad approach string, malformed scenario), 2 on runtime failures.
+bad approach string, malformed scenario), 2 on runtime failures,
+including an experiment whose reports were written but in which some
+cell failed with an internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .report import (
     markdown_summary,
     sweep_csv,
 )
-from .runner import run_experiment, sweep_voting
+from .runner import internal_error_cells, run_experiment, sweep_voting
 from .synthetic import RULES, SyntheticConfig, generate_synthetic
 
 DEFAULT_SELECTORS = ("peralgo", "multiclass", "pairwise", "sunny", "isac")
@@ -52,6 +54,16 @@ def main(ctx, seed, out, formats):
     selector-of-selectors meta level, scored as PAR10/nPAR10 under
     cross-validation."""
     ctx.obj = {"seed": seed, "out": out, "formats": tuple(formats)}
+
+
+def _exit_on_internal_errors(report):
+    """Exit 2 when a cell failed with an internal error (a defect, not
+    unusable input); the reports are already written by then."""
+    failed = internal_error_cells(report)
+    for cell in failed:
+        click.echo(f"error: {cell.approach}, fold {cell.fold}: {cell.error}", err=True)
+    if failed:
+        sys.exit(2)
 
 
 def _effective(ctx_obj, config: ExperimentConfig) -> ExperimentConfig:
@@ -85,6 +97,7 @@ def evaluate(ctx, config_path):
         written = emit_report(report, config.out, config.formats, timings=timings)
         for path in written:
             click.echo(f"wrote {path}", err=True)
+    _exit_on_internal_errors(report)
 
 
 def _split_multi(values) -> list[str]:
@@ -155,6 +168,7 @@ def baselines(ctx, scenario_path, selectors, folds):
     if config.out:
         for path in emit_report(report, config.out, config.formats, timings=timings):
             click.echo(f"wrote {path}", err=True)
+    _exit_on_internal_errors(report)
 
 
 @main.command("validate-scenario")

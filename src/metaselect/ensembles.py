@@ -4,8 +4,16 @@ Each ensemble is itself a selector: it implements `_fit` and
 `scores_batch` only, scoring its members on the same feature batch
 through their own `scores_batch`, so the evaluation harness treats it
 like any other approach. Member selectors are created from spec strings
-under the caller's global seed; a plain member inside voting or stacking
-therefore trains bit-identically to the same spec run standalone.
+under the caller's global seed; a plain member inside voting or
+stacking, a 1-bag bagging member and boosting's first round therefore
+train bit-identically to the same spec run standalone, and they come
+from `fit_selector`, which inside an evaluation fold hands back the
+standalone fit instead of repeating it.
+
+Voting and bagging stack their members' (n, K) scores into one
+(members, instances, algorithms) tensor and combine it with one
+`combine_scores` call; the exhaustive composition search scores every
+member subset through `subset_choices` (see `aggregation`).
 """
 
 from __future__ import annotations
@@ -16,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AGGREGATIONS, combine_scores, weight_from_npar10
+from .aggregation import AGGREGATIONS, combine_scores, subset_choices, weight_from_npar10
 from .errors import BoostingCollapsed, DegenerateTraining, EmptyEnsemble, InvalidConfig
 from .learners import Preprocessor, fit_variance_threshold
 from .metrics import fixed_algorithm_par10, npar10, oracle_par10, single_best, trace_par10
 from .scenario import ScenarioSpec
-from .selectors import Selector, make_selector, selector_trace
+from .selectors import Selector, fit_selector, make_selector, selector_trace
 
 MAX_EXHAUSTIVE_MEMBERS = 15
 ALPHA_CAP = math.log(1e12)
@@ -130,9 +138,9 @@ class VotingEnsemble(_Ensemble):
         return [self.members_[i] for i in self.active_]
 
     def _fit(self, scenario, train_indices):
-        self.members_ = [make_selector(s, self.global_seed) for s in self.member_specs]
-        for member in self.members_:
-            member.fit(scenario, train_indices)
+        self.members_ = [
+            fit_selector(s, self.global_seed, scenario, train_indices) for s in self.member_specs
+        ]
 
         if self.aggregation == "wmaj":
             self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
@@ -147,37 +155,27 @@ class VotingEnsemble(_Ensemble):
         n_members = len(self.members_)
         x = scenario.features[train_indices]
         rows = np.stack([m.scores_batch(x) for m in self.members_])
-        pr10 = scenario.pr10_matrix()
-        costs = scenario.feature_costs
+        pr10 = scenario.pr10_matrix()[train_indices]
+        costs = scenario.feature_costs[train_indices]
 
-        masks = []
-        values = []
-        best = None
-        for bits in range(1, 2**n_members):
-            subset = tuple(i for i in range(n_members) if bits >> i & 1)
-            weights = self.weights_[list(subset)] if self.weights_ is not None else None
-            choices = np.array(
-                [
-                    int(np.argmin(combine_scores(self.aggregation, rows[list(subset), i], weights)))
-                    for i in range(train_indices.size)
-                ]
-            )
-            per_instance = pr10[train_indices, choices]
+        values = {}
+        for subset, choices in subset_choices(self.aggregation, rows, self.weights_):
+            per_instance = pr10[np.arange(choices.size), choices]
             if any(self.members_[i].needs_features for i in subset):
-                per_instance = per_instance + costs[train_indices]
-            value = float(per_instance.mean())
-            masks.append(subset)
-            values.append(value)
-            key = (value, len(subset), subset)
-            if best is None or key < best[0]:
-                best = (key, subset)
+                per_instance = per_instance + costs
+            values[subset] = float(per_instance.mean())
+        masks = [
+            tuple(i for i in range(n_members) if bits >> i & 1)
+            for bits in range(1, 2**n_members)
+        ]
+        best = min(masks, key=lambda subset: (values[subset], len(subset), subset))
         result = CompositionSearchResult(
             aggregation=self.aggregation,
             masks=tuple(masks),
-            train_par10=tuple(values),
-            best_mask=best[1],
+            train_par10=tuple(values[subset] for subset in masks),
+            best_mask=best,
         )
-        return best[1], result
+        return best, result
 
     def _active_weights(self):
         if self.weights_ is None:
@@ -188,13 +186,7 @@ class VotingEnsemble(_Ensemble):
 
     def scores_batch(self, x):
         rows = np.stack([m.scores_batch(x) for m in self._active_members()])
-        weights = self._active_weights()
-        return np.stack(
-            [
-                combine_scores(self.aggregation, rows[:, i, :], weights)
-                for i in range(x.shape[0])
-            ]
-        )
+        return combine_scores(self.aggregation, rows, self._active_weights())
 
 
 class BaggingEnsemble(_Ensemble):
@@ -218,9 +210,9 @@ class BaggingEnsemble(_Ensemble):
         if self.k == 1:
             # a single bag is the whole training set, so a 1-member
             # ensemble selects exactly like the bare selector
-            member = make_selector(self.member_spec, self.global_seed)
-            member.fit(scenario, train_indices)
-            self.members_.append(member)
+            self.members_.append(
+                fit_selector(self.member_spec, self.global_seed, scenario, train_indices)
+            )
             self.bootstrap_indices_.append(train_indices.copy())
         for j in range(self.k if self.k > 1 else 0):
             sample = None
@@ -243,12 +235,7 @@ class BaggingEnsemble(_Ensemble):
 
     def scores_batch(self, x):
         rows = np.stack([m.scores_batch(x) for m in self.members_])
-        return np.stack(
-            [
-                combine_scores(self.aggregation, rows[:, i, :], self.weights_)
-                for i in range(x.shape[0])
-            ]
-        )
+        return combine_scores(self.aggregation, rows, self.weights_)
 
 
 class BoostingEnsemble(_Ensemble):
@@ -283,12 +270,11 @@ class BoostingEnsemble(_Ensemble):
                 # uniform weights: fit on the training set as is, with the
                 # bare selector's own randomness, so one round reproduces
                 # the bare selector exactly
-                sample = np.arange(n)
-                member = make_selector(self.member_spec, self.global_seed)
+                member = fit_selector(self.member_spec, self.global_seed, scenario, train_indices)
             else:
                 sample = rng.choice(n, size=n, replace=True, p=weights)
                 member = make_selector(self.member_spec, self.global_seed, salt=(attempts,))
-            member.fit(scenario, train_indices[sample])
+                member.fit(scenario, train_indices[sample])
             miss = member.select_batch(features) != labels
             err = float(weights[miss].sum())
             if err >= 1.0 - 1.0 / k:
@@ -363,9 +349,9 @@ class StackingEnsemble(_Ensemble):
         else:
             base_idx = meta_idx = train_indices
 
-        self.members_ = [make_selector(s, self.global_seed) for s in self.base_specs]
-        for member in self.members_:
-            member.fit(scenario, base_idx)
+        self.members_ = [
+            fit_selector(s, self.global_seed, scenario, base_idx) for s in self.base_specs
+        ]
 
         augmented = self._augment(scenario.features[meta_idx])
         self.scaler_ = None

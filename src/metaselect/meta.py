@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateTraining, EmptyEnsemble, InvalidConfig
 from .scenario import ScenarioSpec
-from .selectors import Selector, canonical_selector_spec, make_selector
+from .selectors import Selector, canonical_selector_spec, fit_selector, make_selector
 
 DEFAULT_INNER_FOLDS = 3
 
@@ -57,8 +57,9 @@ def build_meta_scenario(
 
     Every training instance gets, for each selector, the penalized
     runtime of the choice that selector makes when fit without that
-    instance's inner fold. Deployed selectors are separate full-train
-    refits.
+    instance's inner fold. Deployed selectors are full-train fits from
+    `fit_selector`, so inside an evaluation fold they are the fold's
+    standalone fits of the same specs.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     specs = tuple(canonical_selector_spec(s) for s in selector_specs)
@@ -99,7 +100,7 @@ def build_meta_scenario(
                 values = values + costs[inner_test]
             performance[held, s] = values
 
-    deployed = tuple(make_selector(spec, global_seed).fit(source, train_indices) for spec in specs)
+    deployed = tuple(fit_selector(spec, global_seed, source, train_indices) for spec in specs)
 
     # Stored values already carry the 10x-cutoff penalty (plus feature
     # cost) of the underlying choice, so every cell counts as solved and

@@ -5,7 +5,14 @@ so nPAR10 is exactly 0 for the `oracle` row and exactly 1 for the `sbs`
 row. Those two rows are computed straight from the truth (no model, no
 feature cost); every other approach is fit on the training folds and
 charged feature costs whenever it reads features. A failing approach
-becomes a missing cell with the error recorded, not a penalized score.
+becomes a missing cell with the error recorded, not a penalized score;
+an exception that is not a `MetaselectError` is recorded the same way,
+its message prefixed with `internal: `.
+
+Each fold runs inside a `shared_fits` scope: a selector fit that
+several approaches of the fold need (a plain cell, voting members,
+stacking bases, `ass` deployed selectors, ...) is trained once, and its
+seconds land in the timings of the first cell that needs it.
 
 Folds and approaches are evaluated sequentially here; all inputs are
 immutable, so callers may shard folds across processes and merge cells
@@ -18,7 +25,9 @@ import time
 
 import numpy as np
 
-from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores
+# combine_scores stays importable from here for wrappers that patch
+# runner.combine_scores (perfbench/tracer.py); nothing here calls it.
+from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores, subset_choices  # noqa: F401
 from .approaches import ORACLE, build_approach, canonical_approach_spec, parse_approach
 from .config import ExperimentConfig
 from .ensembles import MAX_EXHAUSTIVE_MEMBERS, wmaj_weights
@@ -44,9 +53,10 @@ from .report import (
     SweepRow,
 )
 from .scenario import ScenarioSpec
-from .selectors import Selector, make_selector, selector_trace
+from .selectors import Selector, fit_selector, selector_trace, shared_fits
 
 SBS = "sbs"
+INTERNAL_ERROR = "internal: "
 
 
 def is_plain_selector(canonical_spec: str) -> bool:
@@ -95,85 +105,12 @@ def run_experiment(config: ExperimentConfig, scenario: ScenarioSpec | None = Non
     timings: dict[str, dict[str, dict[str, float]]] = {}
 
     for fold in folds:
-        train, test = scenario.fold_split(fold)
-        oracle_value = oracle_par10(scenario, test)
-        sbs_algorithm = single_best(scenario, train)
-        sbs_value = fixed_algorithm_par10(scenario, test, sbs_algorithm)
-        fitted: dict[str, tuple[Selector, SelectionTrace]] = {}
-
-        for spec in approaches:
-            if spec == ORACLE:
-                trace = SelectionTrace(
-                    test, oracle_choices(scenario, test), charge_feature_costs=False
-                )
-            elif spec == SBS:
-                trace = SelectionTrace(
-                    test,
-                    np.full(test.size, sbs_algorithm, dtype=np.int64),
-                    charge_feature_costs=False,
-                )
-            else:
-                try:
-                    model = build_approach(spec, config.seed)
-                    started = time.perf_counter()
-                    model.fit(scenario, train)
-                    fit_seconds = time.perf_counter() - started
-                    started = time.perf_counter()
-                    trace = selector_trace(model, scenario, test)
-                    predict_seconds = time.perf_counter() - started
-                except MetaselectError as e:
-                    cells.append(
-                        CellResult(
-                            approach=spec,
-                            fold=fold,
-                            par10=None,
-                            npar10=None,
-                            n_timeouts=None,
-                            n_test=int(test.size),
-                            error=f"{type(e).__name__}: {e}",
-                        )
-                    )
-                    continue
-                timings.setdefault(spec, {})[str(fold)] = {
-                    "fit_seconds": fit_seconds,
-                    "predict_seconds": predict_seconds,
-                }
-                if spec in plain:
-                    fitted[spec] = (model, trace)
-            quality = score_trace(scenario, trace, oracle_value, sbs_value)
-            cells.append(
-                CellResult(
-                    approach=spec,
-                    fold=fold,
-                    par10=quality.par10,
-                    npar10=quality.npar10,
-                    n_timeouts=quality.n_timeouts,
-                    n_test=quality.n_instances,
-                )
+        with shared_fits(scenario):
+            fold_cells, fold_baselines = _run_fold(
+                scenario, fold, approaches, plain, config.seed, timings
             )
-
-        as_oracle = sbas_spec = sbas_value = None
-        available = [s for s in plain if s in fitted]
-        if available:
-            as_oracle = as_oracle_par10(scenario, [fitted[s][1] for s in available])
-            train_par10s = [
-                trace_par10(scenario, selector_trace(fitted[s][0], scenario, train))
-                for s in available
-            ]
-            pick = best_selector(train_par10s)
-            sbas_spec = available[pick]
-            sbas_value = trace_par10(scenario, fitted[sbas_spec][1])
-        baselines.append(
-            FoldBaselines(
-                fold=fold,
-                oracle_par10=oracle_value,
-                sbs_algorithm=scenario.algorithms[sbs_algorithm],
-                sbs_par10=sbs_value,
-                as_oracle_par10=as_oracle,
-                sbas_selector=sbas_spec,
-                sbas_par10=sbas_value,
-            )
-        )
+        cells.extend(fold_cells)
+        baselines.append(fold_baselines)
 
     summary = _summarize(approaches, plain, folds, cells)
     report = EvaluationReport(
@@ -190,6 +127,102 @@ def run_experiment(config: ExperimentConfig, scenario: ScenarioSpec | None = Non
         summary=tuple(summary),
     )
     return report, timings
+
+
+def _run_fold(scenario, fold, approaches, plain, seed, timings):
+    """Cells and baselines of one fold; fills `timings` for fitted cells."""
+    train, test = scenario.fold_split(fold)
+    oracle_value = oracle_par10(scenario, test)
+    sbs_algorithm = single_best(scenario, train)
+    sbs_value = fixed_algorithm_par10(scenario, test, sbs_algorithm)
+    fitted: dict[str, tuple[Selector, SelectionTrace]] = {}
+    cells = []
+
+    for spec in approaches:
+        if spec == ORACLE:
+            trace = SelectionTrace(
+                test, oracle_choices(scenario, test), charge_feature_costs=False
+            )
+        elif spec == SBS:
+            trace = SelectionTrace(
+                test,
+                np.full(test.size, sbs_algorithm, dtype=np.int64),
+                charge_feature_costs=False,
+            )
+        else:
+            error = model = None  # let the previous approach's model go before this fit
+            try:
+                started = time.perf_counter()
+                if spec in plain:
+                    model = fit_selector(spec, seed, scenario, train)
+                else:
+                    model = build_approach(spec, seed).fit(scenario, train)
+                fit_seconds = time.perf_counter() - started
+                started = time.perf_counter()
+                trace = selector_trace(model, scenario, test)
+                predict_seconds = time.perf_counter() - started
+            except MetaselectError as e:
+                error = f"{type(e).__name__}: {e}"
+            except Exception as e:  # one approach's bug must not end the run
+                error = f"{INTERNAL_ERROR}{type(e).__name__}: {e}"
+            if error is not None:
+                cells.append(
+                    CellResult(
+                        approach=spec,
+                        fold=fold,
+                        par10=None,
+                        npar10=None,
+                        n_timeouts=None,
+                        n_test=int(test.size),
+                        error=error,
+                    )
+                )
+                continue
+            timings.setdefault(spec, {})[str(fold)] = {
+                "fit_seconds": fit_seconds,
+                "predict_seconds": predict_seconds,
+            }
+            if spec in plain:
+                fitted[spec] = (model, trace)
+        quality = score_trace(scenario, trace, oracle_value, sbs_value)
+        cells.append(
+            CellResult(
+                approach=spec,
+                fold=fold,
+                par10=quality.par10,
+                npar10=quality.npar10,
+                n_timeouts=quality.n_timeouts,
+                n_test=quality.n_instances,
+            )
+        )
+
+    as_oracle = sbas_spec = sbas_value = None
+    available = [s for s in plain if s in fitted]
+    if available:
+        as_oracle = as_oracle_par10(scenario, [fitted[s][1] for s in available])
+        train_par10s = [
+            trace_par10(scenario, selector_trace(fitted[s][0], scenario, train))
+            for s in available
+        ]
+        pick = best_selector(train_par10s)
+        sbas_spec = available[pick]
+        sbas_value = trace_par10(scenario, fitted[sbas_spec][1])
+    baselines = FoldBaselines(
+        fold=fold,
+        oracle_par10=oracle_value,
+        sbs_algorithm=scenario.algorithms[sbs_algorithm],
+        sbs_par10=sbs_value,
+        as_oracle_par10=as_oracle,
+        sbas_selector=sbas_spec,
+        sbas_par10=sbas_value,
+    )
+    return cells, baselines
+
+
+def internal_error_cells(report: EvaluationReport) -> list[CellResult]:
+    """Cells that failed with an exception that is not a
+    `MetaselectError`, i.e. a defect rather than unusable input."""
+    return [c for c in report.cells if c.error is not None and c.error.startswith(INTERNAL_ERROR)]
 
 
 def _summarize(approaches, plain, folds, cells) -> list[ApproachSummary]:
@@ -251,9 +284,10 @@ def sweep_voting(
 ) -> SweepReport:
     """Score every nonempty member subset as a voting ensemble, per fold.
 
-    Members are fit once per fold and shared across all compositions, so
-    a subset's selections are exactly what the corresponding voting
-    approach would produce. Best composition: lowest mean test nPAR10,
+    Members are fit once per fold and every composition is scored from
+    their test scores by one `subset_choices` pass, so a subset's
+    selections are exactly what the corresponding voting approach would
+    produce. Best composition: lowest mean test nPAR10,
     ties broken toward fewer members, then lexicographically.
     """
     if aggregation not in AGGREGATIONS:
@@ -284,23 +318,13 @@ def sweep_voting(
         oracle_test = oracle_par10(scenario, test)
         sbs_test = fixed_algorithm_par10(scenario, test, single_best(scenario, train))
 
-        members = [make_selector(s, global_seed).fit(scenario, train) for s in specs]
-        needs = [m.needs_features for m in members]
+        members = [fit_selector(s, global_seed, scenario, train) for s in specs]
         rows = np.stack([m.scores_batch(scenario.features[test]) for m in members])
         weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
 
-        for mask in masks:
-            subset = list(mask)
-            mask_weights = weights[subset] if weights is not None else None
-            choices = np.array(
-                [
-                    int(np.argmin(combine_scores(aggregation, rows[subset, i], mask_weights)))
-                    for i in range(test.size)
-                ],
-                dtype=np.int64,
-            )
+        for mask, choices in subset_choices(aggregation, rows, weights):
             values = pr10[test, choices]
-            if any(needs[i] for i in mask):
+            if any(members[i].needs_features for i in mask):
                 values = values + costs[test]
             par = float(values.mean())
             per_mask_par10[mask].append(par)

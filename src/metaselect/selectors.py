@@ -21,10 +21,15 @@ feature-based strategies plus the feature-free single-best baseline:
 Selector specs are strings like ``peralgo(trees=50)``. Randomness
 derives from (global seed, crc32 of the canonical spec), so the same
 spec under the same global seed trains identically wherever it appears.
+`fit_selector` turns that promise into sharing: inside a `shared_fits`
+scope, fits on the scope's scenario with equal (canonical spec, entropy,
+training rows) return one fitted model instead of training it again.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import re
 import zlib
@@ -344,3 +349,45 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
     entropy.extend(int(v) for v in salt)
     cls, _ = _REGISTRY[name]
     return cls(canonical, tuple(entropy), **params)
+
+
+# (scenario, {(spec, entropy, training rows): fitted selector}) of the
+# innermost open `shared_fits` scope, or None outside every scope.
+_SHARED_FITS = contextvars.ContextVar("metaselect_shared_fits", default=None)
+
+
+@contextlib.contextmanager
+def shared_fits(scenario: ScenarioSpec):
+    """Share `fit_selector` results on `scenario` for the block's duration.
+
+    Fitted models are kept until the block exits, so the block should
+    span one evaluation fold, not a whole experiment.
+    """
+    token = _SHARED_FITS.set((scenario, {}))
+    try:
+        yield
+    finally:
+        _SHARED_FITS.reset(token)
+
+
+def fit_selector(
+    spec: str, global_seed: int, scenario: ScenarioSpec, rows, salt: tuple[int, ...] = ()
+) -> Selector:
+    """`make_selector(spec, global_seed, salt).fit(scenario, rows)`, shared
+    within a `shared_fits` scope.
+
+    Two such fits train bit-identically, so inside a scope opened on this
+    very `scenario` object the first one is kept and returned again for
+    the same canonical spec, entropy and training rows. Fits on any other
+    scenario (a derived copy included), fits outside a scope and fits
+    that raise are never shared.
+    """
+    model = make_selector(spec, global_seed, salt)
+    scope = _SHARED_FITS.get()
+    if scope is None or scope[0] is not scenario:
+        return model.fit(scenario, rows)
+    key = (model.spec, tuple(model._entropy), np.asarray(rows, dtype=np.int64).tobytes())
+    fitted = scope[1].get(key)
+    if fitted is None:
+        fitted = scope[1][key] = model.fit(scenario, rows)
+    return fitted

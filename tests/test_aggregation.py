@@ -6,6 +6,9 @@ tallying into a dict. Anything the vectorized versions get wrong shows
 up as a disagreement here.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from metaselect.aggregation import (
     combine_scores,
     minmax_normalize,
     ranks_from_scores,
+    subset_choices,
     weight_from_npar10,
 )
+from metaselect.ensembles import MAX_EXHAUSTIVE_MEMBERS
 from metaselect.errors import EmptyEnsemble, InvalidConfig
 
 
@@ -190,3 +195,137 @@ def test_choices_invariant_under_positive_scaling(rows, scale):
         assert int(np.argmin(combine_scores(name, rows))) == int(
             np.argmin(combine_scores(name, rows * scale))
         )
+
+
+# -- the subset engine against a per-instance reference ----------------------
+
+
+def first_min(values):
+    return min(range(len(values)), key=lambda a: (values[a], a))
+
+
+def ref_term(name, row, weight):
+    """One member's term on one instance, from definitions."""
+    if name in ("maj", "wmaj"):
+        pick = first_min(row)
+        vote = 1.0 if name == "maj" else weight
+        return [vote if a == pick else 0.0 for a in range(len(row))]
+    if name == "borda":
+        return list(ref_ranks(row))
+    lo, hi = min(row), max(row)
+    return [0.5 if hi == lo else (x - lo) / (hi - lo) for x in row]
+
+
+def ref_terms(name, scores, weights):
+    """terms[m][i]: member m's term on instance i."""
+    return [
+        [ref_term(name, list(scores[m, i]), float(weights[m])) for i in range(scores.shape[1])]
+        for m in range(scores.shape[0])
+    ]
+
+
+def ref_combined(name, terms, subset):
+    """(n, K) combined scores of `subset`: terms summed from zeros in
+    ascending member order, then negated (votes) or averaged (mean)."""
+    out = []
+    for i in range(len(terms[0])):
+        total = [0.0] * len(terms[0][i])
+        for m in subset:
+            total = [t + v for t, v in zip(total, terms[m][i])]
+        if name in ("maj", "wmaj"):
+            total = [-t for t in total]
+        elif name == "mean":
+            total = [t / len(subset) for t in total]
+        out.append(total)
+    return np.array(out)
+
+
+def all_subsets(m):
+    return {s for size in range(1, m + 1) for s in itertools.combinations(range(m), size)}
+
+
+@st.composite
+def score_tensors(draw, max_members=5):
+    m = draw(st.integers(1, max_members))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # few distinct values: ties inside rows and constant rows
+        elements = st.integers(0, 2).map(float)
+    else:
+        elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    scores = draw(arrays(np.float64, (m, n, k), elements=elements))
+    for member, instance in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)))):
+        scores[member, instance] = scores[member, instance, 0]
+    weights = draw(arrays(np.float64, m, elements=st.floats(1e-6, 1e6)))
+    return scores, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(score_tensors())
+def test_engine_matches_per_instance_reference_on_every_subset(case):
+    scores, weights = case
+    for name in AGGREGATIONS:
+        terms = ref_terms(name, scores, weights)
+        seen = []
+        for subset, choices in subset_choices(name, scores, weights):
+            seen.append(subset)
+            expected = ref_combined(name, terms, subset)
+            combined = combine_scores(name, scores[list(subset)], weights[list(subset)])
+            assert np.array_equal(combined, expected), (name, subset)
+            assert choices.tolist() == [first_min(list(row)) for row in expected], (name, subset)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == all_subsets(scores.shape[0])
+        # the one-instance form is the same code as the batch
+        for i in range(scores.shape[1]):
+            assert np.array_equal(
+                combine_scores(name, scores[:, i], weights), combine_scores(name, scores, weights)[i]
+            )
+
+
+def test_subsets_add_their_members_in_ascending_order():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 from the lowest member up
+    # and 0.6 from the highest down; the last member's term is tuned so
+    # that the two orders pick different algorithms
+    full = (0, 1, 2, 3)
+    votes = np.array([[[0.0, 1.0]], [[0.0, 1.0]], [[0.0, 1.0]], [[1.0, 0.0]]])
+    weights = np.array([0.1, 0.2, 0.3, 0.6000000000000001])
+    assert combine_scores("wmaj", votes, weights)[0].tolist() == [-0.6000000000000001] * 2
+    assert dict(subset_choices("wmaj", votes, weights))[full].tolist() == [0]
+    # min-max terms equal the rows: each row spans exactly [0, 1]
+    rows = np.array(
+        [[[0.1, 0.0, 1.0]], [[0.2, 0.0, 1.0]], [[0.3, 0.0, 1.0]], [[0.0, 0.6, 1.0]]]
+    )
+    assert combine_scores("mean", rows)[0].tolist() == [0.6000000000000001 / 4, 0.6 / 4, 1.0]
+    assert dict(subset_choices("mean", rows))[full].tolist() == [1]
+
+
+def test_engine_matches_reference_at_the_member_gate():
+    m = MAX_EXHAUSTIVE_MEMBERS
+    rng = np.random.default_rng(5)
+    scores = rng.integers(0, 3, size=(m, 1, 2)).astype(float)
+    weights = rng.uniform(0.1, 10.0, size=m)
+    for name in AGGREGATIONS:
+        terms = ref_terms(name, scores, weights)
+        seen = set()
+        for subset, choices in subset_choices(name, scores, weights):
+            seen.add(subset)
+            expected = ref_combined(name, terms, subset)
+            assert choices.tolist() == [first_min(list(expected[0]))], (name, subset)
+        assert len(seen) == 2**m - 1
+
+
+def test_engine_keeps_at_most_one_partial_sum_per_member():
+    m, n, k = MAX_EXHAUSTIVE_MEMBERS, 64, 4
+    scores = np.random.default_rng(2).normal(size=(m, n, k))
+    cell = n * k * 8
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in subset_choices("mean", scores))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2**m - 1
+    # the input terms plus M partial sums and a few temporaries; one
+    # array over all 2^M subsets would need 2^M * n * k * 8 bytes
+    assert peak < (2 * m + 8) * cell + 64 * 1024

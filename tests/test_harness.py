@@ -1,14 +1,17 @@
 """End-to-end runner, report serialization, config loading, and the CLI."""
 
+import contextlib
 import csv
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import TOY_DIR
 
+from metaselect import runner
 from metaselect.cli import main
 from metaselect.config import ExperimentConfig, config_from_mapping, load_config
 from metaselect.errors import InvalidConfig, MetaselectError
@@ -24,13 +27,22 @@ from metaselect.report import (
     summary_csv,
     sweep_csv,
 )
+from metaselect.ensembles import (
+    BaggingEnsemble,
+    BoostingEnsemble,
+    StackingEnsemble,
+    VotingEnsemble,
+)
+from metaselect.meta import AlgorithmSelectorSelector
 from metaselect.runner import (
     canonical_selector_spec_checked,
+    internal_error_cells,
     is_plain_selector,
     run_experiment,
     sweep_voting,
 )
 from metaselect.scenario import ScenarioSpec
+from metaselect.selectors import IsacSelector, Selector, fit_selector, shared_fits
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 # a dummy synthetic block satisfies "exactly one source" when the
@@ -570,6 +582,144 @@ class TestDegenerateTrainGap:
         )
         assert [r.members for r in sweep.rows] == [(0,), (1,), (0, 1)]
         assert all(r.fold_npar10[0] is not None for r in sweep.rows)
+
+
+# -- fits shared within a fold -------------------------------------------------
+
+COMPOSITES = (
+    VotingEnsemble,
+    BaggingEnsemble,
+    BoostingEnsemble,
+    StackingEnsemble,
+    AlgorithmSelectorSelector,
+)
+
+
+class TestSharedFits:
+    APPROACHES = (
+        "voting[maj]{sunny,multiclass}",
+        "stacking{meta=sunny;bases=sunny}",
+        "ass{meta=sbs;bases=sbs,sunny}",
+        "boosting{multiclass;iters=2}",
+        "boosting{sunny;iters=2}",
+    )
+
+    def fits_of_run(self, toy, monkeypatch, scoped=True):
+        """(report, keys of the atom fits made on `toy`) of one run."""
+        keys = []
+        original = Selector.fit
+
+        def counting_fit(model, scenario, rows):
+            if scenario is toy and not isinstance(model, COMPOSITES):
+                rows = np.asarray(rows, dtype=np.int64)
+                keys.append((model.spec, tuple(model._entropy), rows.tobytes()))
+            return original(model, scenario, rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Selector, "fit", counting_fit)
+            if not scoped:
+                patch.setattr(runner, "shared_fits", lambda scenario: contextlib.nullcontext())
+            report, _ = run_experiment(make_config(self.APPROACHES), scenario=toy)
+        assert all(c.error is None for c in report.cells)
+        return report, keys
+
+    def test_each_fit_runs_once_per_fold(self, toy, monkeypatch):
+        report, keys = self.fits_of_run(toy, monkeypatch)
+        unshared_report, unshared_keys = self.fits_of_run(toy, monkeypatch, scoped=False)
+        assert canonical_json(report) == canonical_json(unshared_report)
+        # the same fits, each made once instead of once per use
+        assert max(Counter(keys).values()) == 1
+        assert set(keys) == set(unshared_keys)
+        assert len(unshared_keys) > len(keys)
+        folds = len(toy.fold_ids())
+        unsalted = Counter(spec for spec, entropy, _ in keys if len(entropy) == 2)
+        # sunny: voting member, stacking base, ass deployed, boosting round one
+        # multiclass: voting member, boosting round one; sbs: ass deployed
+        assert unsalted == {"sunny": folds, "multiclass": folds, "sbs": folds}
+        # salted fits stay separate: ass's inner fits (3 per fold, salted
+        # by inner fold) plus the later rounds of boosting{sunny}
+        salted_sunny = sum(1 for spec, entropy, _ in keys if spec == "sunny" and len(entropy) == 3)
+        assert salted_sunny > 3 * folds
+
+    def test_outside_a_scope_every_fit_is_fresh(self, toy):
+        train, test = toy.fold_split(1)
+        a = fit_selector("sunny", 0, toy, train)
+        b = fit_selector("sunny", 0, toy, train)
+        assert a is not b
+        xs = toy.features[test]
+        np.testing.assert_array_equal(a.scores_batch(xs), b.scores_batch(xs))
+
+    def test_scope_shares_only_fits_on_its_own_scenario(self, toy):
+        train, _ = toy.fold_split(1)
+        copy = toy.with_features(toy.features.copy())
+        with shared_fits(toy):
+            first = fit_selector("sunny", 0, toy, train)
+            assert fit_selector("sunny", 0, toy, train) is first
+            assert fit_selector("sunny", 1, toy, train) is not first
+            assert fit_selector("sunny", 0, toy, train, salt=(1,)) is not first
+            assert fit_selector("sunny", 0, toy, train[1:]) is not first
+            on_copy = fit_selector("sunny", 0, copy, train)
+            assert on_copy is not first
+            assert fit_selector("sunny", 0, copy, train) is not on_copy
+        assert fit_selector("sunny", 0, toy, train) is not first
+
+
+# -- internal errors -----------------------------------------------------------
+
+
+@pytest.fixture
+def broken_isac(monkeypatch):
+    """Make every isac fit raise a ValueError; returns the list of the
+    specs whose fit was attempted."""
+    attempts = []
+
+    def broken_fit(self, scenario, train_indices):
+        attempts.append(self.spec)
+        raise ValueError("boom")
+
+    monkeypatch.setattr(IsacSelector, "_fit", broken_fit)
+    return attempts
+
+
+class TestInternalErrors:
+    def test_an_internal_error_fails_only_its_cells(self, toy, broken_isac):
+        approaches = ("oracle", "sbs", "sunny", "isac", "voting[maj]{isac,sunny}")
+        report, _ = run_experiment(make_config(approaches), scenario=toy)
+        folds = len(toy.fold_ids())
+        for cell in report.cells:
+            if "isac" in cell.approach:
+                assert cell.error == "internal: ValueError: boom"
+                assert cell.par10 is None
+            else:
+                assert cell.error is None
+                assert cell.par10 is not None
+        assert len(internal_error_cells(report)) == 2 * folds
+        # a failed fit is not shared: voting refits isac and fails alike
+        assert broken_isac == ["isac"] * (2 * folds)
+
+    def test_library_errors_are_not_internal(self, err_run):
+        report, _ = err_run
+        assert any(c.error for c in report.cells)
+        assert internal_error_cells(report) == []
+
+    def test_evaluate_writes_reports_then_exits_2(self, tmp_path, broken_isac):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            f"scenario: {TOY_DIR}\napproaches: [oracle, sbs, sunny, isac]\n", encoding="utf-8"
+        )
+        base = tmp_path / "run"
+        result = invoke("--out", str(base), "evaluate", str(cfg))
+        assert result.exit_code == 2
+        assert "error: isac, fold 1: internal: ValueError: boom" in stderr_of(result)
+        cells = json.loads((tmp_path / "run.json").read_text())["cells"]
+        assert {c["approach"] for c in cells if c["error"]} == {"isac"}
+
+    def test_baselines_exits_2(self, tmp_path, broken_isac):
+        base = tmp_path / "base"
+        result = invoke("--out", str(base), "baselines", "--scenario", str(TOY_DIR))
+        assert result.exit_code == 2
+        assert (tmp_path / "base.json").exists()
+        assert result.stdout.startswith("fold,")
 
 
 def invoke(*args):
