@@ -76,11 +76,6 @@ def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
     return _midranks(np.asarray(scores, dtype=np.float64))
 
 
-def minmax_normalize(scores: np.ndarray) -> np.ndarray:
-    """Map to [0, 1]; a constant vector maps to all 0.5."""
-    return _minmax(np.asarray(scores, dtype=np.float64))
-
-
 def _votes(rows: np.ndarray, weights) -> np.ndarray:
     if weights is None:
         weights = np.ones(rows.shape[0])
@@ -162,22 +157,6 @@ def _subsets_below(members, total, terms, finish):
         subtotal = total + terms[top]
         yield subset, np.argmin(finish(subtotal, len(subset)), axis=-1)
         yield from _subsets_below(subset, subtotal, terms, finish)
-
-
-def agg_majority(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    return combine_scores("maj", score_rows)
-
-
-def agg_weighted_majority(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    return combine_scores("wmaj", score_rows, weights)
-
-
-def agg_mean(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    return combine_scores("mean", score_rows)
-
-
-def agg_borda(score_rows: np.ndarray, weights=None) -> np.ndarray:
-    return combine_scores("borda", score_rows)
 
 
 def weight_from_npar10(value: float) -> float:

@@ -2,13 +2,16 @@
 
 Each ensemble is itself a selector: it implements `_fit` and
 `scores_batch` only, scoring its members on the same feature batch
-through their own `scores_batch`, so the evaluation harness treats it
-like any other approach. Member selectors are created from spec strings
-under the caller's global seed; a plain member inside voting or
-stacking, a 1-bag bagging member and boosting's first round therefore
-train bit-identically to the same spec run standalone, and they come
-from `fit_selector`, which inside an evaluation fold hands back the
-standalone fit instead of repeating it.
+through `shared_scores`, so the evaluation harness treats it like any
+other approach. Member selectors are created from spec strings under
+the caller's global seed; a plain member inside voting or stacking, a
+1-bag bagging member and boosting's first round therefore train
+bit-identically to the same spec run standalone, and they come from
+`fit_selector`, which inside an evaluation fold hands back the
+standalone fit instead of repeating it. `shared_scores` likewise hands
+back that fit's scores of rows already scored in the fold (the test
+rows by the plain cell, the training rows by another ensemble or the
+selector-level baselines) instead of scoring them again.
 
 Voting and bagging stack their members' (n, K) scores into one
 (members, instances, algorithms) tensor and combine it with one
@@ -29,7 +32,7 @@ from .errors import BoostingCollapsed, DegenerateTraining, EmptyEnsemble, Invali
 from .learners import Preprocessor, fit_variance_threshold
 from .metrics import fixed_algorithm_par10, npar10, oracle_par10, single_best, trace_par10
 from .scenario import ScenarioSpec
-from .selectors import Selector, fit_selector, make_selector, selector_trace
+from .selectors import Selector, fit_selector, make_selector, selector_trace, shared_scores
 
 MAX_EXHAUSTIVE_MEMBERS = 15
 ALPHA_CAP = math.log(1e12)
@@ -154,7 +157,7 @@ class VotingEnsemble(_Ensemble):
         # the same order, and a zero gap leaves nPAR10 undefined.
         n_members = len(self.members_)
         x = scenario.features[train_indices]
-        rows = np.stack([m.scores_batch(x) for m in self.members_])
+        rows = np.stack([shared_scores(m, x) for m in self.members_])
         pr10 = scenario.pr10_matrix()[train_indices]
         costs = scenario.feature_costs[train_indices]
 
@@ -185,7 +188,7 @@ class VotingEnsemble(_Ensemble):
         return self.weights_[list(self.active_)]
 
     def scores_batch(self, x):
-        rows = np.stack([m.scores_batch(x) for m in self._active_members()])
+        rows = np.stack([shared_scores(m, x) for m in self._active_members()])
         return combine_scores(self.aggregation, rows, self._active_weights())
 
 
@@ -234,7 +237,7 @@ class BaggingEnsemble(_Ensemble):
             self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
 
     def scores_batch(self, x):
-        rows = np.stack([m.scores_batch(x) for m in self.members_])
+        rows = np.stack([shared_scores(m, x) for m in self.members_])
         return combine_scores(self.aggregation, rows, self.weights_)
 
 
@@ -275,7 +278,7 @@ class BoostingEnsemble(_Ensemble):
                 sample = rng.choice(n, size=n, replace=True, p=weights)
                 member = make_selector(self.member_spec, self.global_seed, salt=(attempts,))
                 member.fit(scenario, train_indices[sample])
-            miss = member.select_batch(features) != labels
+            miss = np.argmin(shared_scores(member, features), axis=1) != labels
             err = float(weights[miss].sum())
             if err >= 1.0 - 1.0 / k:
                 continue
@@ -296,7 +299,8 @@ class BoostingEnsemble(_Ensemble):
     def scores_batch(self, x):
         votes = np.zeros((x.shape[0], self.n_algorithms_))
         for member, alpha in zip(self.members_, self.alphas_):
-            votes[np.arange(x.shape[0]), member.select_batch(x)] += alpha
+            picks = np.argmin(shared_scores(member, x), axis=1)
+            votes[np.arange(x.shape[0]), picks] += alpha
         return -votes
 
 
@@ -370,7 +374,7 @@ class StackingEnsemble(_Ensemble):
     def _augment(self, x: np.ndarray) -> np.ndarray:
         if not self.include_base_scores:
             return x
-        return np.hstack([x] + [m.scores_batch(x) for m in self.members_])
+        return np.hstack([x] + [shared_scores(m, x) for m in self.members_])
 
     def scores_batch(self, x):
         augmented = self._augment(x)

@@ -11,7 +11,7 @@ resubstitution.
 `AlgorithmSelectorSelector` is itself a selector: like every other
 model it implements only `_fit` and `scores_batch`, routing each row of
 a feature batch through the meta learner's `select_batch` to one
-deployed base selector's `scores_batch`.
+deployed base selector, which scores its rows through `shared_scores`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import DegenerateTraining, EmptyEnsemble, InvalidConfig
 from .scenario import ScenarioSpec
-from .selectors import Selector, canonical_selector_spec, fit_selector, make_selector
+from .selectors import (
+    Selector,
+    canonical_selector_spec,
+    fit_selector,
+    make_selector,
+    shared_scores,
+)
 
 DEFAULT_INNER_FOLDS = 3
 
@@ -169,5 +175,5 @@ class AlgorithmSelectorSelector(Selector):
         out = np.empty((x.shape[0], self.n_algorithms_))
         for s in np.unique(chosen):
             mask = chosen == s
-            out[mask] = self.meta_scenario_.deployed[s].scores_batch(x[mask])
+            out[mask] = shared_scores(self.meta_scenario_.deployed[s], x[mask])
         return out

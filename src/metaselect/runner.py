@@ -11,8 +11,11 @@ its message prefixed with `internal: `.
 
 Each fold runs inside a `shared_fits` scope: a selector fit that
 several approaches of the fold need (a plain cell, voting members,
-stacking bases, `ass` deployed selectors, ...) is trained once, and its
-seconds land in the timings of the first cell that needs it.
+stacking bases, `ass` deployed selectors, ...) is trained once, and so
+is every `shared_scores` prediction of such a fit on the same rows (the
+fold's test rows, its training rows for the SBAS baseline and for
+ensemble fits). Either's seconds land in the timings of the first cell
+that needs it.
 
 Folds and approaches are evaluated sequentially here; all inputs are
 immutable, so callers may shard folds across processes and merge cells

@@ -24,6 +24,9 @@ spec under the same global seed trains identically wherever it appears.
 `fit_selector` turns that promise into sharing: inside a `shared_fits`
 scope, fits on the scope's scenario with equal (canonical spec, entropy,
 training rows) return one fitted model instead of training it again.
+`shared_scores` does the same for predictions: a model the scope holds
+scores equal feature rows once per scope, and every later caller gets
+the same read-only result.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import contextvars
 import math
 import re
 import zlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +101,8 @@ class Selector:
 
 def selector_trace(model: Selector, scenario: ScenarioSpec, indices: np.ndarray) -> SelectionTrace:
     """Run a fitted model over `indices`, charging costs iff it reads features."""
-    choices = model.select_batch(scenario.features[indices])
+    scores = shared_scores(model, scenario.features[indices])
+    choices = np.argmin(scores, axis=1).astype(np.int64)
     return SelectionTrace(indices, choices, charge_feature_costs=model.needs_features)
 
 
@@ -351,19 +356,33 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
     return cls(canonical, tuple(entropy), **params)
 
 
-# (scenario, {(spec, entropy, training rows): fitted selector}) of the
-# innermost open `shared_fits` scope, or None outside every scope.
+@dataclass
+class _FoldScope:
+    """What one `shared_fits` scope holds."""
+
+    scenario: ScenarioSpec
+    # (spec, entropy, training rows) -> fitted selector
+    fits: dict = field(default_factory=dict)
+    # ids of the selectors in `fits`; they stay alive until the scope
+    # exits, so no other model can take one of these ids meanwhile
+    held: set = field(default_factory=set)
+    # (dtype, shape, bytes of x) -> {id(model): read-only scores of x}
+    scores: dict = field(default_factory=dict)
+
+
+# The innermost open `shared_fits` scope, or None outside every scope.
 _SHARED_FITS = contextvars.ContextVar("metaselect_shared_fits", default=None)
 
 
 @contextlib.contextmanager
 def shared_fits(scenario: ScenarioSpec):
-    """Share `fit_selector` results on `scenario` for the block's duration.
+    """Share `fit_selector` fits on `scenario`, and `shared_scores`
+    predictions of those fits, for the block's duration.
 
-    Fitted models are kept until the block exits, so the block should
-    span one evaluation fold, not a whole experiment.
+    Fitted models and their scores are kept until the block exits, so
+    the block should span one evaluation fold, not a whole experiment.
     """
-    token = _SHARED_FITS.set((scenario, {}))
+    token = _SHARED_FITS.set(_FoldScope(scenario))
     try:
         yield
     finally:
@@ -384,10 +403,33 @@ def fit_selector(
     """
     model = make_selector(spec, global_seed, salt)
     scope = _SHARED_FITS.get()
-    if scope is None or scope[0] is not scenario:
+    if scope is None or scope.scenario is not scenario:
         return model.fit(scenario, rows)
     key = (model.spec, tuple(model._entropy), np.asarray(rows, dtype=np.int64).tobytes())
-    fitted = scope[1].get(key)
+    fitted = scope.fits.get(key)
     if fitted is None:
-        fitted = scope[1][key] = model.fit(scenario, rows)
+        fitted = scope.fits[key] = model.fit(scenario, rows)
+        scope.held.add(id(fitted))
     return fitted
+
+
+def shared_scores(model: Selector, x: np.ndarray) -> np.ndarray:
+    """`model.scores_batch(x)`, computed once per `shared_fits` scope.
+
+    Only models the open scope holds (returned by its `fit_selector`)
+    are cached, keyed by the exact content of `x`: dtype, shape and
+    bytes. Scoring is deterministic, so a hit is bit-identical to a
+    fresh call; the cached array is read-only and shared by every
+    caller. Any other model, and any model outside a scope, is scored
+    afresh on every call.
+    """
+    scope = _SHARED_FITS.get()
+    if scope is None or id(model) not in scope.held:
+        return model.scores_batch(x)
+    x = np.asarray(x)
+    by_model = scope.scores.setdefault((x.dtype.str, x.shape, x.tobytes()), {})
+    scores = by_model.get(id(model))
+    if scores is None:
+        scores = by_model[id(model)] = model.scores_batch(x)
+        scores.flags.writeable = False
+    return scores

@@ -20,7 +20,7 @@ from metaselect.ensembles import (
     VotingEnsemble,
     samme_alpha,
 )
-from metaselect.aggregation import agg_borda, combine_scores, ranks_from_scores
+from metaselect.aggregation import combine_scores, ranks_from_scores
 from metaselect.aslib import load_scenario
 from metaselect.metrics import (
     as_oracle_par10,
@@ -152,7 +152,7 @@ def test_criterion_2_aggregation_matches_exhaustive_evaluator():
         ranks_from_scores(np.array([0.0, 1.0, 1.0, 1.0])), [1.0, 3.0, 3.0, 3.0]
     )
     np.testing.assert_array_equal(
-        agg_borda(np.array([[0.0, 1.0, 1.0, 1.0]])), [1.0, 3.0, 3.0, 3.0]
+        combine_scores("borda", np.array([[0.0, 1.0, 1.0, 1.0]])), [1.0, 3.0, 3.0, 3.0]
     )
     rng = np.random.default_rng(20260822)
     for _ in range(1000):

@@ -17,12 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from metaselect.aggregation import (
     AGGREGATIONS,
-    agg_borda,
-    agg_majority,
-    agg_mean,
-    agg_weighted_majority,
     combine_scores,
-    minmax_normalize,
     ranks_from_scores,
     subset_choices,
     weight_from_npar10,
@@ -104,21 +99,21 @@ def test_ranks_match_scipy_rankdata(scores):
 
 
 def test_minmax_constant_maps_to_half():
-    np.testing.assert_array_equal(minmax_normalize(np.array([3.0, 3.0])), [0.5, 0.5])
+    np.testing.assert_array_equal(combine_scores("mean", np.array([[3.0, 3.0]])), [0.5, 0.5])
 
 
 def test_vote_schemes_return_negated_counts():
     rows = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(agg_majority(rows), [-2.0, -1.0])
+    np.testing.assert_array_equal(combine_scores("maj", rows), [-2.0, -1.0])
     np.testing.assert_array_equal(
-        agg_weighted_majority(rows, np.array([1.0, 1.0, 5.0])), [-2.0, -5.0]
+        combine_scores("wmaj", rows, np.array([1.0, 1.0, 5.0])), [-2.0, -5.0]
     )
 
 
 def test_majority_ignores_weights_argument():
     rows = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
     np.testing.assert_array_equal(
-        agg_majority(rows, np.array([100.0, 1.0, 1.0])), agg_majority(rows)
+        combine_scores("maj", rows, np.array([100.0, 1.0, 1.0])), combine_scores("maj", rows)
     )
 
 
@@ -130,13 +125,13 @@ def test_borda_prefers_consistent_runner_up():
 
 def test_empty_rows_raise():
     with pytest.raises(EmptyEnsemble):
-        agg_mean(np.empty((0, 3)))
+        combine_scores("mean", np.empty((0, 3)))
     with pytest.raises(InvalidConfig):
-        agg_mean(np.empty((2, 0)))
+        combine_scores("mean", np.empty((2, 0)))
     with pytest.raises(InvalidConfig):
         combine_scores("nope", np.zeros((1, 2)))
     with pytest.raises(InvalidConfig):
-        agg_weighted_majority(np.zeros((2, 2)), np.ones(3))
+        combine_scores("wmaj", np.zeros((2, 2)), np.ones(3))
 
 
 def test_weight_floor_caps_inverse():
@@ -172,7 +167,7 @@ def test_matches_naive_reference_on_random_instances(name):
     )
 )
 def test_borda_rank_sums_are_conserved(rows):
-    combined = agg_borda(rows)
+    combined = combine_scores("borda", rows)
     m, k = rows.shape
     # each member hands out ranks summing to k(k+1)/2
     assert combined.sum() == pytest.approx(m * k * (k + 1) / 2)

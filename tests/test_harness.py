@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import TOY_DIR
 
-from metaselect import runner
+from metaselect import ensembles, meta, runner, selectors
 from metaselect.cli import main
 from metaselect.config import ExperimentConfig, config_from_mapping, load_config
 from metaselect.errors import InvalidConfig, MetaselectError
@@ -33,6 +33,7 @@ from metaselect.ensembles import (
     StackingEnsemble,
     VotingEnsemble,
 )
+from metaselect.learners import KnnIndex
 from metaselect.meta import AlgorithmSelectorSelector
 from metaselect.runner import (
     canonical_selector_spec_checked,
@@ -42,7 +43,15 @@ from metaselect.runner import (
     sweep_voting,
 )
 from metaselect.scenario import ScenarioSpec
-from metaselect.selectors import IsacSelector, Selector, fit_selector, shared_fits
+from metaselect.selectors import (
+    IsacSelector,
+    Selector,
+    SunnySelector,
+    fit_selector,
+    make_selector,
+    shared_fits,
+    shared_scores,
+)
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 # a dummy synthetic block satisfies "exactly one source" when the
@@ -662,6 +671,116 @@ class TestSharedFits:
             assert on_copy is not first
             assert fit_selector("sunny", 0, copy, train) is not on_copy
         assert fit_selector("sunny", 0, toy, train) is not first
+
+
+class TestSharedScores:
+    APPROACHES = (
+        "sunny",
+        "voting[wmaj]{sunny,isac}",
+        "voting[borda]{sunny,isac;search=exhaustive}",
+        "stacking{meta=sunny;bases=sunny,isac}",
+    )
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count SunnySelector.scores_batch calls, patched on the class as
+        the benchmark's tracer patches it."""
+        calls = []
+        original = SunnySelector.scores_batch
+
+        def counting(model, x):
+            calls.append(id(model))
+            return original(model, x)
+
+        monkeypatch.setattr(SunnySelector, "scores_batch", counting)
+        return calls
+
+    def test_a_hit_is_the_fresh_result_read_only(self, toy, counted):
+        train, test = toy.fold_split(1)
+        with shared_fits(toy):
+            model = fit_selector("sunny", 0, toy, train)
+            first = shared_scores(model, toy.features[test])
+            again = shared_scores(model, toy.features[test].copy())
+            assert again is first
+            assert len(counted) == 1
+            np.testing.assert_array_equal(first, model.scores_batch(toy.features[test]))
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.0
+
+    def test_other_content_or_dtype_misses(self, toy, counted):
+        train, test = toy.fold_split(1)
+        x = toy.features[test]
+        shifted = x.copy()
+        shifted[0, 0] += 1.0
+        with shared_fits(toy):
+            model = fit_selector("sunny", 0, toy, train)
+            first = shared_scores(model, x)
+            assert shared_scores(model, shifted) is not first
+            # equal bytes and shape, other dtype
+            assert shared_scores(model, x.view(np.int64)) is not first
+            assert shared_scores(model, x.astype(np.float32)) is not first
+            assert shared_scores(model, x[:-1]) is not first
+            assert len(counted) == 5
+            assert shared_scores(model, x) is first
+
+    def test_models_the_scope_does_not_hold_are_never_cached(self, toy, counted):
+        train, test = toy.fold_split(1)
+        x = toy.features[test]
+        copy = toy.with_features(toy.features.copy())
+        with shared_fits(toy):
+            held = fit_selector("sunny", 0, toy, train)
+            for model in (
+                make_selector("sunny", 0).fit(toy, train),
+                fit_selector("sunny", 0, copy, train),
+            ):
+                first = shared_scores(model, x)
+                assert shared_scores(model, x) is not first
+                assert first.flags.writeable
+                np.testing.assert_array_equal(first, shared_scores(held, x))
+        assert len(counted) == 5
+
+    def test_nothing_is_cached_outside_or_after_a_scope(self, toy, counted):
+        train, test = toy.fold_split(1)
+        x = toy.features[test]
+        outside = fit_selector("sunny", 0, toy, train)
+        assert shared_scores(outside, x) is not shared_scores(outside, x)
+        with shared_fits(toy):
+            model = fit_selector("sunny", 0, toy, train)
+            inside = shared_scores(model, x)
+        after = shared_scores(model, x)
+        assert after is not inside
+        assert after.flags.writeable
+        assert shared_scores(model, x) is not after
+        assert len(counted) == 5
+
+    def queries_of_run(self, toy, monkeypatch, cached=True):
+        """(report, Counter of (kNN index, query rows)) of one run."""
+        queries = Counter()
+        indexes = []  # kept alive so that no two indexes share an id
+        original = KnnIndex.query
+
+        def counting_query(index, z, k):
+            indexes.append(index)
+            queries[(id(index), np.asarray(z).tobytes())] += 1
+            return original(index, z, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(KnnIndex, "query", counting_query)
+            if not cached:
+                for module in (selectors, ensembles, meta):
+                    patch.setattr(module, "shared_scores", lambda model, x: model.scores_batch(x))
+            report, _ = run_experiment(make_config(self.APPROACHES), scenario=toy)
+        assert all(c.error is None for c in report.cells)
+        return report, queries
+
+    def test_each_model_scores_each_row_set_once_per_fold(self, toy, monkeypatch):
+        report, queries = self.queries_of_run(toy, monkeypatch)
+        uncached_report, uncached_queries = self.queries_of_run(toy, monkeypatch, cached=False)
+        assert canonical_json(report) == canonical_json(uncached_report)
+        assert max(queries.values()) == 1
+        assert max(uncached_queries.values()) > 1
+        assert sum(queries.values()) < sum(uncached_queries.values())
 
 
 # -- internal errors -----------------------------------------------------------
