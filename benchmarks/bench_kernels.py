@@ -1,18 +1,24 @@
-"""Time each numeric kernel and the voting engine.
+"""Time each numeric kernel, the voting engine and the forest grower.
 
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``. Each
 kernel is called once untimed, then timed over ``--repeats`` calls, and
-the best call is reported. The split kernels get one tree node's
-candidate columns, as the forest grower passes them: 1000 rows by 8
-candidate features, each column sorted. The distance kernel gets the
+the best call is reported. The split kernels get the candidate columns
+of several tree nodes at once, as the forest grower passes them: 8
+candidate features of each of 8 nodes of 1000 down to 300 rows, each
+column sorted and padded below its node's rows with +inf values of
+zero weight. The distance kernel gets the
 shapes a 5-fold run on 1000 instances with 50 features sends it: 800
 training rows against themselves and 200 test rows against them (kNN),
 and 800 rows against 10 centroids (k-means). The voting engine scores
 every member subset with `borda`: 3 members on 800 instances over 10
 algorithms (7 subsets, the exhaustive voting search of that 5-fold run),
-and the 15-member gate on 200 instances (32767 subsets). The other
-inputs resemble a mid-sized scenario, not the tiny fixtures the tests
-use.
+and the 15-member gate on 200 instances (32767 subsets). The grower
+fits two 100-tree forests, the paper's forest size: a 5-class forest on
+240 rows by 10 features (a training fold of a 300-instance scenario)
+and a weighted binary one on 1000 rows by 50 features (one pair of a
+pairwise selector at ASlib size); a fit is timed at most FIT_REPEATS
+times and not called untimed first. The other inputs resemble a
+mid-sized scenario, not the tiny fixtures the tests use.
 """
 
 import argparse
@@ -23,17 +29,25 @@ import numpy as np
 
 from metaselect.aggregation import subset_choices
 from metaselect.ensembles import MAX_EXHAUSTIVE_MEMBERS
-from metaselect.learners import _kernels
+from metaselect.learners import ForestClassifier, _kernels
 
 NODE_ROWS, NODE_CANDIDATES, N_CLASSES, MIN_LEAF = 1000, 8, 4, 5
+NODE_SIZES = np.linspace(NODE_ROWS, 300, 8).astype(int)  # rows of each node of a call
+FIT_TREES, FIT_REPEATS = 100, 3
+FIT_SHAPES = ((240, 10, 5, False), (1000, 50, 2, True))  # (rows, features, classes, weighted)
 DIST_SHAPES = ((800, 800, 50), (200, 800, 50), (800, 10, 50))  # (n_a, n_b, d)
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
 
 
 def node_columns(rng):
-    shape = (NODE_ROWS, NODE_CANDIDATES)
-    values = np.sort(np.round(rng.normal(size=shape), 2), axis=0)
-    return values, rng.uniform(0.1, 2.0, size=shape)
+    """Sorted, padded candidate columns of several nodes, their weights
+    and the real length of each column."""
+    sizes = np.repeat(NODE_SIZES, NODE_CANDIDATES)
+    padding = np.arange(NODE_ROWS)[:, None] >= sizes
+    values = np.round(rng.normal(size=padding.shape), 2)
+    values = np.sort(np.where(padding, np.inf, values), axis=0)
+    weights = np.where(padding, 0.0, rng.uniform(0.1, 2.0, size=padding.shape))
+    return values, weights, padding, sizes
 
 
 def all_borda_subsets(scores):
@@ -42,13 +56,14 @@ def all_borda_subsets(scores):
 
 def bench_cases(rng):
     """(label, function, arguments) of every timed call."""
-    values, weights = node_columns(rng)
+    values, weights, padding, sizes = node_columns(rng)
+    targets = np.where(padding, 0.0, rng.normal(size=values.shape))
     yield "best_split_reg", _kernels.best_split_reg, (
-        values, rng.normal(size=values.shape), weights, MIN_LEAF)
-    values, weights = node_columns(rng)
-    labels = rng.integers(0, N_CLASSES, size=values.shape)
+        values, targets, weights, MIN_LEAF, sizes)
+    values, weights, padding, sizes = node_columns(rng)
+    labels = np.where(padding, 0, rng.integers(0, N_CLASSES, size=values.shape))
     yield "best_split_cls", _kernels.best_split_cls, (
-        values, labels, weights, N_CLASSES, MIN_LEAF)
+        values, labels, weights, N_CLASSES, MIN_LEAF, sizes)
     for n_a, n_b, d in DIST_SHAPES:
         yield f"pairwise_sq_dists {n_a}x{n_b}x{d}", _kernels.pairwise_sq_dists, (
             rng.normal(size=(n_a, d)), rng.normal(size=(n_b, d)))
@@ -59,6 +74,17 @@ def bench_cases(rng):
     for m, n, k in ENGINE_SHAPES:
         yield f"subset_choices borda {m}x{n}x{k}", all_borda_subsets, (
             rng.normal(size=(m, n, k)),)
+
+
+def fit_cases(rng):
+    """(label, function, arguments) of every timed forest fit."""
+    for n, d, k, weighted in FIT_SHAPES:
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, k, size=n)
+        w = rng.uniform(0.1, 2.0, size=n) if weighted else None
+        forest = ForestClassifier(n_trees=FIT_TREES, n_classes=k, seed=0)
+        label = f"forest fit {FIT_TREES}x{n}x{d} k={k}" + (" weighted" if weighted else "")
+        yield label, forest.fit, (x, y, w)
 
 
 def full_tree(depth):
@@ -75,8 +101,9 @@ def full_tree(depth):
     return feature, threshold, left, right
 
 
-def best_of(fn, args, repeats):
-    fn(*args)
+def best_of(fn, args, repeats, warm=True):
+    if warm:
+        fn(*args)
     timings = []
     for _ in range(repeats):
         started = time.perf_counter()
@@ -93,11 +120,14 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    header = f"{'kernel':<36}{'ms':>10}"
+    header = f"{'case':<36}{'ms':>10}"
     print(header)
     print("-" * len(header))
     for label, fn, inputs in bench_cases(rng):
         ms = best_of(fn, inputs, args.repeats) * 1e3
+        print(f"{label:<36}{ms:>10.3f}")
+    for label, fn, inputs in fit_cases(rng):
+        ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
         print(f"{label:<36}{ms:>10.3f}")
 
 

@@ -4,11 +4,17 @@ Callers guarantee finite inputs; missing values are imputed upstream.
 The learners call every kernel through this module at call time, so a
 wrapper bound to a kernel's name here sees each call.
 
-The split kernels score all candidate features of a tree node at once:
-each column of their (rows x candidates) inputs is one feature, sorted
-ascending. Prefix sums run along axis 0, which accumulates each column
-sequentially from the first row, so every column's result is bit for
-bit what the same search on that column alone would give.
+The split kernels score the candidate features of several tree nodes
+at once: each column of their (rows x columns) inputs is one candidate
+feature of one node, sorted ascending, and `sizes` gives each column's
+real length. Shorter columns are padded at the bottom with +inf values
+of zero weight and zero target, so the padding sorts last and adding
+its +0.0 terms leaves every prefix sum exact; the last row still holds
+each column's totals. Prefix sums run along axis 0, which accumulates
+each column sequentially from the first row, and a column's split
+window ends `min_leaf` rows before its own length, so every column's
+result is bit for bit what the same search on that column alone would
+give. One node is the case where every column has full length.
 
 The distance kernel walks the rows of `a` in blocks of about
 BLOCK_CELLS output cells, so that a block of output and one scratch
@@ -42,32 +48,39 @@ def _no_split(m):
 
 def _split_window(n, min_leaf):
     """Prefix rows [lo, hi) whose split positions (row + 1) leave at
-    least `min_leaf` rows, and at least one row, on either side; empty
-    when the node is too small to split."""
+    least `min_leaf` rows, and at least one row, on either side of an
+    n-row column; empty when the column is too short to split."""
     edge = max(min_leaf, 1)
     return edge - 1, n - edge
 
 
-def _pick_best(score, values, wl, wr, lo, hi):
-    """Per column: the first lowest score among valid split positions."""
-    valid = (values[lo + 1 : hi + 1] != values[lo:hi]) & (wl > 0.0) & (wr > 0.0)
+def _pick_best(score, values, wl, wr, lo, hi, sizes):
+    """Per column: the first lowest score among valid split positions,
+    which end as far before the column's own size as `hi` does before n."""
+    ends = hi if sizes is None else np.asarray(sizes) + (hi - values.shape[0])
+    valid = (
+        (values[lo + 1 : hi + 1] != values[lo:hi])
+        & (wl > 0.0)
+        & (wr > 0.0)
+        & (np.arange(lo, hi)[:, None] < ends)
+    )
     score = np.where(valid, score, np.inf)
     best = score.argmin(axis=0)
-    cols = np.arange(score.shape[1])
-    found = valid.any(axis=0)
-    best_score = np.where(found, score[best, cols], np.inf)
-    best_pos = np.where(found, best + lo + 1, -1)
-    return best_score, best_pos
+    best_pos = np.where(valid.any(axis=0), best + lo + 1, -1)
+    return score[best, np.arange(score.shape[1])], best_pos
 
 
-def best_split_reg(values, targets, weights, min_leaf):
-    """Best weighted-SSE split of each column of a node.
+def best_split_reg(values, targets, weights, min_leaf, sizes=None):
+    """Best weighted-SSE split of each column.
 
-    `values`, `targets` and `weights` have shape (n, m); each column of
-    `values` is ascending and the other two follow its row order.
-    Returns (score, pos), each of shape (m,): the first pos rows of a
-    column go left. A column with no position that satisfies the
-    leaf-size and distinct-value constraints gets (inf, -1).
+    `values`, `targets` and `weights` have shape (n, m). Column j holds
+    one candidate feature of some node: its first `sizes[j]` rows (all
+    n when `sizes` is None) are the node's values in ascending order,
+    with targets and weights in the same row order; rows below are
+    padding, +inf values with zero weight and target. Returns (score,
+    pos), each of shape (m,): the first pos rows of a column go left. A
+    column with no position that satisfies the leaf-size and
+    distinct-value constraints gets (inf, -1).
     """
     n, m = values.shape
     lo, hi = _split_window(n, min_leaf)
@@ -83,12 +96,13 @@ def best_split_reg(values, targets, weights, min_leaf):
     wyyr = cwyy[-1] - wyyl
     with np.errstate(divide="ignore", invalid="ignore"):
         score = (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr)
-    return _pick_best(score, values, wl, wr, lo, hi)
+    return _pick_best(score, values, wl, wr, lo, hi, sizes)
 
 
-def best_split_cls(values, labels, weights, n_classes, min_leaf):
+def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
     """Best weighted-Gini split of each column, same contract as
-    best_split_reg; `labels` holds class ids in [0, n_classes)."""
+    best_split_reg; `labels` holds class ids in [0, n_classes), 0 in
+    padding rows."""
     n, m = values.shape
     lo, hi = _split_window(n, min_leaf)
     if hi <= lo:
@@ -96,18 +110,24 @@ def best_split_cls(values, labels, weights, n_classes, min_leaf):
     cw = weights.cumsum(axis=0)
     wl = cw[lo:hi]
     wr = cw[-1] - wl
-    # per-class prefix sums, shape (n, m, n_classes)
-    onehot = (labels[..., None] == np.arange(n_classes)) * weights[..., None]
-    prefix = onehot.cumsum(axis=0)
-    left = prefix[lo:hi]
-    right = prefix[-1] - left
-    # squares summed over classes in order by an accumulate, not a
-    # reduction, whose pairwise summation could round differently
-    sq_left = (left * left).cumsum(axis=-1)[..., -1]
-    sq_right = (right * right).cumsum(axis=-1)[..., -1]
+    # per-class prefix sums, shape (n_classes, n, m)
+    onehot = (labels == np.arange(n_classes)[:, None, None]) * weights
+    prefix = onehot.cumsum(axis=1)
+    left = prefix[:, lo:hi]
+    right = prefix[:, -1:] - left
+    # squares summed over classes in class order, in place; a sum
+    # reduction is pairwise from 8 classes on and could round
+    # differently, and an accumulate over the class axis pays its fixed
+    # cost once per (row, column) lane
+    sq_left = left * left
+    sq_right = right * right
+    sum_left, sum_right = sq_left[0], sq_right[0]
+    for k in range(1, n_classes):
+        sum_left += sq_left[k]
+        sum_right += sq_right[k]
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = (wl - sq_left / wl) + (wr - sq_right / wr)
-    return _pick_best(score, values, wl, wr, lo, hi)
+        score = (wl - sum_left / wl) + (wr - sum_right / wr)
+    return _pick_best(score, values, wl, wr, lo, hi, sizes)
 
 
 # ------------------------------------------------------------- distances

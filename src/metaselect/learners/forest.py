@@ -5,6 +5,18 @@ subsets. Node storage is flat arrays (feature, threshold, child ids), so
 prediction is a batched descent through the `tree_apply` kernel. All
 randomness is drawn at numpy level from a per-tree generator; the
 kernels are pure functions.
+
+The trees of one fit grow in lockstep (`_Grower`): each step takes the
+next node that needs a split search from every unfinished tree and
+scores all their candidate features together. The pending nodes are
+sorted by size and cut into split-kernel calls, each padded to its
+largest node; a call ends before its padding would pass SPLIT_PAD_ROWS
+rows, which keeps the wasted cells small without giving nodes of
+similar sizes a call each, or before it would hold SPLIT_CELLS cells,
+which bounds the kernel's temporaries. Each tree keeps its own
+generator and depth-first order, and a node's candidates are sorted
+stably in the node's row order, so a tree is bit for bit the tree grown
+alone, whatever else shares its kernel calls.
 """
 
 from __future__ import annotations
@@ -30,20 +42,91 @@ class _Tree:
         return _kernels.tree_apply(self.feature, self.threshold, self.left, self.right, x)
 
 
-class _TreeGrower:
-    def __init__(self, x, y, w, mtry, min_leaf, max_depth, rng, classification, n_classes):
-        self.x, self.y, self.w = x, y, w
-        self.labels = y.astype(np.int64) if classification else None
-        self.mtry, self.min_leaf = mtry, min_leaf
-        self.max_depth = max_depth if max_depth is not None else -1
+SPLIT_PAD_ROWS = 512  # padding rows one split-kernel call may take on
+SPLIT_CELLS = 1 << 18  # rows x candidates (x classes) of one call, unless it is one node
+
+
+class _GrowingTree:
+    """One tree under construction: its generator, its DFS stack of
+    (node id, rows, depth) and its flat node arrays."""
+
+    def __init__(self, rng, rows):
         self.rng = rng
-        self.classification = classification
-        self.n_classes = n_classes
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.payload: list[np.ndarray] = []
+        self.stack = [(self._new_node(), rows, 0)]
+
+    def _new_node(self) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.payload.append(None)
+        return len(self.feature) - 1
+
+    def split(self, nid, feature, threshold, rows, pos, depth):
+        """Make node `nid` internal; its children's rows are `rows`
+        (sorted by `feature`) before and after `pos`."""
+        self.feature[nid] = feature
+        self.threshold[nid] = threshold
+        left_id = self._new_node()
+        right_id = self._new_node()
+        self.left[nid] = left_id
+        self.right[nid] = right_id
+        self.stack.append((right_id, rows[pos:], depth + 1))
+        self.stack.append((left_id, rows[:pos], depth + 1))
+
+    def finish(self, width) -> _Tree:
+        payload = np.zeros((len(self.feature), width))
+        for i, row in enumerate(self.payload):
+            if row is not None:
+                payload[i] = row
+        return _Tree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            payload=payload,
+        )
+
+
+class _Grower:
+    """Grows the trees of one forest fit in lockstep.
+
+    Each step advances every unfinished tree along its own DFS: it pops
+    nodes and makes leaves of them until it reaches one that needs a
+    split search, and draws that node's candidate features from the
+    tree's own generator. The nodes so collected are then searched
+    together, a few split-kernel calls per step. A tree's draws and
+    node order are those of growing it alone, so its splits are too.
+    """
+
+    def __init__(self, x, y, w, mtry, min_leaf, max_depth, classification, n_classes):
+        n, d = x.shape
+        # row n pads the columns of a batched search: +inf sorts last,
+        # and its zero weight and target leave every prefix sum exact
+        self.x = np.vstack([x, np.full((1, d), np.inf)])
+        self.y = np.append(y, 0.0)
+        self.w = np.append(w, 0.0)
+        self.labels = self.y.astype(np.int64) if classification else None
+        self.n_features = d
+        self.n_candidates = min(mtry, d)
+        self.min_leaf = min_leaf
+        self.max_depth = max_depth if max_depth is not None else -1
+        self.classification = classification
+        self.n_classes = n_classes
+
+    def grow(self, trees: list[_GrowingTree]) -> None:
+        while True:
+            pending = [node for node in map(self._next_search, trees) if node is not None]
+            if not pending:
+                return
+            pending.sort(key=lambda node: -node[2].size)
+            for group in self._groups(pending):
+                self._search(group)
 
     def _leaf_payload(self, rows) -> np.ndarray:
         w = self.w[rows]
@@ -61,85 +144,91 @@ class _TreeGrower:
             value = float(self.y[rows].mean())
         return np.array([value])
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.payload.append(None)
-        return len(self.feature) - 1
+    def _next_search(self, tree):
+        """The tree's next node that needs a search, as (tree, node id,
+        rows, depth, candidates), making leaves on the way; None once
+        the tree is finished."""
+        while tree.stack:
+            nid, rows, depth = tree.stack.pop()
+            if (
+                rows.size < 2 * self.min_leaf
+                or (self.max_depth >= 0 and depth >= self.max_depth)
+                or (self.y[rows] == self.y[rows[0]]).all()
+            ):
+                tree.payload[nid] = self._leaf_payload(rows)
+                continue
+            candidates = tree.rng.choice(self.n_features, size=self.n_candidates, replace=False)
+            return tree, nid, rows, depth, candidates
+        return None
 
-    def _find_split(self, rows):
-        """Best split of a node as (feature, pos, the node's rows sorted
-        by that feature, their sorted values), or None when no candidate
-        feature can split it.
+    def _groups(self, pending):
+        """Split nodes sorted by decreasing size into kernel calls: a
+        call ends before its padding would pass SPLIT_PAD_ROWS rows, or
+        its cells SPLIT_CELLS."""
+        row_cells = self.n_candidates * (self.n_classes if self.classification else 1)
+        group, padding = [], 0
+        for node in pending:
+            size = node[2].size
+            if group:
+                top = group[0][2].size
+                if (
+                    padding + top - size > SPLIT_PAD_ROWS
+                    or top * row_cells * (len(group) + 1) > SPLIT_CELLS
+                ):
+                    yield group
+                    group, padding = [], 0
+                else:
+                    padding += top - size
+            group.append(node)
+        yield group
 
-        All candidates are scored in one kernel call. The first candidate
-        with the lowest score wins, so ties go to the earlier draw; a NaN
-        score never wins.
-        """
-        d = self.x.shape[1]
-        candidates = self.rng.choice(d, size=min(self.mtry, d), replace=False)
-        order = self.x[rows[:, None], candidates].argsort(axis=0, kind="stable")
-        sorted_rows = rows[order]
-        sorted_values = self.x[sorted_rows, candidates]
-        sorted_w = self.w[sorted_rows]
+    def _search(self, group):
+        """Score every candidate of the group's nodes in one kernel call,
+        then split each node on its first lowest-scoring candidate or
+        make it a leaf."""
+        m = self.n_candidates
+        sizes = [node[2].size for node in group]
+        width = len(group) * m
+        index = np.full((sizes[0], len(group)), self.x.shape[0] - 1)
+        for g, node in enumerate(group):
+            index[: sizes[g], g] = node[2]
+        candidates = np.array([node[4] for node in group])
+        values = self.x[index[:, :, None], candidates].reshape(sizes[0], width)
+        # each column's stable order, as flat cells of values; index has
+        # one column per node, so cell // m is the same row's cell there
+        cells = values.argsort(axis=0, kind="stable") * width + np.arange(width)
+        values = values.take(cells)
+        rows = index.take(cells // m)
+        weights = self.w.take(rows)
+        column_sizes = np.array(sizes).repeat(m)
         if self.classification:
             scores, positions = _kernels.best_split_cls(
-                sorted_values, self.labels[sorted_rows], sorted_w, self.n_classes, self.min_leaf
+                values, self.labels.take(rows), weights, self.n_classes, self.min_leaf, column_sizes
             )
         else:
             scores, positions = _kernels.best_split_reg(
-                sorted_values, self.y[sorted_rows], sorted_w, self.min_leaf
+                values, self.y.take(rows), weights, self.min_leaf, column_sizes
             )
+        # per node, the first lowest score among its candidates; NaN never wins
         scores = np.where(np.isnan(scores), np.inf, scores)
-        j = int(scores.argmin())
-        if scores[j] == np.inf:
-            return None
-        return int(candidates[j]), int(positions[j]), sorted_rows[:, j], sorted_values[:, j]
-
-    def grow(self, rows) -> int:
-        node = self._new_node()
-        stack = [(node, rows, 0)]
-        while stack:
-            nid, node_rows, depth = stack.pop()
-            split = None
-            if not (
-                node_rows.size < 2 * self.min_leaf
-                or (self.max_depth >= 0 and depth >= self.max_depth)
-                or (self.y[node_rows] == self.y[node_rows[0]]).all()
-            ):
-                split = self._find_split(node_rows)
-            if split is None:
-                self.payload[nid] = self._leaf_payload(node_rows)
-                continue
-            f, pos, sorted_rows, values = split
-            thr = values[pos - 1] + (values[pos] - values[pos - 1]) / 2.0
-            if thr >= values[pos]:
-                thr = values[pos - 1]  # midpoint rounded into the right block
-            self.feature[nid] = f
-            self.threshold[nid] = float(thr)
-            left_id = self._new_node()
-            right_id = self._new_node()
-            self.left[nid] = left_id
-            self.right[nid] = right_id
-            stack.append((right_id, sorted_rows[pos:], depth + 1))
-            stack.append((left_id, sorted_rows[:pos], depth + 1))
-        return node
-
-    def finish(self) -> _Tree:
-        width = self.n_classes if self.classification else 1
-        payload = np.zeros((len(self.feature), width))
-        for i, row in enumerate(self.payload):
-            if row is not None:
-                payload[i] = row
-        return _Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            payload=payload,
+        cols = np.arange(0, width, m) + scores.reshape(len(group), m).argmin(axis=1)
+        found = scores[cols] < np.inf
+        cols = cols[found]
+        pos = positions[cols]
+        below = values[pos - 1, cols]
+        above = values[pos, cols]
+        thresholds = below + (above - below) / 2.0
+        # a midpoint rounded into the right block falls back to the left value
+        thresholds = np.where(thresholds >= above, below, thresholds)
+        splits = zip(
+            cols.tolist(), candidates.ravel()[cols].tolist(), thresholds.tolist(), pos.tolist()
         )
+        for (tree, nid, node_rows, depth, _), size, ok in zip(group, sizes, found.tolist()):
+            if not ok:
+                tree.payload[nid] = self._leaf_payload(node_rows)
+                continue
+            col, feature, threshold, at = next(splits)
+            tree.split(nid, feature, threshold, rows[:size, col].copy(), at, depth)
 
 
 @dataclass
@@ -170,33 +259,25 @@ class _BaseForest:
             if sample_weight is None
             else np.ascontiguousarray(sample_weight, dtype=np.float64)
         )
-        if w.shape != (n,) or (w < 0).any():
-            raise DegenerateData("sample weights must be nonnegative, one per row")
+        if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any():
+            raise DegenerateData("sample weights must be finite and nonnegative, one per row")
         mtry = self.mtry if self.mtry is not None else max(1, math.ceil(math.sqrt(d)))
 
-        self.trees_ = []
         root = (
             self.seed
             if isinstance(self.seed, np.random.SeedSequence)
             else np.random.SeedSequence(self.seed)
         )
-        streams = root.spawn(self.n_trees)
-        for stream in streams:
+        trees = []
+        for stream in root.spawn(self.n_trees):
             rng = np.random.default_rng(stream)
             rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            grower = _TreeGrower(
-                x,
-                y,
-                w,
-                mtry,
-                self.min_leaf,
-                self.max_depth,
-                rng,
-                self._classification,
-                self._n_classes,
-            )
-            grower.grow(np.asarray(rows, dtype=np.int64))
-            self.trees_.append(grower.finish())
+            trees.append(_GrowingTree(rng, np.asarray(rows, dtype=np.int64)))
+        _Grower(
+            x, y, w, mtry, self.min_leaf, self.max_depth, self._classification, self._n_classes
+        ).grow(trees)
+        width = self._n_classes if self._classification else 1
+        self.trees_ = [tree.finish(width) for tree in trees]
         return self
 
     def _accumulate(self, x):

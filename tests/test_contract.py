@@ -12,6 +12,7 @@ import pytest
 from metaselect import ensembles, meta, selectors
 from metaselect.approaches import build_approach
 from metaselect.errors import UnknownInstanceFeatures
+from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 SPECS = [
     "peralgo(trees=5)",
@@ -82,3 +83,37 @@ def test_models_implement_only_scores_batch():
     for cls in concrete | set(_subclasses(selectors.Selector)):
         own = {"scores", "select", "select_batch"} & set(vars(cls))
         assert not own, f"{cls.__name__} defines {sorted(own)}"
+
+
+ATOM_SPECS = [
+    "peralgo(trees=4)",
+    "multiclass(trees=4)",
+    "pairwise(trees=2)",
+    "sunny",
+    "isac",
+    "sbs",
+]
+
+
+def test_atom_specs_cover_every_atom():
+    assert {selectors.parse_selector_spec(spec)[0] for spec in ATOM_SPECS} == set(
+        selectors.SELECTOR_NAMES
+    )
+
+
+@pytest.mark.parametrize("spec", ATOM_SPECS)
+def test_atom_scores_do_not_depend_on_the_batch(spec):
+    # a row's scores must not change with the rows scored beside it, so
+    # that scores of a row subset can be sliced from the full batch's;
+    # 480 training rows put 68 query rows in each block of the distance
+    # kernel, so the batches below straddle block boundaries differently
+    scenario = generate_synthetic(
+        SyntheticConfig(n_instances=600, n_algorithms=4, n_features=6, seed=3)
+    )
+    train, _ = scenario.fold_split(0)
+    model = selectors.make_selector(spec, 0).fit(scenario, train)
+    x = scenario.features
+    full = model.scores_batch(x)
+    rng = np.random.default_rng(4)
+    for mask in (rng.random(len(x)) < 0.5, np.arange(len(x)) >= 37, np.arange(len(x)) == 5):
+        assert model.scores_batch(x[mask]).tobytes() == full[mask].tobytes()

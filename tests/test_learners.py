@@ -1,12 +1,14 @@
 """Learner internals: kernels, forests, knn, kmeans, preprocessing.
 
 The split kernels are checked bit for bit against a one-feature
-reference search and the distance kernel against a column-by-column
-one; pinned digests hold every tree a seeded forest grows, so a change
-to the grower cannot shift a split unnoticed.
+reference search, on one node's columns and on padded columns of
+several nodes, and the distance kernel against a column-by-column one;
+pinned digests hold every tree a seeded forest grows, so a change to
+the grower cannot shift a split unnoticed.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +25,7 @@ from metaselect.learners import (
     fit_kmeans,
 )
 from metaselect.learners import _kernels
-from metaselect.learners.forest import _TreeGrower
-from metaselect.learners.preprocess import fit_variance_threshold
+from metaselect.learners.preprocess import column_medians, fit_variance_threshold
 
 
 def _ref_best_split_reg(values, targets, weights, min_leaf):
@@ -89,10 +90,13 @@ def _ref_best_split_cls(values, labels, weights, n_classes, min_leaf):
 
 @st.composite
 def _node_columns(draw):
-    """A node's presorted candidate columns: few distinct values, so
-    ties are common, and weights that are often zero."""
+    """Presorted candidate columns: few distinct values, so ties are
+    common, and weights that are often zero. Either one node's columns,
+    all of full length (sizes None), or columns of several nodes of
+    mixed real lengths, padded below with +inf values of zero weight,
+    target and label, as the grower batches them."""
     n = draw(st.integers(1, 14))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
     shape = (n, m)
     values = draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0])))
     targets = draw(arrays(np.float64, shape, elements=st.floats(-8.0, 8.0, width=32)))
@@ -105,26 +109,36 @@ def _node_columns(draw):
     if draw(st.booleans()):  # a column no position can split
         values[:, 0] = values[0, 0]
     values.sort(axis=0)
+    if n > 1 and draw(st.booleans()):  # a duplicated row
+        for a in (values, targets, weights, labels):
+            a[1] = a[0]
+    sizes = None
+    if draw(st.booleans()):
+        sizes = np.array(draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
+        padding = np.arange(n)[:, None] >= sizes
+        values[padding] = np.inf
+        targets[padding] = weights[padding] = labels[padding] = 0
     min_leaf = draw(st.integers(1, 4))
-    return values, targets, weights, labels, n_classes, min_leaf
+    return values, targets, weights, labels, n_classes, min_leaf, sizes
 
 
 def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_node_columns())
 def test_split_kernels_match_the_one_feature_search(node):
-    values, targets, weights, labels, n_classes, min_leaf = node
-    reg = _kernels.best_split_reg(values, targets, weights, min_leaf)
-    cls = _kernels.best_split_cls(values, labels, weights, n_classes, min_leaf)
+    values, targets, weights, labels, n_classes, min_leaf, sizes = node
+    reg = _kernels.best_split_reg(values, targets, weights, min_leaf, sizes)
+    cls = _kernels.best_split_cls(values, labels, weights, n_classes, min_leaf, sizes)
     for j in range(values.shape[1]):
-        cols = values[:, j], targets[:, j], weights[:, j]
+        real = slice(0, values.shape[0] if sizes is None else sizes[j])
+        cols = values[real, j], targets[real, j], weights[real, j]
         ref_score, ref_pos = _ref_best_split_reg(*cols, min_leaf)
         assert _same_bits(reg[0][j], ref_score) and reg[1][j] == ref_pos
         ref_score, ref_pos = _ref_best_split_cls(
-            values[:, j], labels[:, j], weights[:, j], n_classes, min_leaf
+            values[real, j], labels[real, j], weights[real, j], n_classes, min_leaf
         )
         assert _same_bits(cls[0][j], ref_score) and cls[1][j] == ref_pos
 
@@ -136,13 +150,12 @@ def test_equal_best_scores_go_to_the_earlier_candidate(classification):
     col = np.round(rng.normal(size=30), 1)
     x = np.column_stack([col, col, col])
     y = (col > 0).astype(np.float64)
+    model = ForestClassifier if classification else ForestRegressor
     for seed in range(6):
-        grower = _TreeGrower(
-            x, y, np.ones(30), 2, 1, None, np.random.default_rng(seed), classification, 2
-        )
-        drawn = np.random.default_rng(seed).choice(3, size=2, replace=False)
-        feature, *_ = grower._find_split(np.arange(30))
-        assert feature == drawn[0]
+        tree = model(n_trees=1, min_leaf=1, mtry=2, seed=seed, bootstrap=False).fit(x, y).trees_[0]
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        drawn = np.random.default_rng(stream).choice(3, size=2, replace=False)
+        assert tree.feature[0] == drawn[0]
 
 
 def test_pairwise_sq_dists_match_scipy_cdist():
@@ -207,9 +220,9 @@ def test_pairwise_sq_dists_restore_the_ufunc_buffer_size():
         assert np.getbufsize() == 4096
 
 
-def _forest_digest(model):
+def _forest_digest(model, n_trees=None):
     digest = hashlib.sha256()
-    for tree in model.trees_:
+    for tree in model.trees_[:n_trees]:
         for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.payload):
             digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
@@ -241,6 +254,34 @@ def test_weighted_classifier_trees_are_pinned():
     assert _forest_digest(model) == (
         "45e3100bb1d22acd8be1122d89e5c080ca15fb690d812eaefd7a22f2fe8f5101"
     )
+
+
+def test_tied_feature_values_keep_their_row_order():
+    # integer features: distinct rows tie on most split features, and the
+    # order of tied rows decides every prefix sum of weighted targets
+    rng = np.random.default_rng(13)
+    x = np.round(rng.normal(scale=1.5, size=(150, 5)))
+    y = x[:, 0] * x[:, 1] + rng.normal(scale=0.5, size=150)
+    w = rng.uniform(0.2, 3.0, size=150)
+    model = ForestRegressor(n_trees=10, min_leaf=1, seed=17).fit(x, y, w)
+    assert sum(tree.feature.size for tree in model.trees_) == 1804
+    assert _forest_digest(model) == (
+        "5933e8df108e6557f02dcac63966de3db49465d5fc931c595af055a934ae8223"
+    )
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_a_tree_does_not_depend_on_the_trees_grown_beside_it(classification):
+    # 40 trees search their nodes in wider, differently grouped kernel
+    # calls than 3 trees do; the first 3 trees must not change
+    rng = np.random.default_rng(14)
+    x = np.round(rng.normal(size=(200, 6)), 1)
+    y = (x[:, 0] > 0) + (x[:, 1] > 0.5) if classification else x[:, 0] + rng.normal(size=200)
+    w = rng.uniform(0.0, 2.0, size=200)
+    model = ForestClassifier if classification else ForestRegressor
+    few = model(n_trees=3, min_leaf=2, seed=9).fit(x, y, w)
+    many = model(n_trees=40, min_leaf=2, seed=9).fit(x, y, w)
+    assert _forest_digest(many, n_trees=3) == _forest_digest(few)
 
 
 class TestForest:
@@ -292,6 +333,15 @@ class TestForest:
             ForestRegressor(n_trees=2).fit(
                 np.ones((3, 1)), np.ones(3), sample_weight=np.array([1.0, -1.0, 1.0])
             )
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model", [ForestRegressor, ForestClassifier])
+    def test_nonfinite_sample_weights_raise(self, model, bad):
+        w = np.ones(6)
+        w[2] = bad
+        with pytest.raises(DegenerateData):
+            model(n_trees=2).fit(np.arange(6.0)[:, None], np.array([0, 1, 0, 1, 0, 1]), w)
 
 
 class TestKnn:
@@ -390,6 +440,26 @@ class TestPreprocessor:
     def test_single_row_query_keeps_shape(self):
         pre = Preprocessor().fit(np.array([[0.0, 1.0], [2.0, 3.0]]))
         assert pre.transform(np.array([[1.0, 2.0]])).shape == (1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 8, 599, 600, 601, 1000]), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_column_medians_equal_nanmedian_bit_for_bit(n, d, seed):
+    # numpy takes a masked-array path below 600 rows and a per-column one
+    # from 600 on; signed zeros, infinities, NaN and all-NaN columns
+    rng = np.random.default_rng(seed)
+    special = [-0.0, 0.0, 1.0, -1.0, 2.5, -3.25, 1e300, np.inf, -np.inf, np.nan]
+    x = rng.choice(special, size=(n, d))
+    x = np.where(rng.random((n, d)) < rng.random(), rng.normal(size=(n, d)), x)
+    x[:, 0] = rng.choice([np.nan, -0.0, 0.0])
+    with warnings.catch_warnings():
+        # all-NaN columns, and infinities in the preprocessor's scaling
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanmedian(x, axis=0)
+        medians = Preprocessor().fit(x).medians_
+    np.testing.assert_array_equal(column_medians(x).view(np.uint64), want.view(np.uint64))
+    imputed = np.where(np.isnan(want), 0.0, want)
+    np.testing.assert_array_equal(medians.view(np.uint64), imputed.view(np.uint64))
 
 
 def test_variance_threshold_keeps_informative_columns():
