@@ -9,7 +9,12 @@ column sorted and padded below its node's rows with +inf values of
 zero weight. The distance kernel gets the
 shapes a 5-fold run on 1000 instances with 50 features sends it: 800
 training rows against themselves and 200 test rows against them (kNN),
-and 800 rows against 10 centroids (k-means). The voting engine scores
+and 800 rows against 10, 4 and 1 centroids (k-means Lloyd iterations
+and ISAC prediction at 10 and 4 clusters, k-means++ seeding at 1); the
+last three run in the kernel's centroid-major orientation. The k-means
+accumulation sums those 800 rows into 10 clusters, and a kNN query
+ranks 200 rows against an index of an 800-row bootstrap resample,
+which keeps only its distinct rows. The voting engine scores
 every member subset with `borda`: 3 members on 800 instances over 10
 algorithms (7 subsets, the exhaustive voting search of that 5-fold run),
 and the 15-member gate on 200 instances (32767 subsets). The grower
@@ -29,13 +34,16 @@ import numpy as np
 
 from metaselect.aggregation import subset_choices
 from metaselect.ensembles import MAX_EXHAUSTIVE_MEMBERS
-from metaselect.learners import ForestClassifier, _kernels
+from metaselect.learners import ForestClassifier, KnnIndex, _kernels
 
 NODE_ROWS, NODE_CANDIDATES, N_CLASSES, MIN_LEAF = 1000, 8, 4, 5
 NODE_SIZES = np.linspace(NODE_ROWS, 300, 8).astype(int)  # rows of each node of a call
 FIT_TREES, FIT_REPEATS = 100, 3
 FIT_SHAPES = ((240, 10, 5, False), (1000, 50, 2, True))  # (rows, features, classes, weighted)
-DIST_SHAPES = ((800, 800, 50), (200, 800, 50), (800, 10, 50))  # (n_a, n_b, d)
+DIST_SHAPES = (  # (n_a, n_b, d)
+    (800, 800, 50), (200, 800, 50), (800, 10, 50), (800, 4, 50), (800, 1, 50))
+KMEANS_SHAPE = (800, 50, 10)  # (rows, features, clusters)
+KNN_SHAPE = (200, 800, 50, 16)  # (queries, bootstrap rows, features, k)
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
 
 
@@ -69,7 +77,16 @@ def bench_cases(rng):
             rng.normal(size=(n_a, d)), rng.normal(size=(n_b, d)))
     x = rng.normal(size=(20000, 16))
     assign = rng.integers(0, 32, size=20000).astype(np.int64)
-    yield "kmeans_accumulate", _kernels.kmeans_accumulate, (x, assign, 32)
+    yield "kmeans_accumulate 20000x16 k=32", _kernels.kmeans_accumulate, (x, assign, 32)
+    n, d, k = KMEANS_SHAPE
+    assign = rng.integers(0, k, size=n).astype(np.int64)
+    yield f"kmeans_accumulate {n}x{d} k={k}", _kernels.kmeans_accumulate, (
+        rng.normal(size=(n, d)), assign, k)
+    n_q, n, d, k = KNN_SHAPE
+    rows = rng.normal(size=(n, d))
+    index = KnnIndex().fit(rows[rng.integers(0, n, size=n)])
+    yield f"knn query {n_q}x{n}x{d} bootstrap k={k}", index.query, (
+        rng.normal(size=(n_q, d)), k)
     yield "tree_apply", _kernels.tree_apply, full_tree(depth=12) + (rng.normal(size=(20000, 16)),)
     for m, n, k in ENGINE_SHAPES:
         yield f"subset_choices borda {m}x{n}x{k}", all_borda_subsets, (

@@ -16,18 +16,28 @@ window ends `min_leaf` rows before its own length, so every column's
 result is bit for bit what the same search on that column alone would
 give. One node is the case where every column has full length.
 
-The distance kernel walks the rows of `a` in blocks of about
-BLOCK_CELLS output cells, so that a block of output and one scratch
-buffer of the same size stay in L2 cache. Inside a block it adds the
-squared differences feature by feature, in column order, into the
-zeroed block, so every distance is (((0 + d0²) + d1²) + ...) in that
-order and bit for bit what a whole-matrix pass per feature gives. No
-(len(a), len(b), d) temporary is ever built. The difference of a
-column of `a` and a row of `b` is a broadcast that numpy's ufunc loop
-copies through buffers of `np.getbufsize()` elements; the kernel
-shrinks them to UFUNC_BUFFER elements, so that they stay in L1 cache,
-and restores the caller's size on return. Buffering moves values, it
-does not change the arithmetic.
+The distance kernel puts the longer of its two inputs on the inner
+axis: when `b` has fewer rows than `a` it computes the (len(b), len(a))
+matrix and returns its C-contiguous transpose, so that k-means' few
+centroids never make the innermost loop a handful of elements long.
+The rule reads only the two shapes. (x - y)² and (y - x)² are the same
+IEEE number, so the orientation does not change a bit. The kernel then
+walks the rows of the outer input in blocks of about BLOCK_CELLS output
+cells, so that a block of output and one scratch buffer of the same
+size stay in L2 cache. Inside a block it adds the squared differences
+feature by feature, in column order, into the zeroed block, so every
+distance is (((0 + d0²) + d1²) + ...) in that order and bit for bit
+what a whole-matrix pass per feature gives. No (len(a), len(b), d)
+temporary is ever built. The difference of a column of one input and a
+row of the other is a broadcast that numpy's ufunc loop copies through
+buffers of `np.getbufsize()` elements; the kernel shrinks them to
+UFUNC_BUFFER elements, so that they stay in L1 cache, and restores the
+caller's size on return. Buffering moves values, it does not change the
+arithmetic.
+
+The k-means accumulation sums every (cluster, column) cell in one
+`np.bincount` over flattened bins; bincount adds each bin's terms in
+input order, which is the row order a per-column call would use.
 """
 
 from __future__ import annotations
@@ -135,6 +145,15 @@ def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
 
 def pairwise_sq_dists(a, b):
     """Squared euclidean distances, shape (len(a), len(b))."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"feature counts differ: {a.shape[1]} and {b.shape[1]}")
+    if b.shape[0] < a.shape[0]:
+        return np.ascontiguousarray(_blocked_sq_dists(b, a).T)
+    return _blocked_sq_dists(a, b)
+
+
+def _blocked_sq_dists(a, b):
+    """The (len(a), len(b)) distances, row blocks of `a` at a time."""
     n_a, n_b = a.shape[0], b.shape[0]
     out = np.zeros((n_a, n_b))
     at = np.ascontiguousarray(a.T, dtype=np.float64)
@@ -161,9 +180,10 @@ def pairwise_sq_dists(a, b):
 def kmeans_accumulate(x, assign, k):
     """Per-cluster coordinate sums and member counts."""
     d = x.shape[1]
-    sums = np.zeros((k, d))
-    for col in range(d):
-        sums[:, col] = np.bincount(assign, weights=x[:, col], minlength=k)
+    bins = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=x.ravel(), minlength=k * d)
+    # an empty `bins` comes back as integers
+    sums = sums.astype(np.float64, copy=False).reshape(k, d)
     counts = np.bincount(assign, minlength=k).astype(np.float64)
     return sums, counts
 

@@ -240,6 +240,7 @@ class _BaseForest:
     seed: int = 0
     bootstrap: bool = True
     trees_: list = field(default_factory=list, repr=False)
+    n_features_: int = field(default=0, repr=False)
 
     _classification = False
     _n_classes = 0
@@ -278,12 +279,17 @@ class _BaseForest:
         ).grow(trees)
         width = self._n_classes if self._classification else 1
         self.trees_ = [tree.finish(width) for tree in trees]
+        self.n_features_ = d
         return self
 
     def _accumulate(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)
         if not self.trees_:
             raise DegenerateData("forest used before fit")
+        if x.ndim != 2 or x.shape[1] != self.n_features_:
+            raise DegenerateData(
+                f"forest needs rows of {self.n_features_} features, got shape {x.shape}"
+            )
         width = self.trees_[0].payload.shape[1]
         acc = np.zeros((x.shape[0], width))
         for tree in self.trees_:

@@ -32,7 +32,13 @@ class KMeansModel:
     def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-centroid index per query row (first wins on ties) and
         the euclidean distance to that centroid."""
-        return _nearest(np.ascontiguousarray(x, dtype=np.float64), self.centroids)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.centroids.shape[1]:
+            raise DegenerateData(
+                f"kmeans query needs rows of {self.centroids.shape[1]} features, "
+                f"got shape {x.shape}"
+            )
+        return _nearest(x, self.centroids)
 
 
 def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

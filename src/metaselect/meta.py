@@ -11,7 +11,10 @@ resubstitution.
 `AlgorithmSelectorSelector` is itself a selector: like every other
 model it implements only `_fit` and `scores_batch`, routing each row of
 a feature batch through the meta learner's `select_batch` to one
-deployed base selector, which scores its rows through `shared_scores`.
+deployed base selector. A base's rows are a slice of its
+`shared_scores` of the whole batch: a row's scores do not depend on the
+rows scored beside it, and inside a fold the base's plain cell has
+usually scored that batch already.
 """
 
 from __future__ import annotations
@@ -175,5 +178,5 @@ class AlgorithmSelectorSelector(Selector):
         out = np.empty((x.shape[0], self.n_algorithms_))
         for s in np.unique(chosen):
             mask = chosen == s
-            out[mask] = shared_scores(self.meta_scenario_.deployed[s], x[mask])
+            out[mask] = shared_scores(self.meta_scenario_.deployed[s], x)[mask]
         return out

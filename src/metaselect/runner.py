@@ -15,7 +15,10 @@ stacking bases, `ass` deployed selectors, ...) is trained once, and so
 is every `shared_scores` prediction of such a fit on the same rows (the
 fold's test rows, its training rows for the SBAS baseline and for
 ensemble fits). Either's seconds land in the timings of the first cell
-that needs it.
+that needs it. Below that, held `sunny` models whose indexes hold equal
+rows (`sunny` and `sunny(k=4)`) rank each set of query rows once per
+fold through `shared_neighbours`, the widest k serving smaller ones as
+a prefix, and `ass` slices its bases' shared scores of the whole batch.
 
 Folds and approaches are evaluated sequentially here; all inputs are
 immutable, so callers may shard folds across processes and merge cells

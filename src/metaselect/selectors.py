@@ -26,7 +26,10 @@ scope, fits on the scope's scenario with equal (canonical spec, entropy,
 training rows) return one fitted model instead of training it again.
 `shared_scores` does the same for predictions: a model the scope holds
 scores equal feature rows once per scope, and every later caller gets
-the same read-only result.
+the same read-only result. `shared_neighbours` shares one level lower:
+held ``sunny`` models whose indexes hold equal rows (``sunny`` and
+``sunny(k=4)`` on one fold) rank equal query rows once, the widest k
+serving every smaller one.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ class SunnySelector(_FeatureBasedSelector):
 
     def scores_batch(self, x):
         z = self.preprocessor_.transform(x)
-        neighbors = self.index_.query(z, self.k_effective_)
+        neighbors = shared_neighbours(self, z)
         return self.pr10_[neighbors].mean(axis=1)
 
 
@@ -368,6 +371,9 @@ class _FoldScope:
     held: set = field(default_factory=set)
     # (dtype, shape, bytes of x) -> {id(model): read-only scores of x}
     scores: dict = field(default_factory=dict)
+    # one (kNN index, {(dtype, shape, bytes of z): read-only neighbour
+    # ids}) pair per distinct index content
+    neighbours: list = field(default_factory=list)
 
 
 # The innermost open `shared_fits` scope, or None outside every scope.
@@ -433,3 +439,36 @@ def shared_scores(model: Selector, x: np.ndarray) -> np.ndarray:
         scores = by_model[id(model)] = model.scores_batch(x)
         scores.flags.writeable = False
     return scores
+
+
+def shared_neighbours(model: SunnySelector, z: np.ndarray) -> np.ndarray:
+    """`model.index_.query(z, model.k_effective_)`, ranked once per
+    `shared_fits` scope across every k.
+
+    Only models the open scope holds are cached. An entry belongs to the
+    content of the index (its rows, bit for bit, and its duplicate map),
+    not to the model, so models fit on equal rows share it; the scope
+    keeps the first such index and compares later ones against it, no
+    copy of its rows. Within it, query rows match on exact content
+    (dtype, shape, bytes). An entry keeps the widest ranking computed so
+    far: a query is the first k entries of one total order, by distance
+    and then row id, so a smaller k is a prefix of it, and a larger k
+    ranks afresh and replaces it. Cached rankings are read-only.
+    """
+    index, k = model.index_, model.k_effective_
+    scope = _SHARED_FITS.get()
+    if scope is None or id(model) not in scope.held:
+        return index.query(z, k)
+    for held, rankings in scope.neighbours:
+        if held.same_content(index):
+            break
+    else:
+        rankings = {}
+        scope.neighbours.append((index, rankings))
+    z = np.asarray(z)
+    key = (z.dtype.str, z.shape, z.tobytes())
+    ranked = rankings.get(key)
+    if ranked is None or ranked.shape[1] < k:
+        ranked = rankings[key] = index.query(z, k)
+        ranked.flags.writeable = False
+    return ranked[:, :k]

@@ -33,7 +33,7 @@ from metaselect.ensembles import (
     StackingEnsemble,
     VotingEnsemble,
 )
-from metaselect.learners import KnnIndex
+from metaselect.learners import KnnIndex, _kernels
 from metaselect.meta import AlgorithmSelectorSelector
 from metaselect.runner import (
     canonical_selector_spec_checked,
@@ -50,6 +50,7 @@ from metaselect.selectors import (
     fit_selector,
     make_selector,
     shared_fits,
+    shared_neighbours,
     shared_scores,
 )
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
@@ -770,6 +771,11 @@ class TestSharedScores:
             if not cached:
                 for module in (selectors, ensembles, meta):
                     patch.setattr(module, "shared_scores", lambda model, x: model.scores_batch(x))
+                patch.setattr(
+                    selectors,
+                    "shared_neighbours",
+                    lambda model, z: model.index_.query(z, model.k_effective_),
+                )
             report, _ = run_experiment(make_config(self.APPROACHES), scenario=toy)
         assert all(c.error is None for c in report.cells)
         return report, queries
@@ -781,6 +787,97 @@ class TestSharedScores:
         assert max(queries.values()) == 1
         assert max(uncached_queries.values()) > 1
         assert sum(queries.values()) < sum(uncached_queries.values())
+
+
+
+@pytest.fixture
+def tripled():
+    """A 60-instance scenario whose rows come in bit-identical triples, so
+    every query's distances tie in threes and a tie straddles the 4th
+    place; the first 48 rows (16 triples) train, the last 12 query."""
+    base = generate_synthetic(SyntheticConfig(n_instances=60, n_algorithms=3, seed=5))
+    return base.with_features(base.features[np.arange(60) // 3]), np.arange(48), np.arange(48, 60)
+
+
+class TestSharedNeighbours:
+    @pytest.fixture
+    def queried(self, monkeypatch):
+        """The k of every KnnIndex.query call."""
+        ks = []
+        original = KnnIndex.query
+
+        def counting(index, z, k):
+            ks.append(k)
+            return original(index, z, k)
+
+        monkeypatch.setattr(KnnIndex, "query", counting)
+        return ks
+
+    def test_a_prefix_of_a_wider_ranking_is_the_direct_query(self, tripled, queried):
+        scenario, train, test = tripled
+        with shared_fits(scenario):
+            wide = fit_selector("sunny", 0, scenario, train)
+            narrow = fit_selector("sunny(k=4)", 0, scenario, train)
+            z = narrow.preprocessor_.transform(scenario.features[test])
+            ranked = shared_neighbours(wide, z)
+            hit = shared_neighbours(narrow, z)
+            assert queried == [16]
+            assert not hit.flags.writeable
+            with pytest.raises(ValueError):
+                hit[0, 0] = 0
+        direct = narrow.index_.query(z, 4)
+        train_z = wide.preprocessor_.transform(scenario.features[train])
+        dists = np.sort(_kernels.pairwise_sq_dists(z, train_z), axis=1)
+        assert (dists[:, 3] == dists[:, 4]).all()  # ties straddle the 4th place
+        np.testing.assert_array_equal(hit, direct)
+        np.testing.assert_array_equal(ranked[:, :4], direct)
+
+    def test_a_wider_k_ranks_again(self, tripled, queried):
+        scenario, train, test = tripled
+        with shared_fits(scenario):
+            narrow = fit_selector("sunny(k=4)", 0, scenario, train)
+            wide = fit_selector("sunny", 0, scenario, train)
+            z = narrow.preprocessor_.transform(scenario.features[test])
+            first = shared_neighbours(narrow, z)
+            ranked = shared_neighbours(wide, z)
+            assert queried == [4, 16]
+            np.testing.assert_array_equal(ranked, wide.index_.query(z, 16))
+            np.testing.assert_array_equal(first, ranked[:, :4])
+            # the wider ranking replaced the narrow one and serves both
+            assert shared_neighbours(narrow, z).base is shared_neighbours(wide, z).base
+            assert queried == [4, 16, 16]
+
+    def test_unheld_models_and_calls_outside_a_scope_are_not_cached(self, tripled, queried):
+        scenario, train, test = tripled
+        x = scenario.features[test]
+        outside = fit_selector("sunny", 0, scenario, train)
+        z = outside.preprocessor_.transform(x)
+        assert shared_neighbours(outside, z).flags.writeable
+        with shared_fits(scenario):
+            held = fit_selector("sunny", 0, scenario, train)
+            shared_neighbours(held, z)
+            unheld = make_selector("sunny", 0).fit(scenario, train)
+            first = shared_neighbours(unheld, z)
+            assert first.flags.writeable
+            np.testing.assert_array_equal(first, shared_neighbours(held, z))
+            shared_neighbours(unheld, z)
+            shared_neighbours(outside, z)
+        shared_neighbours(held, z)
+        assert len(queried) == 6
+
+    def test_other_index_rows_or_query_rows_miss(self, tripled, queried):
+        scenario, train, test = tripled
+        with shared_fits(scenario):
+            model = fit_selector("sunny", 0, scenario, train)
+            other = fit_selector("sunny", 0, scenario, train[:-1])
+            z = model.preprocessor_.transform(scenario.features[test])
+            shared_neighbours(model, z)
+            shared_neighbours(other, z)
+            shared_neighbours(model, z[:-1])
+            shared_neighbours(model, z.astype(np.float32))
+            assert len(queried) == 4
+            shared_neighbours(model, z.copy())
+            assert len(queried) == 4
 
 
 # -- internal errors -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The split kernels are checked bit for bit against a one-feature
 reference search, on one node's columns and on padded columns of
-several nodes, and the distance kernel against a column-by-column one;
-pinned digests hold every tree a seeded forest grows, so a change to
+several nodes, the distance kernel against a column-by-column one in
+both orientations and the k-means accumulation against per-column
+bincounts; pinned digests hold every tree a seeded forest grows, so a change to
 the grower cannot shift a split unnoticed.
 """
 
@@ -12,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -181,6 +182,10 @@ _BLOCK = _kernels.BLOCK_CELLS
 _DIST_SHAPES = [  # (n_a, n_b, d)
     (3 * (_BLOCK // 100) + 7, 100, 3),  # several row blocks, a ragged last one
     (3, _BLOCK + 5, 2),  # n_b larger than a block
+    # n_a >> n_b: computed as (n_b, n_a) over several blocks of b's rows
+    (_BLOCK // 4 + 3, 10, 3),
+    (_BLOCK + 5, 3, 2),
+    (800, 4, 6),
     (1, 40, 5),
     (40, 1, 5),
     (1, 1, 3),
@@ -210,7 +215,41 @@ def test_pairwise_sq_dists_match_the_column_reference(shape, seed):
     got = _kernels.pairwise_sq_dists(a, b)
     want = _ref_pairwise_sq_dists(a, b)
     assert got.shape == (n_a, n_b)
+    assert got.flags.c_contiguous
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_pairwise_sq_dists_reject_unequal_feature_counts():
+    with pytest.raises(ValueError):
+        _kernels.pairwise_sq_dists(np.zeros((4, 3)), np.zeros((2, 2)))
+
+
+def _ref_kmeans_accumulate(x, assign, k):
+    """One bincount per column."""
+    sums = np.zeros((k, x.shape[1]))
+    for col in range(x.shape[1]):
+        sums[:, col] = np.bincount(assign, weights=x[:, col], minlength=k)
+    return sums, np.bincount(assign, minlength=k).astype(np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 60), st.integers(0, 7), st.integers(1, 12), st.integers(0, 2**31 - 1)
+)
+@example(9, 0, 3, 0)  # no features
+@example(9, 4, 1, 0)  # one cluster
+def test_kmeans_accumulate_matches_per_column_bincounts(n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    # mixed scales, so that another summation order rounds differently
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
+    # a cluster range wider than the rows in use: some clusters stay empty
+    assign = rng.integers(0, max(1, k // 2), size=n).astype(np.int64)
+    sums, counts = _kernels.kmeans_accumulate(x, assign, k)
+    want_sums, want_counts = _ref_kmeans_accumulate(x, assign, k)
+    assert sums.shape == (k, d) and sums.dtype == np.float64
+    np.testing.assert_array_equal(sums.view(np.uint64), want_sums.view(np.uint64))
+    np.testing.assert_array_equal(counts, want_counts)
+    assert counts.dtype == np.float64
 
 
 def test_pairwise_sq_dists_restore_the_ufunc_buffer_size():
@@ -285,6 +324,19 @@ def test_a_tree_does_not_depend_on_the_trees_grown_beside_it(classification):
 
 
 class TestForest:
+    @pytest.mark.parametrize("model", [ForestRegressor, ForestClassifier])
+    def test_prediction_rejects_another_feature_count(self, model):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 4))
+        forest = model(n_trees=3, seed=0).fit(x, (x[:, 0] > 0).astype(np.int64))
+        predicts = [forest.predict]
+        if model is ForestClassifier:
+            predicts.append(forest.predict_proba)
+        for predict in predicts:
+            for q in (np.zeros((2, 3)), np.zeros((2, 5)), np.zeros(4)):
+                with pytest.raises(DegenerateData):
+                    predict(q)
+
     def test_regressor_learns_a_linear_signal(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(200, 2))
@@ -387,6 +439,36 @@ class TestKnn:
         with pytest.raises(DegenerateData):
             index.query(np.array([[0.0, np.nan]]), 1)
 
+    def test_query_rejects_another_feature_count(self):
+        index = KnnIndex().fit(np.arange(20.0).reshape(4, 5))
+        for x in (np.zeros((2, 3)), np.zeros((2, 6)), np.zeros(5)):
+            with pytest.raises(DegenerateData):
+                index.query(x, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 30), st.integers(1, 12))
+    def test_a_bootstrap_index_answers_like_its_full_rows(self, seed, n_distinct, n_queries):
+        rng = np.random.default_rng(seed)
+        # grid positions, so that distances tie, also across the k-th place
+        base = rng.integers(-1, 2, size=(n_distinct, 3)).astype(np.float64)
+        rows = base[rng.integers(0, n_distinct, size=3 * n_distinct)]
+        x = rng.integers(-1, 2, size=(n_queries, 3)).astype(np.float64)
+        order = np.argsort(_ref_pairwise_sq_dists(x, rows), axis=1, kind="stable")
+        index = KnnIndex().fit(rows)
+        assert index.n_points == rows.shape[0]
+        assert index.inverse_ is not None  # 3n draws of at most n rows repeat
+        assert index.points_.shape[0] == np.unique(rows, axis=0).shape[0]
+        with pytest.raises(KTooLarge):
+            index.query(x, rows.shape[0] + 1)
+        for k in {1, int(rng.integers(1, rows.shape[0] + 1)), rows.shape[0]}:
+            np.testing.assert_array_equal(index.query(x, k), order[:, :k])
+
+    def test_distinct_rows_are_kept_as_given(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        index = KnnIndex().fit(rows)
+        assert index.inverse_ is None
+        np.testing.assert_array_equal(index.points_, rows)
+
 
 class TestKmeans:
     def test_k_bounds(self):
@@ -407,6 +489,12 @@ class TestKmeans:
         clusters, distances = model.nearest(x)
         np.testing.assert_array_equal(clusters, model.assignments)
         np.testing.assert_array_equal(distances, model.train_distances)
+
+    def test_nearest_rejects_another_feature_count(self):
+        model = fit_kmeans(np.random.default_rng(5).normal(size=(20, 3)), 2, seed=0)
+        for x in (np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(DegenerateData):
+                model.nearest(x)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(6)
