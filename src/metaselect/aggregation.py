@@ -19,13 +19,15 @@ member's weight (`wmaj`) at the row's argmin, the row's midranks
 zeros in ascending member order and finishing the sum: vote schemes
 negate it, so that argmin-with-first-wins matches argmax over votes
 exactly, and `mean` divides it by the subset size. An (M, K) matrix is
-the one-instance case of the same code.
+the one-instance case of the same code. Voting, bagging and boosting
+(`wmaj` over its round alphas) all vote by one `combine_scores` call.
 
 `subset_choices` scores every nonempty member subset at once. It walks
 the subsets depth-first, each one's sum being its parent's plus the
 term of its highest member, so a subset's sum is bit-identical to the
 one `combine_scores` computes for it alone, and at most M partial
-(n, K) sums are alive at any time.
+(n, K) sums are alive at any time. `ensembles.subset_par10` turns them
+into PAR10 for voting's exhaustive search and `runner.sweep_voting`.
 """
 
 from __future__ import annotations

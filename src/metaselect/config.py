@@ -62,9 +62,11 @@ class ExperimentConfig:
         return generate_synthetic(self.synthetic)
 
 
-def _as_int(value, key):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+def _checked(value, key, kind=int):
+    """`value` if it is a `kind`: a bool is no number, an int passes as a float."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InvalidConfig(f"{key} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -84,10 +86,12 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         raw = data["synthetic"]
         if not isinstance(raw, dict):
             raise InvalidConfig("synthetic must be a mapping")
-        known = {f.name for f in dataclass_fields(SyntheticConfig)}
-        bad = set(raw) - known
+        defaults = {f.name: f.default for f in dataclass_fields(SyntheticConfig)}
+        bad = set(raw) - set(defaults)
         if bad:
             raise InvalidConfig(f"unknown synthetic keys: {sorted(bad)}")
+        for key, value in raw.items():
+            _checked(value, f"synthetic.{key}", type(defaults[key]))
         synthetic = SyntheticConfig(**raw)
 
     folds = None
@@ -95,17 +99,20 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         raw = data["folds"]
         if not isinstance(raw, list):
             raise InvalidConfig("folds must be a list of integers")
-        folds = tuple(_as_int(f, "fold") for f in raw)
+        folds = tuple(_checked(f, "fold") for f in raw)
 
     fmt = data.get("format", "json")
-    formats = (fmt,) if isinstance(fmt, str) else tuple(fmt)
+    formats = (fmt,) if isinstance(fmt, str) else tuple(_checked(fmt, "format", list))
+    for key in ("scenario", "out"):
+        if data.get(key) is not None:
+            _checked(data[key], key, str)
 
     config = ExperimentConfig(
         approaches=tuple(approaches),
         scenario_path=data.get("scenario"),
         synthetic=synthetic,
         folds=folds,
-        seed=_as_int(data.get("seed", 0), "seed"),
+        seed=_checked(data.get("seed", 0), "seed"),
         out=data.get("out"),
         formats=formats,
     )

@@ -13,10 +13,11 @@ back that fit's scores of rows already scored in the fold (the test
 rows by the plain cell, the training rows by another ensemble or the
 selector-level baselines) instead of scoring them again.
 
-Voting and bagging stack their members' (n, K) scores into one
-(members, instances, algorithms) tensor and combine it with one
-`combine_scores` call; the exhaustive composition search scores every
-member subset through `subset_choices` (see `aggregation`).
+Voting, bagging and boosting (`wmaj` with its round alphas as weights)
+share one `scores_batch`: their members' (n, K) scores, stacked into a
+(members, instances, algorithms) tensor, go to one `combine_scores`
+call. `subset_par10` scores every member subset through `subset_choices`
+(see `aggregation`) for voting's exhaustive search and `sweep_voting`.
 """
 
 from __future__ import annotations
@@ -88,26 +89,54 @@ def wmaj_weights(members, scenario: ScenarioSpec, train_indices: np.ndarray) -> 
     )
 
 
+def subset_par10(
+    aggregation: str, members, rows: np.ndarray, weights, scenario: ScenarioSpec, indices
+) -> dict[tuple[int, ...], float]:
+    """Mean PAR10 on `indices` of every nonempty subset of `members`
+    voting through `aggregation` on their stacked scores `rows` of those
+    rows, keyed by subset in bitmask order: (0,), (1,), (0, 1), (2,), ...
+    A subset is charged feature costs iff one of its members reads them.
+    """
+    pr10 = scenario.pr10_matrix()[indices]
+    costs = scenario.feature_costs[indices]
+    reads = [m.needs_features for m in members]
+    at = np.arange(pr10.shape[0])
+    values = {}
+    for subset, choices in subset_choices(aggregation, rows, weights):
+        per_instance = pr10[at, choices]
+        if any(reads[i] for i in subset):
+            per_instance = per_instance + costs
+        values[subset] = float(per_instance.mean())
+    return dict(sorted(values.items(), key=lambda item: sum(1 << i for i in item[0])))
+
+
 class _Ensemble(Selector):
-    """Shared plumbing: entropy derivation and member bookkeeping."""
+    """Shared plumbing: entropy derivation, member bookkeeping and the
+    vote of the active members through `self.aggregation`."""
 
     def __init__(self, spec: str, global_seed: int):
         super().__init__(spec, (int(global_seed), zlib.crc32(spec.encode())))
         self.global_seed = int(global_seed)
         self.members_: list[Selector] = []
+        self.weights_ = None  # one per member, or None for equal votes
+        self.active_ = None  # positions of the members that vote, or None for all
 
     def _rng(self) -> np.random.Generator:
         return np.random.default_rng(self._seed_sequence())
 
+    def _active(self) -> list[int]:
+        return list(range(len(self.members_)) if self.active_ is None else self.active_)
+
     @property
     def needs_features(self):  # noqa: D401 - property mirrors the class attr
-        active = self._active_members()
-        if not active:
-            return True
-        return any(m.needs_features for m in active)
+        active = self._active()
+        return not active or any(self.members_[i].needs_features for i in active)
 
-    def _active_members(self) -> list[Selector]:
-        return self.members_
+    def scores_batch(self, x):
+        active = self._active()
+        rows = np.stack([shared_scores(self.members_[i], x) for i in active])
+        weights = None if self.weights_ is None else self.weights_[active]
+        return combine_scores(self.aggregation, rows, weights)
 
 
 class VotingEnsemble(_Ensemble):
@@ -131,14 +160,7 @@ class VotingEnsemble(_Ensemble):
         self.member_specs = tuple(member_specs)
         self.aggregation = aggregation
         self.search = search
-        self.weights_ = None
-        self.active_ = None
         self.search_result_ = None
-
-    def _active_members(self):
-        if self.active_ is None:
-            return self.members_
-        return [self.members_[i] for i in self.active_]
 
     def _fit(self, scenario, train_indices):
         self.members_ = [
@@ -155,41 +177,19 @@ class VotingEnsemble(_Ensemble):
     def _search(self, scenario, train_indices):
         # Ranked on PAR10, not nPAR10: on a positive training gap both give
         # the same order, and a zero gap leaves nPAR10 undefined.
-        n_members = len(self.members_)
         x = scenario.features[train_indices]
         rows = np.stack([shared_scores(m, x) for m in self.members_])
-        pr10 = scenario.pr10_matrix()[train_indices]
-        costs = scenario.feature_costs[train_indices]
-
-        values = {}
-        for subset, choices in subset_choices(self.aggregation, rows, self.weights_):
-            per_instance = pr10[np.arange(choices.size), choices]
-            if any(self.members_[i].needs_features for i in subset):
-                per_instance = per_instance + costs
-            values[subset] = float(per_instance.mean())
-        masks = [
-            tuple(i for i in range(n_members) if bits >> i & 1)
-            for bits in range(1, 2**n_members)
-        ]
-        best = min(masks, key=lambda subset: (values[subset], len(subset), subset))
+        values = subset_par10(
+            self.aggregation, self.members_, rows, self.weights_, scenario, train_indices
+        )
+        best = min(values, key=lambda subset: (values[subset], len(subset), subset))
         result = CompositionSearchResult(
             aggregation=self.aggregation,
-            masks=tuple(masks),
-            train_par10=tuple(values[subset] for subset in masks),
+            masks=tuple(values),
+            train_par10=tuple(values.values()),
             best_mask=best,
         )
         return best, result
-
-    def _active_weights(self):
-        if self.weights_ is None:
-            return None
-        if self.active_ is None:
-            return self.weights_
-        return self.weights_[list(self.active_)]
-
-    def scores_batch(self, x):
-        rows = np.stack([shared_scores(m, x) for m in self._active_members()])
-        return combine_scores(self.aggregation, rows, self._active_weights())
 
 
 class BaggingEnsemble(_Ensemble):
@@ -232,18 +232,16 @@ class BaggingEnsemble(_Ensemble):
             member.fit(scenario, train_indices[sample])
             self.members_.append(member)
             self.bootstrap_indices_.append(train_indices[sample])
-        self.weights_ = None
         if self.aggregation == "wmaj":
             self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
-
-    def scores_batch(self, x):
-        rows = np.stack([shared_scores(m, x) for m in self.members_])
-        return combine_scores(self.aggregation, rows, self.weights_)
 
 
 class BoostingEnsemble(_Ensemble):
     """Multiclass boosting over best-algorithm labels, instance weighting
-    realized by weighted bootstrap sampling."""
+    realized by weighted bootstrap sampling. The rounds vote as a
+    weighted majority (SAMME) with their alphas as weights."""
+
+    aggregation = "wmaj"
 
     def __init__(self, spec, global_seed, member_spec, iterations=20):
         super().__init__(spec, global_seed)
@@ -294,14 +292,7 @@ class BoostingEnsemble(_Ensemble):
             raise BoostingCollapsed(
                 f"{self.spec}: no usable round within {budget} attempts"
             )
-        self.alphas_ = np.asarray(self.alphas_)
-
-    def scores_batch(self, x):
-        votes = np.zeros((x.shape[0], self.n_algorithms_))
-        for member, alpha in zip(self.members_, self.alphas_):
-            picks = np.argmin(shared_scores(member, x), axis=1)
-            votes[np.arange(x.shape[0]), picks] += alpha
-        return -votes
+        self.alphas_ = self.weights_ = np.asarray(self.alphas_)
 
 
 class StackingEnsemble(_Ensemble):

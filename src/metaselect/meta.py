@@ -25,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTraining, EmptyEnsemble, InvalidConfig
+from .metrics import per_instance_pr10
 from .scenario import ScenarioSpec
 from .selectors import (
     Selector,
     canonical_selector_spec,
     fit_selector,
     make_selector,
+    selector_trace,
     shared_scores,
 )
 
@@ -49,9 +51,7 @@ class MetaScenario:
 
 def _inner_fold_assignment(n: int, inner_folds: int, rng: np.random.Generator) -> np.ndarray:
     assignment = np.empty(n, dtype=np.int64)
-    perm = rng.permutation(n)
-    for pos, idx in enumerate(perm):
-        assignment[idx] = pos % inner_folds
+    assignment[rng.permutation(n)] = np.arange(n) % inner_folds
     return assignment
 
 
@@ -86,8 +86,6 @@ def build_meta_scenario(
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     assignment = _inner_fold_assignment(n, inner_folds, rng)
 
-    pr10 = source.pr10_matrix()
-    costs = source.feature_costs
     performance = np.empty((n, len(specs)))
 
     for fold in range(inner_folds):
@@ -103,11 +101,9 @@ def build_meta_scenario(
         for s, spec in enumerate(specs):
             member = make_selector(spec, global_seed, salt=(fold,))
             member.fit(source, inner_train)
-            choices = member.select_batch(source.features[inner_test])
-            values = pr10[inner_test, choices]
-            if member.needs_features:
-                values = values + costs[inner_test]
-            performance[held, s] = values
+            performance[held, s] = per_instance_pr10(
+                source, selector_trace(member, source, inner_test)
+            )
 
     deployed = tuple(fit_selector(spec, global_seed, source, train_indices) for spec in specs)
 
@@ -122,7 +118,7 @@ def build_meta_scenario(
         runtimes=performance,
         solved=np.ones_like(performance, dtype=bool),
         features=source.features[train_indices],
-        feature_costs=costs[train_indices],
+        feature_costs=source.feature_costs[train_indices],
         folds=np.ones(n, dtype=np.int64),
         validate=False,
     )

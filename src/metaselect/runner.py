@@ -20,6 +20,10 @@ rows (`sunny` and `sunny(k=4)`) rank each set of query rows once per
 fold through `shared_neighbours`, the widest k serving smaller ones as
 a prefix, and `ass` slices its bases' shared scores of the whole batch.
 
+`sweep_voting` scores every voting composition of a member list per
+fold with `ensembles.subset_par10`, the scorer of voting's exhaustive
+search, on the fold's test rows; it only adds the nPAR10 bookkeeping.
+
 Folds and approaches are evaluated sequentially here; all inputs are
 immutable, so callers may shard folds across processes and merge cells
 if they need parallelism.
@@ -33,10 +37,10 @@ import numpy as np
 
 # combine_scores stays importable from here for wrappers that patch
 # runner.combine_scores (perfbench/tracer.py); nothing here calls it.
-from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores, subset_choices  # noqa: F401
+from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores  # noqa: F401
 from .approaches import ORACLE, build_approach, canonical_approach_spec, parse_approach
 from .config import ExperimentConfig
-from .ensembles import MAX_EXHAUSTIVE_MEMBERS, wmaj_weights
+from .ensembles import MAX_EXHAUSTIVE_MEMBERS, subset_par10, wmaj_weights
 from .errors import DegenerateGap, InvalidConfig, MetaselectError
 from .metrics import (
     SelectionTrace,
@@ -291,10 +295,11 @@ def sweep_voting(
     """Score every nonempty member subset as a voting ensemble, per fold.
 
     Members are fit once per fold and every composition is scored from
-    their test scores by one `subset_choices` pass, so a subset's
-    selections are exactly what the corresponding voting approach would
-    produce. Best composition: lowest mean test nPAR10,
-    ties broken toward fewer members, then lexicographically.
+    their test scores by one `subset_par10` call, the scorer of voting's
+    exhaustive search, so a subset's selections and feature charge are
+    exactly what the corresponding voting approach would produce. Best
+    composition: lowest mean test nPAR10, ties broken toward fewer
+    members, then lexicographically.
     """
     if aggregation not in AGGREGATIONS:
         raise InvalidConfig(f"unknown aggregation {aggregation!r}")
@@ -309,46 +314,31 @@ def sweep_voting(
             f"sweep gated at {MAX_EXHAUSTIVE_MEMBERS} members, got {n_members}"
         )
     fold_list = _resolve_folds(scenario, folds)
-    masks = [
-        tuple(i for i in range(n_members) if bits >> i & 1)
-        for bits in range(1, 2**n_members)
-    ]
+    if not fold_list:
+        raise InvalidConfig("sweep needs at least one fold")
 
-    pr10 = scenario.pr10_matrix()
-    costs = scenario.feature_costs
-    per_mask_par10 = {mask: [] for mask in masks}
-    per_mask_npar10 = {mask: [] for mask in masks}
-
+    per_fold = []  # (subset -> test PAR10 in bitmask order, oracle, sbs) per fold
     for fold in fold_list:
         train, test = scenario.fold_split(fold)
-        oracle_test = oracle_par10(scenario, test)
-        sbs_test = fixed_algorithm_par10(scenario, test, single_best(scenario, train))
-
         members = [fit_selector(s, global_seed, scenario, train) for s in specs]
         rows = np.stack([m.scores_batch(scenario.features[test]) for m in members])
         weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
-
-        for mask, choices in subset_choices(aggregation, rows, weights):
-            values = pr10[test, choices]
-            if any(members[i].needs_features for i in mask):
-                values = values + costs[test]
-            par = float(values.mean())
-            per_mask_par10[mask].append(par)
-            try:
-                per_mask_npar10[mask].append(npar10(par, oracle_test, sbs_test))
-            except DegenerateGap:
-                per_mask_npar10[mask].append(None)
+        values = subset_par10(aggregation, members, rows, weights, scenario, test)
+        sbs = fixed_algorithm_par10(scenario, test, single_best(scenario, train))
+        per_fold.append((values, oracle_par10(scenario, test), sbs))
 
     rows_out = []
-    for mask in masks:
-        defined = [v for v in per_mask_npar10[mask] if v is not None]
+    for mask in per_fold[0][0]:
+        pars = [values[mask] for values, _, _ in per_fold]
+        npars = [_npar10_or_none(values[mask], *gap) for values, *gap in per_fold]
+        defined = [v for v in npars if v is not None]
         rows_out.append(
             SweepRow(
                 members=mask,
                 spec=_subset_spec(specs, mask, aggregation),
-                mean_par10=float(np.mean(per_mask_par10[mask])),
+                mean_par10=float(np.mean(pars)),
                 mean_npar10=float(np.mean(defined)) if defined else None,
-                fold_npar10=tuple(per_mask_npar10[mask]),
+                fold_npar10=tuple(npars),
             )
         )
     best = min(
@@ -370,6 +360,13 @@ def sweep_voting(
         best_members=best.members,
         best_spec=best.spec,
     )
+
+
+def _npar10_or_none(par: float, oracle: float, sbs: float) -> float | None:
+    try:
+        return npar10(par, oracle, sbs)
+    except DegenerateGap:
+        return None
 
 
 def _subset_spec(specs, mask, aggregation) -> str:

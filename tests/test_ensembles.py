@@ -22,6 +22,7 @@ from metaselect.errors import (
 from metaselect.metrics import npar10, oracle_par10, single_best, fixed_algorithm_par10
 from metaselect.scenario import ScenarioSpec
 from metaselect.selectors import make_selector
+from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 MEMBER_SPECS = ["peralgo(trees=10)", "sunny(k=5)", "multiclass(trees=10)"]
 
@@ -123,6 +124,40 @@ class TestVoting:
             "v", 0, ["sbs", "sbs", "sbs"], search="exhaustive"
         ).fit(toy, train)
         assert model.active_ == (0,)
+
+    def test_exhaustive_search_charges_features_iff_a_member_reads_them(self):
+        # sbs reads no features, sunny and isac do: a subset is charged
+        # the feature cost exactly when it holds sunny or isac
+        scenario = generate_synthetic(
+            SyntheticConfig(n_instances=80, n_algorithms=3, feature_cost=4.0, seed=5)
+        )
+        train, _ = scenario.fold_split(1)
+        specs = ["sbs", "sunny(k=5)", "isac(clusters=3)"]
+        model = VotingEnsemble("v", 0, specs, search="exhaustive").fit(scenario, train)
+        costs = scenario.feature_costs[train]
+        assert (costs > 0).all()
+        reads = [m.needs_features for m in model.members_]
+        assert reads == [False, True, True]
+
+        picks = np.stack([m.select_batch(scenario.features[train]) for m in model.members_])
+        pr10 = scenario.pr10_matrix()[train]
+        expected_masks, expected = [], []
+        for bits in range(1, 2 ** len(specs)):
+            mask = tuple(i for i in range(len(specs)) if bits >> i & 1)
+            votes = np.zeros(pr10.shape)
+            for i in mask:
+                votes[np.arange(train.size), picks[i]] += 1
+            choices = np.argmax(votes, axis=1)  # first wins, like argmin of -votes
+            values = pr10[np.arange(train.size), choices]
+            if any(reads[i] for i in mask):
+                values = values + costs
+            expected_masks.append(mask)
+            expected.append(float(values.mean()))
+        result = model.search_result_
+        assert result.masks == tuple(expected_masks)
+        assert result.train_par10 == tuple(expected)
+        sbs_alone = fixed_algorithm_par10(scenario, train, single_best(scenario, train))
+        assert result.train_par10[0] == pytest.approx(sbs_alone, rel=1e-12)
 
     def test_wmaj_weights_match_inverse_train_npar10(self, toy):
         train, _ = toy.fold_split(3)

@@ -351,6 +351,13 @@ class TestConfigLoading:
             {"scenario": "x", "approaches": ["oracle"], "format": "xml"},
             {"approaches": ["oracle"], "synthetic": 5},
             {"approaches": ["oracle"], "synthetic": {"n_instanzes": 10}},
+            {"approaches": ["oracle"], "scenario": 5},
+            {"scenario": "x", "approaches": ["oracle"], "out": 7},
+            {"scenario": "x", "approaches": ["oracle"], "format": 5},
+            {"approaches": ["oracle"], "synthetic": {"n_instances": "x"}},
+            {"approaches": ["oracle"], "synthetic": {"n_folds": 2.0}},
+            {"approaches": ["oracle"], "synthetic": {"cutoff": True}},
+            {"approaches": ["oracle"], "synthetic": {"rule": 3}},
         ],
     )
     def test_rejected_mappings(self, mapping):
@@ -533,6 +540,10 @@ class TestSweepVoting:
     def test_rejected_sweeps(self, toy, members, agg):
         with pytest.raises(InvalidConfig):
             sweep_voting(toy, members, aggregation=agg)
+
+    def test_sweep_over_no_folds_is_rejected(self, toy):
+        with pytest.raises(InvalidConfig, match="at least one fold"):
+            sweep_voting(toy, ["sbs"], folds=[])
 
     def test_checked_selector_spec(self):
         assert canonical_selector_spec_checked(" SUNNY ( k = 7 ) ") == "sunny(k=7)"
@@ -989,6 +1000,14 @@ class TestCli:
         result = invoke("evaluate", str(tmp_path / "absent.yaml"))
         assert result.exit_code == 1
         assert stderr_of(result).startswith("error:")
+
+    def test_evaluate_bad_out_exits_1_before_running(self, tmp_path):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"scenario: {TOY_DIR}\napproaches: [oracle]\nout: 7\n", encoding="utf-8")
+        result = invoke("evaluate", str(cfg))
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith("error: out must be of type str")
+        assert result.stdout == ""
 
     def test_evaluate_bad_approach_exits_1(self, tmp_path):
         cfg = tmp_path / "exp.yaml"
