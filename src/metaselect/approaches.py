@@ -11,19 +11,23 @@ Grammar (whitespace is ignored):
     stacking{meta=<atom>;bases=<atom>,...;fs=none|vt(0.16);split=shared|disjoint(0.7)}
     ass{meta=<atom>;bases=<atom>,...;inner=3}
 
-`<agg>` is one of the aggregation registry keys and defaults to `maj`.
-`canonical_approach_spec` normalizes parameter order and atom spelling
-while preserving member order; model randomness is derived from the
-canonical string, so two spellings of the same approach train
-identically.
+This module reads syntax only. Each bracket and `key=value` segment
+becomes a keyword argument of the kind's model constructor, and an
+omitted one takes that constructor's default; the constructor alone
+judges the values (`<agg>` is an aggregation registry key, k >= 1, ...).
+`canonical_approach_spec` therefore validates a spec by building its
+unfitted model, whose construction only checks and stores arguments.
+It normalizes parameter order and atom spelling while preserving member
+order; model randomness is derived from the canonical string, so two
+spellings of the same approach train identically.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass, field
 
-from .aggregation import AGGREGATIONS
 from .ensembles import (
     BaggingEnsemble,
     BoostingEnsemble,
@@ -31,10 +35,28 @@ from .ensembles import (
     VotingEnsemble,
 )
 from .errors import InvalidConfig
-from .meta import AlgorithmSelectorSelector, DEFAULT_INNER_FOLDS
+from .meta import AlgorithmSelectorSelector
 from .selectors import Selector, canonical_selector_spec, make_selector
 
 ORACLE = "oracle"
+
+_MODELS = {
+    "selector": make_selector,
+    "voting": VotingEnsemble,
+    "bagging": BaggingEnsemble,
+    "boosting": BoostingEnsemble,
+    "stacking": StackingEnsemble,
+    "ass": AlgorithmSelectorSelector,
+}
+# The constructors' keyword defaults: the one place an approach default lives.
+_DEFAULTS = {
+    kind: {
+        name: p.default
+        for name, p in inspect.signature(model).parameters.items()
+        if p.default is not p.empty
+    }
+    for kind, model in _MODELS.items()
+}
 
 _KIND_RE = re.compile(r"^(voting|bagging|boosting|stacking|ass)(?:\[([^\]]*)\])?\{(.*)\}$")
 
@@ -77,37 +99,35 @@ def _key_value_segments(segments, allowed):
     return params
 
 
-def _int_param(params, key, default, minimum):
-    raw = params.get(key)
-    if raw is None:
-        return default
+def _int(params, key):
     try:
-        value = int(raw)
+        return int(params[key])
     except ValueError:
-        raise InvalidConfig(f"{key} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise InvalidConfig(f"{key} must be >= {minimum}, got {value}")
-    return value
+        raise InvalidConfig(f"{key} must be an integer, got {params[key]!r}") from None
 
 
-def _parse_mode(value: str, bare: str, wrapped: str, default: float,
-                low: float = 0.0, high: float = float("inf")):
-    """Parse `bare` or `wrapped(<float>)`, returning (mode, number)."""
+def _parse_mode(value: str, bare: str, wrapped: str, mode_key: str, number_key: str) -> dict:
+    """Parse `bare` or `wrapped(<float>)` into constructor keywords; an
+    empty `wrapped()` leaves the number to the constructor's default."""
     if value == bare:
-        return bare, None
+        return {mode_key: bare}
     match = re.fullmatch(re.escape(wrapped) + r"\(([^()]*)\)", value)
     if match is None:
         raise InvalidConfig(f"expected {bare} or {wrapped}(<value>), got {value!r}")
     raw = match.group(1)
     if raw == "":
-        return wrapped, default
+        return {mode_key: wrapped}
     try:
-        number = float(raw)
+        return {mode_key: wrapped, number_key: float(raw)}
     except ValueError:
         raise InvalidConfig(f"{wrapped} takes a number, got {raw!r}") from None
-    if not low <= number < high:
-        raise InvalidConfig(f"{wrapped} value out of range: {number}")
-    return wrapped, number
+
+
+def _atoms(text: str, error: str) -> tuple[str, ...]:
+    atoms = [a for a in _split_top(text, ",") if a]
+    if not atoms:
+        raise InvalidConfig(error)
+    return tuple(canonical_selector_spec(a) for a in atoms)
 
 
 def _fmt(value: float) -> str:
@@ -117,18 +137,13 @@ def _fmt(value: float) -> str:
 @dataclass(frozen=True)
 class ParsedApproach:
     kind: str                      # oracle | selector | voting | bagging | boosting | stacking | ass
-    members: tuple[str, ...] = ()  # canonical selector atoms, order preserved
-    meta: str | None = None
-    aggregation: str | None = None
-    params: dict = field(default_factory=dict)
+    members: tuple[str, ...] = ()  # canonical selector atoms (stacking/ass: bases), in order
+    params: dict = field(default_factory=dict)  # the kind's constructor keyword arguments
+    seed: int | None = None        # bagging/boosting `seed=`: enters the name, hence the entropy
 
-
-def _parse_aggregation(raw, kind):
-    if raw is None:
-        return "maj"
-    if raw not in AGGREGATIONS:
-        raise InvalidConfig(f"{kind}: unknown aggregation {raw!r}")
-    return raw
+    @property
+    def aggregation(self) -> str | None:
+        return self.params.get("aggregation")
 
 
 def parse_approach(spec: str) -> ParsedApproach:
@@ -144,112 +159,79 @@ def parse_approach(spec: str) -> ParsedApproach:
 
     kind, agg, body = match.groups()
     segments = _split_top(body, ";")
+    seed = None
 
     if kind == "voting":
-        members = [m for m in _split_top(segments[0], ",") if m]
-        if not members:
-            raise InvalidConfig("voting needs at least one member")
-        params = _key_value_segments(segments[1:], {"search"})
-        search = params.get("search", "all")
-        if search not in ("all", "exhaustive"):
-            raise InvalidConfig(f"voting: search must be all or exhaustive, got {search!r}")
-        return ParsedApproach(
-            kind=kind,
-            members=tuple(canonical_selector_spec(m) for m in members),
-            aggregation=_parse_aggregation(agg, kind),
-            params={"search": search},
-        )
-
-    if kind in ("bagging", "boosting"):
-        if kind == "boosting" and agg is not None:
-            raise InvalidConfig("boosting does not take an aggregation")
+        members = _atoms(segments[0], "voting needs at least one member")
+        args = {"member_specs": members, **_key_value_segments(segments[1:], {"search"})}
+    elif kind in ("bagging", "boosting"):
         if not segments[0]:
             raise InvalidConfig(f"{kind} needs a member spec")
-        member = canonical_selector_spec(segments[0])
-        if kind == "bagging":
-            params = _key_value_segments(segments[1:], {"k", "seed"})
-            parsed = {"k": _int_param(params, "k", 10, 1)}
-        else:
-            params = _key_value_segments(segments[1:], {"iters", "seed"})
-            parsed = {"iters": _int_param(params, "iters", 20, 1)}
+        key, keyword = ("k", "k") if kind == "bagging" else ("iters", "iterations")
+        params = _key_value_segments(segments[1:], {key, "seed"})
+        members = (canonical_selector_spec(segments[0]),)
+        args = {"member_spec": members[0]}
+        if key in params:
+            args[keyword] = _int(params, key)
         if "seed" in params:
-            parsed["seed"] = _int_param(params, "seed", None, -(2**63))
-        return ParsedApproach(
-            kind=kind,
-            members=(member,),
-            aggregation=_parse_aggregation(agg, kind) if kind == "bagging" else None,
-            params=parsed,
-        )
+            seed = _int(params, "seed")
+    else:
+        tuning = {"fs", "split"} if kind == "stacking" else {"inner"}
+        params = _key_value_segments(segments, {"meta", "bases"} | tuning)
+        if "meta" not in params:
+            raise InvalidConfig(f"{kind} needs meta=<spec>")
+        if "bases" not in params:
+            raise InvalidConfig(f"{kind} needs bases=<spec>,...")
+        members = _atoms(params["bases"], f"{kind} needs at least one base spec")
+        args = {"base_specs": members, "meta_spec": canonical_selector_spec(params["meta"])}
+        if "inner" in params:
+            args["inner_folds"] = _int(params, "inner")
+        if "fs" in params:
+            args.update(
+                _parse_mode(params["fs"], "none", "vt", "feature_selection", "vt_threshold")
+            )
+        if "split" in params:
+            args.update(_parse_mode(params["split"], "shared", "disjoint", "split", "split_ratio"))
 
-    allowed = {"meta", "bases", "fs", "split"} if kind == "stacking" else {"meta", "bases", "inner"}
-    params = _key_value_segments(segments, allowed)
-    if "meta" not in params:
-        raise InvalidConfig(f"{kind} needs meta=<spec>")
-    if "bases" not in params:
-        raise InvalidConfig(f"{kind} needs bases=<spec>,...")
-    meta = canonical_selector_spec(params["meta"])
-    bases = [b for b in _split_top(params["bases"], ",") if b]
-    if not bases:
-        raise InvalidConfig(f"{kind} needs at least one base spec")
-    bases = tuple(canonical_selector_spec(b) for b in bases)
-
-    if kind == "stacking":
-        fs_mode, fs_value = _parse_mode(params.get("fs", "none"), "none", "vt", 0.16, low=0.0)
-        split_mode, split_value = _parse_mode(
-            params.get("split", "shared"), "shared", "disjoint", 0.7, low=0.0, high=1.0
-        )
-        if split_mode == "disjoint" and split_value == 0.0:
-            raise InvalidConfig("disjoint split ratio must be positive")
-        return ParsedApproach(
-            kind=kind,
-            members=bases,
-            meta=meta,
-            params={
-                "fs": fs_mode,
-                "fs_value": fs_value,
-                "split": split_mode,
-                "split_value": split_value,
-            },
-        )
-
-    inner = _int_param(params, "inner", DEFAULT_INNER_FOLDS, 2)
-    return ParsedApproach(kind="ass", members=bases, meta=meta, params={"inner": inner})
-
-
-def canonical_approach_spec(spec: str) -> str:
-    parsed = parse_approach(spec)
-    return _canonical(parsed)
+    if agg is not None:
+        if "aggregation" not in _DEFAULTS[kind]:
+            raise InvalidConfig(f"{kind} does not take an aggregation")
+        args["aggregation"] = agg
+    return ParsedApproach(kind, members, {**_DEFAULTS[kind], **args}, seed)
 
 
 def _canonical(parsed: ParsedApproach) -> str:
-    kind = parsed.kind
+    kind, p = parsed.kind, parsed.params
     if kind == ORACLE:
         return ORACLE
     if kind == "selector":
         return parsed.members[0]
+    members = ",".join(parsed.members)
+    seed = "" if parsed.seed is None else f";seed={parsed.seed}"
     if kind == "voting":
-        members = ",".join(parsed.members)
-        return f"voting[{parsed.aggregation}]{{{members};search={parsed.params['search']}}}"
+        return f"voting[{p['aggregation']}]{{{members};search={p['search']}}}"
     if kind == "bagging":
-        tail = f";seed={parsed.params['seed']}" if "seed" in parsed.params else ""
-        return (
-            f"bagging[{parsed.aggregation}]"
-            f"{{{parsed.members[0]};k={parsed.params['k']}{tail}}}"
-        )
+        return f"bagging[{p['aggregation']}]{{{members};k={p['k']}{seed}}}"
     if kind == "boosting":
-        tail = f";seed={parsed.params['seed']}" if "seed" in parsed.params else ""
-        return f"boosting{{{parsed.members[0]};iters={parsed.params['iters']}{tail}}}"
-    if kind == "stacking":
-        fs = "none" if parsed.params["fs"] == "none" else f"vt({_fmt(parsed.params['fs_value'])})"
-        split = (
-            "shared"
-            if parsed.params["split"] == "shared"
-            else f"disjoint({_fmt(parsed.params['split_value'])})"
-        )
-        bases = ",".join(parsed.members)
-        return f"stacking{{meta={parsed.meta};bases={bases};fs={fs};split={split}}}"
-    bases = ",".join(parsed.members)
-    return f"ass{{meta={parsed.meta};bases={bases};inner={parsed.params['inner']}}}"
+        return f"boosting{{{members};iters={p['iterations']}{seed}}}"
+    if kind == "ass":
+        return f"ass{{meta={p['meta_spec']};bases={members};inner={p['inner_folds']}}}"
+    fs = "none" if p["feature_selection"] == "none" else f"vt({_fmt(p['vt_threshold'])})"
+    split = "shared" if p["split"] == "shared" else f"disjoint({_fmt(p['split_ratio'])})"
+    return f"stacking{{meta={p['meta_spec']};bases={members};fs={fs};split={split}}}"
+
+
+def _build(parsed: ParsedApproach, global_seed: int) -> Selector:
+    return _MODELS[parsed.kind](_canonical(parsed), global_seed, **parsed.params)
+
+
+def canonical_approach_spec(spec: str) -> str:
+    """The canonical form of `spec`, once its model's constructor has
+    accepted every value (InvalidConfig otherwise)."""
+    parsed = parse_approach(spec)
+    if parsed.kind == ORACLE:
+        return ORACLE
+    return _build(parsed, 0).spec
 
 
 def build_approach(spec: str, global_seed: int = 0) -> Selector:
@@ -259,51 +241,6 @@ def build_approach(spec: str, global_seed: int = 0) -> Selector:
     truth directly), so asking for it here is a config error.
     """
     parsed = parse_approach(spec)
-    canon = _canonical(parsed)
     if parsed.kind == ORACLE:
         raise InvalidConfig("oracle is computed by the evaluation loop, not trained")
-    if parsed.kind == "selector":
-        return make_selector(canon, global_seed)
-    if parsed.kind == "voting":
-        return VotingEnsemble(
-            canon,
-            global_seed,
-            parsed.members,
-            aggregation=parsed.aggregation,
-            search=parsed.params["search"],
-        )
-    if parsed.kind == "bagging":
-        return BaggingEnsemble(
-            canon,
-            global_seed,
-            parsed.members[0],
-            k=parsed.params["k"],
-            aggregation=parsed.aggregation,
-        )
-    if parsed.kind == "boosting":
-        return BoostingEnsemble(
-            canon,
-            global_seed,
-            parsed.members[0],
-            iterations=parsed.params["iters"],
-        )
-    if parsed.kind == "stacking":
-        return StackingEnsemble(
-            canon,
-            global_seed,
-            parsed.members,
-            parsed.meta,
-            feature_selection=parsed.params["fs"],
-            vt_threshold=parsed.params["fs_value"] if parsed.params["fs"] == "vt" else 0.16,
-            split=parsed.params["split"],
-            split_ratio=(
-                parsed.params["split_value"] if parsed.params["split"] == "disjoint" else 0.7
-            ),
-        )
-    return AlgorithmSelectorSelector(
-        canon,
-        global_seed,
-        parsed.members,
-        parsed.meta,
-        inner_folds=parsed.params["inner"],
-    )
+    return _build(parsed, global_seed)

@@ -104,8 +104,6 @@ def load_scenario(directory) -> ScenarioSpec:
         cutoff = float(cutoff_text)
     except ValueError:
         raise InconsistentScenario(f"bad algorithm_cutoff_time {cutoff_text!r}") from None
-    if cutoff <= 0:
-        raise InconsistentScenario(f"algorithm_cutoff_time must be positive, got {cutoff}")
     name = desc.get("scenario_id", directory.name)
 
     runs = _read_table(directory, "algorithm_runs.arff")

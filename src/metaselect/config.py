@@ -47,7 +47,7 @@ class ExperimentConfig:
         if not self.approaches:
             raise InvalidConfig("config needs at least one approach")
         for spec in self.approaches:
-            canonical_approach_spec(spec)  # raises InvalidConfig on bad grammar
+            canonical_approach_spec(spec)  # InvalidConfig on bad grammar or a rejected value
         if self.synthetic is not None:
             self.synthetic.validate()
         for fmt in self.formats:

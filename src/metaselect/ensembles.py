@@ -316,6 +316,8 @@ class StackingEnsemble(_Ensemble):
             raise EmptyEnsemble("stacking needs at least one base spec")
         if feature_selection not in ("none", "vt"):
             raise InvalidConfig(f"unknown feature selection {feature_selection!r}")
+        if feature_selection == "vt" and not 0.0 <= vt_threshold < math.inf:
+            raise InvalidConfig(f"vt threshold must be finite and >= 0, got {vt_threshold}")
         if split not in ("shared", "disjoint"):
             raise InvalidConfig(f"unknown split mode {split!r}")
         if split == "disjoint" and not 0.0 < split_ratio < 1.0:

@@ -146,6 +146,8 @@ class AlgorithmSelectorSelector(Selector):
         super().__init__(spec, (int(global_seed), zlib.crc32(spec.encode())))
         if not base_specs:
             raise EmptyEnsemble("ass needs at least one base spec")
+        if inner_folds < 2:
+            raise InvalidConfig("inner_folds must be at least 2")
         self.base_specs = tuple(base_specs)
         self.meta_spec = meta_spec
         self.inner_folds = int(inner_folds)

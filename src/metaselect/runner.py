@@ -93,6 +93,8 @@ def _resolve_folds(scenario: ScenarioSpec, requested) -> tuple[int, ...]:
     bad = sorted(set(requested) - set(available))
     if bad:
         raise InvalidConfig(f"folds {bad} not present in scenario (has {available})")
+    if len(set(requested)) != len(requested):
+        raise InvalidConfig(f"duplicate fold ids in {list(requested)}")
     return tuple(int(f) for f in requested)
 
 

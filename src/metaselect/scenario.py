@@ -10,6 +10,7 @@ be shared across threads and approaches without copying.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -82,8 +83,8 @@ class ScenarioSpec:
         folds = np.asarray(folds, dtype=np.int64).reshape(n)
 
         if validate:
-            if cutoff <= 0:
-                raise InconsistentScenario(f"cutoff must be positive, got {cutoff}")
+            if not 0 < cutoff < math.inf:
+                raise InconsistentScenario(f"cutoff must be positive and finite, got {cutoff}")
             if len(set(instances)) != n:
                 raise InconsistentScenario("duplicate instance ids")
             if len(set(algorithms)) != k:
@@ -96,8 +97,8 @@ class ScenarioSpec:
             off = ~solved & (runtimes != cutoff)
             if np.any(off):
                 raise InconsistentScenario("unsolved run not canonicalized to cutoff")
-            if np.any(feature_costs < 0):
-                raise InconsistentScenario("negative feature cost")
+            if not np.all((feature_costs >= 0) & (feature_costs < math.inf)):
+                raise InconsistentScenario("feature cost negative, infinite or NaN")
 
         spec = cls(
             name=name,

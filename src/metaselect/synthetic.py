@@ -42,14 +42,16 @@ class SyntheticConfig:
             raise InvalidConfig("n_features must be at least 1")
         if not 1 <= self.n_folds <= self.n_instances:
             raise InvalidConfig("n_folds must be in [1, n_instances]")
-        if self.cutoff <= 0:
-            raise InvalidConfig("cutoff must be positive")
+        if not 0 < self.cutoff < math.inf:
+            raise InvalidConfig(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.rule not in RULES:
             raise InvalidConfig(f"unknown rule {self.rule!r}, expected one of {RULES}")
         if not 0.0 <= self.unsolved_rate <= 1.0:
             raise InvalidConfig("unsolved_rate must be in [0, 1]")
-        if self.feature_cost < 0:
-            raise InvalidConfig("feature_cost must be nonnegative")
+        if not 0 <= self.feature_cost < math.inf:
+            raise InvalidConfig(
+                f"feature_cost must be nonnegative and finite, got {self.feature_cost}"
+            )
 
 
 def _planted_best(features: np.ndarray, n_algorithms: int) -> np.ndarray:

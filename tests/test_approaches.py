@@ -55,6 +55,11 @@ def test_canonicalization(raw, canonical):
     assert canonical_approach_spec(canonical) == canonical
 
 
+@pytest.mark.parametrize("canonical", [c for _, c in CANONICAL_CASES if c != ORACLE])
+def test_built_model_carries_the_canonical_spec(canonical):
+    assert build_approach(canonical, 0).spec == canonical
+
+
 def test_member_order_is_preserved_in_bases():
     # stacking and ass keep member order; voting sorts nothing either
     spec = "stacking{meta=sbs;bases=sunny,peralgo,sbs}"
@@ -77,6 +82,12 @@ def test_member_order_is_preserved_in_bases():
         "stacking{bases=sbs}",  # missing meta
         "stacking{meta=sbs;bases=sbs;fs=pca}",
         "stacking{meta=sbs;bases=sbs;split=disjoint(1.5)}",
+        "stacking{meta=sbs;bases=sbs;split=disjoint(0)}",
+        "stacking{meta=sbs;bases=sbs;fs=vt(-0.1)}",
+        "stacking{meta=sbs;bases=sbs;fs=vt(inf)}",
+        "stacking{meta=sbs;bases=sbs;fs=vt(nan)}",
+        "stacking[maj]{meta=sbs;bases=sbs}",  # only voting and bagging aggregate
+        "ass[maj]{meta=sbs;bases=sbs}",
         "voting{bagging{sunny;k=3},sbs}",  # members are atoms, no nesting
         "ass{meta=sbs;bases=sbs;inner=1}",
         "ass{bases=sbs}",
@@ -84,6 +95,8 @@ def test_member_order_is_preserved_in_bases():
         "oracle(x=1)",
         "unknownkind{sbs}",
         "voting{sbs;search=all;search=all}",  # duplicate key
+        # the exhaustive search is gated at 15 members
+        "voting{" + ",".join(f"sunny(k={k})" for k in range(1, 17)) + ";search=exhaustive}",
     ],
 )
 def test_bad_grammar_rejected(raw):
@@ -108,9 +121,9 @@ def test_parse_defaults():
     bagging = parse_approach("bagging{sunny}")
     assert bagging.params["k"] == 10
     boosting = parse_approach("boosting{sunny}")
-    assert boosting.params["iters"] == 20
+    assert boosting.params["iterations"] == 20
     ass = parse_approach("ass{meta=sbs;bases=sunny}")
-    assert ass.params["inner"] == 3
+    assert ass.params["inner_folds"] == 3
 
 
 def test_build_produces_matching_types():

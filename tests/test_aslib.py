@@ -81,6 +81,19 @@ def test_missing_required_file_raises(tmp_path):
         load_scenario(dst)
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-5", "inf", "nan"])
+def test_cutoff_must_be_positive_and_finite(tmp_path, cutoff):
+    dst = tmp_path / "bad_cutoff"
+    shutil.copytree(TOY_DIR, dst)
+    description = dst / "description.txt"
+    text = description.read_text().replace(
+        "algorithm_cutoff_time: 100", f"algorithm_cutoff_time: {cutoff}"
+    )
+    description.write_text(text)
+    with pytest.raises(InconsistentScenario, match="cutoff must be positive and finite"):
+        load_scenario(dst)
+
+
 def test_write_scenario_roundtrip(tmp_path):
     original = generate_synthetic(
         SyntheticConfig(n_instances=12, n_algorithms=3, n_features=2, n_folds=3,

@@ -327,6 +327,13 @@ class TestStacking:
         with pytest.raises(InvalidConfig):
             StackingEnsemble("s", 0, ["sbs"], "sbs", split="disjoint", split_ratio=1.0)
 
+    @pytest.mark.parametrize("threshold", [-0.1, math.inf, math.nan])
+    def test_constructor_rejects_vt_thresholds_outside_zero_to_inf(self, threshold):
+        with pytest.raises(InvalidConfig):
+            StackingEnsemble("s", 0, ["sbs"], "sbs", feature_selection="vt", vt_threshold=threshold)
+        # without vt the threshold is unused
+        StackingEnsemble("s", 0, ["sbs"], "sbs", vt_threshold=threshold)
+
     def test_meta_features_are_base_features_plus_score_vectors(self, toy):
         train, _ = toy.fold_split(1)
         model = StackingEnsemble(

@@ -67,6 +67,11 @@ TOY_APPROACHES = (
     "voting[maj]{multiclass,sunny;search=all}",
 )
 
+# one member over voting's exhaustive-search gate
+OVER_GATE_EXHAUSTIVE = (
+    "voting{" + ",".join(f"sunny(k={k})" for k in range(1, 17)) + ";search=exhaustive}"
+)
+
 
 def make_config(approaches, **overrides):
     base = dict(approaches=tuple(approaches), synthetic=DUMMY_SOURCE, seed=7)
@@ -226,6 +231,11 @@ class TestRunExperiment:
         assert sorted({c.fold for c in report.cells}) == [2, 4]
         assert [b.fold for b in report.baselines] == [2, 4]
 
+    def test_duplicate_folds_rejected(self, toy):
+        config = make_config(("oracle", "sbs", "sunny"), folds=(1, 1))
+        with pytest.raises(InvalidConfig, match="duplicate fold"):
+            run_experiment(config, scenario=toy)
+
     def test_unknown_fold_rejected(self, toy):
         config = make_config(("oracle",), folds=(9,))
         with pytest.raises(InvalidConfig, match="folds"):
@@ -358,6 +368,9 @@ class TestConfigLoading:
             {"approaches": ["oracle"], "synthetic": {"n_folds": 2.0}},
             {"approaches": ["oracle"], "synthetic": {"cutoff": True}},
             {"approaches": ["oracle"], "synthetic": {"rule": 3}},
+            {"scenario": "x", "approaches": [OVER_GATE_EXHAUSTIVE]},
+            {"approaches": ["oracle"], "synthetic": {"cutoff": float("nan")}},
+            {"approaches": ["oracle"], "synthetic": {"feature_cost": float("nan")}},
         ],
     )
     def test_rejected_mappings(self, mapping):
@@ -540,6 +553,10 @@ class TestSweepVoting:
     def test_rejected_sweeps(self, toy, members, agg):
         with pytest.raises(InvalidConfig):
             sweep_voting(toy, members, aggregation=agg)
+
+    def test_sweep_over_duplicate_folds_is_rejected(self, toy):
+        with pytest.raises(InvalidConfig, match="duplicate fold"):
+            sweep_voting(toy, ["sbs"], folds=[1, 1])
 
     def test_sweep_over_no_folds_is_rejected(self, toy):
         with pytest.raises(InvalidConfig, match="at least one fold"):
@@ -1008,6 +1025,26 @@ class TestCli:
         assert result.exit_code == 1
         assert stderr_of(result).startswith("error: out must be of type str")
         assert result.stdout == ""
+
+    def test_evaluate_over_gate_exhaustive_voting_exits_1_before_running(self, tmp_path):
+        # the voting constructor gates exhaustive search at 15 members;
+        # config load applies the same rule, so no fold runs
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            f"scenario: {TOY_DIR}\napproaches: [oracle, '{OVER_GATE_EXHAUSTIVE}']\n",
+            encoding="utf-8",
+        )
+        result = invoke("evaluate", str(cfg))
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith("error: exhaustive search gated at 15 members")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["sweep-voting", "baselines"])
+    def test_duplicate_fold_option_exits_1(self, command):
+        member = ["--member", "sbs"] if command == "sweep-voting" else []
+        result = invoke(command, "--scenario", str(TOY_DIR), *member, "--folds", "1,1")
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith("error: duplicate fold ids")
 
     def test_evaluate_bad_approach_exits_1(self, tmp_path):
         cfg = tmp_path / "exp.yaml"

@@ -143,6 +143,10 @@ class TestAlgorithmSelectorSelector:
         with pytest.raises(EmptyEnsemble):
             AlgorithmSelectorSelector("ass", 0, [], "sbs")
 
+    def test_construction_rejects_fewer_than_two_inner_folds(self):
+        with pytest.raises(InvalidConfig, match="inner_folds"):
+            AlgorithmSelectorSelector("ass", 0, ["sbs"], "sbs", inner_folds=1)
+
     def test_singleton_routes_to_its_only_base(self, toy):
         train, test = toy.fold_split(1)
         xs = toy.features[test]

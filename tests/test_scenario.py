@@ -73,6 +73,10 @@ def test_with_features_swaps_matrix_only():
         # unsolved run not pinned to cutoff
         {"runtimes": [[1.0, 9.0], [10.0, 2.0], [3.0, 4.0]]},
         {"feature_costs": [-0.5, 0.0, 0.25]},
+        {"cutoff": float("nan")},
+        {"cutoff": float("inf")},
+        {"feature_costs": [float("nan"), 0.0, 0.25]},
+        {"feature_costs": [0.0, float("inf"), 0.25]},
     ],
 )
 def test_validation_rejects_inconsistencies(overrides):

@@ -59,6 +59,10 @@ def test_uniform_rule_accepted():
         {"rule": "magic"},
         {"unsolved_rate": 1.5},
         {"feature_cost": -0.1},
+        {"cutoff": float("nan")},
+        {"cutoff": float("inf")},
+        {"feature_cost": float("nan")},
+        {"feature_cost": float("inf")},
     ],
 )
 def test_bad_config_rejected(kwargs):
