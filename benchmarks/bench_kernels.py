@@ -6,15 +6,18 @@ the best call is reported. The split kernels get the candidate columns
 of several tree nodes at once, as the forest grower passes them: 8
 candidate features of each of 8 nodes of 1000 down to 300 rows, each
 column sorted and padded below its node's rows with +inf values of
-zero weight. The distance kernel gets the
-shapes a 5-fold run on 1000 instances with 50 features sends it: 800
-training rows against themselves and 200 test rows against them (kNN),
-and 800 rows against 10, 4 and 1 centroids (k-means Lloyd iterations
-and ISAC prediction at 10 and 4 clusters, k-means++ seeding at 1); the
-last three run in the kernel's centroid-major orientation. The k-means
-accumulation sums those 800 rows into 10 clusters, and a kNN query
-ranks 200 rows against an index of an 800-row bootstrap resample,
-which keeps only its distinct rows. The voting engine scores
+zero weight. The distance kernel gets 800 rows against 10, 4 and 1
+centroids, the shapes of a 5-fold run on 1000 instances with 50
+features (k-means Lloyd iterations and ISAC prediction at 10 and 4
+clusters, k-means++ seeding at 1), which run in the kernel's
+centroid-major orientation, and the all-pairs shapes of that run's kNN
+queries, 800 training rows against themselves and 200 test rows against
+them, which the queries themselves no longer compute in full. The
+k-means accumulation sums those 800 rows into 10 clusters. Three kNN
+queries at k = 16 rank 800 training rows against an index of themselves
+(a self-query, as stacking makes), 200 test rows against an index of
+800 distinct rows, and 200 test rows against an index of an 800-row
+bootstrap resample, which keeps only its distinct rows. The voting engine scores
 every member subset with `borda`: 3 members on 800 instances over 10
 algorithms (7 subsets, the exhaustive voting search of that 5-fold run),
 and the 15-member gate on 200 instances (32767 subsets). The grower
@@ -43,7 +46,7 @@ FIT_SHAPES = ((240, 10, 5, False), (1000, 50, 2, True))  # (rows, features, clas
 DIST_SHAPES = (  # (n_a, n_b, d)
     (800, 800, 50), (200, 800, 50), (800, 10, 50), (800, 4, 50), (800, 1, 50))
 KMEANS_SHAPE = (800, 50, 10)  # (rows, features, clusters)
-KNN_SHAPE = (200, 800, 50, 16)  # (queries, bootstrap rows, features, k)
+KNN_SHAPE = (200, 800, 50, 16)  # (test queries, training rows, features, k)
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
 
 
@@ -84,6 +87,10 @@ def bench_cases(rng):
         rng.normal(size=(n, d)), assign, k)
     n_q, n, d, k = KNN_SHAPE
     rows = rng.normal(size=(n, d))
+    index = KnnIndex().fit(rows)
+    yield f"knn query {n}x{n}x{d} self k={k}", index.query, (rows, k)
+    yield f"knn query {n_q}x{n}x{d} distinct k={k}", index.query, (
+        rng.normal(size=(n_q, d)), k)
     index = KnnIndex().fit(rows[rng.integers(0, n, size=n)])
     yield f"knn query {n_q}x{n}x{d} bootstrap k={k}", index.query, (
         rng.normal(size=(n_q, d)), k)

@@ -35,6 +35,31 @@ UFUNC_BUFFER elements, so that they stay in L1 cache, and restores the
 caller's size on return. Buffering moves values, it does not change the
 arithmetic.
 
+`gathered_sq_dists` computes the same numbers for a list of (row of
+`a`, row of `b`) pairs only: it too subtracts, squares and adds into a
+zero feature by feature in column order, so each pair's distance is
+bit for bit the matching entry of `pairwise_sq_dists(a, b)`. A kNN
+query ranks on a cheaper approximation and computes the exact
+distances of its few candidates with it.
+
+Error of these distances (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., §2.2 and §3.1). Let u = 2**-53 be the unit
+roundoff of float64 and γ_n = n·u / (1 - n·u). Barring overflow and
+underflow each operation is fl(x ∘ y) = (x ∘ y)(1 + δ) with |δ| <= u,
+and a product of n factors (1 + δ_i)^(±1) is 1 + θ_n with |θ_n| <= γ_n
+(Lemma 3.1). Over d features the kernel adds d squares to a zero; 0 + s
+is exact, so each square passes through at most d - 1 additions, after
+one rounding in the difference (squared, so twice) and one in the
+square: d + 2 roundings in all. Every term is nonnegative, so with
+D = Σ_j (q_j - p_j)² the true squared distance of rows q and p,
+
+    |fl(D) - D| <= γ_{d+2} · D <= 2γ_{d+2} · (‖q‖² + ‖p‖²),
+
+the last step by (q_j - p_j)² <= 2(q_j² + p_j²). With gradual
+underflow a product can also be off by up to 2**-1075 in absolute
+terms (an addition whose result is subnormal is exact), which adds at
+most d · 2**-1075 · (1 + γ_{d-1}) more.
+
 The k-means accumulation sums every (cluster, column) cell in one
 `np.bincount` over flattened bins; bincount adds each bin's terms in
 input order, which is the row order a per-column call would use.
@@ -171,6 +196,20 @@ def _blocked_sq_dists(a, b):
                 np.add(block, diff, out=block)
     finally:
         np.setbufsize(previous)
+    return out
+
+
+def gathered_sq_dists(a, b, rows_a, rows_b):
+    """Squared euclidean distances of the pairs (a[rows_a[i]], b[rows_b[i]]),
+    shape (len(rows_a),); bit for bit `pairwise_sq_dists(a, b)[rows_a, rows_b]`."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"feature counts differ: {a.shape[1]} and {b.shape[1]}")
+    out = np.zeros(len(rows_a))
+    diff = np.empty(len(rows_a))
+    for a_col, b_col in zip(a.T, b.T):
+        np.subtract(a_col[rows_a], b_col[rows_b], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(out, diff, out=out)
     return out
 
 

@@ -3,7 +3,11 @@
 Randomness (seeding, empty-cluster handling order) lives at numpy level;
 the per-iteration assignment and accumulation go through the numeric
 kernels. Empty clusters are reseeded to the point currently farthest
-from its own centroid.
+from its own centroid, taken from a cluster with more than one member,
+so every cluster keeps a member through the iterations and every
+centroid is a mean of points. The final nearest-centroid assignment
+sends a tie to the lower cluster, so a cluster whose centroid equals a
+lower one's ends without members.
 """
 
 from __future__ import annotations
@@ -88,10 +92,12 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
         empty = counts == 0
         if empty.any():
             # hand each empty cluster the point farthest from its centroid
-            point_d = dists[np.arange(n), new_assign].copy()
+            # among those whose cluster keeps another member, so that no
+            # donor is left empty; a moved point is then alone in its
+            # cluster and is not taken twice
+            point_d = dists[np.arange(n), new_assign]
             for cluster in np.nonzero(empty)[0]:
-                far = int(np.argmax(point_d))
-                point_d[far] = -1.0
+                far = int(np.argmax(np.where(counts[new_assign] > 1, point_d, -1.0)))
                 sums[new_assign[far]] -= x[far]
                 counts[new_assign[far]] -= 1
                 new_assign[far] = cluster

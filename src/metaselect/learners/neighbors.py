@@ -3,13 +3,82 @@
 An index keeps each distinct training row once. A bootstrap resample
 repeats about a third of its rows, so `fit` stores the distinct rows
 and, only when some row repeats, the map from every original row to
-its distinct one. A query computes distances to the distinct rows and
-expands them to one column per original row with that map, so a row's
-id stays its original position and ties still go to the lower id. The
-expanded distances are the very numbers a query against every row
-would compute, so answers do not change by a bit. Rows are distinct by
-value, so a row holding 0.0 where another holds -0.0 is kept once; (q -
-0.0)² and (q + 0.0)² are the same number for every q.
+its distinct one. A query ranks the distinct rows and expands that to
+one column per original row with that map, so a row's id stays its
+original position and ties still go to the lower id. Rows are distinct
+by value, so a row holding 0.0 where another holds -0.0 is kept once;
+(q - 0.0)² and (q + 0.0)² are the same number for every q.
+
+A query does not compute the exact distance of every (query row,
+point) pair. For each block of query rows it computes the GEMM form
+
+    G = ((-2 · q·p) + ‖p‖²) + ‖q‖²
+
+with one matrix product and three in-place passes over its result,
+takes as candidates the points whose G lies within twice a rigorous
+per-row margin of the row's k-th smallest G, computes the exact
+distances of the candidates only (`_kernels.gathered_sq_dists`, bit for
+bit `_kernels.pairwise_sq_dists`), and selects among them by (exact
+distance, row id). The answer is exactly what ranking every exact
+distance would give, as shown below. The query rows go in blocks of
+about QUERY_BLOCK_CELLS GEMM cells, so the scratch memory of a query
+does not grow with its row count.
+
+The margin. Notation as in `_kernels`: u = 2**-53, γ_n = n·u/(1 - n·u).
+For rows q and p of d features let s_q = ‖q‖², s_p = ‖p‖², t = q·p and
+D = s_q + s_p - 2t their true squared distance. The product A = fl(t)
+and the squared norms qq = fl(s_q) and pp = fl(s_p) are inner products
+of length d computed by BLAS and einsum in an order we do not know. In
+every order, with or without fused multiply-adds, a term passes through
+at most d roundings, so (Higham, *Accuracy and Stability of Numerical
+Algorithms*, (3.5))
+
+    |A - t| <= γ_d Σ_j |q_j p_j| <= γ_d (s_q + s_p) / 2,
+    |qq - s_q| <= γ_d s_q,   |pp - s_p| <= γ_d s_p,
+
+using |q_j p_j| <= (q_j² + p_j²)/2. Scaling by -2 is exact, and
+G = (-2A + pp)(1 + δ1)(1 + δ2) + qq(1 + δ2). With E = -2A + pp + qq,
+
+    |G - E| <= γ_2 (2|A| + pp + qq) <= 2γ_2 (1 + γ_d)(s_q + s_p),
+    |E - D| <= 2|A - t| + |pp - s_p| + |qq - s_q| <= 2γ_d (s_q + s_p),
+
+and γ_2 + γ_d + γ_2γ_d <= γ_{d+2} (Higham, Lemma 3.3), so
+|G - D| <= 2γ_{d+2}(s_q + s_p). The exact kernel's distance lies
+within 2γ_{d+2}(s_q + s_p) of D too (see `_kernels`), so the two forms
+differ by at most 4γ_{d+2}(s_q + s_p).
+
+A query bounds that gap for a whole row by
+
+    m = fl(fl(r · v) + a),   v = fl(qq + max_p pp),
+    r = 4γ_{d+3},            a = (4d + 4) · 2**-1074.
+
+r >= 4γ_{d+2}(1 + 1/(d + 2)), while v >= (1 - γ_d)(1 - u)(s_q + s_p)
+for every point p and rounding r·v and adding a lose at most a factor
+(1 - u)² more; (1 - γ_d)(1 - u)³ > 1/(1 + 1/(d + 2)) holds for every d
+below 10**7, and it absorbs the few ulps of computing r itself. a covers
+gradual underflow: each product of the two forms and of the norms may
+also be off by 2**-1075 in absolute terms (a sum whose result is
+subnormal is exact). That is d products in the kernel, d in A, whose
+error is doubled, and d in each norm: 2.5d units of 2**-1074, at most
+3d after the factors (1 + γ) of the later additions, plus under one
+unit each for the roundings of v and r·v.
+
+The candidates. Let g_k be the k-th smallest G of a row and e_k its
+k-th smallest exact distance. The k points with the smallest G have
+exact distances at most g_k + m, so e_k <= g_k + m. A point whose exact
+distance is at most e_k then has G <= e_k + m <= g_k + 2m, and since
+rounding is monotone and G is a float, G <= fl(g_k + 2m). So the
+candidates {p : G_p <= fl(g_k + 2m)} hold every point at or below the
+k-th exact distance, and at least k points, and their first k by (exact
+distance, row id) are the first k of all points in that order.
+
+Overflow. If v <= max/4 (max the largest float64), then s_q + s_p is
+below max/4 up to a factor 1 + (d + 1)u, every intermediate of both
+forms is at most 3(1 + γ_{d+2})(s_q + s_p) < max, and G, m and the
+exact distances are finite. A row whose v exceeds max/4, which includes
+every row whose G or margin is not finite (squares overflow from about
+1e154, and then inf - inf is NaN), takes every column as a candidate, so
+its answer is the exact kernel's ranking of the whole row.
 """
 
 from __future__ import annotations
@@ -19,22 +88,36 @@ import numpy as np
 from ..errors import DegenerateData, KTooLarge
 from . import _kernels
 
+QUERY_BLOCK_CELLS = 65536  # GEMM cells per block of query rows: 512 KiB of float64
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074  # the smallest positive float64
+_MAX_SCALE = np.finfo(np.float64).max / 4  # rows above it take every column
+
+
+def _margin_terms(d: int) -> tuple[float, float]:
+    """(r, a) of the margin r·(‖q‖² + max‖p‖²) + a for d features."""
+    n = d + 3
+    return 4.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF), (4 * d + 4) * _SUBNORMAL
+
 
 class KnnIndex:
     """Brute-force euclidean index; ties resolve to the lower row id.
 
     A query returns exactly the first k columns of a stable argsort of
-    each row's distances: nearest first, equal distances in ascending
-    row id, also where a tie straddles the k-th place. It gets there
-    without sorting a whole row: `np.partition` finds the k-th smallest
-    distance, every point at or below it is a candidate, and only the
-    candidates are sorted, by (distance, row id). So the answer for k
-    is the first k columns of the answer for any larger k.
+    each row's exact distances (`_kernels.pairwise_sq_dists`): nearest
+    first, equal distances in ascending row id, also where a tie
+    straddles the k-th place. It gets there without the exact distance
+    of every point or a sort of a whole row: `np.partition` finds the
+    k-th smallest GEMM value, the points within twice the margin of it
+    are the candidates, and only the candidates get exact distances and
+    are sorted, by (distance, row id). So the answer for k is the first
+    k columns of the answer for any larger k.
     """
 
     def __init__(self):
         self.points_ = None  # the distinct training rows
         self.inverse_ = None  # original row -> distinct row, None if all distinct
+        self.sq_norms_ = None  # squared norm of each distinct row, in any summation order
 
     def fit(self, x: np.ndarray) -> "KnnIndex":
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -47,6 +130,8 @@ class KnnIndex:
             self.points_, self.inverse_ = points, inverse.reshape(-1)
         else:
             self.points_, self.inverse_ = x, None
+        with np.errstate(over="ignore"):
+            self.sq_norms_ = np.einsum("ij,ij->i", self.points_, self.points_)
         return self
 
     @property
@@ -79,13 +164,38 @@ class KnnIndex:
             )
         if not np.isfinite(x).all():
             raise DegenerateData("knn query requires finite features")
-        dists = _kernels.pairwise_sq_dists(x, self.points_)
-        if self.inverse_ is not None:
-            dists = dists.take(self.inverse_, axis=1)
-        kth = np.partition(dists, k - 1, axis=1)[:, k - 1, None]
-        # nonzero is row-major: candidates come out by query, then row id
-        queries, ids = np.nonzero(dists <= kth)
-        order = np.lexsort((dists[queries, ids], queries))
-        counts = np.bincount(queries, minlength=dists.shape[0])
+        if x.shape[0] == 0:
+            return np.empty((0, k), dtype=np.int64)
+        n = self.n_points
+        rows = max(1, QUERY_BLOCK_CELLS // n)
+        flat = np.concatenate(
+            [self._candidates(x[lo : lo + rows], k) + lo * n for lo in range(0, x.shape[0], rows)]
+        )
+        # row-major: candidates come out by query, then row id
+        queries, ids = np.divmod(flat, n)
+        point_rows = ids if self.inverse_ is None else self.inverse_[ids]
+        dists = _kernels.gathered_sq_dists(x, self.points_, queries, point_rows)
+        order = np.lexsort((dists, queries))
+        counts = np.bincount(queries, minlength=x.shape[0])
         starts = counts.cumsum() - counts
         return ids[order][starts[:, None] + np.arange(k)]
+
+    def _candidates(self, q, k):
+        """Row-major flat positions, in the (len(q), n_points) matrix, of
+        the points within twice the margin of each row's k-th GEMM
+        value; the margin and the proof are in the module docstring."""
+        relative, absolute = _margin_terms(q.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_rows = np.einsum("ij,ij->i", q, q)
+            approx = q @ self.points_.T
+            approx *= -2.0
+            approx += self.sq_norms_
+            approx += sq_rows[:, None]
+            if self.inverse_ is not None:
+                approx = approx.take(self.inverse_, axis=1)
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            scale = sq_rows + self.sq_norms_.max()
+            margin = relative * scale + absolute
+            candidates = approx <= (kth + 2.0 * margin)[:, None]
+        candidates[~(scale <= _MAX_SCALE)] = True
+        return np.flatnonzero(candidates)

@@ -18,7 +18,10 @@ feature-based strategies plus the feature-free single-best baseline:
   falls back to the training single best,
 * ``sbs``: always the training single best.
 
-Selector specs are strings like ``peralgo(trees=50)``. Randomness
+Selector specs are strings like ``peralgo(trees=50)``. Each
+selector's constructor checks its own values (``k``, ``clusters``,
+``trees`` and ``mtry`` at least 1), and `canonical_selector_spec`
+builds the selector, so a bad atom fails at config load. Randomness
 derives from (global seed, crc32 of the canonical spec), so the same
 spec under the same global seed trains identically wherever it appears.
 `fit_selector` turns that promise into sharing: inside a `shared_fits`
@@ -109,6 +112,13 @@ def selector_trace(model: Selector, scenario: ScenarioSpec, indices: np.ndarray)
     return SelectionTrace(indices, choices, charge_feature_costs=model.needs_features)
 
 
+def _require_positive(spec: str, **values) -> None:
+    """InvalidConfig unless every value given, where not None, is at least 1."""
+    for name, value in values.items():
+        if value is not None and value < 1:
+            raise InvalidConfig(f"{spec}: {name} must be positive")
+
+
 class _FeatureBasedSelector(Selector):
     def _prepare(self, scenario, train_indices):
         self.preprocessor_ = Preprocessor()
@@ -120,6 +130,7 @@ class _FeatureBasedSelector(Selector):
 class PerAlgorithmRegressorSelector(_FeatureBasedSelector):
     def __init__(self, spec, entropy, trees=100, depth=None, minleaf=5, mtry=None):
         super().__init__(spec, entropy)
+        _require_positive(spec, trees=trees, mtry=mtry)
         self.trees, self.depth, self.minleaf, self.mtry = trees, depth, minleaf, mtry
 
     def _fit(self, scenario, train_indices):
@@ -144,6 +155,7 @@ class PerAlgorithmRegressorSelector(_FeatureBasedSelector):
 class MulticlassSelector(_FeatureBasedSelector):
     def __init__(self, spec, entropy, trees=100, depth=None, minleaf=1, mtry=None):
         super().__init__(spec, entropy)
+        _require_positive(spec, trees=trees, mtry=mtry)
         self.trees, self.depth, self.minleaf, self.mtry = trees, depth, minleaf, mtry
 
     def _fit(self, scenario, train_indices):
@@ -168,6 +180,7 @@ class PairwiseSelector(_FeatureBasedSelector):
 
     def __init__(self, spec, entropy, trees=100, depth=None, minleaf=1, mtry=None):
         super().__init__(spec, entropy)
+        _require_positive(spec, trees=trees, mtry=mtry)
         self.trees, self.depth, self.minleaf, self.mtry = trees, depth, minleaf, mtry
 
     def _fit(self, scenario, train_indices):
@@ -210,11 +223,10 @@ class SunnySelector(_FeatureBasedSelector):
 
     def __init__(self, spec, entropy, k=16):
         super().__init__(spec, entropy)
+        _require_positive(spec, k=k)
         self.k = k
 
     def _fit(self, scenario, train_indices):
-        if self.k < 1:
-            raise InvalidConfig(f"{self.spec}: k must be positive")
         x, pr10 = self._prepare(scenario, train_indices)
         self.index_ = KnnIndex().fit(x)
         self.pr10_ = pr10
@@ -238,14 +250,13 @@ class IsacSelector(_FeatureBasedSelector):
 
     def __init__(self, spec, entropy, clusters=None):
         super().__init__(spec, entropy)
+        _require_positive(spec, clusters=clusters)
         self.clusters = clusters
 
     def _fit(self, scenario, train_indices):
         x, pr10 = self._prepare(scenario, train_indices)
         n = x.shape[0]
         k = self.clusters if self.clusters is not None else isac_default_clusters(n)
-        if k < 1:
-            raise InvalidConfig(f"{self.spec}: clusters must be positive")
         k = min(k, n)
         self.model_ = fit_kmeans(x, k, seed=self._seed_sequence())
         d = self.model_.train_distances
@@ -331,12 +342,17 @@ def parse_selector_spec(spec: str) -> tuple[str, dict]:
     return name, params
 
 
-def canonical_selector_spec(spec: str) -> str:
-    name, params = parse_selector_spec(spec)
+def _format_atom(name: str, params: dict) -> str:
     if not params:
         return name
     body = ",".join(f"{k}={params[k]}" for k in sorted(params))
     return f"{name}({body})"
+
+
+def canonical_selector_spec(spec: str) -> str:
+    """The canonical form of `spec`, once its selector's constructor has
+    accepted every value (InvalidConfig otherwise)."""
+    return make_selector(spec).spec
 
 
 def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -> Selector:
@@ -349,7 +365,7 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
     members, boosting rounds).
     """
     name, params = parse_selector_spec(spec)
-    canonical = canonical_selector_spec(spec)
+    canonical = _format_atom(name, params)
     extra_seed = params.pop("seed", None)
     entropy = [int(global_seed), zlib.crc32(canonical.encode())]
     if extra_seed is not None:

@@ -97,6 +97,16 @@ def test_member_order_is_preserved_in_bases():
         "voting{sbs;search=all;search=all}",  # duplicate key
         # the exhaustive search is gated at 15 members
         "voting{" + ",".join(f"sunny(k={k})" for k in range(1, 17)) + ";search=exhaustive}",
+        # selector constructors reject values below 1, also inside ensembles
+        "sunny(k=0)",
+        "isac(clusters=0)",
+        "peralgo(trees=0)",
+        "multiclass(trees=-1)",
+        "pairwise(mtry=0)",
+        "voting{sunny(k=0),sbs}",
+        "bagging{peralgo(mtry=0)}",
+        "stacking{meta=isac(clusters=0);bases=sbs}",
+        "ass{meta=sbs;bases=pairwise(trees=0)}",
     ],
 )
 def test_bad_grammar_rejected(raw):

@@ -1039,6 +1039,34 @@ class TestCli:
         assert stderr_of(result).startswith("error: exhaustive search gated at 15 members")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "approach, message",
+        [
+            ("sunny(k=0)", "sunny(k=0): k must be positive"),
+            ("isac(clusters=0)", "isac(clusters=0): clusters must be positive"),
+            ("peralgo(trees=0)", "peralgo(trees=0): trees must be positive"),
+            ("voting{sbs,pairwise(mtry=0)}", "pairwise(mtry=0): mtry must be positive"),
+        ],
+    )
+    def test_evaluate_nonpositive_selector_value_exits_1_before_running(
+        self, tmp_path, approach, message
+    ):
+        # the selector constructors check these values, and config load
+        # builds every atom, so no fold runs
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            f"scenario: {TOY_DIR}\napproaches: [oracle, '{approach}']\n", encoding="utf-8"
+        )
+        result = invoke("evaluate", str(cfg))
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith(f"error: {message}")
+        assert result.stdout == ""
+
+    def test_sweep_rejects_a_nonpositive_member_value(self):
+        result = invoke("sweep-voting", "--scenario", str(TOY_DIR), "--member", "sunny(k=0)")
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith("error: sunny(k=0): k must be positive")
+
     @pytest.mark.parametrize("command", ["sweep-voting", "baselines"])
     def test_duplicate_fold_option_exits_1(self, command):
         member = ["--member", "sbs"] if command == "sweep-voting" else []

@@ -1,0 +1,128 @@
+"""Exactness of the kNN query's GEMM prefilter.
+
+`KnnIndex.query` ranks on ‖q‖² + ‖p‖² - 2q·p, keeps the points within a
+rounding margin of each row's k-th value and recomputes only those
+exactly. These tests hold it to the first k columns of a stable argsort
+of the exact kernel's distances on inputs where the two forms round
+differently: continuous data, ties across the k-th place, large offsets
+with a small spread, magnitudes where squares overflow, and bootstrap
+indexes with duplicate rows. BLAS may sum the matrix product in another
+order under another thread count; CI runs this module once more with
+OPENBLAS_NUM_THREADS=1, and every answer must stay the same.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from metaselect.learners import KnnIndex, _kernels
+from metaselect.learners.neighbors import QUERY_BLOCK_CELLS
+
+KINDS = ("continuous", "grid", "offset", "huge", "bootstrap")
+
+
+def _rows(kind, rng, n, d):
+    if kind == "continuous":
+        return rng.normal(size=(n, d))
+    if kind in ("grid", "bootstrap"):
+        # {0..3}-valued: many equal distances, also across the k-th place
+        return rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    if kind == "offset":
+        # |q|² and |p|² near 5e7 per row, distances near 1e-5: the GEMM
+        # form cancels most of its digits and the margin must cover it
+        return 1e3 + 1e-3 * rng.normal(size=(n, d))
+    # squares overflow from about 1e154; scales on both sides of that
+    return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(150, 162, size=(n, 1))
+
+
+def _stable_argsort_answer(x, rows, k):
+    with np.errstate(over="ignore"):
+        dists = _kernels.pairwise_sq_dists(x, rows)
+    return np.argsort(dists, axis=1, kind="stable")[:, :k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.integers(1, 40),
+    st.integers(0, 12),
+    st.integers(0, 6),
+    st.integers(0, 2**31 - 1),
+)
+@example("offset", 40, 12, 6, 0)
+@example("huge", 30, 5, 3, 1)
+@example("bootstrap", 25, 8, 2, 2)
+@example("grid", 40, 12, 1, 3)
+@example("continuous", 1, 1, 0, 4)  # one point, no features
+def test_query_equals_a_stable_argsort_of_exact_distances(kind, n, n_queries, d, seed):
+    rng = np.random.default_rng(seed)
+    rows = _rows(kind, rng, n, d)
+    if kind == "bootstrap":
+        rows = rows[rng.integers(0, n, size=n)]
+    # queries: fresh rows of the same kind, and some training rows
+    x = np.vstack([_rows(kind, rng, n_queries, d), rows[: n_queries // 2]])
+    index = KnnIndex().fit(rows)
+    for k in {1, int(rng.integers(1, n + 1)), n}:
+        with np.errstate(over="ignore"):
+            got = index.query(x, k)
+        np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, k))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_several_row_blocks_answer_like_one(kind):
+    # more query rows than one block holds, and a ragged last block
+    rng = np.random.default_rng(7)
+    n = 400
+    rows = _rows(kind, rng, n, 5)
+    if kind == "bootstrap":
+        rows = rows[rng.integers(0, n, size=n)]
+    per_block = QUERY_BLOCK_CELLS // n
+    x = _rows(kind, rng, 2 * per_block + 7, 5)
+    with np.errstate(over="ignore"):
+        got = KnnIndex().fit(rows).query(x, 16)
+    np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, 16))
+
+
+def test_continuous_rows_recompute_only_k_distances(monkeypatch):
+    # the margin is far below the gaps between distinct continuous
+    # distances, so no row should need more than its k candidates
+    rng = np.random.default_rng(3)
+    rows, x = rng.normal(size=(300, 20)), rng.normal(size=(50, 20))
+    pairs = []
+    gathered = _kernels.gathered_sq_dists
+
+    def counting(a, b, rows_a, rows_b):
+        pairs.append(len(rows_a))
+        return gathered(a, b, rows_a, rows_b)
+
+    monkeypatch.setattr(_kernels, "gathered_sq_dists", counting)
+    got = KnnIndex().fit(rows).query(x, 8)
+    np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, 8))
+    assert sum(pairs) == 50 * 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 30), st.integers(1, 30), st.integers(0, 8),
+    st.integers(0, 60), st.integers(0, 2**31 - 1),
+)
+def test_gathered_pairs_equal_the_matrix_kernel_bit_for_bit(n_a, n_b, d, n_pairs, seed):
+    rng = np.random.default_rng(seed)
+    # columns of mixed scale, so that another summation order rounds differently
+    scale = 10.0 ** rng.integers(-3, 4, size=d)
+    a = rng.normal(size=(n_a, d)) * scale
+    b = rng.normal(size=(n_b, d)) * scale
+    b[0] = a[0]  # an exact zero distance
+    rows_a = rng.integers(0, n_a, size=n_pairs)
+    rows_b = rng.integers(0, n_b, size=n_pairs)
+    got = _kernels.gathered_sq_dists(a, b, rows_a, rows_b)
+    # both orientations of the matrix kernel give the same bits
+    want = _kernels.pairwise_sq_dists(a, b)[rows_a, rows_b]
+    assert got.shape == (n_pairs,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_gathered_pairs_reject_unequal_feature_counts():
+    with pytest.raises(ValueError):
+        _kernels.gathered_sq_dists(np.zeros((4, 3)), np.zeros((2, 2)), [0], [0])

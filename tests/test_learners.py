@@ -503,6 +503,31 @@ class TestKmeans:
         b = fit_kmeans(x, 3, seed=9)
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 3), st.floats(0.0, 1.0), st.integers(0, 999))
+    def test_reseeding_leaves_every_cluster_a_member(self, n, d, fraction, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct rows, so that clusters empty and get reseeded
+        x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        _check_kmeans_model(fit_kmeans(x, 1 + int(fraction * (n - 1)), seed=seed))
+
+    def test_a_one_member_cluster_does_not_donate_its_member(self):
+        # an empty cluster used to take the only member of a one-member
+        # cluster, which left that one empty and its centroid 0/0
+        x = np.array([[1, 0], [1, 0], [1, 2], [1, 2], [0, 0], [2, 0], [1, 1],
+                      [2, 2], [0, 0], [2, 2], [2, 2]], dtype=np.float64)
+        _check_kmeans_model(fit_kmeans(x, 8, seed=93))
+
+
+def _check_kmeans_model(model):
+    assert np.isfinite(model.centroids).all()
+    assert np.isfinite(model.train_distances).all()
+    # the final nearest-centroid assignment sends a tie to the lower
+    # cluster, so a cluster without members shares a lower one's centroid
+    members = np.bincount(model.assignments, minlength=model.n_clusters)
+    for cluster in np.nonzero(members == 0)[0]:
+        assert (model.centroids[:cluster] == model.centroids[cluster]).all(axis=1).any()
+
 
 class TestPreprocessor:
     def test_imputes_median_then_standardizes(self):
