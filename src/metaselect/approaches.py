@@ -15,6 +15,8 @@ This module reads syntax only. Each bracket and `key=value` segment
 becomes a keyword argument of the kind's model constructor, and an
 omitted one takes that constructor's default; the constructor alone
 judges the values (`<agg>` is an aggregation registry key, k >= 1, ...).
+Atoms go to `selectors.parse_selector_spec`, which takes their keys from
+the selector constructors alike and shares the `key=value` reader.
 `canonical_approach_spec` therefore validates a spec by building its
 unfitted model, whose construction only checks and stores arguments.
 It normalizes parameter order and atom spelling while preserving member
@@ -36,7 +38,13 @@ from .ensembles import (
 )
 from .errors import InvalidConfig
 from .meta import AlgorithmSelectorSelector
-from .selectors import Selector, canonical_selector_spec, make_selector
+from .selectors import (
+    Selector,
+    _int,
+    _key_value_segments,
+    canonical_selector_spec,
+    make_selector,
+)
 
 ORACLE = "oracle"
 
@@ -81,29 +89,6 @@ def _split_top(text: str, sep: str) -> list[str]:
         raise InvalidConfig(f"unclosed {depth[-1]!r} in {text!r}")
     parts.append(text[start:])
     return parts
-
-
-def _key_value_segments(segments, allowed):
-    params = {}
-    for segment in segments:
-        if "=" not in segment:
-            raise InvalidConfig(f"expected key=value, got {segment!r}")
-        key, value = segment.split("=", 1)
-        if key not in allowed:
-            raise InvalidConfig(f"unknown parameter {key!r}")
-        if key in params:
-            raise InvalidConfig(f"duplicate parameter {key!r}")
-        if not value:
-            raise InvalidConfig(f"empty value for {key!r}")
-        params[key] = value
-    return params
-
-
-def _int(params, key):
-    try:
-        return int(params[key])
-    except ValueError:
-        raise InvalidConfig(f"{key} must be an integer, got {params[key]!r}") from None
 
 
 def _parse_mode(value: str, bare: str, wrapped: str, mode_key: str, number_key: str) -> dict:
@@ -163,12 +148,12 @@ def parse_approach(spec: str) -> ParsedApproach:
 
     if kind == "voting":
         members = _atoms(segments[0], "voting needs at least one member")
-        args = {"member_specs": members, **_key_value_segments(segments[1:], {"search"})}
+        args = {"member_specs": members, **_key_value_segments(segments[1:], {"search"}, kind)}
     elif kind in ("bagging", "boosting"):
         if not segments[0]:
             raise InvalidConfig(f"{kind} needs a member spec")
         key, keyword = ("k", "k") if kind == "bagging" else ("iters", "iterations")
-        params = _key_value_segments(segments[1:], {key, "seed"})
+        params = _key_value_segments(segments[1:], {key, "seed"}, kind)
         members = (canonical_selector_spec(segments[0]),)
         args = {"member_spec": members[0]}
         if key in params:
@@ -177,7 +162,7 @@ def parse_approach(spec: str) -> ParsedApproach:
             seed = _int(params, "seed")
     else:
         tuning = {"fs", "split"} if kind == "stacking" else {"inner"}
-        params = _key_value_segments(segments, {"meta", "bases"} | tuning)
+        params = _key_value_segments(segments, {"meta", "bases"} | tuning, kind)
         if "meta" not in params:
             raise InvalidConfig(f"{kind} needs meta=<spec>")
         if "bases" not in params:

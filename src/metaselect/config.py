@@ -55,6 +55,8 @@ class ExperimentConfig:
                 raise InvalidConfig(f"unknown format {fmt!r}, expected one of {FORMATS}")
         if self.folds is not None and len(self.folds) == 0:
             raise InvalidConfig("fold subset must not be empty")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
 
     def load_scenario_data(self) -> ScenarioSpec:
         if self.scenario_path is not None:

@@ -63,7 +63,13 @@ from .report import (
     SweepRow,
 )
 from .scenario import ScenarioSpec
-from .selectors import Selector, fit_selector, selector_trace, shared_fits
+from .selectors import (
+    Selector,
+    canonical_selector_spec,
+    fit_selector,
+    selector_trace,
+    shared_fits,
+)
 
 SBS = "sbs"
 INTERNAL_ERROR = "internal: "
@@ -305,7 +311,9 @@ def sweep_voting(
     """
     if aggregation not in AGGREGATIONS:
         raise InvalidConfig(f"unknown aggregation {aggregation!r}")
-    specs = [canonical_selector_spec_checked(s) for s in member_specs]
+    if global_seed < 0:
+        raise InvalidConfig(f"seed must be nonnegative, got {global_seed}")
+    specs = [canonical_selector_spec(s) for s in member_specs]
     if len(specs) != len(set(specs)):
         raise InvalidConfig("duplicate member specs in sweep")
     n_members = len(specs)
@@ -374,10 +382,3 @@ def _npar10_or_none(par: float, oracle: float, sbs: float) -> float | None:
 def _subset_spec(specs, mask, aggregation) -> str:
     members = ",".join(specs[i] for i in mask)
     return f"voting[{aggregation}]{{{members};search=all}}"
-
-
-def canonical_selector_spec_checked(spec: str) -> str:
-    parsed = parse_approach(spec)
-    if parsed.kind != "selector":
-        raise InvalidConfig(f"sweep members must be selector atoms, got {spec!r}")
-    return parsed.members[0]

@@ -18,12 +18,14 @@ feature-based strategies plus the feature-free single-best baseline:
   falls back to the training single best,
 * ``sbs``: always the training single best.
 
-Selector specs are strings like ``peralgo(trees=50)``. Each
-selector's constructor checks its own values (``k``, ``clusters``,
-``trees`` and ``mtry`` at least 1), and `canonical_selector_spec`
-builds the selector, so a bad atom fails at config load. Randomness
-derives from (global seed, crc32 of the canonical spec), so the same
-spec under the same global seed trains identically wherever it appears.
+Selector specs are strings like ``peralgo(trees=50)``; their keys are
+the constructors' keyword parameters, plus ``seed`` (at least 0) on the
+feature-based ones. Each constructor checks its own values (``k``,
+``clusters``, ``trees``, ``mtry``, ``depth``, ``minleaf`` at least 1),
+and `canonical_selector_spec` builds the selector, so a bad atom fails
+at config load. Randomness derives from (global seed, crc32 of the
+canonical spec), so the same spec under the same global seed trains
+identically wherever it appears.
 `fit_selector` turns that promise into sharing: inside a `shared_fits`
 scope, fits on the scope's scenario with equal (canonical spec, entropy,
 training rows) return one fitted model instead of training it again.
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
+import inspect
 import math
 import re
 import zlib
@@ -127,47 +131,48 @@ class _FeatureBasedSelector(Selector):
         return x, pr10
 
 
-class PerAlgorithmRegressorSelector(_FeatureBasedSelector):
-    def __init__(self, spec, entropy, trees=100, depth=None, minleaf=5, mtry=None):
+class _ForestSelector(_FeatureBasedSelector):
+    """A selector built from random forests of one shape."""
+
+    def __init__(self, spec, entropy, trees=100, depth=None, minleaf=1, mtry=None):
         super().__init__(spec, entropy)
-        _require_positive(spec, trees=trees, mtry=mtry)
+        _require_positive(spec, trees=trees, depth=depth, minleaf=minleaf, mtry=mtry)
         self.trees, self.depth, self.minleaf, self.mtry = trees, depth, minleaf, mtry
+
+    def _forest(self, model, seed, **kwargs):
+        return model(
+            n_trees=self.trees,
+            max_depth=self.depth,
+            min_leaf=self.minleaf,
+            mtry=self.mtry,
+            seed=seed,
+            **kwargs,
+        )
+
+
+class PerAlgorithmRegressorSelector(_ForestSelector):
+    def __init__(self, spec, entropy, trees=100, depth=None, minleaf=5, mtry=None):
+        super().__init__(spec, entropy, trees, depth, minleaf, mtry)
 
     def _fit(self, scenario, train_indices):
         x, pr10 = self._prepare(scenario, train_indices)
         children = self._seed_sequence().spawn(scenario.n_algorithms)
-        self.models_ = []
-        for a in range(scenario.n_algorithms):
-            forest = ForestRegressor(
-                n_trees=self.trees,
-                max_depth=self.depth,
-                min_leaf=self.minleaf,
-                mtry=self.mtry,
-                seed=children[a],
-            )
-            self.models_.append(forest.fit(x, pr10[:, a]))
+        self.models_ = [
+            self._forest(ForestRegressor, children[a]).fit(x, pr10[:, a])
+            for a in range(scenario.n_algorithms)
+        ]
 
     def scores_batch(self, x):
         z = self.preprocessor_.transform(x)
         return np.stack([m.predict(z) for m in self.models_], axis=1)
 
 
-class MulticlassSelector(_FeatureBasedSelector):
-    def __init__(self, spec, entropy, trees=100, depth=None, minleaf=1, mtry=None):
-        super().__init__(spec, entropy)
-        _require_positive(spec, trees=trees, mtry=mtry)
-        self.trees, self.depth, self.minleaf, self.mtry = trees, depth, minleaf, mtry
-
+class MulticlassSelector(_ForestSelector):
     def _fit(self, scenario, train_indices):
         x, pr10 = self._prepare(scenario, train_indices)
         labels = np.argmin(pr10, axis=1)
-        self.model_ = ForestClassifier(
-            n_trees=self.trees,
-            max_depth=self.depth,
-            min_leaf=self.minleaf,
-            mtry=self.mtry,
-            seed=self._seed_sequence(),
-            n_classes=scenario.n_algorithms,
+        self.model_ = self._forest(
+            ForestClassifier, self._seed_sequence(), n_classes=scenario.n_algorithms
         ).fit(x, labels)
 
     def scores_batch(self, x):
@@ -175,13 +180,8 @@ class MulticlassSelector(_FeatureBasedSelector):
         return 1.0 - self.model_.predict_proba(z)
 
 
-class PairwiseSelector(_FeatureBasedSelector):
+class PairwiseSelector(_ForestSelector):
     """One classifier per algorithm pair, weighted by the cost of misranking."""
-
-    def __init__(self, spec, entropy, trees=100, depth=None, minleaf=1, mtry=None):
-        super().__init__(spec, entropy)
-        _require_positive(spec, trees=trees, mtry=mtry)
-        self.trees, self.depth, self.minleaf, self.mtry = trees, depth, minleaf, mtry
 
     def _fit(self, scenario, train_indices):
         x, pr10 = self._prepare(scenario, train_indices)
@@ -193,14 +193,7 @@ class PairwiseSelector(_FeatureBasedSelector):
             labels = (pr10[:, b] < pr10[:, a]).astype(np.int64)
             weights = np.abs(pr10[:, a] - pr10[:, b])
             keep = weights > 0
-            forest = ForestClassifier(
-                n_trees=self.trees,
-                max_depth=self.depth,
-                min_leaf=self.minleaf,
-                mtry=self.mtry,
-                seed=children[idx],
-                n_classes=2,
-            )
+            forest = self._forest(ForestClassifier, children[idx], n_classes=2)
             if keep.any():
                 forest.fit(x[keep], labels[keep], sample_weight=weights[keep])
             else:
@@ -261,13 +254,14 @@ class IsacSelector(_FeatureBasedSelector):
         self.model_ = fit_kmeans(x, k, seed=self._seed_sequence())
         d = self.model_.train_distances
         self.distance_threshold_ = float(d.mean() + d.std())
-        self.cluster_scores_ = np.stack(
-            [
-                pr10[self.model_.assignments == c].mean(axis=0)
-                for c in range(self.model_.n_clusters)
-            ]
-        )
         self.fallback_ = int(single_best(scenario, train_indices))
+        # a cluster k-means left without members has no evidence, like a
+        # far instance: it backs the training single best
+        no_evidence = dummy_scores(scenario.n_algorithms, self.fallback_)
+        members = [self.model_.assignments == c for c in range(self.model_.n_clusters)]
+        self.cluster_scores_ = np.stack(
+            [pr10[m].mean(axis=0) if m.any() else no_evidence for m in members]
+        )
 
     def scores_batch(self, x):
         z = self.preprocessor_.transform(x)
@@ -292,53 +286,66 @@ class SingleBestSelector(Selector):
 
 
 _REGISTRY = {
-    "peralgo": (
-        PerAlgorithmRegressorSelector,
-        {"trees": int, "depth": int, "minleaf": int, "mtry": int, "seed": int},
-    ),
-    "multiclass": (
-        MulticlassSelector,
-        {"trees": int, "depth": int, "minleaf": int, "mtry": int, "seed": int},
-    ),
-    "pairwise": (
-        PairwiseSelector,
-        {"trees": int, "depth": int, "minleaf": int, "mtry": int, "seed": int},
-    ),
-    "sunny": (SunnySelector, {"k": int, "seed": int}),
-    "isac": (IsacSelector, {"clusters": int, "seed": int}),
-    "sbs": (SingleBestSelector, {}),
+    "peralgo": PerAlgorithmRegressorSelector,
+    "multiclass": MulticlassSelector,
+    "pairwise": PairwiseSelector,
+    "sunny": SunnySelector,
+    "isac": IsacSelector,
+    "sbs": SingleBestSelector,
 }
 
 SELECTOR_NAMES = tuple(sorted(_REGISTRY))
 
-_ATOM_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)
+
+@functools.cache
+def _atom_keys(cls) -> frozenset:
+    """The keys an atom of `cls` takes: its constructor's parameters after
+    `spec, entropy`, and `seed` when it reads features."""
+    keys = set(list(inspect.signature(cls).parameters)[2:])
+    if issubclass(cls, _FeatureBasedSelector):
+        keys.add("seed")
+    return frozenset(keys)
+
+
+def _key_value_segments(segments, allowed, where: str) -> dict:
+    """`key=value` segments as raw strings: each key once, known, with a value."""
+    params = {}
+    for segment in segments:
+        if "=" not in segment:
+            raise InvalidConfig(f"{where}: expected key=value, got {segment!r}")
+        key, value = segment.split("=", 1)
+        if key not in allowed:
+            raise InvalidConfig(f"{where}: unknown parameter {key!r}")
+        if key in params:
+            raise InvalidConfig(f"{where}: duplicate parameter {key!r}")
+        if not value:
+            raise InvalidConfig(f"{where}: empty value for {key!r}")
+        params[key] = value
+    return params
+
+
+def _int(params, key) -> int:
+    try:
+        return int(params[key])
+    except ValueError:
+        raise InvalidConfig(f"{key} must be an integer, got {params[key]!r}") from None
 
 
 def parse_selector_spec(spec: str) -> tuple[str, dict]:
-    """Split ``name(key=value, ...)`` into a name and a parameter dict."""
-    match = _ATOM_RE.match(spec)
-    if not match:
+    """Split ``name(key=value, ...)`` into a name and integer parameters,
+    ignoring whitespace and case. Only `seed`, which enters no
+    constructor, is judged here."""
+    text = re.sub(r"\s+", "", spec).lower()
+    name, paren, body = text.partition("(")
+    if paren and not body.endswith(")"):
         raise InvalidConfig(f"unparseable selector spec {spec!r}")
-    name = match.group(1).lower()
     if name not in _REGISTRY:
         raise InvalidConfig(f"unknown selector {name!r}, expected one of {SELECTOR_NAMES}")
-    _, allowed = _REGISTRY[name]
-    params: dict = {}
-    body = (match.group(2) or "").strip()
-    if body:
-        for chunk in body.split(","):
-            if "=" not in chunk:
-                raise InvalidConfig(f"bad parameter {chunk.strip()!r} in {spec!r}")
-            key, _, raw = chunk.partition("=")
-            key, raw = key.strip().lower(), raw.strip()
-            if key not in allowed:
-                raise InvalidConfig(f"selector {name!r} takes no parameter {key!r}")
-            if key in params:
-                raise InvalidConfig(f"duplicate parameter {key!r} in {spec!r}")
-            try:
-                params[key] = allowed[key](raw) if allowed[key] is not float else float(raw)
-            except ValueError:
-                raise InvalidConfig(f"bad value {raw!r} for {key!r} in {spec!r}") from None
+    body = body[:-1]
+    raw = _key_value_segments(body.split(",") if body else [], _atom_keys(_REGISTRY[name]), spec)
+    params = {key: _int(raw, key) for key in raw}
+    if params.get("seed", 0) < 0:
+        raise InvalidConfig(f"{spec}: seed must be nonnegative")
     return name, params
 
 
@@ -366,13 +373,11 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
     """
     name, params = parse_selector_spec(spec)
     canonical = _format_atom(name, params)
-    extra_seed = params.pop("seed", None)
     entropy = [int(global_seed), zlib.crc32(canonical.encode())]
-    if extra_seed is not None:
-        entropy.append(int(extra_seed))
+    if "seed" in params:
+        entropy.append(params.pop("seed"))
     entropy.extend(int(v) for v in salt)
-    cls, _ = _REGISTRY[name]
-    return cls(canonical, tuple(entropy), **params)
+    return _REGISTRY[name](canonical, tuple(entropy), **params)
 
 
 @dataclass

@@ -52,6 +52,8 @@ class SyntheticConfig:
             raise InvalidConfig(
                 f"feature_cost must be nonnegative and finite, got {self.feature_cost}"
             )
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
 
 
 def _planted_best(features: np.ndarray, n_algorithms: int) -> np.ndarray:

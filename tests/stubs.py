@@ -62,9 +62,9 @@ class NoiseStub(Selector):
 
 
 STUB_REGISTRY = {
-    "halfpos": (PositiveHalfStub, {}),
-    "halfneg": (NegativeHalfStub, {}),
-    "noisy": (NoiseStub, {}),
+    "halfpos": PositiveHalfStub,
+    "halfneg": NegativeHalfStub,
+    "noisy": NoiseStub,
 }
 
 

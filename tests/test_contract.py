@@ -71,7 +71,7 @@ def _subclasses(cls):
 
 
 def test_models_implement_only_scores_batch():
-    concrete = {cls for cls, _ in selectors._REGISTRY.values()} | {
+    concrete = set(selectors._REGISTRY.values()) | {
         ensembles.VotingEnsemble,
         ensembles.BaggingEnsemble,
         ensembles.BoostingEnsemble,

@@ -36,7 +36,6 @@ from metaselect.ensembles import (
 from metaselect.learners import KnnIndex, _kernels
 from metaselect.meta import AlgorithmSelectorSelector
 from metaselect.runner import (
-    canonical_selector_spec_checked,
     internal_error_cells,
     is_plain_selector,
     run_experiment,
@@ -47,6 +46,7 @@ from metaselect.selectors import (
     IsacSelector,
     Selector,
     SunnySelector,
+    canonical_selector_spec,
     fit_selector,
     make_selector,
     shared_fits,
@@ -371,6 +371,11 @@ class TestConfigLoading:
             {"scenario": "x", "approaches": [OVER_GATE_EXHAUSTIVE]},
             {"approaches": ["oracle"], "synthetic": {"cutoff": float("nan")}},
             {"approaches": ["oracle"], "synthetic": {"feature_cost": float("nan")}},
+            {"scenario": "x", "approaches": ["oracle"], "seed": -3},  # negative global seed
+            {"approaches": ["oracle"], "synthetic": {"seed": -1}},
+            {"scenario": "x", "approaches": ["peralgo(trees=2,seed=-1)"]},
+            {"scenario": "x", "approaches": ["peralgo(depth=-7)"]},
+            {"scenario": "x", "approaches": ["voting{sbs,pairwise(minleaf=-3)}"]},
         ],
     )
     def test_rejected_mappings(self, mapping):
@@ -563,11 +568,17 @@ class TestSweepVoting:
             sweep_voting(toy, ["sbs"], folds=[])
 
     def test_checked_selector_spec(self):
-        assert canonical_selector_spec_checked(" SUNNY ( k = 7 ) ") == "sunny(k=7)"
+        # sweep members go through the one atom reader, which knows no
+        # oracle and no composite kind
+        assert canonical_selector_spec(" SUNNY ( k = 7 ) ") == "sunny(k=7)"
         with pytest.raises(InvalidConfig):
-            canonical_selector_spec_checked("oracle")
+            canonical_selector_spec("oracle")
         with pytest.raises(InvalidConfig):
-            canonical_selector_spec_checked("bagging{sunny;k=3}")
+            canonical_selector_spec("bagging{sunny;k=3}")
+
+    def test_negative_global_seed_is_rejected(self, toy):
+        with pytest.raises(InvalidConfig, match="seed"):
+            sweep_voting(toy, ["peralgo(trees=2)"], global_seed=-2)
 
 
 # -- degenerate training gap ------------------------------------------------
@@ -1012,6 +1023,13 @@ class TestCli:
         result = invoke("--seed", "5", "--out", str(base), "evaluate", str(cfg))
         assert result.exit_code == 0
         assert json.loads((tmp_path / "report.json").read_text())["seed"] == 5
+
+    def test_evaluate_negative_seed_override_exits_1_before_running(self, tmp_path):
+        cfg = self.write_config(tmp_path, TOY_DIR)
+        result = invoke("--seed", "-3", "evaluate", str(cfg))
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith("error: seed must be nonnegative")
+        assert result.stdout == ""
 
     def test_evaluate_missing_config_exits_1(self, tmp_path):
         result = invoke("evaluate", str(tmp_path / "absent.yaml"))

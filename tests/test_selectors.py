@@ -1,3 +1,6 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from metaselect.errors import (
     InvalidConfig,
     UnknownInstanceFeatures,
 )
+from metaselect import selectors
 from metaselect.scenario import ScenarioSpec
 from metaselect.selectors import (
     SELECTOR_NAMES,
@@ -82,10 +86,98 @@ def test_bad_specs_rejected(raw):
 
 
 def test_parse_returns_typed_params():
-    name, params = parse_selector_spec("peralgo(trees=10, minleaf=3)")
+    name, params = parse_selector_spec("PerAlgo(Trees=10, minleaf = 3,seed=2)")
     assert name == "peralgo"
-    assert params == {"trees": 10, "minleaf": 3}
-    assert all(isinstance(v, int) for v in params.values())
+    assert params == {"trees": 10, "minleaf": 3, "seed": 2}
+    assert all(type(v) is int for v in params.values())
+    # the keys are the constructor's keyword parameters, and `seed` for
+    # the feature-based selectors
+    for name in SELECTOR_NAMES:
+        cls = selectors._REGISTRY[name]
+        keys = set(inspect.signature(cls).parameters) - {"spec", "entropy"}
+        if name != "sbs":
+            keys.add("seed")
+        for key in keys:
+            assert parse_selector_spec(f"{name}({key}=1)") == (name, {key: 1})
+
+
+FOREST_ATOMS = ("peralgo", "multiclass", "pairwise")
+FEATURE_ATOMS = (*FOREST_ATOMS, "sunny", "isac")
+
+# raw atom -> canonical string, or InvalidConfig
+ATOM_TABLE = [
+    # case, whitespace and parameter order
+    ("sbs", "sbs"),
+    ("SBS", "sbs"),
+    (" sunny ", "sunny"),
+    ("Sunny(K=7)", "sunny(k=7)"),
+    ("sunny ( k = 7 )", "sunny(k=7)"),
+    ("sunny(k=1 6)", "sunny(k=16)"),
+    ("pera lgo(tr ees=3)", "peralgo(trees=3)"),
+    ("sunny(\tk=7\n)", "sunny(k=7)"),
+    ("peralgo(trees=3,depth=2)", "peralgo(depth=2,trees=3)"),
+    (
+        "PERALGO(seed=6,mtry=2,trees=3,minleaf=4,depth=5)",
+        "peralgo(depth=5,minleaf=4,mtry=2,seed=6,trees=3)",
+    ),
+    ("multiclass(trees=+3)", "multiclass(trees=3)"),
+    ("isac(clusters=02)", "isac(clusters=2)"),
+    # empty and malformed bodies
+    ("peralgo()", "peralgo"),
+    ("sbs()", "sbs"),
+    ("peralgo(,)", InvalidConfig),
+    ("peralgo(trees=3,)", InvalidConfig),
+    ("sunny(k=)", InvalidConfig),
+    ("sunny(=3)", InvalidConfig),
+    ("sunny(3)", InvalidConfig),
+    ("sunny(k==3)", InvalidConfig),
+    ("sunny(k=3", InvalidConfig),
+    ("sunny(k=3))", InvalidConfig),
+    ("sunny(k=3)x", InvalidConfig),
+    ("sunny(k=(3))", InvalidConfig),
+    ("sunny(k=1.5)", InvalidConfig),
+    ("sunny(k=abc)", InvalidConfig),
+    ("", InvalidConfig),
+    ("(k=3)", InvalidConfig),
+    ("oracle", InvalidConfig),
+    ("voting{sbs}", InvalidConfig),
+    # duplicate and unknown keys
+    ("sunny(k=3,k=4)", InvalidConfig),
+    ("sunny(k=3,K=4)", InvalidConfig),
+    ("peralgo(seed=1,seed=1)", InvalidConfig),
+    ("sunny(q=3)", InvalidConfig),
+    ("sunny(trees=3)", InvalidConfig),
+    ("isac(k=3)", InvalidConfig),
+    ("peralgo(clusters=3)", InvalidConfig),
+    ("sbs(trees=1)", InvalidConfig),
+    # seed on each atom
+    *[(f"{name}(seed=0)", f"{name}(seed=0)") for name in FEATURE_ATOMS],
+    *[(f"{name}(seed=7)", f"{name}(seed=7)") for name in FEATURE_ATOMS],
+    *[(f"{name}(seed=-1)", InvalidConfig) for name in FEATURE_ATOMS],
+    ("sbs(seed=1)", InvalidConfig),
+    # range rules: every atom value at least 1, seed at least 0
+    ("sunny(k=1)", "sunny(k=1)"),
+    ("sunny(k=0)", InvalidConfig),
+    ("sunny(k=-2)", InvalidConfig),
+    ("isac(clusters=1)", "isac(clusters=1)"),
+    ("isac(clusters=0)", InvalidConfig),
+    *[
+        (f"{name}({key}={value})", f"{name}({key}={value})" if value >= 1 else InvalidConfig)
+        for name in FOREST_ATOMS
+        for key in ("trees", "mtry", "depth", "minleaf")
+        for value in (1, 0, -7)
+    ],
+]
+
+
+@pytest.mark.parametrize("raw,expected", ATOM_TABLE)
+def test_atom_reader(raw, expected):
+    if expected is InvalidConfig:
+        with pytest.raises(InvalidConfig):
+            canonical_selector_spec(raw)
+    else:
+        assert canonical_selector_spec(raw) == expected
+        assert canonical_selector_spec(expected) == expected
 
 
 # -- shared behaviour ------------------------------------------------------
@@ -195,6 +287,25 @@ def test_isac_far_query_falls_back_to_single_best():
     np.testing.assert_array_equal(far, dummy_scores(2, 1))
 
 
+def test_isac_empty_cluster_backs_the_single_best():
+    # coinciding centroids leave k-means clusters without members; each
+    # such cluster takes the no-evidence row, not the mean of no rows
+    x = np.array([[1, 0], [1, 0], [1, 2], [1, 2], [0, 0], [2, 0], [1, 1],
+                  [2, 2], [0, 0], [2, 2], [2, 2]], dtype=np.float64)
+    runtimes = np.random.default_rng(0).uniform(1.0, 50.0, size=(11, 3))
+    sc = hand_scenario(runtimes=runtimes, features=x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = make_selector("isac(clusters=11)", 0).fit(sc, np.arange(11))
+    members = np.bincount(model.model_.assignments, minlength=model.model_.n_clusters)
+    assert (members == 0).any()
+    assert np.isfinite(model.cluster_scores_).all()
+    for cluster in np.nonzero(members == 0)[0]:
+        np.testing.assert_array_equal(
+            model.cluster_scores_[cluster], dummy_scores(3, model.fallback_)
+        )
+
+
 def test_isac_default_cluster_count():
     assert isac_default_clusters(8) == 2
     assert isac_default_clusters(50) == 5
@@ -215,3 +326,14 @@ def test_pairwise_survives_fully_tied_pairs():
 def test_repr_mentions_spec(toy):
     model = make_selector("sunny(k=3)", 0)
     assert "sunny(k=3)" in repr(model)
+
+
+def test_registered_stub_atoms_take_no_seed():
+    from stubs import registered_stubs
+
+    with registered_stubs():
+        assert canonical_selector_spec("HalfPos()") == "halfpos"
+        with pytest.raises(InvalidConfig):
+            canonical_selector_spec("halfpos(seed=1)")
+    with pytest.raises(InvalidConfig):
+        canonical_selector_spec("halfpos")

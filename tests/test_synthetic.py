@@ -63,8 +63,14 @@ def test_uniform_rule_accepted():
         {"cutoff": float("inf")},
         {"feature_cost": float("nan")},
         {"feature_cost": float("inf")},
+        {"seed": -1},
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(InvalidConfig):
         SyntheticConfig(**kwargs).validate()
+
+
+def test_negative_seed_rejected_before_generating():
+    with pytest.raises(InvalidConfig, match="seed"):
+        generate_synthetic(SyntheticConfig(seed=-1))
