@@ -25,8 +25,13 @@ fits two 100-tree forests, the paper's forest size: a 5-class forest on
 240 rows by 10 features (a training fold of a 300-instance scenario)
 and a weighted binary one on 1000 rows by 50 features (one pair of a
 pairwise selector at ASlib size); a fit is timed at most FIT_REPEATS
-times and not called untimed first. The other inputs resemble a
-mid-sized scenario, not the tiny fixtures the tests use.
+times and not called untimed first. Two selector fits have the shape of
+an ASlib scenario: one training fold (900 rows) of a synthetic scenario
+of 1000 instances, 31 algorithms and 50 features with 30 % extra
+timeouts, fit by `pairwise(trees=2)` (465 two-tree forests) and
+`peralgo(trees=10)` (31 ten-tree forests); they are timed like the
+forest fits and also report their split-kernel calls. The other inputs
+resemble a mid-sized scenario, not the tiny fixtures the tests use.
 """
 
 import argparse
@@ -38,6 +43,8 @@ import numpy as np
 from metaselect.aggregation import subset_choices
 from metaselect.ensembles import MAX_EXHAUSTIVE_MEMBERS
 from metaselect.learners import ForestClassifier, KnnIndex, _kernels
+from metaselect.selectors import make_selector
+from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 NODE_ROWS, NODE_CANDIDATES, N_CLASSES, MIN_LEAF = 1000, 8, 4, 5
 NODE_SIZES = np.linspace(NODE_ROWS, 300, 8).astype(int)  # rows of each node of a call
@@ -48,6 +55,8 @@ DIST_SHAPES = (  # (n_a, n_b, d)
 KMEANS_SHAPE = (800, 50, 10)  # (rows, features, clusters)
 KNN_SHAPE = (200, 800, 50, 16)  # (test queries, training rows, features, k)
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
+ASLIB_SHAPE = (1000, 31, 50, 10)  # (instances, algorithms, features, folds)
+ASLIB_FITS = ("pairwise(trees=2)", "peralgo(trees=10)")
 
 
 def node_columns(rng):
@@ -111,6 +120,39 @@ def fit_cases(rng):
         yield label, forest.fit, (x, y, w)
 
 
+def aslib_cases():
+    """(label, function, arguments) of the ASlib-shaped selector fits,
+    each on the training rows of fold 1."""
+    n, k, d, folds = ASLIB_SHAPE
+    scenario = generate_synthetic(SyntheticConfig(
+        n_instances=n, n_algorithms=k, n_features=d, n_folds=folds, unsolved_rate=0.3, seed=0))
+    train, _ = scenario.fold_split(1)
+    for spec in ASLIB_FITS:
+        yield f"{spec} fit {train.size}x{k}x{d}", make_selector(spec, 0).fit, (scenario, train)
+
+
+def split_calls(fn, args):
+    """Split-kernel calls made by fn(*args)."""
+    calls = 0
+    originals = {name: getattr(_kernels, name) for name in ("best_split_reg", "best_split_cls")}
+
+    def counted(kernel):
+        def call(*a):
+            nonlocal calls
+            calls += 1
+            return kernel(*a)
+        return call
+
+    try:
+        for name, kernel in originals.items():
+            setattr(_kernels, name, counted(kernel))
+        fn(*args)
+    finally:
+        for name, kernel in originals.items():
+            setattr(_kernels, name, kernel)
+    return calls
+
+
 def full_tree(depth):
     """A complete binary tree: internal nodes split random features at 0."""
     n_internal = 2**depth - 1
@@ -153,6 +195,9 @@ def main():
     for label, fn, inputs in fit_cases(rng):
         ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
         print(f"{label:<36}{ms:>10.3f}")
+    for label, fn, inputs in aslib_cases():
+        ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
+        print(f"{label:<36}{ms:>10.3f}  split-kernel calls {split_calls(fn, inputs)}")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ This module reads syntax only. Each bracket and `key=value` segment
 becomes a keyword argument of the kind's model constructor, and an
 omitted one takes that constructor's default; the constructor alone
 judges the values (`<agg>` is an aggregation registry key, k >= 1, ...).
-Atoms go to `selectors.parse_selector_spec`, which takes their keys from
-the selector constructors alike and shares the `key=value` reader.
+Only `seed=`, which enters the name and no constructor, is judged here:
+it must be at least 0, as on atoms. Atoms go to
+`selectors.parse_selector_spec`, which takes their keys from the
+selector constructors alike and shares the `key=value` reader.
 `canonical_approach_spec` therefore validates a spec by building its
 unfitted model, whose construction only checks and stores arguments.
 It normalizes parameter order and atom spelling while preserving member
@@ -42,6 +44,7 @@ from .selectors import (
     Selector,
     _int,
     _key_value_segments,
+    _require_seed,
     canonical_selector_spec,
     make_selector,
 )
@@ -160,6 +163,8 @@ def parse_approach(spec: str) -> ParsedApproach:
             args[keyword] = _int(params, key)
         if "seed" in params:
             seed = _int(params, "seed")
+            if seed < 0:
+                raise InvalidConfig(f"{spec}: seed must be nonnegative")
     else:
         tuning = {"fs", "split"} if kind == "stacking" else {"inner"}
         params = _key_value_segments(segments, {"meta", "bases"} | tuning, kind)
@@ -223,8 +228,10 @@ def build_approach(spec: str, global_seed: int = 0) -> Selector:
     """Construct the untrained model an approach string names.
 
     `oracle` has no model form (the evaluation loop computes it from the
-    truth directly), so asking for it here is a config error.
+    truth directly), so asking for it here is a config error, and so is
+    a negative global seed.
     """
+    _require_seed(global_seed)
     parsed = parse_approach(spec)
     if parsed.kind == ORACLE:
         raise InvalidConfig("oracle is computed by the evaluation loop, not trained")

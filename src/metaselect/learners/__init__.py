@@ -1,4 +1,4 @@
-from .forest import ForestClassifier, ForestRegressor
+from .forest import ForestClassifier, ForestRegressor, fit_forests
 from .kmeans import KMeansModel, fit_kmeans
 from .neighbors import KnnIndex
 from .preprocess import Preprocessor, fit_variance_threshold
@@ -6,6 +6,7 @@ from .preprocess import Preprocessor, fit_variance_threshold
 __all__ = [
     "ForestClassifier",
     "ForestRegressor",
+    "fit_forests",
     "KMeansModel",
     "fit_kmeans",
     "KnnIndex",

@@ -14,7 +14,10 @@ each column's totals. Prefix sums run along axis 0, which accumulates
 each column sequentially from the first row, and a column's split
 window ends `min_leaf` rows before its own length, so every column's
 result is bit for bit what the same search on that column alone would
-give. One node is the case where every column has full length.
+give. One node is the case where every column has full length. A
+column's values are only compared with their neighbours, for equality,
+so any values that sort alike serve, such as the forest grower's
+per-feature ranks with a padding rank above them all.
 
 The distance kernel puts the longer of its two inputs on the inner
 axis: when `b` has fewer rows than `a` it computes the (len(b), len(a))
@@ -93,12 +96,10 @@ def _pick_best(score, values, wl, wr, lo, hi, sizes):
     """Per column: the first lowest score among valid split positions,
     which end as far before the column's own size as `hi` does before n."""
     ends = hi if sizes is None else np.asarray(sizes) + (hi - values.shape[0])
-    valid = (
-        (values[lo + 1 : hi + 1] != values[lo:hi])
-        & (wl > 0.0)
-        & (wr > 0.0)
-        & (np.arange(lo, hi)[:, None] < ends)
-    )
+    valid = values[lo + 1 : hi + 1] != values[lo:hi]
+    valid &= wl > 0.0
+    valid &= wr > 0.0
+    valid &= np.arange(lo, hi)[:, None] < ends
     score = np.where(valid, score, np.inf)
     best = score.argmin(axis=0)
     best_pos = np.where(valid.any(axis=0), best + lo + 1, -1)
@@ -121,17 +122,25 @@ def best_split_reg(values, targets, weights, min_leaf, sizes=None):
     lo, hi = _split_window(n, min_leaf)
     if hi <= lo:
         return _no_split(m)
-    wy = weights * targets
     cw = weights.cumsum(axis=0)
-    cwy = wy.cumsum(axis=0)
-    cwyy = (wy * targets).cumsum(axis=0)
+    cwy = weights * targets
+    cwyy = cwy * targets
+    cwy.cumsum(axis=0, out=cwy)
+    cwyy.cumsum(axis=0, out=cwyy)
     wl, wyl, wyyl = cw[lo:hi], cwy[lo:hi], cwyy[lo:hi]
     wr = cw[-1] - wl
     wyr = cwy[-1] - wyl
     wyyr = cwyy[-1] - wyyl
+    # (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr), in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr)
-    return _pick_best(score, values, wl, wr, lo, hi, sizes)
+        np.multiply(wyl, wyl, out=wyl)
+        wyl /= wl
+        np.subtract(wyyl, wyl, out=wyl)
+        np.multiply(wyr, wyr, out=wyr)
+        wyr /= wr
+        np.subtract(wyyr, wyr, out=wyr)
+        wyl += wyr
+    return _pick_best(wyl, values, wl, wr, lo, hi, sizes)
 
 
 def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
@@ -146,23 +155,28 @@ def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
     wl = cw[lo:hi]
     wr = cw[-1] - wl
     # per-class prefix sums, shape (n_classes, n, m)
-    onehot = (labels == np.arange(n_classes)[:, None, None]) * weights
-    prefix = onehot.cumsum(axis=1)
+    prefix = (labels == np.arange(n_classes)[:, None, None]) * weights
+    prefix.cumsum(axis=1, out=prefix)
     left = prefix[:, lo:hi]
     right = prefix[:, -1:] - left
     # squares summed over classes in class order, in place; a sum
     # reduction is pairwise from 8 classes on and could round
     # differently, and an accumulate over the class axis pays its fixed
     # cost once per (row, column) lane
-    sq_left = left * left
-    sq_right = right * right
-    sum_left, sum_right = sq_left[0], sq_right[0]
+    np.multiply(left, left, out=left)
+    np.multiply(right, right, out=right)
+    sum_left, sum_right = left[0], right[0]
     for k in range(1, n_classes):
-        sum_left += sq_left[k]
-        sum_right += sq_right[k]
+        sum_left += left[k]
+        sum_right += right[k]
+    # (wl - sum_left / wl) + (wr - sum_right / wr), in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = (wl - sum_left / wl) + (wr - sum_right / wr)
-    return _pick_best(score, values, wl, wr, lo, hi, sizes)
+        sum_left /= wl
+        np.subtract(wl, sum_left, out=sum_left)
+        sum_right /= wr
+        np.subtract(wr, sum_right, out=sum_right)
+        sum_left += sum_right
+    return _pick_best(sum_left, values, wl, wr, lo, hi, sizes)
 
 
 # ------------------------------------------------------------- distances

@@ -6,17 +6,38 @@ prediction is a batched descent through the `tree_apply` kernel. All
 randomness is drawn at numpy level from a per-tree generator; the
 kernels are pure functions.
 
-The trees of one fit grow in lockstep (`_Grower`): each step takes the
-next node that needs a split search from every unfinished tree and
-scores all their candidate features together. The pending nodes are
-sorted by size and cut into split-kernel calls, each padded to its
-largest node; a call ends before its padding would pass SPLIT_PAD_ROWS
-rows, which keeps the wasted cells small without giving nodes of
-similar sizes a call each, or before it would hold SPLIT_CELLS cells,
-which bounds the kernel's temporaries. Each tree keeps its own
-generator and depth-first order, and a node's candidates are sorted
-stably in the node's row order, so a tree is bit for bit the tree grown
-alone, whatever else shares its kernel calls.
+`fit_forests` grows several forests over one feature matrix in one
+`_Grower`, and `fit` is its one-forest case. Each forest fits its own
+rows of that matrix, with its own targets and weights. The grower lays
+the forests' rows end to end as its samples, so a node's rows are
+sample ids: one id reads a sample's feature row, target and weight, and
+the nodes of different forests share every gather. A sample sits at
+the same position of its node's row array as its row does when its
+forest grows alone.
+
+All trees of the fit grow in lockstep: each step takes the next node
+that needs a split search from every unfinished tree and scores all
+their candidate features together. The pending nodes are sorted by
+size and cut into split-kernel calls, each padded to its largest node;
+a call ends before its padding would pass SPLIT_PAD_ROWS rows, which
+keeps the wasted cells small without giving nodes of similar sizes a
+call each, or before it would hold SPLIT_CELLS cells, which bounds the
+kernel's temporaries. Each tree keeps its own generator and depth-first
+order, and a node's candidates are sorted stably in the node's row
+order, so a tree is bit for bit the tree grown alone, whatever else
+shares its kernel calls. The search sorts each feature's dense ranks,
+not its values: equal values share a rank, so the stable order is the
+same, and 16-bit ranks sort by radix. Thresholds are read from the
+values.
+
+A split settles at once which of its children are leaves: those too
+small to split (fewer than 2 * min_leaf rows), at max_depth, or pure,
+which the winning column's sorted targets show. Only the other children
+go on their tree's stack, so every node popped from it is searched;
+node ids and the order of the generator's draws are those of a grower
+that tests each node when it pops it. Leaves, and the nodes no
+candidate could split, keep their rows until the fit ends, and then get
+their payloads in one batched pass.
 """
 
 from __future__ import annotations
@@ -48,42 +69,36 @@ SPLIT_CELLS = 1 << 18  # rows x candidates (x classes) of one call, unless it is
 
 class _GrowingTree:
     """One tree under construction: its generator, its DFS stack of
-    (node id, rows, depth) and its flat node arrays."""
+    (node id, rows, depth) of the nodes that need a split search, its
+    flat node arrays and its leaves' (node id, payload) pairs."""
 
-    def __init__(self, rng, rows):
+    def __init__(self, rng):
         self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.payload: list[np.ndarray] = []
-        self.stack = [(self._new_node(), rows, 0)]
+        self.feature = [-1]
+        self.threshold = [0.0]
+        self.left = [-1]
+        self.right = [-1]
+        self.leaves: list = []
+        self.stack: list = []
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.payload.append(None)
-        return len(self.feature) - 1
-
-    def split(self, nid, feature, threshold, rows, pos, depth):
-        """Make node `nid` internal; its children's rows are `rows`
-        (sorted by `feature`) before and after `pos`."""
+    def split(self, nid, feature, threshold) -> int:
+        """Make node `nid` internal; returns its left child's id, the
+        right one's is the next."""
+        left_id = len(self.feature)
         self.feature[nid] = feature
         self.threshold[nid] = threshold
-        left_id = self._new_node()
-        right_id = self._new_node()
         self.left[nid] = left_id
-        self.right[nid] = right_id
-        self.stack.append((right_id, rows[pos:], depth + 1))
-        self.stack.append((left_id, rows[:pos], depth + 1))
+        self.right[nid] = left_id + 1
+        self.feature += (-1, -1)
+        self.threshold += (0.0, 0.0)
+        self.left += (-1, -1)
+        self.right += (-1, -1)
+        return left_id
 
     def finish(self, width) -> _Tree:
         payload = np.zeros((len(self.feature), width))
-        for i, row in enumerate(self.payload):
-            if row is not None:
-                payload[i] = row
+        ids, rows = zip(*self.leaves)
+        payload[list(ids)] = rows
         return _Tree(
             feature=np.asarray(self.feature, dtype=np.int64),
             threshold=np.asarray(self.threshold, dtype=np.float64),
@@ -93,24 +108,58 @@ class _GrowingTree:
         )
 
 
-class _Grower:
-    """Grows the trees of one forest fit in lockstep.
+def _dense_ranks(x) -> np.ndarray:
+    """Each value's rank among the distinct values of its column, plus a
+    last row of ranks above them all. Equal values, -0.0 and 0.0 among
+    them, share a rank, so a stable sort of ranks orders rows as a
+    stable sort of the values does; ranks below 2**15 sort by radix."""
+    n, d = x.shape
+    order = x.argsort(axis=0, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=0)
+    dense = np.zeros((n, d), dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=dense[1:])
+    ranks = np.empty((n + 1, d), dtype=np.int16 if n < 2**15 else np.int64)
+    np.put_along_axis(ranks[:n], order, dense, axis=0)
+    ranks[n] = n
+    return ranks
 
-    Each step advances every unfinished tree along its own DFS: it pops
-    nodes and makes leaves of them until it reaches one that needs a
-    split search, and draws that node's candidate features from the
-    tree's own generator. The nodes so collected are then searched
-    together, a few split-kernel calls per step. A tree's draws and
-    node order are those of growing it alone, so its splits are too.
+
+def _segment_sums(values, sizes) -> np.ndarray:
+    """Sums of consecutive segments of each row of `values`, shape
+    (len(values), len(sizes)), each bit for bit `segment.sum()`: numpy
+    sums each row of a C-contiguous matrix as it sums that row alone,
+    so the segments of one size are summed as the rows of one matrix."""
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((values.shape[0], sizes.size))
+    for size in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == size)
+        out[:, which] = values.take(starts[which, None] + np.arange(size), axis=1).sum(axis=2)
+    return out
+
+
+class _Grower:
+    """Grows the trees of one fit in lockstep. Sample i is feature row
+    `rows[i]` of `x` with target `y[i]` and weight `w[i]`; a node's rows
+    are sample ids.
+
+    Each step pops the next node of every unfinished tree, draws its
+    candidate features from the tree's own generator and searches the
+    nodes so collected together, a few split-kernel calls per step. A
+    tree's draws and node order are those of growing it alone, so its
+    splits are too.
     """
 
-    def __init__(self, x, y, w, mtry, min_leaf, max_depth, classification, n_classes):
+    def __init__(self, x, rows, y, w, mtry, min_leaf, max_depth, classification, n_classes):
         n, d = x.shape
-        # row n pads the columns of a batched search: +inf sorts last,
-        # and its zero weight and target leave every prefix sum exact
-        self.x = np.vstack([x, np.full((1, d), np.inf)])
+        self.x = x
+        self.ranks = _dense_ranks(x)
+        # sample `pad` pads the columns of a batched search: its feature
+        # row ranks above every value, and its zero weight and target
+        # leave every prefix sum exact
+        self.feature_rows = np.append(rows, n)
         self.y = np.append(y, 0.0)
         self.w = np.append(w, 0.0)
+        self.pad = self.y.size - 1
         self.labels = self.y.astype(np.int64) if classification else None
         self.n_features = d
         self.n_candidates = min(mtry, d)
@@ -118,48 +167,34 @@ class _Grower:
         self.max_depth = max_depth if max_depth is not None else -1
         self.classification = classification
         self.n_classes = n_classes
+        # every leaf as (tree, node id), its size, and its rows in blocks
+        self.leaves, self.leaf_sizes, self.leaf_rows = [], [], []
 
-    def grow(self, trees: list[_GrowingTree]) -> None:
-        while True:
-            pending = [node for node in map(self._next_search, trees) if node is not None]
-            if not pending:
-                return
+    def grow(self, roots) -> None:
+        """Grow each (tree, rows of its root) to the end."""
+        for tree, rows in roots:
+            if (
+                rows.size < 2 * self.min_leaf
+                or self.max_depth == 0
+                or (self.y[rows] == self.y[rows[0]]).all()
+            ):
+                self._add_leaves([(tree, 0)], [rows])
+            else:
+                tree.stack.append((0, rows, 0))
+        trees = [tree for tree, _ in roots if tree.stack]
+        while trees:
+            pending = [self._draw(tree) for tree in trees]
             pending.sort(key=lambda node: -node[2].size)
             for group in self._groups(pending):
                 self._search(group)
+            trees = [tree for tree in trees if tree.stack]
+        self._settle()
 
-    def _leaf_payload(self, rows) -> np.ndarray:
-        w = self.w[rows]
-        total = w.sum()
-        if self.classification:
-            hist = np.bincount(self.labels[rows], weights=w, minlength=self.n_classes)
-            if total > 0:
-                hist = hist / total
-            else:
-                hist[:] = 1.0 / self.n_classes
-            return hist
-        if total > 0:
-            value = float((w * self.y[rows]).sum() / total)
-        else:
-            value = float(self.y[rows].mean())
-        return np.array([value])
-
-    def _next_search(self, tree):
-        """The tree's next node that needs a search, as (tree, node id,
-        rows, depth, candidates), making leaves on the way; None once
-        the tree is finished."""
-        while tree.stack:
-            nid, rows, depth = tree.stack.pop()
-            if (
-                rows.size < 2 * self.min_leaf
-                or (self.max_depth >= 0 and depth >= self.max_depth)
-                or (self.y[rows] == self.y[rows[0]]).all()
-            ):
-                tree.payload[nid] = self._leaf_payload(rows)
-                continue
-            candidates = tree.rng.choice(self.n_features, size=self.n_candidates, replace=False)
-            return tree, nid, rows, depth, candidates
-        return None
+    def _draw(self, tree):
+        """The tree's next node as (tree, node id, rows, depth, candidates)."""
+        nid, rows, depth = tree.stack.pop()
+        candidates = tree.rng.choice(self.n_features, size=self.n_candidates, replace=False)
+        return tree, nid, rows, depth, candidates
 
     def _groups(self, pending):
         """Split nodes sorted by decreasing size into kernel calls: a
@@ -185,15 +220,16 @@ class _Grower:
     def _search(self, group):
         """Score every candidate of the group's nodes in one kernel call,
         then split each node on its first lowest-scoring candidate or
-        make it a leaf."""
+        make it a leaf, and settle which children are leaves."""
         m = self.n_candidates
         sizes = [node[2].size for node in group]
         width = len(group) * m
-        index = np.full((sizes[0], len(group)), self.x.shape[0] - 1)
+        index = np.full((sizes[0], len(group)), self.pad)
         for g, node in enumerate(group):
             index[: sizes[g], g] = node[2]
         candidates = np.array([node[4] for node in group])
-        values = self.x[index[:, :, None], candidates].reshape(sizes[0], width)
+        values = self.ranks[self.feature_rows.take(index)[:, :, None], candidates]
+        values = values.reshape(sizes[0], width)
         # each column's stable order, as flat cells of values; index has
         # one column per node, so cell // m is the same row's cell there
         cells = values.argsort(axis=0, kind="stable") * width + np.arange(width)
@@ -202,33 +238,193 @@ class _Grower:
         weights = self.w.take(rows)
         column_sizes = np.array(sizes).repeat(m)
         if self.classification:
+            targets = self.labels.take(rows)
             scores, positions = _kernels.best_split_cls(
-                values, self.labels.take(rows), weights, self.n_classes, self.min_leaf, column_sizes
+                values, targets, weights, self.n_classes, self.min_leaf, column_sizes
             )
         else:
+            targets = self.y.take(rows)
             scores, positions = _kernels.best_split_reg(
-                values, self.y.take(rows), weights, self.min_leaf, column_sizes
+                values, targets, weights, self.min_leaf, column_sizes
             )
         # per node, the first lowest score among its candidates; NaN never wins
         scores = np.where(np.isnan(scores), np.inf, scores)
         cols = np.arange(0, width, m) + scores.reshape(len(group), m).argmin(axis=1)
         found = scores[cols] < np.inf
-        cols = cols[found]
-        pos = positions[cols]
-        below = values[pos - 1, cols]
-        above = values[pos, cols]
-        thresholds = below + (above - below) / 2.0
-        # a midpoint rounded into the right block falls back to the left value
-        thresholds = np.where(thresholds >= above, below, thresholds)
-        splits = zip(
-            cols.tolist(), candidates.ravel()[cols].tolist(), thresholds.tolist(), pos.tolist()
+        leaves = [node[:2] for node, ok in zip(group, found.tolist()) if not ok]
+        leaf_rows = [node[2] for node, ok in zip(group, found.tolist()) if not ok]
+        split = [node for node, ok in zip(group, found.tolist()) if ok]
+        if split:
+            cols = cols[found]
+            pos = positions[cols]
+            features = candidates.ravel()[cols]
+            below = self.x[self.feature_rows.take(rows[pos - 1, cols]), features]
+            above = self.x[self.feature_rows.take(rows[pos, cols]), features]
+            thresholds = below + (above - below) / 2.0
+            # a midpoint rounded into the right block falls back to the left value
+            thresholds = np.where(thresholds >= above, below, thresholds)
+            sizes = column_sizes[cols]
+            left_leaf, right_leaf = self._leaf_children(targets.T[cols], sizes, pos, split)
+            children = zip(
+                split,
+                cols.tolist(),
+                features.tolist(),
+                thresholds.tolist(),
+                pos.tolist(),
+                sizes.tolist(),
+                left_leaf.tolist(),
+                right_leaf.tolist(),
+            )
+            for node, col, feature, threshold, at, size, left_is_leaf, right_is_leaf in children:
+                tree, nid, _, depth, _ = node
+                left_id = tree.split(nid, feature, threshold)
+                node_rows = rows[:size, col]
+                if right_is_leaf:
+                    leaves.append((tree, left_id + 1))
+                    leaf_rows.append(node_rows[at:])
+                else:
+                    tree.stack.append((left_id + 1, node_rows[at:].copy(), depth + 1))
+                if left_is_leaf:
+                    leaves.append((tree, left_id))
+                    leaf_rows.append(node_rows[:at])
+                else:
+                    tree.stack.append((left_id, node_rows[:at].copy(), depth + 1))
+        if leaves:
+            self._add_leaves(leaves, leaf_rows)
+
+    def _add_leaves(self, leaves, rows):
+        """Note the leaves (tree, node id) and their rows, copied into one block."""
+        self.leaves += leaves
+        self.leaf_sizes += [r.size for r in rows]
+        self.leaf_rows.append(np.concatenate(rows))
+
+    def _leaf_children(self, targets, sizes, pos, nodes):
+        """Which children of the split nodes are leaves, as (left, right)
+        flags: too few rows, at max_depth, or every target equal to the
+        first, which holds where their least equals their greatest (NaN
+        equals nothing). Row j of `targets` holds node j's targets in
+        its children's row order, the first pos[j] on the left."""
+        starts = np.arange(0, targets.size, targets.shape[1])
+        # each node's left child, right child and padding, end to end
+        bounds = (np.array([0 * pos, pos, sizes]) + starts).T.ravel()
+        if bounds[-1] == targets.size:
+            bounds = bounds[:-1]
+        flat = targets.ravel()
+        pure = np.minimum.reduceat(flat, bounds) == np.maximum.reduceat(flat, bounds)
+        left_leaf = (pos < 2 * self.min_leaf) | pure[0::3]
+        right_leaf = (sizes - pos < 2 * self.min_leaf) | pure[1::3]
+        if self.max_depth >= 0:
+            deep = np.array([node[3] for node in nodes]) + 1 >= self.max_depth
+            left_leaf |= deep
+            right_leaf |= deep
+        return left_leaf, right_leaf
+
+    def _settle(self):
+        """Give every leaf its payload."""
+        if not self.leaves:
+            return
+        payloads = _leaf_payloads(
+            np.concatenate(self.leaf_rows),
+            np.array(self.leaf_sizes),
+            self.y,
+            self.w,
+            self.n_classes if self.classification else 0,
         )
-        for (tree, nid, node_rows, depth, _), size, ok in zip(group, sizes, found.tolist()):
-            if not ok:
-                tree.payload[nid] = self._leaf_payload(node_rows)
-                continue
-            col, feature, threshold, at = next(splits)
-            tree.split(nid, feature, threshold, rows[:size, col].copy(), at, depth)
+        for (tree, nid), row in zip(self.leaves, payloads):
+            tree.leaves.append((nid, row))
+
+
+def _leaf_payloads(samples, sizes, y, w, n_classes=0) -> np.ndarray:
+    """The payload of each leaf, whose samples are the next `sizes[i]`
+    of `samples`: with `n_classes`, its class histogram weighted by `w`
+    over its total weight (uniform when that is zero); without, its mean
+    target weighted by `w` (the plain mean when the weights sum to zero).
+    Bit for bit the payload computed for one leaf at a time."""
+    w = w.take(samples)
+    if n_classes:
+        bins = np.arange(sizes.size).repeat(sizes) * n_classes + y.take(samples).astype(np.int64)
+        hist = np.bincount(bins, weights=w, minlength=sizes.size * n_classes)
+        total = _segment_sums(w[None], sizes).reshape(-1, 1)
+        payload = np.full((sizes.size, n_classes), 1.0 / n_classes)
+        np.divide(hist.reshape(-1, n_classes), total, out=payload, where=total > 0)
+        return payload
+    y = y.take(samples)
+    total, weighted, plain = _segment_sums(np.stack([w, w * y, y]), sizes)
+    payload = plain / sizes
+    np.divide(weighted, total, out=payload, where=total > 0)
+    return payload[:, None]
+
+
+def fit_forests(x, fits) -> None:
+    """Fit each (forest, rows, y, sample_weight) of `fits` on the rows
+    `rows` of `x` (every row when None), targets `y` and weights
+    `sample_weight`, one per row, growing all their trees in lockstep.
+
+    Every forest ends bit for bit as `forest.fit(x[rows], y,
+    sample_weight)` leaves it. The forests must be of one class with
+    equal max_depth, min_leaf, mtry and class count; tree counts, seeds
+    and bootstrap may differ.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise DegenerateData("forest needs a nonempty 2-d feature matrix")
+    if not np.isfinite(x).all():
+        raise DegenerateData("forest features must be finite after imputation")
+    n, d = x.shape
+    parts = []
+    for forest, rows, y, sample_weight in fits:
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or rows.size == 0:
+            raise DegenerateData("forest needs a nonempty 2-d feature matrix")
+        if rows.min() < 0 or rows.max() >= n:
+            raise DegenerateData("forest rows must index the feature matrix")
+        y = np.ascontiguousarray(forest._targets(y), dtype=np.float64)
+        if y.shape != rows.shape:
+            raise DegenerateData("target length does not match feature rows")
+        w = (
+            np.ones(rows.size)
+            if sample_weight is None
+            else np.ascontiguousarray(sample_weight, dtype=np.float64)
+        )
+        if w.shape != rows.shape or not np.isfinite(w).all() or (w < 0).any():
+            raise DegenerateData("sample weights must be finite and nonnegative, one per row")
+        parts.append((forest, rows, y, w))
+    if not parts:
+        return
+    shapes = {(type(f), f.max_depth, f.min_leaf, f.mtry, f._n_classes) for f, *_ in parts}
+    if len(shapes) > 1:
+        raise ValueError("forests grown together must share class and growth parameters")
+
+    roots, owned, offset = [], [], 0
+    for forest, rows, _, _ in parts:
+        seed = forest.seed
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        trees = [_GrowingTree(np.random.default_rng(s)) for s in root.spawn(forest.n_trees)]
+        for tree in trees:
+            if forest.bootstrap:
+                roots.append((tree, offset + tree.rng.integers(0, rows.size, size=rows.size)))
+            else:
+                roots.append((tree, offset + np.arange(rows.size)))
+        owned.append(trees)
+        offset += rows.size
+
+    first = parts[0][0]
+    mtry = first.mtry if first.mtry is not None else max(1, math.ceil(math.sqrt(d)))
+    _Grower(
+        x,
+        np.concatenate([rows for _, rows, _, _ in parts]),
+        np.concatenate([y for _, _, y, _ in parts]),
+        np.concatenate([w for _, _, _, w in parts]),
+        mtry,
+        first.min_leaf,
+        first.max_depth,
+        first._classification,
+        first._n_classes,
+    ).grow(roots)
+    width = first._n_classes if first._classification else 1
+    for (forest, *_), trees in zip(parts, owned):
+        forest.trees_ = [tree.finish(width) for tree in trees]
+        forest.n_features_ = d
 
 
 @dataclass
@@ -245,42 +441,8 @@ class _BaseForest:
     _classification = False
     _n_classes = 0
 
-    def _fit_arrays(self, x, y, sample_weight):
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise DegenerateData("forest needs a nonempty 2-d feature matrix")
-        if not np.isfinite(x).all():
-            raise DegenerateData("forest features must be finite after imputation")
-        n, d = x.shape
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        if y.shape != (n,):
-            raise DegenerateData("target length does not match feature rows")
-        w = (
-            np.ones(n)
-            if sample_weight is None
-            else np.ascontiguousarray(sample_weight, dtype=np.float64)
-        )
-        if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any():
-            raise DegenerateData("sample weights must be finite and nonnegative, one per row")
-        mtry = self.mtry if self.mtry is not None else max(1, math.ceil(math.sqrt(d)))
-
-        root = (
-            self.seed
-            if isinstance(self.seed, np.random.SeedSequence)
-            else np.random.SeedSequence(self.seed)
-        )
-        trees = []
-        for stream in root.spawn(self.n_trees):
-            rng = np.random.default_rng(stream)
-            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            trees.append(_GrowingTree(rng, np.asarray(rows, dtype=np.int64)))
-        _Grower(
-            x, y, w, mtry, self.min_leaf, self.max_depth, self._classification, self._n_classes
-        ).grow(trees)
-        width = self._n_classes if self._classification else 1
-        self.trees_ = [tree.finish(width) for tree in trees]
-        self.n_features_ = d
-        return self
+    def _targets(self, y):
+        return y
 
     def _accumulate(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -302,13 +464,16 @@ class ForestRegressor(_BaseForest):
         super().__init__(n_trees, max_depth, min_leaf, mtry, seed, bootstrap)
 
     def fit(self, x, y, sample_weight=None):
-        return self._fit_arrays(x, y, sample_weight)
+        fit_forests(x, [(self, None, y, sample_weight)])
+        return self
 
     def predict(self, x):
         return self._accumulate(x)[:, 0]
 
 
 class ForestClassifier(_BaseForest):
+    _classification = True
+
     def __init__(
         self,
         n_trees=100,
@@ -322,7 +487,7 @@ class ForestClassifier(_BaseForest):
         super().__init__(n_trees, max_depth, min_leaf, mtry, seed, bootstrap)
         self.n_classes = n_classes
 
-    def fit(self, x, y, sample_weight=None):
+    def _targets(self, y):
         labels = np.asarray(y, dtype=np.int64)
         if labels.size and labels.min() < 0:
             raise DegenerateData("class labels must be nonnegative integers")
@@ -330,8 +495,11 @@ class ForestClassifier(_BaseForest):
         self._n_classes = self.n_classes if self.n_classes is not None else inferred
         if labels.size and inferred > self._n_classes:
             raise DegenerateData("label outside declared class range")
-        self._classification = True
-        return self._fit_arrays(x, labels, sample_weight)
+        return labels
+
+    def fit(self, x, y, sample_weight=None):
+        fit_forests(x, [(self, None, y, sample_weight)])
+        return self
 
     def predict_proba(self, x):
         return self._accumulate(x)

@@ -51,7 +51,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTraining, InvalidConfig, UnknownInstanceFeatures
-from .learners import ForestClassifier, ForestRegressor, KnnIndex, Preprocessor, fit_kmeans
+from .learners import (
+    ForestClassifier,
+    ForestRegressor,
+    KnnIndex,
+    Preprocessor,
+    fit_forests,
+    fit_kmeans,
+)
 from .metrics import SelectionTrace, single_best
 from .scenario import ScenarioSpec
 
@@ -157,10 +164,8 @@ class PerAlgorithmRegressorSelector(_ForestSelector):
     def _fit(self, scenario, train_indices):
         x, pr10 = self._prepare(scenario, train_indices)
         children = self._seed_sequence().spawn(scenario.n_algorithms)
-        self.models_ = [
-            self._forest(ForestRegressor, children[a]).fit(x, pr10[:, a])
-            for a in range(scenario.n_algorithms)
-        ]
+        self.models_ = [self._forest(ForestRegressor, seed) for seed in children]
+        fit_forests(x, [(m, None, pr10[:, a], None) for a, m in enumerate(self.models_)])
 
     def scores_batch(self, x):
         z = self.preprocessor_.transform(x)
@@ -188,17 +193,18 @@ class PairwiseSelector(_ForestSelector):
         k = scenario.n_algorithms
         pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
         children = self._seed_sequence().spawn(max(1, len(pairs)))
-        self.models_ = []
+        self.models_, fits = [], []
         for idx, (a, b) in enumerate(pairs):
             labels = (pr10[:, b] < pr10[:, a]).astype(np.int64)
             weights = np.abs(pr10[:, a] - pr10[:, b])
-            keep = weights > 0
+            keep = np.flatnonzero(weights > 0)
             forest = self._forest(ForestClassifier, children[idx], n_classes=2)
-            if keep.any():
-                forest.fit(x[keep], labels[keep], sample_weight=weights[keep])
+            if keep.size:
+                fits.append((forest, keep, labels[keep], weights[keep]))
             else:
-                forest.fit(x, labels)  # every pair tied: learn the prior
+                fits.append((forest, None, labels, None))  # every pair tied: learn the prior
             self.models_.append((a, b, forest))
+        fit_forests(x, fits)
 
     def scores_batch(self, x):
         z = self.preprocessor_.transform(x)
@@ -324,6 +330,12 @@ def _key_value_segments(segments, allowed, where: str) -> dict:
     return params
 
 
+def _require_seed(seed) -> None:
+    """InvalidConfig unless the global seed is at least 0."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be nonnegative, got {seed}")
+
+
 def _int(params, key) -> int:
     try:
         return int(params[key])
@@ -369,8 +381,10 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
     of the canonical spec, so equal specs train identically whether they
     run standalone or inside an ensemble. `salt` adds entropy terms for
     callers that need decorrelated copies of one spec (bootstrap
-    members, boosting rounds).
+    members, boosting rounds). A negative global seed is rejected here,
+    not at fit time.
     """
+    _require_seed(global_seed)
     name, params = parse_selector_spec(spec)
     canonical = _format_atom(name, params)
     entropy = [int(global_seed), zlib.crc32(canonical.encode())]

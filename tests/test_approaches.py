@@ -107,6 +107,9 @@ def test_member_order_is_preserved_in_bases():
         "bagging{peralgo(mtry=0)}",
         "stacking{meta=isac(clusters=0);bases=sbs}",
         "ass{meta=sbs;bases=pairwise(trees=0)}",
+        # a seed is nonnegative wherever it is given
+        "bagging{sunny;k=2;seed=-4}",
+        "boosting{sunny;seed=-1}",
     ],
 )
 def test_bad_grammar_rejected(raw):
@@ -172,3 +175,11 @@ def test_whitespace_never_matters():
         " voting [ wmaj ] { sunny( k = 9 ) , sbs ; search = exhaustive } "
     )
     assert tight == spaced
+
+
+@pytest.mark.parametrize(
+    "spec", ["peralgo(trees=2)", "bagging{sunny;k=2}", "ass{meta=sbs;bases=sunny}"]
+)
+def test_negative_global_seed_rejected_before_fit(spec):
+    with pytest.raises(InvalidConfig):
+        build_approach(spec, -1)

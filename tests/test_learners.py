@@ -5,7 +5,9 @@ reference search, on one node's columns and on padded columns of
 several nodes, the distance kernel against a column-by-column one in
 both orientations and the k-means accumulation against per-column
 bincounts; pinned digests hold every tree a seeded forest grows, so a change to
-the grower cannot shift a split unnoticed.
+the grower cannot shift a split unnoticed. Forests grown together by
+`fit_forests` are compared with each forest grown alone, and the batched
+leaf payloads with a one-leaf-at-a-time reference, bit for bit.
 """
 
 import hashlib
@@ -23,9 +25,11 @@ from metaselect.learners import (
     ForestRegressor,
     KnnIndex,
     Preprocessor,
+    fit_forests,
     fit_kmeans,
 )
 from metaselect.learners import _kernels
+from metaselect.learners.forest import _leaf_payloads
 from metaselect.learners.preprocess import column_medians, fit_variance_threshold
 
 
@@ -321,6 +325,117 @@ def test_a_tree_does_not_depend_on_the_trees_grown_beside_it(classification):
     few = model(n_trees=3, min_leaf=2, seed=9).fit(x, y, w)
     many = model(n_trees=40, min_leaf=2, seed=9).fit(x, y, w)
     assert _forest_digest(many, n_trees=3) == _forest_digest(few)
+
+
+def _joint_fits(classification):
+    """Forests of one shape on one 70-row matrix: all rows, an ascending
+    and a shuffled subset, weights with zeros, an all-pure target, all
+    weights zero, no bootstrap, and differing tree counts and seeds."""
+    rng = np.random.default_rng(16)
+    x = np.round(rng.normal(size=(70, 5)), 1)
+    x[:, 3] = 0.5  # a constant feature
+
+    def target(n):
+        if classification:
+            return rng.integers(0, 3, size=n)
+        return np.round(x[:n, 0] - x[:n, 1] + rng.normal(scale=0.5, size=n), 1)
+
+    subset = np.sort(rng.choice(70, size=40, replace=False))
+    shuffled = rng.permutation(70)[:25]
+    weights = rng.uniform(0.0, 2.0, size=40)
+    weights[::4] = 0.0
+    fits = [
+        # (rows, y, sample_weight, n_trees, seed, bootstrap)
+        (None, target(70), None, 3, 1, True),
+        (subset, target(40), weights, 4, 2, True),
+        (shuffled, target(25), rng.uniform(0.5, 1.5, size=25), 2, 3, True),
+        (None, np.full(70, 2), None, 2, 4, True),  # every target equal
+        (subset, target(40), np.zeros(40), 2, 5, True),  # every weight zero
+        (subset[:12], target(12), None, 2, 6, False),
+    ]
+    return x, fits
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        (ForestRegressor, {"min_leaf": 1}),
+        (ForestRegressor, {"min_leaf": 3, "max_depth": 4}),
+        (ForestRegressor, {"min_leaf": 2, "mtry": 2}),
+        (ForestClassifier, {"min_leaf": 1, "n_classes": 3}),
+        (ForestClassifier, {"min_leaf": 2, "max_depth": 3, "n_classes": 3}),
+        (ForestClassifier, {"min_leaf": 1, "max_depth": 1, "n_classes": 4}),
+    ],
+)
+def test_forests_grown_together_equal_forests_grown_alone(model, params):
+    x, fits = _joint_fits(model is ForestClassifier)
+    together = [
+        model(n_trees=n_trees, seed=seed, bootstrap=bootstrap, **params)
+        for _, _, _, n_trees, seed, bootstrap in fits
+    ]
+    fit_forests(x, [(f, rows, y, w) for f, (rows, y, w, *_) in zip(together, fits)])
+    for forest, (rows, y, w, n_trees, seed, bootstrap) in zip(together, fits):
+        alone = model(n_trees=n_trees, seed=seed, bootstrap=bootstrap, **params)
+        alone.fit(x if rows is None else x[rows], y, w)
+        assert len(forest.trees_) == n_trees
+        assert _forest_digest(forest) == _forest_digest(alone)
+
+
+def test_forests_grown_together_reject_mixed_shapes_and_bad_rows():
+    x = np.zeros((4, 2))
+    y = np.arange(4.0)
+    fits = [(ForestRegressor(min_leaf=m), None, y, None) for m in (1, 2)]
+    with pytest.raises(ValueError):
+        fit_forests(x, fits)
+    with pytest.raises(DegenerateData):
+        fit_forests(x, [(ForestRegressor(), np.array([], dtype=np.int64), y[:0], None)])
+    with pytest.raises(DegenerateData):
+        fit_forests(x, [(ForestRegressor(), np.array([0, 4]), y[:2], None)])
+
+
+def _leaf_payload(rows, y, w, n_classes):
+    """One leaf's payload, computed alone: the reference for the batch."""
+    w = w[rows]
+    total = w.sum()
+    if n_classes:
+        hist = np.bincount(y[rows].astype(np.int64), weights=w, minlength=n_classes)
+        if total > 0:
+            return hist / total
+        hist[:] = 1.0 / n_classes
+        return hist
+    if total > 0:
+        return np.array([float((w * y[rows]).sum() / total)])
+    return np.array([float(y[rows].mean())])
+
+
+@st.composite
+def _leaves(draw):
+    """Samples of a few leaves, drawn with repeats from a pool of targets
+    and weights; leaf sizes cross the lengths where numpy's pairwise sum
+    changes shape (8, 128) and weights are often zero, signed zeros
+    included."""
+    n_classes = draw(st.sampled_from([0, 1, 2, 5]))
+    pool = draw(st.integers(1, 40))
+    if n_classes:
+        y = draw(arrays(np.float64, pool, elements=st.integers(0, n_classes - 1).map(float)))
+    else:
+        y = draw(arrays(np.float64, pool, elements=st.floats(-1e6, 1e6, width=32)))
+    w = draw(arrays(np.float64, pool, elements=st.sampled_from([0.0, -0.0, 0.1, 0.7, 1.0, 3e5])))
+    lengths = st.sampled_from([1, 2, 5, 7, 8, 9, 16, 127, 128, 129, 300])
+    sizes = draw(st.lists(lengths, min_size=1, max_size=8))
+    samples = draw(arrays(np.int64, sum(sizes), elements=st.integers(0, pool - 1)))
+    return samples, np.array(sizes), y, w, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaves())
+def test_batched_leaf_payloads_equal_one_leaf_at_a_time(leaves):
+    samples, sizes, y, w, n_classes = leaves
+    batch = _leaf_payloads(samples, sizes, y, w, n_classes)
+    starts = np.cumsum(sizes) - sizes
+    for row, start, size in zip(batch, starts, sizes):
+        expected = _leaf_payload(samples[start : start + size], y, w, n_classes)
+        assert row.tobytes() == expected.tobytes()
 
 
 class TestForest:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import warnings
 
@@ -215,6 +216,12 @@ def test_explicit_seed_param_decouples_from_global(toy):
     assert not np.array_equal(base, reseeded)
 
 
+@pytest.mark.parametrize("spec", ["peralgo(trees=2)", "sbs"])
+def test_negative_global_seed_rejected_before_fit(spec):
+    with pytest.raises(InvalidConfig):
+        make_selector(spec, -1)
+
+
 def test_salt_decorrelates_copies(toy):
     train, test = toy.fold_split(1)
     xs = toy.features[test]
@@ -337,3 +344,50 @@ def test_registered_stub_atoms_take_no_seed():
             canonical_selector_spec("halfpos(seed=1)")
     with pytest.raises(InvalidConfig):
         canonical_selector_spec("halfpos")
+
+
+def _tied_scenario():
+    """Integer runtimes and shared timeouts: algorithms 2 and 3 are equal
+    on every instance, so pair (2, 3) is fully tied, and every other pair
+    ties on some instances only."""
+    rng = np.random.default_rng(7)
+    runtimes = rng.integers(1, 12, size=(60, 4)).astype(float)
+    solved = rng.random(size=(60, 4)) > 0.3
+    runtimes[:, 3], solved[:, 3] = runtimes[:, 2], solved[:, 2]
+    features = np.round(rng.normal(size=(60, 5)), 1)
+    return hand_scenario(runtimes, features, cutoff=20.0, solved=solved)
+
+
+@pytest.mark.parametrize(
+    "spec, pin",
+    [
+        (
+            "peralgo(trees=4)",
+            "feff4a9f54d18a2e392188dd2ce8ae24cdecf445beefe1871618295b9d4bf5dd",
+        ),
+        (
+            "peralgo(depth=3,minleaf=2,trees=3)",
+            "84d37740fb1d1ab140ff37f82ed403807ed46742049af0159a7cecd0cdaeb793",
+        ),
+        (
+            "pairwise(trees=3)",
+            "b0c43d870d552d49ece3759ef70071e882a130657f804a2bccdb7f89a612ecda",
+        ),
+        (
+            "pairwise(depth=2,minleaf=3,trees=2)",
+            "7bf7ccdc97a1202c764de2f769af179084a4ccb3df0bba9b84c3f7b14ae81e16",
+        ),
+    ],
+)
+def test_forest_selector_scores_are_pinned(spec, pin):
+    # the forests of one fit grow together; each must stay the forest it
+    # is when grown alone, through the full-tie prior and partial ties
+    sc = _tied_scenario()
+    pr10 = sc.pr10_matrix()[:48]
+    tied = pr10[:, :, None] == pr10[:, None, :]
+    assert tied[:, 2, 3].all()
+    partly = [tied[:, a, b].sum() for a in range(4) for b in range(a + 1, 4) if (a, b) != (2, 3)]
+    assert all(0 < count < 48 for count in partly)
+    model = make_selector(spec, 5).fit(sc, np.arange(48))
+    scores = model.scores_batch(sc.features)
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == pin
