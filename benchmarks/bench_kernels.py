@@ -17,7 +17,11 @@ k-means accumulation sums those 800 rows into 10 clusters. Three kNN
 queries at k = 16 rank 800 training rows against an index of themselves
 (a self-query, as stacking makes), 200 test rows against an index of
 800 distinct rows, and 200 test rows against an index of an 800-row
-bootstrap resample, which keeps only its distinct rows. The voting engine scores
+bootstrap resample, which keeps only its distinct rows; two kNN index
+fits build an index of those 800 rows and of a bootstrap resample of
+them, which must find the repeated rows. A 5-tree, 5-class forest fit on
+240 rows of 10 features (a training fold of a 300-instance scenario)
+predicts its 60 test rows, all trees in one descent. The voting engine scores
 every member subset with `borda`: 3 members on 800 instances over 10
 algorithms (7 subsets, the exhaustive voting search of that 5-fold run),
 and the 15-member gate on 200 instances (32767 subsets). The grower
@@ -54,6 +58,7 @@ DIST_SHAPES = (  # (n_a, n_b, d)
     (800, 800, 50), (200, 800, 50), (800, 10, 50), (800, 4, 50), (800, 1, 50))
 KMEANS_SHAPE = (800, 50, 10)  # (rows, features, clusters)
 KNN_SHAPE = (200, 800, 50, 16)  # (test queries, training rows, features, k)
+PREDICT_SHAPE = (5, 240, 60, 10, 5)  # (trees, training rows, test rows, features, classes)
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
 ASLIB_SHAPE = (1000, 31, 50, 10)  # (instances, algorithms, features, folds)
 ASLIB_FITS = ("pairwise(trees=2)", "peralgo(trees=10)")
@@ -103,6 +108,13 @@ def bench_cases(rng):
     index = KnnIndex().fit(rows[rng.integers(0, n, size=n)])
     yield f"knn query {n_q}x{n}x{d} bootstrap k={k}", index.query, (
         rng.normal(size=(n_q, d)), k)
+    yield f"knn fit {n}x{d} distinct", KnnIndex().fit, (rows,)
+    yield f"knn fit {n}x{d} bootstrap", KnnIndex().fit, (rows[rng.integers(0, n, size=n)],)
+    trees, n, n_test, d, k = PREDICT_SHAPE
+    forest = ForestClassifier(n_trees=trees, n_classes=k, seed=0).fit(
+        rng.normal(size=(n, d)), rng.integers(0, k, size=n))
+    yield f"forest predict {trees}x{n}x{d} test={n_test}", forest.predict_proba, (
+        rng.normal(size=(n_test, d)),)
     yield "tree_apply", _kernels.tree_apply, full_tree(depth=12) + (rng.normal(size=(20000, 16)),)
     for m, n, k in ENGINE_SHAPES:
         yield f"subset_choices borda {m}x{n}x{k}", all_borda_subsets, (

@@ -244,14 +244,19 @@ def kmeans_accumulate(x, assign, k):
 # ------------------------------------------------------------ tree apply
 
 
-def tree_apply(feature, threshold, left, right, x):
-    """Leaf index reached by each row; internal nodes have feature >= 0."""
-    n = x.shape[0]
-    node = np.zeros(n, dtype=np.int64)
+def tree_apply(feature, threshold, left, right, x, roots=(0,)):
+    """Leaf reached by each row from each root, shape (len(roots), len(x));
+    internal nodes have feature >= 0. All (root, row) pairs descend
+    together, one level per pass."""
+    n, d = x.shape
+    roots = np.asarray(roots, dtype=np.int64)
+    node = np.repeat(roots, n)
+    row_start = np.tile(np.arange(n) * d, roots.size)  # of each pair's row in x.ravel()
+    cells = x.ravel()
     active = np.nonzero(feature[node] >= 0)[0]
     while active.size:
         current = node[active]
-        go_left = x[active, feature[current]] <= threshold[current]
+        go_left = cells[row_start[active] + feature[current]] <= threshold[current]
         node[active] = np.where(go_left, left[current], right[current])
         active = active[feature[node[active]] >= 0]
-    return node
+    return node.reshape(roots.size, n)

@@ -1,9 +1,14 @@
 """Random forests over array-encoded trees.
 
 Trees are grown on bootstrap resamples with per-node random feature
-subsets. Node storage is flat arrays (feature, threshold, child ids), so
-prediction is a batched descent through the `tree_apply` kernel. All
-randomness is drawn at numpy level from a per-tree generator; the
+subsets. Node storage is flat arrays (feature, threshold, child ids). A
+fit keeps all its trees' nodes in one set of arrays, tree after tree,
+child ids shifted by each tree's offset (`trees_` gives each tree back
+on its own), so a prediction is one `tree_apply` call: every
+(tree, row) pair starts at its tree's root and all pairs descend one
+level per pass. The leaves' payloads are then added tree after tree,
+starting from +0.0, so the sum rounds as a loop over the trees does.
+All randomness is drawn at numpy level from a per-tree generator; the
 kernels are pure functions.
 
 `fit_forests` grows several forests over one feature matrix in one
@@ -59,8 +64,22 @@ class _Tree:
     right: np.ndarray
     payload: np.ndarray  # per-node value row (regression: width 1)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return _kernels.tree_apply(self.feature, self.threshold, self.left, self.right, x)
+
+def _stack(trees) -> tuple[_Tree, np.ndarray]:
+    """All nodes of `trees` in one `_Tree`, tree after tree, with child
+    ids shifted to match, and the id of each tree's root in it. A leaf's
+    children (-1) are shifted too; a descent never reads them."""
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+
+    def joined(name):
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    return _Tree(
+        joined("feature"), joined("threshold"), joined("left") + shift, joined("right") + shift,
+        joined("payload"),
+    ), roots
 
 
 SPLIT_PAD_ROWS = 512  # padding rows one split-kernel call may take on
@@ -373,6 +392,8 @@ def fit_forests(x, fits) -> None:
     n, d = x.shape
     parts = []
     for forest, rows, y, sample_weight in fits:
+        if forest.n_trees < 1:
+            raise DegenerateData("forest needs at least one tree")
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1 or rows.size == 0:
             raise DegenerateData("forest needs a nonempty 2-d feature matrix")
@@ -423,7 +444,7 @@ def fit_forests(x, fits) -> None:
     ).grow(roots)
     width = first._n_classes if first._classification else 1
     for (forest, *_), trees in zip(parts, owned):
-        forest.trees_ = [tree.finish(width) for tree in trees]
+        forest.nodes_, forest.roots_ = _stack([tree.finish(width) for tree in trees])
         forest.n_features_ = d
 
 
@@ -435,28 +456,46 @@ class _BaseForest:
     mtry: int | None = None
     seed: int = 0
     bootstrap: bool = True
-    trees_: list = field(default_factory=list, repr=False)
+    nodes_: _Tree | None = field(default=None, repr=False)  # every tree's nodes, see _stack
+    roots_: np.ndarray | None = field(default=None, repr=False)  # each tree's root in nodes_
     n_features_: int = field(default=0, repr=False)
 
     _classification = False
     _n_classes = 0
+
+    @property
+    def trees_(self) -> list[_Tree]:
+        """Each tree on its own, node ids from 0: views of `nodes_` but
+        for the child ids, which are shifted back."""
+        if self.nodes_ is None:
+            return []
+        nodes = self.nodes_
+        ends = [*self.roots_[1:], nodes.feature.size]
+        return [
+            _Tree(nodes.feature[a:b], nodes.threshold[a:b], nodes.left[a:b] - a,
+                  nodes.right[a:b] - a, nodes.payload[a:b])
+            for a, b in zip(self.roots_, ends)
+        ]
 
     def _targets(self, y):
         return y
 
     def _accumulate(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if not self.trees_:
+        if self.nodes_ is None:
             raise DegenerateData("forest used before fit")
         if x.ndim != 2 or x.shape[1] != self.n_features_:
             raise DegenerateData(
                 f"forest needs rows of {self.n_features_} features, got shape {x.shape}"
             )
-        width = self.trees_[0].payload.shape[1]
-        acc = np.zeros((x.shape[0], width))
-        for tree in self.trees_:
-            acc = acc + tree.payload[tree.apply(x)]
-        return acc / len(self.trees_)
+        nodes = self.nodes_
+        leaves = _kernels.tree_apply(
+            nodes.feature, nodes.threshold, nodes.left, nodes.right, x, self.roots_
+        )
+        acc = np.zeros((x.shape[0], nodes.payload.shape[1]))
+        for tree_leaves in leaves:  # in tree order, from +0.0
+            acc += nodes.payload[tree_leaves]
+        return acc / len(leaves)
 
 
 class ForestRegressor(_BaseForest):

@@ -7,7 +7,15 @@ its distinct one. A query ranks the distinct rows and expands that to
 one column per original row with that map, so a row's id stays its
 original position and ties still go to the lower id. Rows are distinct
 by value, so a row holding 0.0 where another holds -0.0 is kept once;
-(q - 0.0)² and (q + 0.0)² are the same number for every q.
+(q - 0.0)² and (q + 0.0)² are the same number for every q. `fit` finds
+them with one 1-D sort of byte keys, each row's 8·d bytes once -0.0 is
+folded into 0.0 (x + 0.0): ±0.0 are the only finite floats that are
+equal with different bytes, so two finite rows share a key exactly
+when they are equal by value. The distinct rows are kept in key order.
+No answer depends on that order: a query reports original row ids,
+computes each candidate's exact distance for its own pair, and orders
+by (distance, row id), and the margin below holds for the points in
+any order.
 
 A query does not compute the exact distance of every (query row,
 point) pair. For each block of query rows it computes the GEMM form
@@ -120,14 +128,23 @@ class KnnIndex:
         self.sq_norms_ = None  # squared norm of each distinct row, in any summation order
 
     def fit(self, x: np.ndarray) -> "KnnIndex":
+        """Index the rows of `x`. With no repeated row, `points_` is `x`
+        and `inverse_` is None. Otherwise `points_` holds the first
+        occurrence of each distinct row, in the order of its byte key,
+        and `inverse_` maps every row of `x` to its distinct row. A
+        matrix of no features is one distinct row."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise DegenerateData("knn index needs a nonempty 2-d matrix")
         if not np.isfinite(x).all():
             raise DegenerateData("knn index requires finite features")
-        points, inverse = np.unique(x, axis=0, return_inverse=True)
-        if points.shape[0] < x.shape[0]:
-            self.points_, self.inverse_ = points, inverse.reshape(-1)
+        if x.shape[1] == 0:  # one distinct row, and no 0-byte key to sort
+            first, inverse = np.zeros(1, np.int64), np.zeros(x.shape[0], np.int64)
+        else:  # each row's bytes as one key, -0.0 folded into 0.0
+            keys = (x + 0.0).view(np.dtype((np.void, 8 * x.shape[1]))).reshape(-1)
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if first.size < x.shape[0]:
+            self.points_, self.inverse_ = x[first], inverse
         else:
             self.points_, self.inverse_ = x, None
         with np.errstate(over="ignore"):

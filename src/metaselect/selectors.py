@@ -5,9 +5,13 @@ maps a batch of raw feature rows to one score per algorithm and row,
 lower meaning better. Subclasses implement exactly two methods, `_fit`
 and `scores_batch` ((n, d) features -> (n, K) scores); `Selector`
 derives `scores`, `select` and `select_batch` from the latter, taking
-the argmin (lowest index wins ties). `needs_features` only decides
-whether feature acquisition costs are charged: a feature-free model
-still receives the feature rows and sizes its output from them. Five
+the argmin (lowest index wins ties). Nothing in the package calls
+`scores` or `select`, which score one instance at a time: they are the
+single-row API for library users (a feature-free model takes no row),
+and `tests/test_contract.py` pins them to the batch methods, so they
+stay. `needs_features` only decides whether feature acquisition costs
+are charged: a feature-free model still receives the feature rows and
+sizes its output from them. Five
 feature-based strategies plus the feature-free single-best baseline:
 
 * ``peralgo``: one runtime regressor per algorithm,

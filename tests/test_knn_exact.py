@@ -6,15 +6,18 @@ exactly. These tests hold it to the first k columns of a stable argsort
 of the exact kernel's distances on inputs where the two forms round
 differently: continuous data, ties across the k-th place, large offsets
 with a small spread, magnitudes where squares overflow, and bootstrap
-indexes with duplicate rows. BLAS may sum the matrix product in another
-order under another thread count; CI runs this module once more with
-OPENBLAS_NUM_THREADS=1, and every answer must stay the same.
+indexes with duplicate rows. An index must also group its rows as
+`np.unique(rows, axis=0)` does, by value. BLAS may sum the matrix
+product in another order under another thread count; CI runs this
+module once more with OPENBLAS_NUM_THREADS=1, and every answer must
+stay the same.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metaselect.learners import KnnIndex, _kernels
 from metaselect.learners.neighbors import QUERY_BLOCK_CELLS
@@ -64,6 +67,47 @@ def test_query_equals_a_stable_argsort_of_exact_distances(kind, n, n_queries, d,
     x = np.vstack([_rows(kind, rng, n_queries, d), rows[: n_queries // 2]])
     index = KnnIndex().fit(rows)
     for k in {1, int(rng.integers(1, n + 1)), n}:
+        with np.errstate(over="ignore"):
+            got = index.query(x, k)
+        np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, k))
+
+
+ROW_KINDS = ("signed zeros", "single row", "all equal", "zero width", "magnitudes")
+SIGNED_ZERO_GRID = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-300.0, 300.0),
+)
+
+
+@st.composite
+def index_rows(draw):
+    """Rows drawn with repeats from a few base rows of one kind."""
+    kind = draw(st.sampled_from(ROW_KINDS))
+    d = 0 if kind == "zero width" else draw(st.integers(1, 4))
+    n_base = 1 if kind in ("single row", "all equal") else draw(st.integers(1, 8))
+    elements = MAGNITUDES if kind == "magnitudes" else SIGNED_ZERO_GRID
+    base = draw(arrays(np.float64, (n_base, d), elements=elements))
+    if kind == "single row":
+        return base
+    return base[draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=16))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_rows())
+@example(np.zeros((1, 0)))
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+def test_an_index_groups_rows_as_unique_by_value_does(rows):
+    index = KnnIndex().fit(rows)
+    want_points, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = np.arange(len(rows)) if index.inverse_ is None else index.inverse_
+    assert index.points_.shape[0] == want_points.shape[0]
+    # one group per distinct row on both sides: the same partition of row ids
+    assert len(set(zip(inverse.tolist(), want_inverse.reshape(-1).tolist()))) == len(want_points)
+    np.testing.assert_array_equal(index.points_[inverse], rows)
+    x = np.vstack([rows, -rows[::-1]])
+    for k in {1, len(rows) // 2 + 1, len(rows)}:
         with np.errstate(over="ignore"):
             got = index.query(x, k)
         np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, k))

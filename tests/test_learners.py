@@ -314,6 +314,23 @@ def test_tied_feature_values_keep_their_row_order():
 
 
 @pytest.mark.parametrize("classification", [False, True])
+def test_one_descent_of_all_trees_predicts_like_a_loop_over_trees(classification):
+    rng = np.random.default_rng(15)
+    x = np.round(rng.normal(size=(150, 5)), 1)
+    y = (x[:, 0] > 0) + (x[:, 1] > 0.5) if classification else x[:, 0] + rng.normal(size=150)
+    model = (ForestClassifier if classification else ForestRegressor)(n_trees=7, seed=3).fit(x, y)
+    q = np.vstack([x[:20], np.round(rng.normal(size=(30, 5)), 1)])
+    # the reference: one descent per tree, payloads added in tree order
+    want = np.zeros((len(q), model.trees_[0].payload.shape[1]))
+    for tree in model.trees_:
+        leaves = _kernels.tree_apply(tree.feature, tree.threshold, tree.left, tree.right, q)[0]
+        want = want + tree.payload[leaves]
+    want /= len(model.trees_)
+    got = model.predict_proba(q) if classification else model.predict(q)[:, None]
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("classification", [False, True])
 def test_a_tree_does_not_depend_on_the_trees_grown_beside_it(classification):
     # 40 trees search their nodes in wider, differently grouped kernel
     # calls than 3 trees do; the first 3 trees must not change
@@ -391,6 +408,12 @@ def test_forests_grown_together_reject_mixed_shapes_and_bad_rows():
         fit_forests(x, [(ForestRegressor(), np.array([], dtype=np.int64), y[:0], None)])
     with pytest.raises(DegenerateData):
         fit_forests(x, [(ForestRegressor(), np.array([0, 4]), y[:2], None)])
+
+
+def test_a_forest_of_no_trees_is_rejected_at_fit():
+    for model in (ForestRegressor(n_trees=0), ForestClassifier(n_trees=0)):
+        with pytest.raises(DegenerateData):
+            model.fit(np.zeros((4, 2)), np.zeros(4))
 
 
 def _leaf_payload(rows, y, w, n_classes):
