@@ -50,10 +50,6 @@ class RawArffTable:
         except KeyError:
             return False
 
-    def column(self, name: str) -> list:
-        idx = self.column_index(name)
-        return [row[idx] for row in self.rows]
-
 
 def _unquote(token: str) -> str:
     if len(token) >= 2 and token[0] == token[-1] and token[0] in ("'", '"'):
@@ -191,16 +187,28 @@ def _format_value(value, attr: Attribute) -> str:
 
 
 def _quote_if_needed(value: str) -> str:
-    if value == "" or value == "?" or any(c in value for c in ",' \t\"{}%"):
+    """`value` as one token: bare if it reads back as itself, else quoted
+    with the quote character it does not hold. There is no escape, so a
+    value holding both quote characters or a line break cannot be written."""
+    if "".join(value.splitlines()) != value:
+        raise MalformedArff(0, f"cannot write {value!r}: it holds a line break")
+    if value and value != "?" and value == value.strip() and not any(
+        c in value for c in ",' \t\"{}%"
+    ):
+        return value
+    if "'" not in value:
         return "'" + value + "'"
-    return value
+    if '"' not in value:
+        return '"' + value + '"'
+    raise MalformedArff(0, f"cannot quote {value!r}: it holds both quote characters")
 
 
 def dump_arff(table: RawArffTable) -> str:
     """Serialize a table back to ARFF text.
 
     Numeric cells are written with full ``repr`` precision so that
-    parsing the output reproduces an equal table.
+    parsing the output reproduces an equal table. Raises
+    :class:`MalformedArff` for a text value that no token can hold.
     """
     lines = [f"@RELATION {_quote_if_needed(table.relation_name)}", ""]
     for attr in table.attributes:

@@ -242,8 +242,11 @@ def write_scenario(spec: ScenarioSpec, directory) -> Path:
     """Write a scenario as a loadable ASlib-style directory.
 
     The inverse of :func:`load_scenario` up to canonicalization: loading
-    the written directory yields an equal scenario.
+    the written directory yields an equal scenario. Raises a
+    :class:`MetaselectError` for a name or id the files cannot hold.
     """
+    if not spec.name.isprintable() or spec.name != spec.name.strip():
+        raise InconsistentScenario(f"scenario name {spec.name!r} is not one trimmed line")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 

@@ -46,7 +46,6 @@ class MetaScenario:
     scenario: ScenarioSpec          # algorithms are selector spec strings
     selector_specs: tuple[str, ...]
     deployed: tuple[Selector, ...]  # refit on the full outer train set
-    train_indices: np.ndarray       # outer-train positions in the source scenario
 
 
 def _inner_fold_assignment(n: int, inner_folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,12 +121,7 @@ def build_meta_scenario(
         folds=np.ones(n, dtype=np.int64),
         validate=False,
     )
-    return MetaScenario(
-        scenario=meta,
-        selector_specs=specs,
-        deployed=deployed,
-        train_indices=train_indices,
-    )
+    return MetaScenario(scenario=meta, selector_specs=specs, deployed=deployed)
 
 
 def fit_meta_learner(meta: MetaScenario, meta_spec: str, global_seed: int = 0) -> Selector:

@@ -3,7 +3,10 @@
 The JSON form is canonical: keys sorted, cells sorted by (approach,
 fold), floats at full precision, and no wall-clock content, so two runs
 with the same seed produce byte-identical files. Timing goes into a
-separate sidecar. Tables (CSV, markdown) round floats to 4 decimals.
+separate sidecar. Tables follow one rule: a record CSV's header is the
+record type's fields in declaration order, floats print to 4 decimals,
+and a missing value is an empty CSV cell or a markdown `-`. Each format
+is a fixed list of (suffix, renderer) files, written by one emitter.
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import InvalidConfig
 
 SCHEMA = "metaselect-report-v1"
+SWEEP_SCHEMA = "metaselect-sweep-v1"
 FORMATS = ("json", "csv", "markdown")
 
 
@@ -74,141 +79,6 @@ class EvaluationReport:
     summary: tuple[ApproachSummary, ...]
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "scenario": {
-            "name": report.scenario_name,
-            "n_instances": report.n_instances,
-            "n_algorithms": report.n_algorithms,
-            "n_features": report.n_features,
-            "cutoff": report.cutoff,
-        },
-        "seed": report.seed,
-        "folds": list(report.folds),
-        "approaches": list(report.approaches),
-        "cells": [asdict(c) for c in sorted(report.cells, key=lambda c: (c.approach, c.fold))],
-        "baselines": [asdict(b) for b in sorted(report.baselines, key=lambda b: b.fold)],
-        "summary": [asdict(s) for s in sorted(report.summary, key=lambda s: s.approach)],
-    }
-
-
-def canonical_json(report: EvaluationReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def _fmt4(value) -> str:
-    return "" if value is None else f"{value:.4f}"
-
-
-def _csv_string(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def cells_csv(report: EvaluationReport) -> str:
-    rows = [
-        (
-            c.approach,
-            c.fold,
-            _fmt4(c.par10),
-            _fmt4(c.npar10),
-            "" if c.n_timeouts is None else c.n_timeouts,
-            c.n_test,
-            c.error or "",
-        )
-        for c in sorted(report.cells, key=lambda c: (c.approach, c.fold))
-    ]
-    return _csv_string(
-        ["approach", "fold", "par10", "npar10", "n_timeouts", "n_test", "error"], rows
-    )
-
-
-def summary_csv(report: EvaluationReport) -> str:
-    rows = [
-        (
-            s.approach,
-            s.n_folds_evaluated,
-            _fmt4(s.mean_par10),
-            _fmt4(s.mean_npar10),
-            _fmt4(s.median_npar10),
-            _fmt4(s.avg_rank),
-            "" if s.wins is None else s.wins,
-            "" if s.losses is None else s.losses,
-        )
-        for s in sorted(report.summary, key=lambda s: s.approach)
-    ]
-    return _csv_string(
-        [
-            "approach",
-            "n_folds_evaluated",
-            "mean_par10",
-            "mean_npar10",
-            "median_npar10",
-            "avg_rank",
-            "wins",
-            "losses",
-        ],
-        rows,
-    )
-
-
-def baselines_csv(report: EvaluationReport) -> str:
-    rows = [
-        (
-            b.fold,
-            _fmt4(b.oracle_par10),
-            b.sbs_algorithm,
-            _fmt4(b.sbs_par10),
-            _fmt4(b.as_oracle_par10),
-            b.sbas_selector or "",
-            _fmt4(b.sbas_par10),
-        )
-        for b in sorted(report.baselines, key=lambda b: b.fold)
-    ]
-    return _csv_string(
-        [
-            "fold",
-            "oracle_par10",
-            "sbs_algorithm",
-            "sbs_par10",
-            "as_oracle_par10",
-            "sbas_selector",
-            "sbas_par10",
-        ],
-        rows,
-    )
-
-
-def markdown_summary(report: EvaluationReport) -> str:
-    """Per-approach table; the row with the best mean nPAR10 is bolded."""
-    ordered = sorted(
-        report.summary,
-        key=lambda s: (s.mean_npar10 is None, s.mean_npar10, s.approach),
-    )
-    best = None
-    for s in ordered:
-        if s.mean_npar10 is not None:
-            best = s.approach
-            break
-    lines = [
-        "| Scenario | Approach | Mean nPAR10 | Median nPAR10 | Avg. Rank |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    for s in ordered:
-        name = f"**{s.approach}**" if s.approach == best else s.approach
-        mean = "-" if s.mean_npar10 is None else f"{s.mean_npar10:.4f}"
-        if s.wins is not None:
-            mean = f"{mean} ({s.wins}/{s.losses})"
-        median = "-" if s.median_npar10 is None else f"{s.median_npar10:.4f}"
-        rank = "-" if s.avg_rank is None else f"{s.avg_rank:.4f}"
-        lines.append(f"| {report.scenario_name} | {name} | {mean} | {median} | {rank} |")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One voting composition's cross-fold quality."""
@@ -232,89 +102,185 @@ class SweepReport:
     best_spec: str
 
 
+# canonical order of a report's records, shared by its JSON and CSV forms
+_ORDER = {
+    "cells": attrgetter("approach", "fold"),
+    "baselines": attrgetter("fold"),
+    "summary": attrgetter("approach"),
+}
+
+
+def _records(report: EvaluationReport, name: str) -> list:
+    return sorted(getattr(report, name), key=_ORDER[name])
+
+
+def _json(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def report_to_dict(report: EvaluationReport) -> dict:
+    return {
+        "schema": SCHEMA,
+        "scenario": {
+            "name": report.scenario_name,
+            "n_instances": report.n_instances,
+            "n_algorithms": report.n_algorithms,
+            "n_features": report.n_features,
+            "cutoff": report.cutoff,
+        },
+        "seed": report.seed,
+        "folds": list(report.folds),
+        "approaches": list(report.approaches),
+        **{name: [asdict(r) for r in _records(report, name)] for name in _ORDER},
+    }
+
+
+def canonical_json(report: EvaluationReport) -> str:
+    return _json(report_to_dict(report))
+
+
+def _cell(value, missing=""):
+    """A table cell: floats to 4 decimals, None as `missing`."""
+    if value is None:
+        return missing
+    return f"{value:.4f}" if isinstance(value, float) else value
+
+
+def _csv_table(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+def _records_csv(kind, records) -> str:
+    names = [f.name for f in fields(kind)]
+    return _csv_table(names, ([getattr(r, n) for n in names] for r in records))
+
+
+def _markdown_table(header, rows) -> str:
+    lines = [header, ["---"] * len(header), *([_cell(v, "-") for v in row] for row in rows)]
+    return "".join("| " + " | ".join(map(str, line)) + " |\n" for line in lines)
+
+
+def _bold(text: str, flag: bool) -> str:
+    return f"**{text}**" if flag else text
+
+
+def cells_csv(report: EvaluationReport) -> str:
+    return _records_csv(CellResult, _records(report, "cells"))
+
+
+def summary_csv(report: EvaluationReport) -> str:
+    return _records_csv(ApproachSummary, _records(report, "summary"))
+
+
+def baselines_csv(report: EvaluationReport) -> str:
+    return _records_csv(FoldBaselines, _records(report, "baselines"))
+
+
+def markdown_summary(report: EvaluationReport) -> str:
+    """Per-approach table; the row with the best mean nPAR10 is bolded."""
+    ordered = sorted(
+        report.summary, key=lambda s: (s.mean_npar10 is None, s.mean_npar10, s.approach)
+    )
+    rows = [
+        (
+            report.scenario_name,
+            _bold(s.approach, s is ordered[0] and s.mean_npar10 is not None),
+            s.mean_npar10 if s.wins is None
+            else f"{_cell(s.mean_npar10, '-')} ({s.wins}/{s.losses})",
+            s.median_npar10,
+            s.avg_rank,
+        )
+        for s in ordered
+    ]
+    return _markdown_table(
+        ("Scenario", "Approach", "Mean nPAR10", "Median nPAR10", "Avg. Rank"), rows
+    )
+
+
 def sweep_to_dict(sweep: SweepReport) -> dict:
     return {
-        "schema": "metaselect-sweep-v1",
+        "schema": SWEEP_SCHEMA,
         "scenario": sweep.scenario_name,
         "aggregation": sweep.aggregation,
         "member_specs": list(sweep.member_specs),
         "folds": list(sweep.folds),
         "seed": sweep.seed,
-        "rows": [
-            {
-                "members": list(r.members),
-                "spec": r.spec,
-                "mean_par10": r.mean_par10,
-                "mean_npar10": r.mean_npar10,
-                "fold_npar10": list(r.fold_npar10),
-            }
-            for r in sweep.rows
-        ],
+        "rows": [asdict(r) for r in sweep.rows],
         "best": {"members": list(sweep.best_members), "spec": sweep.best_spec},
     }
 
 
 def sweep_json(sweep: SweepReport) -> str:
-    return json.dumps(sweep_to_dict(sweep), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _json(sweep_to_dict(sweep))
+
+
+def _joined(members) -> str:
+    return "+".join(str(i) for i in members)
 
 
 def sweep_csv(sweep: SweepReport) -> str:
     header = ["members", "size", "spec", "mean_par10", "mean_npar10"]
     header += [f"npar10_fold_{f}" for f in sweep.folds]
-    rows = []
-    for r in sweep.rows:
-        rows.append(
-            [
-                "+".join(str(i) for i in r.members),
-                len(r.members),
-                r.spec,
-                _fmt4(r.mean_par10),
-                _fmt4(r.mean_npar10),
-                *[_fmt4(v) for v in r.fold_npar10],
-            ]
-        )
-    return _csv_string(header, rows)
+    rows = [
+        (_joined(r.members), len(r.members), r.spec, r.mean_par10, r.mean_npar10, *r.fold_npar10)
+        for r in sweep.rows
+    ]
+    return _csv_table(header, rows)
 
 
 def sweep_markdown(sweep: SweepReport) -> str:
-    lines = [
-        "| Members | Size | Mean nPAR10 | Mean PAR10 |",
-        "| --- | --- | --- | --- |",
+    rows = [
+        (_bold(_joined(r.members), r.members == sweep.best_members), len(r.members),
+         r.mean_npar10, r.mean_par10)
+        for r in sweep.rows
     ]
-    for r in sweep.rows:
-        name = "+".join(str(i) for i in r.members)
-        if r.members == sweep.best_members:
-            name = f"**{name}**"
-        mean = "-" if r.mean_npar10 is None else f"{r.mean_npar10:.4f}"
-        lines.append(f"| {name} | {len(r.members)} | {mean} | {r.mean_par10:.4f} |")
-    return "\n".join(lines) + "\n"
+    return _markdown_table(("Members", "Size", "Mean nPAR10", "Mean PAR10"), rows)
 
 
-def emit_sweep(sweep: SweepReport, out_base, formats=("json",)) -> list[Path]:
+# the (suffix, renderer) files of each format, keyed by FORMATS
+_REPORT_FILES = {
+    "json": [(".json", canonical_json)],
+    "csv": [
+        (".cells.csv", cells_csv),
+        (".summary.csv", summary_csv),
+        (".baselines.csv", baselines_csv),
+    ],
+    "markdown": [(".md", markdown_summary)],
+}
+_SWEEP_FILES = {
+    "json": [(".json", sweep_json)],
+    "csv": [(".csv", sweep_csv)],
+    "markdown": [(".md", sweep_markdown)],
+}
+
+
+def _emit(result, out_base, formats, files, extra=()) -> list[Path]:
+    """Write the (suffix, renderer) files of each format, then the (suffix,
+    text) `extra` files; an unknown format is rejected before any write."""
+    unknown = [fmt for fmt in formats if fmt not in files]
+    if unknown:
+        raise InvalidConfig(f"unknown report format {unknown[0]!r}")
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
+    texts = [(suffix, render(result)) for fmt in formats for suffix, render in files[fmt]]
     written = []
-    for fmt in formats:
-        if fmt == "json":
-            path = out_base.with_name(out_base.name + ".json")
-            path.write_text(sweep_json(sweep), encoding="utf-8")
-        elif fmt == "csv":
-            path = out_base.with_name(out_base.name + ".csv")
-            path.write_text(sweep_csv(sweep), encoding="utf-8")
-        elif fmt == "markdown":
-            path = out_base.with_name(out_base.name + ".md")
-            path.write_text(sweep_markdown(sweep), encoding="utf-8")
-        else:
-            raise InvalidConfig(f"unknown report format {fmt!r}")
+    for suffix, text in [*texts, *extra]:
+        path = out_base.with_name(out_base.name + suffix)
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written
 
 
+def emit_sweep(sweep: SweepReport, out_base, formats=("json",)) -> list[Path]:
+    return _emit(sweep, out_base, formats, _SWEEP_FILES)
+
+
 def emit_report(
-    report: EvaluationReport,
-    out_base,
-    formats=("json",),
-    timings: dict | None = None,
+    report: EvaluationReport, out_base, formats=("json",), timings: dict | None = None
 ) -> list[Path]:
     """Write the report in the requested formats next to `out_base`.
 
@@ -322,26 +288,5 @@ def emit_report(
     Timing data, when given, always lands in a `.timings.json` sidecar
     so the canonical report stays reproducible byte for byte.
     """
-    out_base = Path(out_base)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write(suffix, text):
-        path = out_base.with_name(out_base.name + suffix)
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    for fmt in formats:
-        if fmt == "json":
-            _write(".json", canonical_json(report))
-        elif fmt == "csv":
-            _write(".cells.csv", cells_csv(report))
-            _write(".summary.csv", summary_csv(report))
-            _write(".baselines.csv", baselines_csv(report))
-        elif fmt == "markdown":
-            _write(".md", markdown_summary(report))
-        else:
-            raise InvalidConfig(f"unknown report format {fmt!r}")
-    if timings is not None:
-        _write(".timings.json", json.dumps(timings, sort_keys=True, indent=2) + "\n")
-    return written
+    sidecars = [] if timings is None else [(".timings.json", _json(timings))]
+    return _emit(report, out_base, formats, _REPORT_FILES, sidecars)

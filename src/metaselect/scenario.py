@@ -54,6 +54,7 @@ class ScenarioSpec:
     folds: np.ndarray         # (n,) int64
     _instance_index: dict = field(repr=False, compare=False, default=None)
     _algorithm_index: dict = field(repr=False, compare=False, default=None)
+    _pr10: np.ndarray = field(repr=False, compare=False, default=None)
 
     @classmethod
     def create(
@@ -113,6 +114,8 @@ class ScenarioSpec:
         )
         object.__setattr__(spec, "_instance_index", {s: i for i, s in enumerate(instances)})
         object.__setattr__(spec, "_algorithm_index", {s: i for i, s in enumerate(algorithms)})
+        pr10 = np.where(spec.solved, spec.runtimes, PENALTY_FACTOR * spec.cutoff)
+        object.__setattr__(spec, "_pr10", _frozen(pr10))
         return spec
 
     # -- shape ---------------------------------------------------------------
@@ -151,8 +154,9 @@ class ScenarioSpec:
     # -- derived views -------------------------------------------------------
 
     def pr10_matrix(self) -> np.ndarray:
-        """Per-cell penalized runtime: runtime if solved, 10x cutoff else."""
-        return np.where(self.solved, self.runtimes, PENALTY_FACTOR * self.cutoff)
+        """Per-cell penalized runtime: runtime if solved, 10x cutoff else.
+        Computed once per scenario and frozen like the other arrays."""
+        return self._pr10
 
     def fold_ids(self) -> list[int]:
         return sorted(set(int(f) for f in self.folds))
@@ -186,4 +190,5 @@ class ScenarioSpec:
         )
         object.__setattr__(spec, "_instance_index", self._instance_index)
         object.__setattr__(spec, "_algorithm_index", self._algorithm_index)
+        object.__setattr__(spec, "_pr10", self._pr10)
         return spec

@@ -9,13 +9,17 @@ a missing feature cell, and split feature cost groups.
 from __future__ import annotations
 
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaselect.aslib import load_scenario, write_scenario
-from metaselect.errors import InconsistentScenario, InvalidConfig
+from metaselect.errors import InconsistentScenario, InvalidConfig, MetaselectError
+from metaselect.scenario import ScenarioSpec
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 TOY_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "toy"
@@ -118,3 +122,64 @@ def test_write_toy_roundtrip_preserves_truth(toy, tmp_path):
     # NaN-safe feature comparison
     np.testing.assert_array_equal(again.features, toy.features)
     np.testing.assert_allclose(again.feature_costs, toy.feature_costs, atol=1e-12)
+
+
+# printable ASCII, with the characters ARFF quoting must handle drawn
+# about half of the time; the files are written in the locale's encoding
+ID_TEXT = st.text(
+    st.sampled_from(" '\",%?{}\t") | st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+    max_size=6,
+).filter(lambda s: not ("'" in s and '"' in s))
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))  # a directory without features loads one NaN column
+    cutoff = draw(st.floats(1e-3, 1e6))
+    solved = np.array(draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k)))
+    runtimes = np.array(
+        [draw(st.floats(0.0, cutoff)) if s else cutoff for s in solved]
+    )
+    features = draw(
+        st.lists(st.floats(allow_nan=True), min_size=n * d, max_size=n * d)
+    )
+    return ScenarioSpec.create(
+        name=draw(st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=8)),
+        instances=draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True)),
+        algorithms=draw(st.lists(ID_TEXT, min_size=k, max_size=k, unique=True)),
+        cutoff=cutoff,
+        runtimes=runtimes.reshape(n, k),
+        solved=solved.reshape(n, k),
+        features=np.array(features).reshape(n, d),
+        feature_costs=draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)),
+        folds=draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios())
+def test_written_scenarios_load_back_unchanged(original):
+    # ids with quotes, commas, blanks, `%`, `?` and braces; NaN features,
+    # unsolved cells and nonzero feature costs
+    with tempfile.TemporaryDirectory() as tmp:
+        again = load_scenario(write_scenario(original, Path(tmp) / "s"))
+    assert again.name == original.name
+    assert again.instances == original.instances
+    assert again.algorithms == original.algorithms
+    assert again.cutoff == original.cutoff
+    for field in ("runtimes", "solved", "features", "feature_costs", "folds"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(original, field))
+
+
+@pytest.mark.parametrize(
+    "instance, name", [("a'b\"c", "s"), ("a\nb", "s"), ("a", " s"), ("a", "s\nt")]
+)
+def test_write_scenario_rejects_what_it_cannot_read_back(tmp_path, instance, name):
+    spec = ScenarioSpec.create(
+        name=name, instances=[instance], algorithms=["x"], cutoff=1.0,
+        runtimes=[[0.5]], solved=[[True]], features=[[0.0]],
+    )
+    with pytest.raises(MetaselectError):
+        write_scenario(spec, tmp_path / "s")

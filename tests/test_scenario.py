@@ -31,7 +31,10 @@ def test_pr10_matrix_penalizes_unsolved():
 def test_pr10_matrix_is_a_view_of_frozen_truth():
     sc = small_scenario()
     m = sc.pr10_matrix()
-    m[0, 0] = 99.0  # derived copy, scribbling on it must not stick
+    assert m is sc.pr10_matrix()  # computed once, at construction
+    assert sc.with_features(np.zeros((3, 1))).pr10_matrix() is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 99.0  # read-only, so scribbling on it cannot stick
     assert sc.pr10_matrix()[0, 0] == 1.0
     with pytest.raises(ValueError):
         sc.runtimes[0, 0] = 99.0
