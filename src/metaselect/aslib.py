@@ -1,18 +1,26 @@
-"""Loader for ASlib-style scenario directories.
+"""Loader and writer for ASlib-style scenario directories.
 
 A scenario directory must contain ``description.txt``,
 ``algorithm_runs.arff``, ``feature_values.arff`` and ``cv.arff``;
 ``feature_costs.arff`` is optional. Only runtime-minimization scenarios
-are supported.
+are supported. Every file is read and written as UTF-8, whatever the
+locale.
 
 Canonicalization applied at load:
 
 * runstatus other than ``ok`` marks the run unsolved,
 * unsolved runs store the cutoff as their runtime,
 * solved runs recorded above the cutoff are demoted to unsolved,
-* only repetition 1 of repeated runs is kept,
+* only the lowest repetition of a repeated row is kept, in every file,
 * (instance, algorithm) pairs without any run are imputed as unsolved,
-* an instance's feature cost is the sum of all provided group costs.
+* a ``?`` cell, and every cell of an instance without a feature row,
+  is a missing (NaN) feature,
+* an instance's feature cost is the sum of all provided group costs,
+  skipping ``?``, clamped at 0.
+
+A feature file without value columns loads as zero features. A cell that
+is not a number, a file that is not UTF-8 and a fold that is not an
+integer raise :class:`InconsistentScenario`.
 """
 
 from __future__ import annotations
@@ -59,32 +67,76 @@ def parse_description(text: str) -> dict[str, str]:
     return out
 
 
-def _read_table(directory: Path, filename: str) -> RawArffTable:
-    path = directory / filename
+def _read_text(directory: Path, filename: str) -> str:
     try:
-        return parse_arff(path.read_text())
+        return (directory / filename).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InconsistentScenario(f"{filename} is not UTF-8 (byte {exc.start})") from None
+
+
+def _read_table(directory: Path, filename: str, required_columns: tuple[str, ...]) -> RawArffTable:
+    try:
+        table = parse_arff(_read_text(directory, filename))
     except MalformedArff as exc:
         raise MalformedArff(exc.line, f"{filename}: {exc.reason}") from None
+    for name in required_columns:
+        if not table.has_column(name):
+            raise InconsistentScenario(f"{filename} lacks required column {name!r}")
+    return table
 
 
-def _first_repetition_rows(table: RawArffTable, key_cols: tuple[str, ...]):
+def _number(cell, filename: str, what: str) -> float:
+    """`cell` as a float, NaN for a `?` cell."""
+    if cell is MISSING:
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise InconsistentScenario(f"{filename}: {what} is {cell!r}, not a number") from None
+
+
+def _first_repetition_rows(table: RawArffTable, filename: str, key_cols: tuple[str, ...]):
     """Rows keyed by `key_cols`, keeping only the lowest repetition."""
     key_idx = [table.column_index(c) for c in key_cols]
     rep_idx = table.column_index("repetition") if table.has_column("repetition") else None
     best: dict[tuple, tuple[float, tuple]] = {}
     for row in table.rows:
         key = tuple(row[i] for i in key_idx)
-        rep = float(row[rep_idx]) if rep_idx is not None and row[rep_idx] is not MISSING else 1.0
+        if rep_idx is None or row[rep_idx] is MISSING:
+            rep = 1.0
+        else:
+            rep = _number(row[rep_idx], filename, f"repetition of {key}")
         seen = best.get(key)
         if seen is None or rep < seen[0]:
             best[key] = (rep, row)
     return {key: row for key, (_, row) in best.items()}
 
 
-def _require_columns(table: RawArffTable, filename: str, names: tuple[str, ...]):
-    for name in names:
-        if not table.has_column(name):
-            raise InconsistentScenario(f"{filename} lacks required column {name!r}")
+def _instance_columns(directory: Path, filename: str, inst_pos: dict[str, int], columns=None):
+    """One (n, c) float array of a per-instance file, in instance order.
+
+    `columns` defaults to every column but ``instance_id`` and
+    ``repetition``. A `?` cell and every cell of an instance without a
+    row is NaN. Also returns the ids of rows whose instance has no runs.
+    """
+    table = _read_table(directory, filename, ("instance_id", *(columns or ())))
+    names = [attr.name for attr in table.attributes]
+    if columns is None:
+        keys = ("instance_id", "repetition")
+        col_idx = [i for i, name in enumerate(names) if name.lower() not in keys]
+    else:
+        col_idx = [table.column_index(c) for c in columns]
+    values = np.full((len(inst_pos), len(col_idx)), np.nan, dtype=np.float64)
+    orphans = []
+    for (instance_id,), row in _first_repetition_rows(table, filename, ("instance_id",)).items():
+        pos = inst_pos.get(str(instance_id))
+        if pos is None:
+            orphans.append(str(instance_id))
+            continue
+        values[pos] = [
+            _number(row[i], filename, f"{names[i]} of instance {instance_id!r}") for i in col_idx
+        ]
+    return values, orphans
 
 
 def load_scenario(directory) -> ScenarioSpec:
@@ -94,7 +146,7 @@ def load_scenario(directory) -> ScenarioSpec:
         if not (directory / filename).is_file():
             raise InconsistentScenario(f"missing required file {filename}")
 
-    desc = parse_description((directory / "description.txt").read_text())
+    desc = parse_description(_read_text(directory, "description.txt"))
     if desc.get("maximize", "false").lower() in ("true", "yes", "1"):
         raise InconsistentScenario("maximization scenarios are not supported")
     cutoff_text = desc.get("algorithm_cutoff_time")
@@ -106,11 +158,9 @@ def load_scenario(directory) -> ScenarioSpec:
         raise InconsistentScenario(f"bad algorithm_cutoff_time {cutoff_text!r}") from None
     name = desc.get("scenario_id", directory.name)
 
-    runs = _read_table(directory, "algorithm_runs.arff")
-    _require_columns(
-        runs, "algorithm_runs.arff", ("instance_id", "algorithm", "runtime", "runstatus")
-    )
-    run_rows = _first_repetition_rows(runs, ("instance_id", "algorithm"))
+    runs_file = "algorithm_runs.arff"
+    runs = _read_table(directory, runs_file, ("instance_id", "algorithm", "runtime", "runstatus"))
+    run_rows = _first_repetition_rows(runs, runs_file, ("instance_id", "algorithm"))
 
     instances: list[str] = []
     algorithms: list[str] = []
@@ -135,19 +185,38 @@ def load_scenario(directory) -> ScenarioSpec:
     solved = np.zeros((n, k), dtype=bool)
     rt_idx = runs.column_index("runtime")
     status_idx = runs.column_index("runstatus")
-    for (instance_id, algorithm), row in run_rows.items():
-        i, a = inst_pos[str(instance_id)], algo_pos[str(algorithm)]
+    for key, row in run_rows.items():
+        i, a = inst_pos[str(key[0])], algo_pos[str(key[1])]
         status = row[status_idx]
         ok = status is not MISSING and str(status).lower() == "ok"
-        runtime = row[rt_idx]
-        if ok and runtime is not MISSING and float(runtime) <= cutoff:
-            runtimes[i, a] = max(0.0, float(runtime))
+        runtime = _number(row[rt_idx], runs_file, f"runtime of {key}")
+        if ok and runtime <= cutoff:  # a `?` runtime is NaN: unsolved
+            runtimes[i, a] = max(0.0, runtime)
             solved[i, a] = True
         # else: stays unsolved at cutoff
 
-    features, d = _load_features(directory, instances, inst_pos)
-    feature_costs = _load_feature_costs(directory, instances, inst_pos)
-    folds = _load_folds(directory, instances, inst_pos)
+    features, _ = _instance_columns(directory, "feature_values.arff", inst_pos)
+
+    feature_costs = np.zeros(n, dtype=np.float64)
+    if (directory / "feature_costs.arff").is_file():
+        groups, _ = _instance_columns(directory, "feature_costs.arff", inst_pos)
+        for group in groups.T:  # in file order, from 0.0, skipping `?`
+            feature_costs += np.where(np.isnan(group), 0.0, group)
+        feature_costs = np.fmax(feature_costs, 0.0)
+
+    folds, orphans = _instance_columns(directory, "cv.arff", inst_pos, ("fold",))
+    if orphans:
+        raise InconsistentScenario(
+            f"instances present in cv.arff but absent from runs: {sorted(orphans)[:5]}"
+        )
+    folds = folds[:, 0]
+    # NaN, infinities and fractions fail; int64 holds every other fold
+    bad = ~((np.abs(folds) < 2**63) & (folds == np.floor(folds)))
+    if bad.any():
+        raise InconsistentScenario(
+            "instances with runs but no integer fold in cv.arff: "
+            f"{sorted(instances[i] for i in np.flatnonzero(bad))[:5]}"
+        )
 
     return ScenarioSpec.create(
         name=name,
@@ -156,86 +225,16 @@ def load_scenario(directory) -> ScenarioSpec:
         cutoff=cutoff,
         runtimes=runtimes,
         solved=solved,
-        features=features.reshape(n, d),
+        features=features,
         feature_costs=feature_costs,
-        folds=folds,
+        folds=folds.astype(np.int64),
     )
 
 
-def _load_features(directory: Path, instances: list[str], inst_pos: dict[str, int]):
-    table = _read_table(directory, "feature_values.arff")
-    _require_columns(table, "feature_values.arff", ("instance_id",))
-    id_idx = table.column_index("instance_id")
-    rep_idx = table.column_index("repetition") if table.has_column("repetition") else None
-    feature_cols = [
-        i for i in range(len(table.attributes)) if i not in (id_idx, rep_idx)
-    ]
-    d = len(feature_cols)
-    features = np.full((len(instances), max(d, 1)), np.nan, dtype=np.float64)
-    if d == 0:
-        return features, 1
-    rows = _first_repetition_rows(table, ("instance_id",))
-    for (instance_id,), row in rows.items():
-        pos = inst_pos.get(str(instance_id))
-        if pos is None:
-            continue  # features for instances without runs are discarded
-        for j, col in enumerate(feature_cols):
-            cell = row[col]
-            features[pos, j] = np.nan if cell is MISSING else float(cell)
-    return features, d
-
-
-def _load_feature_costs(directory: Path, instances: list[str], inst_pos: dict[str, int]):
-    costs = np.zeros(len(instances), dtype=np.float64)
-    path = directory / "feature_costs.arff"
-    if not path.is_file():
-        return costs
-    table = _read_table(directory, "feature_costs.arff")
-    _require_columns(table, "feature_costs.arff", ("instance_id",))
-    id_idx = table.column_index("instance_id")
-    rep_idx = table.column_index("repetition") if table.has_column("repetition") else None
-    cost_cols = [i for i in range(len(table.attributes)) if i not in (id_idx, rep_idx)]
-    rows = _first_repetition_rows(table, ("instance_id",))
-    for (instance_id,), row in rows.items():
-        pos = inst_pos.get(str(instance_id))
-        if pos is None:
-            continue
-        total = 0.0
-        for col in cost_cols:
-            cell = row[col]
-            if cell is not MISSING and not math.isnan(float(cell)):
-                total += float(cell)
-        costs[pos] = max(0.0, total)
-    return costs
-
-
-def _load_folds(directory: Path, instances: list[str], inst_pos: dict[str, int]):
-    table = _read_table(directory, "cv.arff")
-    _require_columns(table, "cv.arff", ("instance_id", "fold"))
-    id_idx = table.column_index("instance_id")
-    fold_idx = table.column_index("fold")
-    rows = _first_repetition_rows(table, ("instance_id",))
-
-    cv_instances = {str(key[0]) for key in rows}
-    run_instances = set(instances)
-    only_runs = run_instances - cv_instances
-    only_cv = cv_instances - run_instances
-    if only_runs:
-        raise InconsistentScenario(
-            f"instances present in runs but absent from cv.arff: {sorted(only_runs)[:5]}"
-        )
-    if only_cv:
-        raise InconsistentScenario(
-            f"instances present in cv.arff but absent from runs: {sorted(only_cv)[:5]}"
-        )
-
-    folds = np.zeros(len(instances), dtype=np.int64)
-    for (instance_id,), row in rows.items():
-        cell = row[fold_idx]
-        if cell is MISSING:
-            raise InconsistentScenario(f"missing fold for instance {instance_id!r}")
-        folds[inst_pos[str(instance_id)]] = int(float(cell))
-    return folds
+def _write_table(directory: Path, name: str, attributes: list[Attribute], rows: list[tuple]):
+    """Write `name`.arff, relation `NAME`, as UTF-8."""
+    text = dump_arff(RawArffTable(name.upper(), attributes, rows))
+    (directory / f"{name}.arff").write_text(text, encoding="utf-8")
 
 
 def write_scenario(spec: ScenarioSpec, directory) -> Path:
@@ -260,67 +259,34 @@ def write_scenario(spec: ScenarioSpec, directory) -> Path:
                 f"algorithm_cutoff_time: {spec.cutoff!r}",
             ]
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
 
-    run_attrs = [
-        Attribute("instance_id", STRING),
-        Attribute("repetition", NUMERIC),
+    key_attrs = [Attribute("instance_id", STRING), Attribute("repetition", NUMERIC)]
+    run_attrs = key_attrs + [
         Attribute("algorithm", STRING),
         Attribute("runtime", NUMERIC),
         Attribute("runstatus", NOMINAL, ("ok", "timeout", "memout", "crash", "unknown")),
     ]
-    run_rows = []
-    for i, instance in enumerate(spec.instances):
-        for a, algorithm in enumerate(spec.algorithms):
-            solved = bool(spec.solved[i, a])
-            run_rows.append(
-                (
-                    instance,
-                    1.0,
-                    algorithm,
-                    float(spec.runtimes[i, a]),
-                    "ok" if solved else "timeout",
-                )
-            )
-    (directory / "algorithm_runs.arff").write_text(
-        dump_arff(RawArffTable("ALGORITHM_RUNS", run_attrs, run_rows))
-    )
+    run_rows = [
+        (instance, 1.0, algorithm, float(spec.runtimes[i, a]),
+         "ok" if spec.solved[i, a] else "timeout")
+        for i, instance in enumerate(spec.instances)
+        for a, algorithm in enumerate(spec.algorithms)
+    ]
+    _write_table(directory, "algorithm_runs", run_attrs, run_rows)
+
+    def write_instance_table(name: str, columns: list[str], values: np.ndarray):
+        attrs = key_attrs + [Attribute(column, NUMERIC) for column in columns]
+        rows = [
+            (instance, 1.0, *(MISSING if math.isnan(v) else float(v) for v in row))
+            for instance, row in zip(spec.instances, values)
+        ]
+        _write_table(directory, name, attrs, rows)
 
     feature_names = [f"feature_{j}" for j in range(spec.n_features)]
-    feat_attrs = [Attribute("instance_id", STRING), Attribute("repetition", NUMERIC)]
-    feat_attrs += [Attribute(name, NUMERIC) for name in feature_names]
-    feat_rows = []
-    for i, instance in enumerate(spec.instances):
-        cells = [
-            MISSING if math.isnan(spec.features[i, j]) else float(spec.features[i, j])
-            for j in range(spec.n_features)
-        ]
-        feat_rows.append((instance, 1.0, *cells))
-    (directory / "feature_values.arff").write_text(
-        dump_arff(RawArffTable("FEATURE_VALUES", feat_attrs, feat_rows))
-    )
-
-    cost_attrs = [
-        Attribute("instance_id", STRING),
-        Attribute("repetition", NUMERIC),
-        Attribute("all_features", NUMERIC),
-    ]
-    cost_rows = [
-        (instance, 1.0, float(spec.feature_costs[i]))
-        for i, instance in enumerate(spec.instances)
-    ]
-    (directory / "feature_costs.arff").write_text(
-        dump_arff(RawArffTable("FEATURE_COSTS", cost_attrs, cost_rows))
-    )
-
-    cv_attrs = [
-        Attribute("instance_id", STRING),
-        Attribute("repetition", NUMERIC),
-        Attribute("fold", NUMERIC),
-    ]
-    cv_rows = [
-        (instance, 1.0, float(spec.folds[i])) for i, instance in enumerate(spec.instances)
-    ]
-    (directory / "cv.arff").write_text(dump_arff(RawArffTable("CV", cv_attrs, cv_rows)))
+    write_instance_table("feature_values", feature_names, spec.features)
+    write_instance_table("feature_costs", ["all_features"], spec.feature_costs[:, None])
+    write_instance_table("cv", ["fold"], spec.folds[:, None])
     return directory

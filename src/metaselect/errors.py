@@ -31,14 +31,6 @@ class EmptyInstanceSet(MetaselectError):
     """A metric was requested over zero instances."""
 
 
-class UnknownInstance(MetaselectError):
-    pass
-
-
-class UnknownAlgorithm(MetaselectError):
-    pass
-
-
 class DegenerateGap(MetaselectError):
     """SBS and oracle coincide, so the normalized score is undefined."""
 

@@ -1,29 +1,24 @@
 """In-memory scenario model shared by loaders, selectors and metrics.
 
 A scenario is a rectangular view of one benchmark: an ordered instance
-list, an ordered algorithm list, one canonical run record per
-(instance, algorithm) cell, per-instance feature vectors, per-instance
-feature computation costs, a runtime cutoff and a cross-validation fold
-assignment. All arrays are frozen after construction so a scenario can
-be shared across threads and approaches without copying.
+list, an ordered algorithm list, one canonical runtime and solved flag
+per (instance, algorithm) cell, per-instance feature vectors,
+per-instance feature computation costs, a runtime cutoff and a
+cross-validation fold assignment. All arrays are frozen after
+construction so a scenario can be shared across threads and approaches
+without copying.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InconsistentScenario, UnknownAlgorithm, UnknownInstance
+from .errors import InconsistentScenario
 
 PENALTY_FACTOR = 10.0
-
-
-class RunRecord(NamedTuple):
-    runtime: float
-    solved: bool
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -52,8 +47,6 @@ class ScenarioSpec:
     features: np.ndarray      # (n, d) float64, NaN = missing
     feature_costs: np.ndarray  # (n,) float64
     folds: np.ndarray         # (n,) int64
-    _instance_index: dict = field(repr=False, compare=False, default=None)
-    _algorithm_index: dict = field(repr=False, compare=False, default=None)
     _pr10: np.ndarray = field(repr=False, compare=False, default=None)
 
     @classmethod
@@ -112,8 +105,6 @@ class ScenarioSpec:
             feature_costs=_frozen(feature_costs),
             folds=_frozen(folds),
         )
-        object.__setattr__(spec, "_instance_index", {s: i for i, s in enumerate(instances)})
-        object.__setattr__(spec, "_algorithm_index", {s: i for i, s in enumerate(algorithms)})
         pr10 = np.where(spec.solved, spec.runtimes, PENALTY_FACTOR * spec.cutoff)
         object.__setattr__(spec, "_pr10", _frozen(pr10))
         return spec
@@ -131,25 +122,6 @@ class ScenarioSpec:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    # -- lookups -------------------------------------------------------------
-
-    def instance_index(self, instance_id: str) -> int:
-        try:
-            return self._instance_index[instance_id]
-        except KeyError:
-            raise UnknownInstance(instance_id) from None
-
-    def algorithm_index(self, algorithm_id: str) -> int:
-        try:
-            return self._algorithm_index[algorithm_id]
-        except KeyError:
-            raise UnknownAlgorithm(algorithm_id) from None
-
-    def run(self, instance_id: str, algorithm_id: str) -> RunRecord:
-        i = self.instance_index(instance_id)
-        a = self.algorithm_index(algorithm_id)
-        return RunRecord(float(self.runtimes[i, a]), bool(self.solved[i, a]))
 
     # -- derived views -------------------------------------------------------
 
@@ -177,18 +149,4 @@ class ScenarioSpec:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != self.n_instances:
             raise InconsistentScenario("replacement features must be (n_instances, d)")
-        spec = ScenarioSpec(
-            name=name or self.name,
-            instances=self.instances,
-            algorithms=self.algorithms,
-            cutoff=self.cutoff,
-            runtimes=self.runtimes,
-            solved=self.solved,
-            features=_frozen(features),
-            feature_costs=self.feature_costs,
-            folds=self.folds,
-        )
-        object.__setattr__(spec, "_instance_index", self._instance_index)
-        object.__setattr__(spec, "_algorithm_index", self._algorithm_index)
-        object.__setattr__(spec, "_pr10", self._pr10)
-        return spec
+        return replace(self, name=name or self.name, features=_frozen(features))

@@ -4,12 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import TOY_DIR
+from conftest import TOY_DIR, TOY_TINY_DIR
 
 from metaselect import ensembles, meta, runner, selectors
 from metaselect.cli import main
@@ -1155,6 +1156,15 @@ class TestCli:
         result = invoke("validate-scenario", str(tmp_path))
         assert result.exit_code == 1
         assert stderr_of(result).startswith("error:")
+
+    def test_validate_scenario_rejects_a_fractional_fold(self, tmp_path):
+        dst = tmp_path / "tiny"
+        shutil.copytree(TOY_TINY_DIR, dst)
+        cv = dst / "cv.arff"
+        cv.write_text(cv.read_text().replace("inst_a,1,1", "inst_a,1,2.5"))
+        result = invoke("validate-scenario", str(dst))
+        assert result.exit_code == 1
+        assert "no integer fold" in stderr_of(result)
 
     def test_generate_synthetic_round_trips(self, tmp_path):
         from metaselect.aslib import load_scenario

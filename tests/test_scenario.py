@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metaselect.errors import InconsistentScenario, UnknownAlgorithm, UnknownInstance
+from metaselect.errors import InconsistentScenario
 from metaselect.scenario import PENALTY_FACTOR, ScenarioSpec
 
 
@@ -38,16 +38,6 @@ def test_pr10_matrix_is_a_view_of_frozen_truth():
     assert sc.pr10_matrix()[0, 0] == 1.0
     with pytest.raises(ValueError):
         sc.runtimes[0, 0] = 99.0
-
-
-def test_index_lookups():
-    sc = small_scenario()
-    assert sc.instance_index("q") == 1
-    assert sc.algorithm_index("b") == 1
-    with pytest.raises(UnknownInstance):
-        sc.instance_index("zz")
-    with pytest.raises(UnknownAlgorithm):
-        sc.algorithm_index("zz")
 
 
 def test_fold_split_partitions():
