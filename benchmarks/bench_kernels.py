@@ -24,7 +24,10 @@ them, which must find the repeated rows. A 5-tree, 5-class forest fit on
 predicts its 60 test rows, all trees in one descent. The voting engine scores
 every member subset with `borda`: 3 members on 800 instances over 10
 algorithms (7 subsets, the exhaustive voting search of that 5-fold run),
-and the 15-member gate on 200 instances (32767 subsets). The grower
+and the 15-member gate on 200 instances (32767 subsets). One tree's
+candidate draws for 64 nodes, 8 of 50 features each, are timed as the
+grower makes them, one block, and as one `Generator.choice` call per
+node, which draws the same sets. The grower
 fits two 100-tree forests, the paper's forest size: a 5-class forest on
 240 rows by 10 features (a training fold of a 300-instance scenario)
 and a weighted binary one on 1000 rows by 50 features (one pair of a
@@ -47,6 +50,7 @@ import numpy as np
 from metaselect.aggregation import subset_choices
 from metaselect.ensembles import MAX_EXHAUSTIVE_MEMBERS
 from metaselect.learners import ForestClassifier, KnnIndex, _kernels
+from metaselect.learners.forest import DRAW_BLOCK, _GrowingTree, _refill
 from metaselect.selectors import make_selector
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
@@ -62,6 +66,7 @@ PREDICT_SHAPE = (5, 240, 60, 10, 5)  # (trees, training rows, test rows, feature
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
 ASLIB_SHAPE = (1000, 31, 50, 10)  # (instances, algorithms, features, folds)
 ASLIB_FITS = ("pairwise(trees=2)", "peralgo(trees=10)")
+DRAW_SHAPE = (DRAW_BLOCK, 50, 8)  # (nodes, features, candidates per node)
 
 
 def node_columns(rng):
@@ -119,6 +124,11 @@ def bench_cases(rng):
     for m, n, k in ENGINE_SHAPES:
         yield f"subset_choices borda {m}x{n}x{k}", all_borda_subsets, (
             rng.normal(size=(m, n, k)),)
+
+
+def choice_draws(rng, nodes, d, m):
+    for _ in range(nodes):
+        rng.choice(d, m, replace=False)
 
 
 def fit_cases(rng):
@@ -204,6 +214,12 @@ def main():
     for label, fn, inputs in bench_cases(rng):
         ms = best_of(fn, inputs, args.repeats) * 1e3
         print(f"{label:<36}{ms:>10.3f}")
+    nodes, d, m = DRAW_SHAPE
+    draws = np.random.default_rng(args.seed)  # its own generator: the fit cases never see it
+    block_ms = best_of(_refill, ([_GrowingTree(draws)], d, m), args.repeats) * 1e3
+    choice_ms = best_of(choice_draws, (draws, nodes, d, m), args.repeats) * 1e3
+    label = f"candidate draws {nodes}x{d} m={m}"
+    print(f"{label:<36}{block_ms:>10.3f}  per-node choice {choice_ms:.3f} ms")
     for label, fn, inputs in fit_cases(rng):
         ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
         print(f"{label:<36}{ms:>10.3f}")

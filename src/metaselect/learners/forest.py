@@ -35,6 +35,16 @@ not its values: equal values share a rank, so the stable order is the
 same, and 16-bit ranks sort by radix. Thresholds are read from the
 values.
 
+A searched node's candidates are the next `rng.choice(d, mtry,
+replace=False)` of its tree's generator, drawn DRAW_BLOCK nodes at a
+time. Unless d > 10 000 and mtry > d // 50, numpy's choice is Floyd's
+sample of mtry bounded integers followed by a shuffle that draws
+mtry - 1 more, so one `integers` call with all the bounds of a block
+reads the generator as the block's choice calls do, and the Floyd and
+shuffle steps then run on every refilled tree's rows at once. Once its
+bootstrap is drawn, a tree's generator serves only these draws, so the
+sets left in its block after its last searched node change nothing.
+
 A split settles at once which of its children are leaves: those too
 small to split (fewer than 2 * min_leaf rows), at max_depth, or pure,
 which the winning column's sorted targets show. Only the other children
@@ -84,15 +94,20 @@ def _stack(trees) -> tuple[_Tree, np.ndarray]:
 
 SPLIT_PAD_ROWS = 512  # padding rows one split-kernel call may take on
 SPLIT_CELLS = 1 << 18  # rows x candidates (x classes) of one call, unless it is one node
+DRAW_BLOCK = 64  # candidate sets a tree draws at once
+FLOYD_MAX_FEATURES = 10_000  # above it numpy's choice may shuffle the tail instead
 
 
 class _GrowingTree:
-    """One tree under construction: its generator, its DFS stack of
+    """One tree under construction: its generator, its block of next
+    candidate sets (one per row, row `drawn` next), its DFS stack of
     (node id, rows, depth) of the nodes that need a split search, its
     flat node arrays and its leaves' (node id, payload) pairs."""
 
     def __init__(self, rng):
         self.rng = rng
+        self.draws: np.ndarray | list = []
+        self.drawn = 0
         self.feature = [-1]
         self.threshold = [0.0]
         self.left = [-1]
@@ -156,15 +171,56 @@ def _segment_sums(values, sizes) -> np.ndarray:
     return out
 
 
+def _refill(trees, d, m):
+    """Give each tree its next DRAW_BLOCK candidate sets, bit for bit
+    DRAW_BLOCK calls of `tree.rng.choice(d, m, replace=False)`.
+
+    There numpy draws Floyd's sample, m integers with draw k in
+    [0, d - m + k], where d - m + k replaces a draw already taken,
+    then shuffles it: for i from m - 1 down to 1 it swaps place i
+    with a draw in [0, i]. One `integers` call per tree draws the
+    bounds of a whole block, and both steps run on every refilled
+    tree's rows at once."""
+    if not trees:
+        return
+    if d > FLOYD_MAX_FEATURES and m > d // 50:  # numpy's tail-shuffle path
+        for tree in trees:
+            tree.draws = [tree.rng.choice(d, m, replace=False) for _ in range(DRAW_BLOCK)]
+            tree.drawn = 0
+        return
+    highs = np.tile(np.r_[d - m : d, m - 1 : 0 : -1], DRAW_BLOCK)
+    raw = np.concatenate([tree.rng.integers(0, highs, endpoint=True) for tree in trees])
+    raw = raw.reshape(-1, 2 * m - 1)
+    draws, swaps = raw[:, :m], raw[:, m:]
+    rows = np.arange(len(raw))
+    taken = np.zeros((len(raw), d), dtype=bool)
+    for k in range(m):
+        pick = draws[:, k]
+        pick[taken[rows, pick]] = d - m + k
+        taken[rows, pick] = True
+    for t, i in enumerate(range(m - 1, 0, -1)):
+        j = swaps[:, t]
+        held = draws[rows, j]
+        draws[rows, j] = draws[:, i]
+        draws[:, i] = held
+    for tree, block in zip(trees, np.split(draws, len(trees))):
+        tree.draws = block
+        tree.drawn = 0
+
+
 class _Grower:
     """Grows the trees of one fit in lockstep. Sample i is feature row
     `rows[i]` of `x` with target `y[i]` and weight `w[i]`; a node's rows
     are sample ids.
 
-    Each step pops the next node of every unfinished tree, draws its
-    candidate features from the tree's own generator and searches the
-    nodes so collected together, a few split-kernel calls per step. A
-    tree's draws and node order are those of growing it alone, so its
+    Each step refills the candidate block of every tree that has used
+    its block up (`_refill`: numpy's own Floyd-and-shuffle stream, so a
+    block holds the sets one `rng.choice` call per node would draw),
+    pops the next node of every unfinished tree, gives it its tree's
+    next set and searches the nodes so collected together, a few
+    split-kernel calls per step. The sets left in a finished tree's
+    block are never read, and nothing reads its generator after them.
+    A tree's draws and node order are those of growing it alone, so its
     splits are too.
     """
 
@@ -202,6 +258,8 @@ class _Grower:
                 tree.stack.append((0, rows, 0))
         trees = [tree for tree, _ in roots if tree.stack]
         while trees:
+            used_up = [tree for tree in trees if tree.drawn == len(tree.draws)]
+            _refill(used_up, self.n_features, self.n_candidates)
             pending = [self._draw(tree) for tree in trees]
             pending.sort(key=lambda node: -node[2].size)
             for group in self._groups(pending):
@@ -212,7 +270,8 @@ class _Grower:
     def _draw(self, tree):
         """The tree's next node as (tree, node id, rows, depth, candidates)."""
         nid, rows, depth = tree.stack.pop()
-        candidates = tree.rng.choice(self.n_features, size=self.n_candidates, replace=False)
+        candidates = tree.draws[tree.drawn]
+        tree.drawn += 1
         return tree, nid, rows, depth, candidates
 
     def _groups(self, pending):
@@ -385,7 +444,7 @@ def fit_forests(x, fits) -> None:
     and bootstrap may differ.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    if x.ndim != 2 or x.size == 0:
         raise DegenerateData("forest needs a nonempty 2-d feature matrix")
     if not np.isfinite(x).all():
         raise DegenerateData("forest features must be finite after imputation")
@@ -394,6 +453,8 @@ def fit_forests(x, fits) -> None:
     for forest, rows, y, sample_weight in fits:
         if forest.n_trees < 1:
             raise DegenerateData("forest needs at least one tree")
+        if forest.mtry is not None and forest.mtry < 1:
+            raise DegenerateData("forest needs mtry of at least one feature")
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1 or rows.size == 0:
             raise DegenerateData("forest needs a nonempty 2-d feature matrix")

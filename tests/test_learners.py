@@ -6,8 +6,9 @@ several nodes, the distance kernel against a column-by-column one in
 both orientations and the k-means accumulation against per-column
 bincounts; pinned digests hold every tree a seeded forest grows, so a change to
 the grower cannot shift a split unnoticed. Forests grown together by
-`fit_forests` are compared with each forest grown alone, and the batched
-leaf payloads with a one-leaf-at-a-time reference, bit for bit.
+`fit_forests` are compared with each forest grown alone, the batched
+leaf payloads with a one-leaf-at-a-time reference and the block draw of
+candidate features with numpy's own `Generator.choice`, bit for bit.
 """
 
 import hashlib
@@ -29,7 +30,8 @@ from metaselect.learners import (
     fit_kmeans,
 )
 from metaselect.learners import _kernels
-from metaselect.learners.forest import _leaf_payloads
+from metaselect.learners import forest as forest_module
+from metaselect.learners.forest import _GrowingTree, _leaf_payloads, _refill
 from metaselect.learners.preprocess import column_medians, fit_variance_threshold
 
 
@@ -411,9 +413,60 @@ def test_forests_grown_together_reject_mixed_shapes_and_bad_rows():
 
 
 def test_a_forest_of_no_trees_is_rejected_at_fit():
-    for model in (ForestRegressor(n_trees=0), ForestClassifier(n_trees=0)):
-        with pytest.raises(DegenerateData):
-            model.fit(np.zeros((4, 2)), np.zeros(4))
+    # also no candidate features: before any tree grows, even on rows
+    # that would split
+    x = np.random.default_rng(0).normal(size=(30, 2))
+    y = np.arange(30) % 2
+    for model in (ForestRegressor, ForestClassifier):
+        for params, features in (({"n_trees": 0}, x), ({"mtry": 0}, x), ({"mtry": -1}, x),
+                                 ({}, x[:, :0])):
+            with pytest.raises(DegenerateData):
+                model(**params).fit(features, y)
+
+
+def _choice_equivalence_cases():
+    """(d, m) pairs around numpy's Floyd / tail-shuffle boundary."""
+    for d in (1, 2, 10, 50, 9_999, 10_000, 10_001, 20_000):
+        for m in sorted({1, 2, int(np.ceil(np.sqrt(d))), d // 50, d // 50 + 1, d}):
+            if 1 <= m <= d:
+                yield d, m
+
+
+@pytest.mark.parametrize("d, m", list(_choice_equivalence_cases()))
+def test_block_draws_equal_consecutive_choice_calls(monkeypatch, d, m):
+    # two trees refilled together, twice: each block is the next
+    # DRAW_BLOCK choice calls of the tree's generator, which ends in the
+    # state those calls leave
+    monkeypatch.setattr(forest_module, "DRAW_BLOCK", 3)
+    trees = [_GrowingTree(np.random.default_rng(seed)) for seed in (0, 1)]
+    references = [np.random.default_rng(seed) for seed in (0, 1)]
+    for _ in range(2):
+        _refill(trees, d, m)
+        for tree, reference in zip(trees, references):
+            want = [reference.choice(d, m, replace=False) for _ in range(3)]
+            np.testing.assert_array_equal(np.asarray(tree.draws), want)
+            assert tree.drawn == 0
+            assert tree.rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_trees_do_not_depend_on_the_draw_block_size(monkeypatch, block):
+    # a block of 1 refills before every node, a block of 3 in the middle
+    # of a tree, and most trees end inside a block
+    rng = np.random.default_rng(18)
+    x = np.round(rng.normal(size=(120, 6)), 1)
+    y = x[:, 0] - x[:, 1] + rng.normal(scale=0.3, size=120)
+    labels = (x[:, 0] > 0) + (x[:, 2] > 0.5)
+    w = rng.uniform(0.0, 2.0, size=120)
+
+    def digests():
+        regressor = ForestRegressor(n_trees=6, min_leaf=2, seed=4).fit(x, y)
+        classifier = ForestClassifier(n_trees=6, mtry=2, seed=5, n_classes=3).fit(x, labels, w)
+        return _forest_digest(regressor), _forest_digest(classifier)
+
+    default = digests()
+    monkeypatch.setattr(forest_module, "DRAW_BLOCK", block)
+    assert digests() == default
 
 
 def _leaf_payload(rows, y, w, n_classes):
