@@ -9,9 +9,11 @@ cell failed with an internal error.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 
+from .approaches import _split_top
 from .aslib import load_scenario, write_scenario
 from .config import ExperimentConfig, load_config
 from .errors import InconsistentScenario, InvalidConfig, MalformedArff, MetaselectError
@@ -22,8 +24,9 @@ from .report import (
     emit_sweep,
     markdown_summary,
     sweep_csv,
+    sweep_markdown,
 )
-from .runner import internal_error_cells, run_experiment, sweep_voting
+from .runner import internal_error_cells, run_config, run_experiment
 from .synthetic import RULES, SyntheticConfig, generate_synthetic
 
 DEFAULT_SELECTORS = ("peralgo", "multiclass", "pairwise", "sunny", "isac")
@@ -67,19 +70,9 @@ def _exit_on_internal_errors(report):
 
 
 def _effective(ctx_obj, config: ExperimentConfig) -> ExperimentConfig:
-    """Apply CLI overrides on top of the loaded config."""
-    changes = {}
-    if ctx_obj["seed"] is not None:
-        changes["seed"] = ctx_obj["seed"]
-    if ctx_obj["out"] is not None:
-        changes["out"] = ctx_obj["out"]
-    if ctx_obj["formats"]:
-        changes["formats"] = ctx_obj["formats"]
-    if not changes:
-        return config
-    from dataclasses import replace
-
-    return replace(config, **changes)
+    """Apply the group options (`seed`, `out`, `formats`) the user gave
+    on top of the loaded config."""
+    return replace(config, **{k: v for k, v in ctx_obj.items() if v not in (None, ())})
 
 
 @main.command()
@@ -89,23 +82,38 @@ def evaluate(ctx, config_path):
     """Run the experiment described by CONFIG_PATH (YAML or JSON)."""
     try:
         config = _effective(ctx.obj, load_config(config_path))
-        report, timings = run_experiment(config)
+        report, timings, sweeps = run_config(config)
     except MetaselectError as e:
         _fail(e)
-    click.echo(markdown_summary(report), nl=False)
+    tables = [markdown_summary(report)] if report.approaches else []
+    for number, sweep in enumerate(sweeps, 1):
+        members = ", ".join(sweep.member_specs)
+        tables.append(f"Sweep {number}, {sweep.aggregation}: {members}\n\n{sweep_markdown(sweep)}")
+    click.echo("\n".join(tables), nl=False)
     if config.out:
         written = emit_report(report, config.out, config.formats, timings=timings)
+        for number, sweep in enumerate(sweeps, 1):
+            written += emit_sweep(sweep, f"{config.out}.sweep{number}", config.formats)
         for path in written:
             click.echo(f"wrote {path}", err=True)
     _exit_on_internal_errors(report)
 
 
 def _split_multi(values) -> list[str]:
-    """Flatten repeatable options that may also hold comma lists."""
-    out = []
-    for value in values:
-        out.extend(part for part in value.split(",") if part.strip())
-    return [v.strip() for v in out]
+    """Flatten repeatable options that may also hold comma lists; a comma
+    inside an atom's brackets does not split."""
+    parts = (part.strip() for value in values for part in _split_top(value, ","))
+    return [part for part in parts if part]
+
+
+def _fold_subset(folds) -> tuple[int, ...] | None:
+    """The `--folds` comma list as fold ids; None when not given."""
+    if not folds:
+        return None
+    try:
+        return tuple(int(f) for f in folds.split(","))
+    except ValueError:
+        raise InvalidConfig(f"--folds takes comma-separated fold ids, got {folds!r}") from None
 
 
 @main.command("sweep-voting")
@@ -115,27 +123,20 @@ def _split_multi(values) -> list[str]:
 @click.option("--folds", default=None, help="Comma-separated fold subset.")
 @click.pass_context
 def sweep_voting_command(ctx, scenario_path, members, agg, folds):
-    """Score every nonempty voting composition of the given members."""
+    """Score every nonempty voting composition of the given members: a
+    config with this one sweep and no approach."""
     try:
-        scenario = load_scenario(scenario_path)
-        fold_subset = None
-        if folds:
-            fold_subset = tuple(int(f) for f in folds.split(","))
-        sweep = sweep_voting(
-            scenario,
-            _split_multi(members),
-            aggregation=agg,
-            folds=fold_subset,
-            global_seed=ctx.obj["seed"] or 0,
-        )
-    except ValueError as e:
-        _fail(InvalidConfig(str(e)))
+        sweeps = ((tuple(_split_multi(members)), agg),)
+        config = _effective(ctx.obj, ExperimentConfig(
+            approaches=(), sweeps=sweeps, scenario_path=scenario_path, folds=_fold_subset(folds)
+        ))
+        _, _, (sweep,) = run_config(config)
     except MetaselectError as e:
         _fail(e)
     click.echo(sweep_csv(sweep), nl=False)
     click.echo(f"best: {sweep.best_spec}", err=True)
-    if ctx.obj["out"]:
-        for path in emit_sweep(sweep, ctx.obj["out"], ctx.obj["formats"] or ("json",)):
+    if config.out:
+        for path in emit_sweep(sweep, config.out, config.formats):
             click.echo(f"wrote {path}", err=True)
 
 
@@ -148,20 +149,11 @@ def baselines(ctx, scenario_path, selectors, folds):
     """Per-fold oracle, SBS, AS-oracle and SBAS reference values."""
     try:
         chosen = _split_multi(selectors) if selectors else list(DEFAULT_SELECTORS)
-        fold_subset = None
-        if folds:
-            fold_subset = tuple(int(f) for f in folds.split(","))
-        config = ExperimentConfig(
-            approaches=tuple(["oracle", "sbs", *chosen]),
-            scenario_path=scenario_path,
-            folds=fold_subset,
-            seed=ctx.obj["seed"] or 0,
-            out=ctx.obj["out"],
-            formats=ctx.obj["formats"] or ("json",),
-        )
+        config = _effective(ctx.obj, ExperimentConfig(
+            approaches=("oracle", "sbs", *chosen), scenario_path=scenario_path,
+            folds=_fold_subset(folds),
+        ))
         report, timings = run_experiment(config)
-    except ValueError as e:
-        _fail(InvalidConfig(str(e)))
     except MetaselectError as e:
         _fail(e)
     click.echo(baselines_csv(report), nl=False)

@@ -9,6 +9,7 @@ Schema (YAML or JSON; YAML is a superset so one loader covers both):
     seed: 42
     out: results/toy                  # optional path base, no extension
     format: [json, markdown]          # or a single string
+    sweeps: [{members: [sunny, isac], aggregation: borda}]  # optional, `maj` by default
 
 Approach strings carry their own parameters, so the document itself
 stays flat.
@@ -21,14 +22,34 @@ from pathlib import Path
 
 import yaml
 
+from .aggregation import AGGREGATIONS
 from .approaches import canonical_approach_spec
 from .aslib import load_scenario
+from .ensembles import MAX_EXHAUSTIVE_MEMBERS
 from .errors import InvalidConfig
 from .report import FORMATS
 from .scenario import ScenarioSpec
+from .selectors import canonical_selector_spec
 from .synthetic import SyntheticConfig, generate_synthetic
 
-_TOP_LEVEL_KEYS = {"scenario", "synthetic", "approaches", "folds", "seed", "out", "format"}
+_TOP_LEVEL_KEYS = {
+    "scenario", "synthetic", "approaches", "sweeps", "folds", "seed", "out", "format"
+}
+
+
+def canonical_sweep(members, aggregation: str) -> tuple[tuple[str, ...], str]:
+    """(canonical member atoms, aggregation) of a voting sweep, or
+    InvalidConfig when no sweep could score it."""
+    if aggregation not in AGGREGATIONS:
+        raise InvalidConfig(f"unknown aggregation {aggregation!r}")
+    specs = tuple(canonical_selector_spec(s) for s in members)
+    if len(specs) != len(set(specs)):
+        raise InvalidConfig("duplicate member specs in sweep")
+    if not specs:
+        raise InvalidConfig("sweep needs at least one member spec")
+    if len(specs) > MAX_EXHAUSTIVE_MEMBERS:
+        raise InvalidConfig(f"sweep gated at {MAX_EXHAUSTIVE_MEMBERS} members, got {len(specs)}")
+    return specs, aggregation
 
 
 @dataclass(frozen=True)
@@ -40,21 +61,28 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     formats: tuple[str, ...] = ("json",)
+    sweeps: tuple[tuple[tuple[str, ...], str], ...] = ()  # (member atoms, aggregation)
 
     def validate(self) -> None:
         if (self.scenario_path is None) == (self.synthetic is None):
             raise InvalidConfig("config needs exactly one of scenario/synthetic")
-        if not self.approaches:
-            raise InvalidConfig("config needs at least one approach")
-        for spec in self.approaches:
-            canonical_approach_spec(spec)  # InvalidConfig on bad grammar or a rejected value
         if self.synthetic is not None:
             self.synthetic.validate()
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise InvalidConfig(f"unknown format {fmt!r}, expected one of {FORMATS}")
+        self.validate_run()
+
+    def validate_run(self) -> None:
+        """The checks that need no scenario: what is scored, and how."""
+        if not self.approaches and not self.sweeps:
+            raise InvalidConfig("config needs at least one approach or sweep")
+        for spec in self.approaches:
+            canonical_approach_spec(spec)  # InvalidConfig on bad grammar or a rejected value
+        for members, aggregation in self.sweeps:
+            canonical_sweep(members, aggregation)
         if self.folds is not None and len(self.folds) == 0:
-            raise InvalidConfig("fold subset must not be empty")
+            raise InvalidConfig("fold subset needs at least one fold")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
 
@@ -72,6 +100,10 @@ def _checked(value, key, kind=int):
     return value
 
 
+def _strings(value, key) -> tuple[str, ...]:
+    return tuple(_checked(v, f"each of {key}", str) for v in _checked(value, key, list))
+
+
 def config_from_mapping(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise InvalidConfig("config document must be a mapping")
@@ -79,9 +111,13 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
 
-    approaches = data.get("approaches")
-    if not isinstance(approaches, list) or not all(isinstance(a, str) for a in approaches):
-        raise InvalidConfig("approaches must be a list of strings")
+    approaches = _strings(data.get("approaches", []), "approaches")
+    sweeps = []
+    for raw in _checked(data.get("sweeps", []), "sweeps", list):
+        if not isinstance(raw, dict) or not {"members"} <= set(raw) <= {"members", "aggregation"}:
+            raise InvalidConfig(f"a sweep is a mapping of members and aggregation, got {raw!r}")
+        aggregation = _checked(raw.get("aggregation", "maj"), "sweep aggregation", str)
+        sweeps.append((_strings(raw["members"], "sweep members"), aggregation))
 
     synthetic = None
     if "synthetic" in data:
@@ -98,10 +134,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
     folds = None
     if "folds" in data:
-        raw = data["folds"]
-        if not isinstance(raw, list):
-            raise InvalidConfig("folds must be a list of integers")
-        folds = tuple(_checked(f, "fold") for f in raw)
+        folds = tuple(_checked(f, "fold") for f in _checked(data["folds"], "folds", list))
 
     fmt = data.get("format", "json")
     formats = (fmt,) if isinstance(fmt, str) else tuple(_checked(fmt, "format", list))
@@ -110,13 +143,14 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
             _checked(data[key], key, str)
 
     config = ExperimentConfig(
-        approaches=tuple(approaches),
+        approaches=approaches,
         scenario_path=data.get("scenario"),
         synthetic=synthetic,
         folds=folds,
         seed=_checked(data.get("seed", 0), "seed"),
         out=data.get("out"),
         formats=formats,
+        sweeps=tuple(sweeps),
     )
     config.validate()
     return config

@@ -102,6 +102,14 @@ def npar10(value: float, oracle: float, sbs: float) -> float:
     return (value - oracle) / gap
 
 
+def npar10_or_none(value: float, oracle: float, sbs: float) -> float | None:
+    """`npar10`, or None where the gap is degenerate."""
+    try:
+        return npar10(value, oracle, sbs)
+    except DegenerateGap:
+        return None
+
+
 def as_oracle_par10(scenario: ScenarioSpec, traces: list[SelectionTrace]) -> float:
     """PAR10 of the per-instance best selector among `traces`.
 
@@ -144,13 +152,9 @@ def score_trace(
     sbs: float,
 ) -> ScoreReport:
     par = trace_par10(scenario, trace)
-    try:
-        normalized = npar10(par, oracle, sbs)
-    except DegenerateGap:
-        normalized = None
     return ScoreReport(
         par10=par,
-        npar10=normalized,
+        npar10=npar10_or_none(par, oracle, sbs),
         n_timeouts=count_timeouts(scenario, trace),
         n_instances=int(trace.indices.size),
     )

@@ -1,28 +1,32 @@
-"""Cross-validated evaluation of approach strings on one scenario.
+"""Cross-validated evaluation of a config's approaches and voting sweeps.
 
-Each fold is scored with the fold's own oracle and single-best values,
-so nPAR10 is exactly 0 for the `oracle` row and exactly 1 for the `sbs`
-row. Those two rows are computed straight from the truth (no model, no
-feature cost); every other approach is fit on the training folds and
-charged feature costs whenever it reads features. A failing approach
-becomes a missing cell with the error recorded, not a penalized score;
-an exception that is not a `MetaselectError` is recorded the same way,
-its message prefixed with `internal: `.
+One fold loop scores everything a config lists, each fold with its own
+oracle and single-best values, so nPAR10 is exactly 0 for the `oracle`
+row and exactly 1 for the `sbs` row. Those two rows are computed
+straight from the truth (no model, no feature cost); every other
+approach is fit on the training folds and charged feature costs
+whenever it reads features. A failing approach becomes a missing cell
+with the error recorded, not a penalized score; an exception that is
+not a `MetaselectError` is recorded the same way, its message prefixed
+with `internal: `.
 
-Each fold runs inside a `shared_fits` scope: a selector fit that
-several approaches of the fold need (a plain cell, voting members,
-stacking bases, `ass` deployed selectors, ...) is trained once, and so
-is every `shared_scores` prediction of such a fit on the same rows (the
-fold's test rows, its training rows for the SBAS baseline and for
-ensemble fits). Either's seconds land in the timings of the first cell
-that needs it. Below that, held `sunny` models whose indexes hold equal
-rows (`sunny` and `sunny(k=4)`) rank each set of query rows once per
-fold through `shared_neighbours`, the widest k serving smaller ones as
-a prefix, and `ass` slices its bases' shared scores of the whole batch.
+Each fold runs inside one `shared_fits` scope: a selector fit that
+several approaches or sweeps of the fold need (a plain cell, voting or
+sweep members, stacking bases, `ass` deployed selectors, ...) is trained
+once, and so is every `shared_scores` prediction of such a fit on the
+same rows (the fold's test rows, its training rows for the SBAS
+baseline and for ensemble fits). Either's seconds land in the timings
+of the first cell that needs it. Below that, held `sunny` models whose
+indexes hold equal rows (`sunny` and `sunny(k=4)`) rank each set of
+query rows once per fold through `shared_neighbours`, the widest k
+serving smaller ones as a prefix, and `ass` slices its bases' shared
+scores of the whole batch.
 
-`sweep_voting` scores every voting composition of a member list per
-fold with `ensembles.subset_par10`, the scorer of voting's exhaustive
-search, on the fold's test rows; it only adds the nPAR10 bookkeeping.
+After the cells, each sweep scores every voting composition of its
+members on the fold's test rows with `ensembles.subset_par10`, the
+scorer of voting's exhaustive search, against the fold's
+`FoldBaselines`; a member that fails to fit ends the run.
+`run_experiment` and `sweep_voting` are thin wrappers over this loop.
 
 Folds and approaches are evaluated sequentially here; all inputs are
 immutable, so callers may shard folds across processes and merge cells
@@ -37,17 +41,17 @@ import numpy as np
 
 # combine_scores stays importable from here for wrappers that patch
 # runner.combine_scores (perfbench/tracer.py); nothing here calls it.
-from .aggregation import AGGREGATIONS, combine_scores, ranks_from_scores  # noqa: F401
+from .aggregation import combine_scores, ranks_from_scores  # noqa: F401
 from .approaches import ORACLE, build_approach, canonical_approach_spec, parse_approach
-from .config import ExperimentConfig
-from .ensembles import MAX_EXHAUSTIVE_MEMBERS, subset_par10, wmaj_weights
-from .errors import DegenerateGap, InvalidConfig, MetaselectError
+from .config import ExperimentConfig, canonical_sweep
+from .ensembles import subset_par10, wmaj_weights
+from .errors import InvalidConfig, MetaselectError
 from .metrics import (
     SelectionTrace,
     as_oracle_par10,
     best_selector,
     fixed_algorithm_par10,
-    npar10,
+    npar10_or_none,
     oracle_choices,
     oracle_par10,
     score_trace,
@@ -63,13 +67,7 @@ from .report import (
     SweepRow,
 )
 from .scenario import ScenarioSpec
-from .selectors import (
-    Selector,
-    canonical_selector_spec,
-    fit_selector,
-    selector_trace,
-    shared_fits,
-)
+from .selectors import Selector, fit_selector, selector_trace, shared_fits, shared_scores
 
 SBS = "sbs"
 INTERNAL_ERROR = "internal: "
@@ -78,18 +76,11 @@ INTERNAL_ERROR = "internal: "
 def is_plain_selector(canonical_spec: str) -> bool:
     """True for single feature-based selector atoms; these define the
     selector-level baselines (AS-oracle, SBAS) and the win/loss column."""
-    if canonical_spec in (ORACLE, SBS):
-        return False
-    return parse_approach(canonical_spec).kind == "selector"
+    return canonical_spec not in (ORACLE, SBS) and parse_approach(canonical_spec).kind == "selector"
 
 
 def _canonical_approaches(specs) -> list[str]:
-    out = []
-    for spec in specs:
-        canon = canonical_approach_spec(spec)
-        if canon not in out:
-            out.append(canon)
-    return out
+    return list(dict.fromkeys(canonical_approach_spec(spec) for spec in specs))
 
 
 def _resolve_folds(scenario: ScenarioSpec, requested) -> tuple[int, ...]:
@@ -111,22 +102,38 @@ def run_experiment(config: ExperimentConfig, scenario: ScenarioSpec | None = Non
     fold -> fit/predict wall-clock seconds. Timings stay outside the
     report so its serialized form is reproducible.
     """
+    report, timings, _ = run_config(config, scenario)
+    return report, timings
+
+
+def run_config(config: ExperimentConfig, scenario: ScenarioSpec | None = None):
+    """`run_experiment`'s (report, timings) plus one SweepReport per
+    sweep of the config, in its order."""
     config.validate()
     if scenario is None:
         scenario = config.load_scenario_data()
+    return _run(config, scenario)
+
+
+def _run(config: ExperimentConfig, scenario: ScenarioSpec):
     folds = _resolve_folds(scenario, config.folds)
     approaches = _canonical_approaches(config.approaches)
     plain = [a for a in approaches if is_plain_selector(a)]
+    sweeps = [canonical_sweep(*sweep) for sweep in config.sweeps]
+    if sweeps and not folds:
+        raise InvalidConfig("sweep needs at least one fold")
 
     cells: list[CellResult] = []
     baselines: list[FoldBaselines] = []
     timings: dict[str, dict[str, dict[str, float]]] = {}
+    sweep_values = []  # per fold, per sweep: subset -> test PAR10
 
     for fold in folds:
         with shared_fits(scenario):
             fold_cells, fold_baselines = _run_fold(
                 scenario, fold, approaches, plain, config.seed, timings
             )
+            sweep_values.append([_sweep_fold(scenario, fold, *s, config.seed) for s in sweeps])
         cells.extend(fold_cells)
         baselines.append(fold_baselines)
 
@@ -144,7 +151,11 @@ def run_experiment(config: ExperimentConfig, scenario: ScenarioSpec | None = Non
         baselines=tuple(baselines),
         summary=tuple(summary),
     )
-    return report, timings
+    sweep_reports = [
+        _sweep_report(scenario.name, *sweep, config.seed, values, baselines)
+        for sweep, values in zip(sweeps, zip(*sweep_values))
+    ]
+    return report, timings, sweep_reports
 
 
 def _run_fold(scenario, fold, approaches, plain, seed, timings):
@@ -157,15 +168,10 @@ def _run_fold(scenario, fold, approaches, plain, seed, timings):
     cells = []
 
     for spec in approaches:
-        if spec == ORACLE:
+        if spec in (ORACLE, SBS):
+            choices = oracle_choices(scenario, test) if spec == ORACLE else sbs_algorithm
             trace = SelectionTrace(
-                test, oracle_choices(scenario, test), charge_feature_costs=False
-            )
-        elif spec == SBS:
-            trace = SelectionTrace(
-                test,
-                np.full(test.size, sbs_algorithm, dtype=np.int64),
-                charge_feature_costs=False,
+                test, np.broadcast_to(choices, test.shape), charge_feature_costs=False
             )
         else:
             error = model = None  # let the previous approach's model go before this fit
@@ -184,22 +190,10 @@ def _run_fold(scenario, fold, approaches, plain, seed, timings):
             except Exception as e:  # one approach's bug must not end the run
                 error = f"{INTERNAL_ERROR}{type(e).__name__}: {e}"
             if error is not None:
-                cells.append(
-                    CellResult(
-                        approach=spec,
-                        fold=fold,
-                        par10=None,
-                        npar10=None,
-                        n_timeouts=None,
-                        n_test=int(test.size),
-                        error=error,
-                    )
-                )
+                cells.append(CellResult(spec, fold, None, None, None, int(test.size), error))
                 continue
-            timings.setdefault(spec, {})[str(fold)] = {
-                "fit_seconds": fit_seconds,
-                "predict_seconds": predict_seconds,
-            }
+            seconds = {"fit_seconds": fit_seconds, "predict_seconds": predict_seconds}
+            timings.setdefault(spec, {})[str(fold)] = seconds
             if spec in plain:
                 fitted[spec] = (model, trace)
         quality = score_trace(scenario, trace, oracle_value, sbs_value)
@@ -215,15 +209,11 @@ def _run_fold(scenario, fold, approaches, plain, seed, timings):
         )
 
     as_oracle = sbas_spec = sbas_value = None
-    available = [s for s in plain if s in fitted]
-    if available:
-        as_oracle = as_oracle_par10(scenario, [fitted[s][1] for s in available])
-        train_par10s = [
-            trace_par10(scenario, selector_trace(fitted[s][0], scenario, train))
-            for s in available
-        ]
-        pick = best_selector(train_par10s)
-        sbas_spec = available[pick]
+    if fitted:  # the plain selectors that did not fail, in approach order
+        models, traces = zip(*fitted.values())
+        as_oracle = as_oracle_par10(scenario, list(traces))
+        train_par10s = [trace_par10(scenario, selector_trace(m, scenario, train)) for m in models]
+        sbas_spec = list(fitted)[best_selector(train_par10s)]
         sbas_value = trace_par10(scenario, fitted[sbas_spec][1])
     baselines = FoldBaselines(
         fold=fold,
@@ -259,18 +249,16 @@ def _summarize(approaches, plain, folds, cells) -> list[ApproachSummary]:
             rank_sum[cell.approach] += float(rank)
             rank_count[cell.approach] += 1
 
-    mean_npar10 = {}
-    for approach in approaches:
-        values = [c.npar10 for c in by_approach[approach] if c.npar10 is not None]
-        mean_npar10[approach] = float(np.mean(values)) if values else None
+    npar_values = {
+        a: [c.npar10 for c in by_approach[a] if c.npar10 is not None] for a in approaches
+    }
+    mean_npar10 = {a: float(np.mean(v)) if v else None for a, v in npar_values.items()}
     plain_means = {p: mean_npar10[p] for p in plain if mean_npar10[p] is not None}
 
     summary = []
     for approach in approaches:
-        own = by_approach[approach]
-        par_values = [c.par10 for c in own if c.par10 is not None]
-        npar_values = [c.npar10 for c in own if c.npar10 is not None]
-        mean = mean_npar10[approach]
+        par_values = [c.par10 for c in by_approach[approach] if c.par10 is not None]
+        npars, mean = npar_values[approach], mean_npar10[approach]
         wins = losses = None
         if plain_means and mean is not None:
             rivals = [v for p, v in plain_means.items() if p != approach]
@@ -282,7 +270,7 @@ def _summarize(approaches, plain, folds, cells) -> list[ApproachSummary]:
                 n_folds_evaluated=len(par_values),
                 mean_par10=float(np.mean(par_values)) if par_values else None,
                 mean_npar10=mean,
-                median_npar10=float(np.median(npar_values)) if npar_values else None,
+                median_npar10=float(np.median(npars)) if npars else None,
                 avg_rank=(
                     rank_sum[approach] / rank_count[approach] if rank_count[approach] else None
                 ),
@@ -294,55 +282,44 @@ def _summarize(approaches, plain, folds, cells) -> list[ApproachSummary]:
 
 
 def sweep_voting(
-    scenario: ScenarioSpec,
-    member_specs,
-    aggregation: str = "maj",
-    folds=None,
-    global_seed: int = 0,
+    scenario: ScenarioSpec, member_specs, aggregation: str = "maj", folds=None, global_seed: int = 0
 ) -> SweepReport:
-    """Score every nonempty member subset as a voting ensemble, per fold.
+    """Score every nonempty member subset as a voting ensemble, per fold:
+    the one sweep of a config that lists no approach."""
+    folds = None if folds is None else tuple(folds)
+    sweeps = ((tuple(member_specs), aggregation),)
+    config = ExperimentConfig(approaches=(), sweeps=sweeps, folds=folds, seed=global_seed)
+    config.validate_run()
+    return _run(config, scenario)[2][0]
 
-    Members are fit once per fold and every composition is scored from
-    their test scores by one `subset_par10` call, the scorer of voting's
-    exhaustive search, so a subset's selections and feature charge are
-    exactly what the corresponding voting approach would produce. Best
-    composition: lowest mean test nPAR10, ties broken toward fewer
-    members, then lexicographically.
+
+def _sweep_fold(scenario, fold, specs, aggregation, seed) -> dict[tuple[int, ...], float]:
+    """Test PAR10 of every composition on one fold, in bitmask order.
+
+    Members are fit once and every composition is scored from their
+    test scores by one `subset_par10` call, so a subset's selections and
+    feature charge are exactly what the corresponding voting approach
+    would produce.
     """
-    if aggregation not in AGGREGATIONS:
-        raise InvalidConfig(f"unknown aggregation {aggregation!r}")
-    if global_seed < 0:
-        raise InvalidConfig(f"seed must be nonnegative, got {global_seed}")
-    specs = [canonical_selector_spec(s) for s in member_specs]
-    if len(specs) != len(set(specs)):
-        raise InvalidConfig("duplicate member specs in sweep")
-    n_members = len(specs)
-    if n_members == 0:
-        raise InvalidConfig("sweep needs at least one member spec")
-    if n_members > MAX_EXHAUSTIVE_MEMBERS:
-        raise InvalidConfig(
-            f"sweep gated at {MAX_EXHAUSTIVE_MEMBERS} members, got {n_members}"
-        )
-    fold_list = _resolve_folds(scenario, folds)
-    if not fold_list:
-        raise InvalidConfig("sweep needs at least one fold")
+    train, test = scenario.fold_split(fold)
+    members = [fit_selector(s, seed, scenario, train) for s in specs]
+    x = scenario.features[test]
+    rows = np.stack([shared_scores(m, x) for m in members])
+    weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
+    return subset_par10(aggregation, members, rows, weights, scenario, test)
 
-    per_fold = []  # (subset -> test PAR10 in bitmask order, oracle, sbs) per fold
-    for fold in fold_list:
-        train, test = scenario.fold_split(fold)
-        members = [fit_selector(s, global_seed, scenario, train) for s in specs]
-        rows = np.stack([m.scores_batch(scenario.features[test]) for m in members])
-        weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
-        values = subset_par10(aggregation, members, rows, weights, scenario, test)
-        sbs = fixed_algorithm_par10(scenario, test, single_best(scenario, train))
-        per_fold.append((values, oracle_par10(scenario, test), sbs))
 
-    rows_out = []
-    for mask in per_fold[0][0]:
-        pars = [values[mask] for values, _, _ in per_fold]
-        npars = [_npar10_or_none(values[mask], *gap) for values, *gap in per_fold]
+def _sweep_report(name, specs, aggregation, seed, fold_values, baselines) -> SweepReport:
+    """Cross-fold rows of one sweep. Best composition: lowest mean test
+    nPAR10, ties broken toward fewer members, then lexicographically."""
+    rows = []
+    for mask in fold_values[0]:
+        pars = [values[mask] for values in fold_values]
+        npars = [
+            npar10_or_none(par, b.oracle_par10, b.sbs_par10) for par, b in zip(pars, baselines)
+        ]
         defined = [v for v in npars if v is not None]
-        rows_out.append(
+        rows.append(
             SweepRow(
                 members=mask,
                 spec=_subset_spec(specs, mask, aggregation),
@@ -352,7 +329,7 @@ def sweep_voting(
             )
         )
     best = min(
-        rows_out,
+        rows,
         key=lambda r: (
             r.mean_npar10 is None,
             r.mean_npar10 if r.mean_npar10 is not None else r.mean_par10,
@@ -361,22 +338,15 @@ def sweep_voting(
         ),
     )
     return SweepReport(
-        scenario_name=scenario.name,
+        scenario_name=name,
         aggregation=aggregation,
-        member_specs=tuple(specs),
-        folds=fold_list,
-        seed=global_seed,
-        rows=tuple(rows_out),
+        member_specs=specs,
+        folds=tuple(b.fold for b in baselines),
+        seed=seed,
+        rows=tuple(rows),
         best_members=best.members,
         best_spec=best.spec,
     )
-
-
-def _npar10_or_none(par: float, oracle: float, sbs: float) -> float | None:
-    try:
-        return npar10(par, oracle, sbs)
-    except DegenerateGap:
-        return None
 
 
 def _subset_spec(specs, mask, aggregation) -> str:

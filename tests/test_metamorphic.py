@@ -1,0 +1,58 @@
+"""Metamorphic relations of a whole run: a change of the scenario that
+must not move any score."""
+
+import numpy as np
+import pytest
+
+from metaselect.config import ExperimentConfig
+from metaselect.report import report_to_dict
+from metaselect.runner import run_experiment
+from metaselect.scenario import ScenarioSpec
+from metaselect.synthetic import SyntheticConfig
+
+# Forest selectors are left out: adding an algorithm reseeds their
+# pairs and forests, so their scores may move legitimately.
+APPROACHES = (
+    "oracle",
+    "sbs",
+    "sunny",
+    "isac",
+    "voting[maj]{sunny,isac}",
+    "bagging{sunny;k=3}",
+)
+
+
+def with_timeout_algorithm(scenario: ScenarioSpec) -> ScenarioSpec:
+    """`scenario` plus one last algorithm that times out on every instance."""
+    n = scenario.n_instances
+    return ScenarioSpec.create(
+        name=scenario.name,
+        instances=scenario.instances,
+        algorithms=(*scenario.algorithms, "always_timeout"),
+        cutoff=scenario.cutoff,
+        runtimes=np.column_stack([scenario.runtimes, np.full(n, scenario.cutoff)]),
+        solved=np.column_stack([scenario.solved, np.zeros(n, dtype=bool)]),
+        features=scenario.features,
+        feature_costs=scenario.feature_costs,
+        folds=scenario.folds,
+    )
+
+
+@pytest.mark.parametrize("source", ["toy", "synthetic"])
+def test_an_algorithm_that_always_times_out_changes_no_score(toy, make_synthetic, source):
+    if source == "toy":
+        scenario = toy
+    else:
+        scenario = make_synthetic(n_instances=40, n_algorithms=4, n_features=3, n_folds=4, seed=9)
+    config = ExperimentConfig(
+        approaches=APPROACHES, synthetic=SyntheticConfig(), seed=5
+    )
+    before, _ = run_experiment(config, scenario)
+    after, _ = run_experiment(config, with_timeout_algorithm(scenario))
+    assert after.n_algorithms == before.n_algorithms + 1
+    assert after.cells == before.cells
+    assert after.baselines == before.baselines
+    expected = report_to_dict(before)
+    expected["scenario"]["n_algorithms"] += 1
+    assert report_to_dict(after) == expected
+    assert all(cell.error is None for cell in after.cells)

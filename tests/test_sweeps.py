@@ -1,0 +1,198 @@
+"""Voting sweeps listed in a config: one fold loop with the approach
+cells, one validator for config load and `sweep_voting`, and the CLI
+commands that build such configs."""
+
+import csv
+import io
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from conftest import TOY_DIR
+
+from metaselect.cli import main
+from metaselect.config import ExperimentConfig, config_from_mapping
+from metaselect.errors import InvalidConfig
+from metaselect.report import canonical_json, sweep_json
+from metaselect.runner import run_config, run_experiment, sweep_voting
+from metaselect.selectors import Selector
+
+MEMBERS = ("sunny", "isac", "multiclass(trees=5)")
+
+# every sweep that `sweep_voting` rejects, as (members, aggregation)
+REJECTED_SWEEPS = [
+    (["multiclass", "multiclass"], "maj"),  # duplicates
+    ([], "maj"),
+    (["oracle"], "maj"),  # not a buildable selector
+    (["voting[maj]{sbs}"], "maj"),  # members must be plain atoms
+    (["multiclass"], "median"),  # unknown aggregation
+    ([f"sunny(k={k})" for k in range(1, 17)], "maj"),  # over the gate
+    (["sunny(k=0)"], "maj"),  # a value the atom's constructor rejects
+]
+
+
+def invoke(*args):
+    return CliRunner().invoke(main, [str(a) for a in args], catch_exceptions=False)
+
+
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def toy_config(approaches=(), sweeps=(), **fields):
+    return ExperimentConfig(
+        approaches=approaches, sweeps=sweeps, scenario_path=str(TOY_DIR), **fields
+    )
+
+
+class TestSweepConfig:
+    def test_sweeps_key_is_read(self):
+        config = config_from_mapping(
+            {
+                "scenario": "fixtures/toy",
+                "sweeps": [
+                    {"members": ["sunny", "isac"], "aggregation": "borda"},
+                    {"members": ["sbs"]},
+                ],
+            }
+        )
+        assert config.approaches == ()
+        assert config.sweeps == ((("sunny", "isac"), "borda"), (("sbs",), "maj"))
+
+    @pytest.mark.parametrize("members, aggregation", REJECTED_SWEEPS)
+    def test_config_load_rejects_what_sweep_voting_rejects(self, toy, members, aggregation):
+        with pytest.raises(InvalidConfig):
+            sweep_voting(toy, members, aggregation=aggregation)
+        document = {"scenario": "fixtures/toy", "approaches": ["sbs"],
+                    "sweeps": [{"members": members, "aggregation": aggregation}]}
+        with pytest.raises(InvalidConfig):
+            config_from_mapping(document)
+
+    @pytest.mark.parametrize(
+        "sweeps",
+        [
+            "sunny",
+            ["sunny"],
+            [{"members": "sunny"}],
+            [{"members": ["sunny"], "agg": "maj"}],
+            [{"aggregation": "maj"}],
+            [{"members": ["sunny"], "aggregation": 3}],
+        ],
+    )
+    def test_malformed_sweeps_are_rejected(self, sweeps):
+        with pytest.raises(InvalidConfig):
+            config_from_mapping({"scenario": "fixtures/toy", "sweeps": sweeps})
+
+    def test_a_config_scores_something(self):
+        with pytest.raises(InvalidConfig, match="at least one approach or sweep"):
+            config_from_mapping({"scenario": "fixtures/toy"})
+
+
+class TestOneFoldLoop:
+    def fits_of(self, toy, monkeypatch, config):
+        """(report, sweeps, (spec, training rows) of every fit) of one run."""
+        fits = []
+        original = Selector.fit
+
+        def counting_fit(model, scenario, rows):
+            fits.append((model.spec, np.asarray(rows, dtype=np.int64).tobytes()))
+            return original(model, scenario, rows)
+
+        monkeypatch.setattr(Selector, "fit", counting_fit)
+        report, _, sweeps = run_config(config, toy)
+        return report, sweeps, fits
+
+    @pytest.mark.parametrize("aggregation", ["maj", "wmaj", "borda"])
+    def test_members_scored_as_cells_are_trained_once_per_fold(
+        self, toy, monkeypatch, aggregation
+    ):
+        config = toy_config(MEMBERS, sweeps=((MEMBERS, aggregation),), seed=3)
+        report, (sweep,), fits = self.fits_of(toy, monkeypatch, config)
+        assert all(cell.error is None for cell in report.cells)
+        # three members, each trained once on each fold's training rows
+        assert max(Counter(fits).values()) == 1
+        assert len(fits) == len(MEMBERS) * len(toy.fold_ids())
+        assert Counter(spec for spec, _ in fits) == {
+            spec: len(toy.fold_ids()) for spec in MEMBERS
+        }
+        monkeypatch.undo()
+        alone = sweep_voting(toy, MEMBERS, aggregation=aggregation, global_seed=3)
+        assert sweep_json(sweep) == sweep_json(alone)
+        without_sweep, _ = run_experiment(toy_config(MEMBERS, seed=3), toy)
+        assert canonical_json(report) == canonical_json(without_sweep)
+
+    def test_sweeps_keep_config_order_and_fold_subset(self, toy):
+        sweeps = ((("sbs", "sunny"), "mean"), (("isac",), "maj"))
+        _, _, reports = run_config(toy_config(sweeps=sweeps, folds=(2, 1)), toy)
+        assert [(r.member_specs, r.aggregation) for r in reports] == list(sweeps)
+        assert all(r.folds == (2, 1) for r in reports)
+        alone = sweep_voting(toy, ["sbs", "sunny"], aggregation="mean", folds=[2, 1])
+        assert sweep_json(reports[0]) == sweep_json(alone)
+
+    def test_a_sweeps_only_run_has_baselines_and_no_cells(self, toy):
+        report, _, _ = run_config(toy_config(sweeps=((("sunny",), "maj"),)), toy)
+        assert report.cells == () and report.approaches == ()
+        assert [b.fold for b in report.baselines] == toy.fold_ids()
+
+    def test_sweep_voting_validates_like_a_config(self, toy):
+        with pytest.raises(InvalidConfig, match="seed"):
+            sweep_voting(toy, ["sunny"], global_seed=-1)
+        with pytest.raises(InvalidConfig, match="not present"):
+            sweep_voting(toy, ["sunny"], folds=[9])
+
+
+class TestCli:
+    def test_evaluate_writes_each_sweep_as_sweep_voting_does(self, tmp_path):
+        formats = ["--format", "json", "--format", "csv", "--format", "markdown"]
+        command = invoke(
+            "--out", tmp_path / "alone", *formats, "sweep-voting", "--scenario", TOY_DIR,
+            "--member", "sunny", "--member", "multiclass(trees=5),isac", "--agg", "borda",
+        )
+        assert command.exit_code == 0
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            f"scenario: {TOY_DIR}\n"
+            "approaches: [sunny]\n"
+            "sweeps:\n"
+            "  - {members: [sbs]}\n"
+            "  - {members: [sunny, 'multiclass(trees=5)', isac], aggregation: borda}\n",
+            encoding="utf-8",
+        )
+        result = invoke("--out", tmp_path / "run", *formats, "evaluate", cfg)
+        assert result.exit_code == 0
+        for suffix in (".json", ".csv", ".md"):
+            alone = (tmp_path / f"alone{suffix}").read_bytes()
+            assert (tmp_path / f"run.sweep2{suffix}").read_bytes() == alone
+            assert (tmp_path / f"run.sweep1{suffix}").exists()
+        assert read_json(tmp_path / "run.json")["approaches"] == ["sunny"]
+
+    def test_sweep_member_with_two_keys(self):
+        result = invoke(
+            "sweep-voting", "--scenario", TOY_DIR,
+            "--member", "peralgo(trees=2,depth=3)", "--member", "sunny",
+        )
+        assert result.exit_code == 0, result.output
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert [row[2] for row in rows[1:]] == [
+            "voting[maj]{peralgo(depth=3,trees=2);search=all}",
+            "voting[maj]{sunny;search=all}",
+            "voting[maj]{peralgo(depth=3,trees=2),sunny;search=all}",
+        ]
+
+    def test_baselines_selector_with_two_keys(self, tmp_path):
+        result = invoke(
+            "--out", tmp_path / "b", "baselines", "--scenario", TOY_DIR,
+            "--selector", "peralgo(trees=2,depth=3),sunny",
+        )
+        assert result.exit_code == 0, result.output
+        written = read_json(tmp_path / "b.json")
+        assert written["approaches"] == ["oracle", "sbs", "peralgo(depth=3,trees=2)", "sunny"]
+
+    @pytest.mark.parametrize("command", ["sweep-voting", "baselines"])
+    def test_unreadable_folds_exit_1(self, command):
+        member = ["--member", "sbs"] if command == "sweep-voting" else []
+        result = invoke(command, "--scenario", TOY_DIR, *member, "--folds", "1,x")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: --folds takes comma-separated fold ids")
