@@ -8,12 +8,15 @@ candidate features of each of 8 nodes of 1000 down to 300 rows, each
 column sorted and padded below its node's rows with +inf values of
 zero weight. The distance kernel gets 800 rows against 10, 4 and 1
 centroids, the shapes of a 5-fold run on 1000 instances with 50
-features (k-means Lloyd iterations and ISAC prediction at 10 and 4
-clusters, k-means++ seeding at 1), which run in the kernel's
-centroid-major orientation, and the all-pairs shapes of that run's kNN
-queries, 800 training rows against themselves and 200 test rows against
-them, which the queries themselves no longer compute in full. The
-k-means accumulation sums those 800 rows into 10 clusters. Three kNN
+features (k-means++ seeding at 1, and at 10 and 4 clusters the full
+matrices that k-means and ISAC prediction no longer compute), which run
+in the kernel's centroid-major orientation, and the all-pairs shapes of
+that run's kNN queries, 800 training rows against themselves and 200
+test rows against them, which the queries themselves no longer compute
+in full. The k-means accumulation sums those 800 rows into 10 clusters.
+k-means fits 800 rows of 50 features into 10 and into 4 clusters
+(seeding and every Lloyd step), and the 10-cluster model finds the
+nearest centroid of 800 fresh rows, as ISAC's prediction does. Three kNN
 queries at k = 16 rank 800 training rows against an index of themselves
 (a self-query, as stacking makes), 200 test rows against an index of
 800 distinct rows, and 200 test rows against an index of an 800-row
@@ -49,7 +52,7 @@ import numpy as np
 
 from metaselect.aggregation import subset_choices
 from metaselect.ensembles import MAX_EXHAUSTIVE_MEMBERS
-from metaselect.learners import ForestClassifier, KnnIndex, _kernels
+from metaselect.learners import ForestClassifier, KnnIndex, _kernels, fit_kmeans
 from metaselect.learners.forest import DRAW_BLOCK, _GrowingTree, _refill
 from metaselect.selectors import make_selector
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
@@ -124,6 +127,11 @@ def bench_cases(rng):
     for m, n, k in ENGINE_SHAPES:
         yield f"subset_choices borda {m}x{n}x{k}", all_borda_subsets, (
             rng.normal(size=(m, n, k)),)
+    n, d, k = KMEANS_SHAPE
+    x = rng.normal(size=(n, d))
+    for clusters in (k, 4):
+        yield f"kmeans fit {n}x{d} k={clusters}", fit_kmeans, (x, clusters, 0)
+    yield f"kmeans nearest {n}x{d} k={k}", fit_kmeans(x, k, 0).nearest, (rng.normal(size=(n, d)),)
 
 
 def choice_draws(rng, nodes, d, m):

@@ -21,8 +21,9 @@ per-feature ranks with a padding rank above them all.
 
 The distance kernel puts the longer of its two inputs on the inner
 axis: when `b` has fewer rows than `a` it computes the (len(b), len(a))
-matrix and returns its C-contiguous transpose, so that k-means' few
-centroids never make the innermost loop a handful of elements long.
+matrix and returns its C-contiguous transpose, so that the one
+centroid of a k-means++ seeding step never makes the innermost loop a
+single element long.
 The rule reads only the two shapes. (x - y)² and (y - x)² are the same
 IEEE number, so the orientation does not change a bit. The kernel then
 walks the rows of the outer input in blocks of about BLOCK_CELLS output
@@ -39,11 +40,22 @@ caller's size on return. Buffering moves values, it does not change the
 arithmetic.
 
 `gathered_sq_dists` computes the same numbers for a list of (row of
-`a`, row of `b`) pairs only: it too subtracts, squares and adds into a
-zero feature by feature in column order, so each pair's distance is
-bit for bit the matching entry of `pairwise_sq_dists(a, b)`. A kNN
-query ranks on a cheaper approximation and computes the exact
-distances of its few candidates with it.
+`a`, row of `b`) pairs only. It takes the pairs in chunks of about
+GATHER_CELLS (pair, feature) cells, so a chunk's scratch stays in L2
+cache: it gathers the chunk's rows of both inputs, subtracts and
+squares in place, and adds the features with one `np.add.reduce` over
+axis 0 of the chunk's C-contiguous (features, pairs) transpose. numpy
+reduces the outer axis of a C-contiguous array row by row, adding each
+row into the running sums with an elementwise loop along the
+contiguous axis, so every pair's distance is ((d0² + d1²) + d2²) + ...
+in column order: bit for bit the matching entry of
+`pairwise_sq_dists(a, b)`, since 0 + d0² is d0² (a square is never
+-0.0). A reduction over the contiguous axis instead, or over a single
+pair, whose pair axis numpy drops, would run numpy's pairwise
+summation, which adds in another order from 8 features on; so a chunk
+never holds one pair alone. A kNN query and the k-means assignment
+rank on a cheaper approximation and compute the exact distances of
+their few candidates with it.
 
 Error of these distances (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., §2.2 and §3.1). Let u = 2**-53 be the unit
@@ -76,6 +88,7 @@ USING_NUMBA = False  # one numpy implementation per kernel; kept for result stam
 
 BLOCK_CELLS = 32768  # cells per distance block: block and scratch are 256 KiB each
 UFUNC_BUFFER = 1024  # elements per ufunc buffer in the distance kernel: 8 KiB
+GATHER_CELLS = 16384  # (pair, feature) cells per gathered chunk: 128 KiB of scratch each
 
 # ---------------------------------------------------------------- splits
 
@@ -218,13 +231,19 @@ def gathered_sq_dists(a, b, rows_a, rows_b):
     shape (len(rows_a),); bit for bit `pairwise_sq_dists(a, b)[rows_a, rows_b]`."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature counts differ: {a.shape[1]} and {b.shape[1]}")
-    out = np.zeros(len(rows_a))
-    diff = np.empty(len(rows_a))
-    for a_col, b_col in zip(a.T, b.T):
-        np.subtract(a_col[rows_a], b_col[rows_b], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(out, diff, out=out)
-    return out
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n = len(rows_a)
+    if n == 1:  # one pair alone would be summed pairwise: reduce it twice
+        rows_a, rows_b = np.repeat(rows_a, 2), np.repeat(rows_b, 2)
+    out = np.empty(len(rows_a))
+    chunks = max(1, -(-out.size // max(2, GATHER_CELLS // max(a.shape[1], 1))))
+    bounds = [out.size * i // chunks for i in range(chunks + 1)]  # 2 pairs or more each
+    for lo, hi in zip(bounds, bounds[1:]):
+        diff = a[rows_a[lo:hi]]
+        diff -= b[rows_b[lo:hi]]
+        diff *= diff
+        np.add.reduce(np.ascontiguousarray(diff.T), axis=0, out=out[lo:hi])
+    return out[:n]
 
 
 # ---------------------------------------------------------------- kmeans

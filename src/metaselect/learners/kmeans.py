@@ -8,6 +8,19 @@ so every cluster keeps a member through the iterations and every
 centroid is a mean of points. The final nearest-centroid assignment
 sends a tie to the lower cluster, so a cluster whose centroid equals a
 lower one's ends without members.
+
+Each assignment, in a Lloyd step, at the end of a fit and in
+`KMeansModel.nearest`, is the argmin and the min of each row of
+`_kernels.pairwise_sq_dists(x, centroids)`, bit for bit, without that
+matrix. The kNN prefilter with k = 1 (`neighbors.candidate_mask`, whose
+margin is proven in `neighbors`) gives each row the centroids that may
+be nearest by one matrix product. Every row's candidates get exact
+distances from `_kernels.gathered_sq_dists`. A row with a single
+candidate takes it; when some row has several, the rows pick the least
+exact distance among their candidates, the lower cluster on a tie. The
+inertia and the empty-cluster reseeding read these per-row distances.
+k-means++ seeding needs every point's distance to each new centroid and
+stays on `_kernels.pairwise_sq_dists`.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import numpy as np
 
 from ..errors import DegenerateData, KTooLarge
 from . import _kernels
+from .neighbors import candidate_mask, squared_norms
 
 MAX_ITERATIONS = 100
 
@@ -46,9 +60,23 @@ class KMeansModel:
 
 
 def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dists = _kernels.pairwise_sq_dists(x, centroids)
-    closest = np.argmin(dists, axis=1)
-    return closest, np.sqrt(dists[np.arange(x.shape[0]), closest])
+    closest, sq_dists = _nearest_sq(x, centroids)
+    return closest, np.sqrt(sq_dists)
+
+
+def _nearest_sq(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per row of `x`, the lower one on ties, and the
+    exact squared distance to it: the argmin and min of each row of
+    `_kernels.pairwise_sq_dists(x, centroids)`, bit for bit."""
+    mask = candidate_mask(x, centroids, squared_norms(centroids), 1)
+    rows, clusters = np.divmod(np.flatnonzero(mask), mask.shape[1])  # by row, then cluster
+    dists = _kernels.gathered_sq_dists(x, centroids, rows, clusters)
+    if rows.size == x.shape[0]:  # a single candidate per row: its nearest
+        return clusters, dists
+    exact = np.full(mask.shape, np.inf)
+    exact[mask] = dists
+    closest = exact.argmin(axis=1)
+    return closest, exact[np.arange(x.shape[0]), closest]
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,9 +113,8 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     inertia_history: list[float] = []
 
     for _ in range(MAX_ITERATIONS):
-        dists = _kernels.pairwise_sq_dists(x, centroids)
-        new_assign = np.argmin(dists, axis=1).astype(np.int64)
-        inertia_history.append(float(dists[np.arange(n), new_assign].sum()))
+        new_assign, point_d = _nearest_sq(x, centroids)
+        inertia_history.append(float(point_d.sum()))
         sums, counts = _kernels.kmeans_accumulate(x, new_assign, k)
         empty = counts == 0
         if empty.any():
@@ -95,7 +122,6 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
             # among those whose cluster keeps another member, so that no
             # donor is left empty; a moved point is then alone in its
             # cluster and is not taken twice
-            point_d = dists[np.arange(n), new_assign]
             for cluster in np.nonzero(empty)[0]:
                 far = int(np.argmax(np.where(counts[new_assign] > 1, point_d, -1.0)))
                 sums[new_assign[far]] -= x[far]

@@ -24,13 +24,23 @@ point) pair. For each block of query rows it computes the GEMM form
 
 with one matrix product and three in-place passes over its result,
 takes as candidates the points whose G lies within twice a rigorous
-per-row margin of the row's k-th smallest G, computes the exact
-distances of the candidates only (`_kernels.gathered_sq_dists`, bit for
-bit `_kernels.pairwise_sq_dists`), and selects among them by (exact
-distance, row id). The answer is exactly what ranking every exact
-distance would give, as shown below. The query rows go in blocks of
-about QUERY_BLOCK_CELLS GEMM cells, so the scratch memory of a query
-does not grow with its row count.
+per-row margin of the row's k-th smallest G (`candidate_mask`),
+computes the exact distances of the candidates only
+(`_kernels.gathered_sq_dists`, bit for bit
+`_kernels.pairwise_sq_dists`), and selects among them by (exact
+distance, row id): each row's candidates fill one row of a
++inf-padded (query rows × most candidates) matrix, in ascending row
+id, and one stable argsort per row orders them (`first_k_by_distance`).
+The answer is exactly what ranking every exact distance would give, as
+shown below. The query rows go in blocks of about QUERY_BLOCK_CELLS
+GEMM cells, so the scratch memory of a query, the padded matrix
+included, does not grow with its row count.
+
+k-means finds each row's nearest centroid through the same
+`candidate_mask` with k = 1, the centroids as the points: the k-th
+smallest G is then the row minimum, and the proof below holds for it
+as for any k. A row with one candidate has its nearest centroid, and
+the exact distance to it is that candidate's (see `kmeans`).
 
 The margin. Notation as in `_kernels`: u = 2**-53, γ_n = n·u/(1 - n·u).
 For rows q and p of d features let s_q = ‖q‖², s_p = ‖p‖², t = q·p and
@@ -108,6 +118,54 @@ def _margin_terms(d: int) -> tuple[float, float]:
     return 4.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF), (4 * d + 4) * _SUBNORMAL
 
 
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """‖p‖² of each row, in any summation order; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", points, points)
+
+
+def candidate_mask(q, points, sq_norms, k, columns=None):
+    """Boolean (len(q), n) mask of each query row's candidates: the
+    points whose GEMM value lies within twice the margin of the row's
+    k-th smallest GEMM value, every point for a row whose scale the
+    margin does not cover. `sq_norms` are `squared_norms(points)`; with
+    `columns`, column j stands for point `columns[j]` and n is its
+    length. The margin and the proof are in the module docstring."""
+    relative, absolute = _margin_terms(q.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_rows = np.einsum("ij,ij->i", q, q)
+        approx = q @ points.T
+        approx *= -2.0
+        approx += sq_norms
+        approx += sq_rows[:, None]
+        if columns is not None:
+            approx = approx.take(columns, axis=1)
+        if k == 1:
+            kth = approx.min(axis=1)
+        else:
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        scale = sq_rows + sq_norms.max()
+        margin = relative * scale + absolute
+        mask = approx <= (kth + 2.0 * margin)[:, None]
+    mask[~(scale <= _MAX_SCALE)] = True
+    return mask
+
+
+def first_k_by_distance(counts, dists, k):
+    """Positions in `dists` of each row's first k entries by (distance,
+    position), shape (len(counts), k). `dists` holds the entries of
+    each row in turn, `counts[i]` of them for row i, and every row has
+    at least k. Each row's entries go into one +inf-padded row of a
+    (rows, most entries) matrix, which one stable argsort per row
+    orders; the padding sorts after every entry of its row, an
+    infinite distance included, so it never reaches the first k."""
+    starts = counts.cumsum() - counts
+    padded = np.full((counts.size, counts.max()), np.inf)
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = dists
+    order = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    return starts[:, None] + order
+
+
 class KnnIndex:
     """Brute-force euclidean index; ties resolve to the lower row id.
 
@@ -147,8 +205,7 @@ class KnnIndex:
             self.points_, self.inverse_ = x[first], inverse
         else:
             self.points_, self.inverse_ = x, None
-        with np.errstate(over="ignore"):
-            self.sq_norms_ = np.einsum("ij,ij->i", self.points_, self.points_)
+        self.sq_norms_ = squared_norms(self.points_)
         return self
 
     @property
@@ -183,36 +240,17 @@ class KnnIndex:
             raise DegenerateData("knn query requires finite features")
         if x.shape[0] == 0:
             return np.empty((0, k), dtype=np.int64)
-        n = self.n_points
-        rows = max(1, QUERY_BLOCK_CELLS // n)
-        flat = np.concatenate(
-            [self._candidates(x[lo : lo + rows], k) + lo * n for lo in range(0, x.shape[0], rows)]
+        rows = max(1, QUERY_BLOCK_CELLS // self.n_points)
+        return np.concatenate(
+            [self._query_block(x[lo : lo + rows], k) for lo in range(0, x.shape[0], rows)]
         )
-        # row-major: candidates come out by query, then row id
-        queries, ids = np.divmod(flat, n)
-        point_rows = ids if self.inverse_ is None else self.inverse_[ids]
-        dists = _kernels.gathered_sq_dists(x, self.points_, queries, point_rows)
-        order = np.lexsort((dists, queries))
-        counts = np.bincount(queries, minlength=x.shape[0])
-        starts = counts.cumsum() - counts
-        return ids[order][starts[:, None] + np.arange(k)]
 
-    def _candidates(self, q, k):
-        """Row-major flat positions, in the (len(q), n_points) matrix, of
-        the points within twice the margin of each row's k-th GEMM
-        value; the margin and the proof are in the module docstring."""
-        relative, absolute = _margin_terms(q.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq_rows = np.einsum("ij,ij->i", q, q)
-            approx = q @ self.points_.T
-            approx *= -2.0
-            approx += self.sq_norms_
-            approx += sq_rows[:, None]
-            if self.inverse_ is not None:
-                approx = approx.take(self.inverse_, axis=1)
-            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-            scale = sq_rows + self.sq_norms_.max()
-            margin = relative * scale + absolute
-            candidates = approx <= (kth + 2.0 * margin)[:, None]
-        candidates[~(scale <= _MAX_SCALE)] = True
-        return np.flatnonzero(candidates)
+    def _query_block(self, q, k):
+        """The answer for one block of query rows."""
+        mask = candidate_mask(q, self.points_, self.sq_norms_, k, self.inverse_)
+        # row-major: by query row, then row id
+        queries, ids = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        point_rows = ids if self.inverse_ is None else self.inverse_[ids]
+        dists = _kernels.gathered_sq_dists(q, self.points_, queries, point_rows)
+        counts = np.bincount(queries, minlength=q.shape[0])
+        return ids[first_k_by_distance(counts, dists, k)]

@@ -85,6 +85,10 @@ def _canonical_approaches(specs) -> list[str]:
 
 def _resolve_folds(scenario: ScenarioSpec, requested) -> tuple[int, ...]:
     available = scenario.fold_ids()
+    if len(available) < 2:  # holding out the only fold leaves nothing to train on
+        raise InvalidConfig(
+            f"cross-validation needs at least two folds, scenario has {len(available)}"
+        )
     if requested is None:
         return tuple(available)
     bad = sorted(set(requested) - set(available))

@@ -242,6 +242,16 @@ class TestRunExperiment:
         with pytest.raises(InvalidConfig, match="folds"):
             run_experiment(config, scenario=toy)
 
+    def test_a_one_fold_scenario_is_rejected_before_any_fit(self, monkeypatch):
+        # holding out its only fold leaves no training rows for the SBS
+        scenario = generate_synthetic(SyntheticConfig(n_instances=10, n_folds=1, seed=2))
+        monkeypatch.setattr(runner, "_run_fold", _no_fold_may_run)
+        config = make_config(("oracle", "sbs", "sunny"))
+        with pytest.raises(InvalidConfig, match="at least two folds, scenario has 1"):
+            run_experiment(config, scenario=scenario)
+        with pytest.raises(InvalidConfig, match="at least two folds"):
+            sweep_voting(scenario, ["sunny", "isac"], "maj")
+
     def test_config_still_validated_with_scenario_override(self, toy):
         config = ExperimentConfig(approaches=("oracle",), seed=0)  # no source at all
         with pytest.raises(InvalidConfig):
@@ -978,6 +988,10 @@ class TestInternalErrors:
         assert result.stdout.startswith("fold,")
 
 
+def _no_fold_may_run(*args, **kwargs):
+    raise AssertionError("a fold ran")
+
+
 def invoke(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
@@ -1127,15 +1141,31 @@ class TestCli:
         )
         assert result.exit_code == 1
 
-    def test_sweep_voting_runtime_failure_exits_2(self, tmp_path):
-        # a single-fold scenario gives every sweep member an empty train
-        # set; that failure is computational, not a config problem
+    def test_sweep_voting_one_fold_scenario_exits_1(self, tmp_path):
+        # a single-fold scenario would give every sweep member an empty
+        # train set; it is rejected as a config error before any fit
         scenario = generate_synthetic(SyntheticConfig(n_instances=10, n_folds=1, seed=2))
         dest = tmp_path / "onefold"
         write_scenario(scenario, dest)
         result = invoke("sweep-voting", "--scenario", str(dest), "--member", "sunny")
-        assert result.exit_code == 2
-        assert stderr_of(result).startswith("error:")
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith(
+            "error: cross-validation needs at least two folds, scenario has 1"
+        )
+
+    def test_evaluate_one_fold_scenario_exits_1_and_writes_nothing(self, tmp_path):
+        scenario = generate_synthetic(SyntheticConfig(n_instances=10, n_folds=1, seed=2))
+        dest = tmp_path / "onefold"
+        write_scenario(scenario, dest)
+        cfg = self.write_config(tmp_path, dest)
+        out = tmp_path / "out"
+        result = invoke("--out", str(out / "run"), "evaluate", str(cfg))
+        assert result.exit_code == 1
+        assert stderr_of(result).startswith(
+            "error: cross-validation needs at least two folds, scenario has 1"
+        )
+        assert result.stdout == ""
+        assert not out.exists()
 
     def test_baselines_csv_on_stdout(self):
         result = invoke("baselines", "--scenario", str(TOY_DIR), "--folds", "1,2")

@@ -7,7 +7,9 @@ of the exact kernel's distances on inputs where the two forms round
 differently: continuous data, ties across the k-th place, large offsets
 with a small spread, magnitudes where squares overflow, and bootstrap
 indexes with duplicate rows. An index must also group its rows as
-`np.unique(rows, axis=0)` does, by value. BLAS may sum the matrix
+`np.unique(rows, axis=0)` does, by value. The gathered kernel must give
+the matrix kernel's bits on both sides of its chunk size, and the
+per-row ranking of candidates the order of a lexsort. BLAS may sum the matrix
 product in another order under another thread count; CI runs this
 module once more with OPENBLAS_NUM_THREADS=1, and every answer must
 stay the same.
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from metaselect.learners import KnnIndex, _kernels
-from metaselect.learners.neighbors import QUERY_BLOCK_CELLS
+from metaselect.learners.neighbors import QUERY_BLOCK_CELLS, first_k_by_distance
 
 KINDS = ("continuous", "grid", "offset", "huge", "bootstrap")
 
@@ -170,3 +172,50 @@ def test_gathered_pairs_equal_the_matrix_kernel_bit_for_bit(n_a, n_b, d, n_pairs
 def test_gathered_pairs_reject_unequal_feature_counts():
     with pytest.raises(ValueError):
         _kernels.gathered_sq_dists(np.zeros((4, 3)), np.zeros((2, 2)), [0], [0])
+
+
+@pytest.mark.parametrize("d", [0, 1, 7, 50])
+def test_gathered_pairs_equal_the_matrix_kernel_across_chunk_boundaries(d):
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.integers(-3, 4, size=d)
+    a, b = rng.normal(size=(40, d)) * scale, rng.normal(size=(30, d)) * scale
+    want = _kernels.pairwise_sq_dists(a, b)
+    chunk = _kernels.GATHER_CELLS // max(d, 1)
+    for n_pairs in (1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        rows_a = rng.integers(0, 40, size=n_pairs)
+        rows_b = rng.integers(0, 30, size=n_pairs)
+        got = _kernels.gathered_sq_dists(a, b, rows_a, rows_b)
+        assert got.shape == (n_pairs,)
+        np.testing.assert_array_equal(got.view(np.uint64), want[rows_a, rows_b].view(np.uint64))
+
+
+@pytest.mark.parametrize("as_rows", [list, np.int32, np.uint16, np.int64])
+def test_gathered_pairs_take_any_integer_row_list(as_rows):
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(12, 20)), rng.normal(size=(9, 20))
+    want = _kernels.pairwise_sq_dists(a, b)
+    for n_pairs in (0, 1, 5):
+        rows_a, rows_b = rng.integers(0, 9, size=n_pairs), rng.integers(0, 9, size=n_pairs)
+        if as_rows is list:
+            got = _kernels.gathered_sq_dists(a, b, rows_a.tolist(), rows_b.tolist())
+        else:
+            got = _kernels.gathered_sq_dists(a, b, rows_a.astype(as_rows), rows_b.astype(as_rows))
+        np.testing.assert_array_equal(got.view(np.uint64), want[rows_a, rows_b].view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 12), st.integers(0, 2**31 - 1))
+@example(1, 1, 0, 0)  # one entry
+@example(5, 3, 9, 1)
+def test_padded_ranking_equals_lexsort_order(n_rows, k, extra, seed):
+    rng = np.random.default_rng(seed)
+    # every row has k or more entries, up to k + extra; few distinct
+    # distances, so ties straddle the k-th place, and some infinite ones
+    counts = rng.integers(k, k + extra + 1, size=n_rows)
+    rows = np.repeat(np.arange(n_rows), counts)
+    dists = rng.choice([0.0, 1.0, 2.0, 2.5, np.inf], size=rows.size)
+    got = first_k_by_distance(counts, dists, k)
+    starts = counts.cumsum() - counts
+    order = np.lexsort((np.arange(rows.size), dists, rows))  # by row, distance, position
+    want = np.stack([order[s : s + k] for s in starts])
+    np.testing.assert_array_equal(got, want)

@@ -29,9 +29,11 @@ from metaselect.learners import (
     fit_forests,
     fit_kmeans,
 )
-from metaselect.learners import _kernels
+from metaselect.learners import KMeansModel, _kernels
 from metaselect.learners import forest as forest_module
+from metaselect.learners import kmeans as kmeans_module
 from metaselect.learners.forest import _GrowingTree, _leaf_payloads, _refill
+from metaselect.learners.kmeans import _nearest_sq
 from metaselect.learners.preprocess import column_medians, fit_variance_threshold
 
 
@@ -708,6 +710,116 @@ class TestKmeans:
         x = np.array([[1, 0], [1, 0], [1, 2], [1, 2], [0, 0], [2, 0], [1, 1],
                       [2, 2], [0, 0], [2, 2], [2, 2]], dtype=np.float64)
         _check_kmeans_model(fit_kmeans(x, 8, seed=93))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(("grid", "duplicated", "huge", "continuous")),
+        st.integers(1, 40), st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**31 - 1),
+    )
+    @example("grid", 40, 12, 1, 0)  # d = 1
+    @example("continuous", 30, 1, 4, 1)  # one centroid
+    @example("huge", 25, 6, 3, 2)
+    @example("duplicated", 40, 12, 2, 3)
+    def test_nearest_centroid_equals_argmin_and_min_of_the_exact_kernel(
+        self, kind, n, k, d, seed
+    ):
+        x, centroids = _nearest_inputs(kind, np.random.default_rng(seed), n, k, d)
+        with np.errstate(over="ignore"):
+            closest, sq_dists = _nearest_sq(x, centroids)
+            want = _kernels.pairwise_sq_dists(x, centroids)
+        want_closest = want.argmin(axis=1)
+        np.testing.assert_array_equal(closest, want_closest)
+        np.testing.assert_array_equal(
+            sq_dists.view(np.uint64), want[np.arange(len(x)), want_closest].view(np.uint64)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(("grid", "continuous")), st.integers(1, 30),
+        st.floats(0.0, 1.0), st.integers(1, 4), st.integers(0, 999),
+    )
+    @example("grid", 11, 0.7, 2, 93)
+    def test_fit_equals_the_reference_lloyd_loop(self, kind, n, fraction, d, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # few distinct rows: ties, and empty clusters to reseed
+            x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        else:
+            x = rng.normal(size=(n, d))
+        _assert_same_model(fit_kmeans(x, 1 + int(fraction * (n - 1)), seed=seed),
+                           _reference_fit_kmeans(x, 1 + int(fraction * (n - 1)), seed)[0])
+
+    def test_fit_equals_the_reference_lloyd_loop_through_a_reseed(self):
+        x = np.array([[1, 0], [1, 0], [1, 2], [1, 2], [0, 0], [2, 0], [1, 1],
+                      [2, 2], [0, 0], [2, 2], [2, 2]], dtype=np.float64)
+        want, reseeds = _reference_fit_kmeans(x, 8, 93)
+        assert reseeds > 0
+        _assert_same_model(fit_kmeans(x, 8, seed=93), want)
+
+
+def _nearest_inputs(kind, rng, n, k, d):
+    """Rows and centroids on which the GEMM form and the exact kernel
+    round differently or tie."""
+    if kind == "grid":  # {0..3}-valued: many equal distances
+        return (rng.integers(0, 4, size=(n, d)).astype(np.float64),
+                rng.integers(0, 4, size=(k, d)).astype(np.float64))
+    x = rng.normal(size=(n, d))
+    if kind == "duplicated":  # centroids repeat, so every tie is exact
+        centroids = rng.normal(size=(max(1, k // 2), d))[rng.integers(0, max(1, k // 2), size=k)]
+        return np.vstack([x, centroids]), centroids
+    centroids = rng.normal(size=(k, d))
+    if kind == "huge":  # squares overflow from about 1e154: these rows take every candidate
+        x *= 10.0 ** rng.uniform(150, 160, size=(n, 1))
+    return x, centroids
+
+
+def _reference_fit_kmeans(x, k, seed):
+    """The Lloyd loop on the full exact distance matrix, and its count
+    of reseeded clusters."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = kmeans_module._plus_plus_init(x, k, rng)
+    assignments = np.zeros(n, dtype=np.int64)
+    inertia_history, reseeds = [], 0
+    for _ in range(kmeans_module.MAX_ITERATIONS):
+        dists = _kernels.pairwise_sq_dists(x, centroids)
+        new_assign = np.argmin(dists, axis=1).astype(np.int64)
+        inertia_history.append(float(dists[np.arange(n), new_assign].sum()))
+        sums, counts = _kernels.kmeans_accumulate(x, new_assign, k)
+        empty = counts == 0
+        if empty.any():
+            point_d = dists[np.arange(n), new_assign]
+            for cluster in np.nonzero(empty)[0]:
+                far = int(np.argmax(np.where(counts[new_assign] > 1, point_d, -1.0)))
+                sums[new_assign[far]] -= x[far]
+                counts[new_assign[far]] -= 1
+                new_assign[far] = cluster
+                sums[cluster] = x[far]
+                counts[cluster] = 1
+                reseeds += 1
+        converged = len(inertia_history) > 1 and np.array_equal(new_assign, assignments)
+        assignments = new_assign
+        centroids = sums / counts[:, None]
+        if converged:
+            break
+    dists = _kernels.pairwise_sq_dists(x, centroids)
+    closest = np.argmin(dists, axis=1)
+    model = KMeansModel(
+        centroids=centroids,
+        assignments=closest,
+        train_distances=np.sqrt(dists[np.arange(n), closest]),
+        inertia_history=inertia_history,
+    )
+    return model, reseeds
+
+
+def _assert_same_model(got, want):
+    for name in ("centroids", "assignments", "train_distances"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
+    assert got.inertia_history == want.inertia_history
 
 
 def _check_kmeans_model(model):
