@@ -6,14 +6,10 @@ the best call is reported. The split kernels get the candidate columns
 of several tree nodes at once, as the forest grower passes them: 8
 candidate features of each of 8 nodes of 1000 down to 300 rows, each
 column sorted and padded below its node's rows with +inf values of
-zero weight. The distance kernel gets 800 rows against 10, 4 and 1
-centroids, the shapes of a 5-fold run on 1000 instances with 50
-features (k-means++ seeding at 1, and at 10 and 4 clusters the full
-matrices that k-means and ISAC prediction no longer compute), which run
-in the kernel's centroid-major orientation, and the all-pairs shapes of
-that run's kNN queries, 800 training rows against themselves and 200
-test rows against them, which the queries themselves no longer compute
-in full. The k-means accumulation sums those 800 rows into 10 clusters.
+zero weight. The all-pairs distance kernel gets 800 rows of 50
+features against one centroid, the one shape any code asks of it: a
+k-means++ seeding step in a 5-fold run on 1000 instances. The k-means
+accumulation sums those 800 rows into 10 clusters.
 k-means fits 800 rows of 50 features into 10 and into 4 clusters
 (seeding and every Lloyd step), and the 10-cluster model finds the
 nearest centroid of 800 fresh rows, as ISAC's prediction does. Three kNN
@@ -61,8 +57,7 @@ NODE_ROWS, NODE_CANDIDATES, N_CLASSES, MIN_LEAF = 1000, 8, 4, 5
 NODE_SIZES = np.linspace(NODE_ROWS, 300, 8).astype(int)  # rows of each node of a call
 FIT_TREES, FIT_REPEATS = 100, 3
 FIT_SHAPES = ((240, 10, 5, False), (1000, 50, 2, True))  # (rows, features, classes, weighted)
-DIST_SHAPES = (  # (n_a, n_b, d)
-    (800, 800, 50), (200, 800, 50), (800, 10, 50), (800, 4, 50), (800, 1, 50))
+DIST_SHAPES = ((800, 1, 50),)  # (n_a, n_b, d)
 KMEANS_SHAPE = (800, 50, 10)  # (rows, features, clusters)
 KNN_SHAPE = (200, 800, 50, 16)  # (test queries, training rows, features, k)
 PREDICT_SHAPE = (5, 240, 60, 10, 5)  # (trees, training rows, test rows, features, classes)

@@ -27,7 +27,8 @@ the subsets depth-first, each one's sum being its parent's plus the
 term of its highest member, so a subset's sum is bit-identical to the
 one `combine_scores` computes for it alone, and at most M partial
 (n, K) sums are alive at any time. `ensembles.subset_par10` turns them
-into PAR10 for voting's exhaustive search and `runner.sweep_voting`.
+into PAR10 for voting's exhaustive search and the sweeps of
+`runner.run_config`.
 """
 
 from __future__ import annotations

@@ -64,17 +64,21 @@ class ExperimentConfig:
     sweeps: tuple[tuple[tuple[str, ...], str], ...] = ()  # (member atoms, aggregation)
 
     def validate(self) -> None:
+        self._validate_source()
+        self.validate_run()
+
+    def _validate_source(self) -> None:
         if (self.scenario_path is None) == (self.synthetic is None):
             raise InvalidConfig("config needs exactly one of scenario/synthetic")
         if self.synthetic is not None:
             self.synthetic.validate()
+
+    def validate_run(self) -> None:
+        """The checks that need no scenario source: what is scored, how,
+        and in which formats."""
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise InvalidConfig(f"unknown format {fmt!r}, expected one of {FORMATS}")
-        self.validate_run()
-
-    def validate_run(self) -> None:
-        """The checks that need no scenario: what is scored, and how."""
         if not self.approaches and not self.sweeps:
             raise InvalidConfig("config needs at least one approach or sweep")
         for spec in self.approaches:
@@ -87,6 +91,7 @@ class ExperimentConfig:
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
 
     def load_scenario_data(self) -> ScenarioSpec:
+        self._validate_source()
         if self.scenario_path is not None:
             return load_scenario(self.scenario_path)
         return generate_synthetic(self.synthetic)

@@ -17,7 +17,7 @@ Voting, bagging and boosting (`wmaj` with its round alphas as weights)
 share one `scores_batch`: their members' (n, K) scores, stacked into a
 (members, instances, algorithms) tensor, go to one `combine_scores`
 call. `subset_par10` scores every member subset through `subset_choices`
-(see `aggregation`) for voting's exhaustive search and `sweep_voting`.
+(see `aggregation`) for voting's exhaustive search and `runner`'s sweeps.
 """
 
 from __future__ import annotations

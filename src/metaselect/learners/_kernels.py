@@ -19,43 +19,27 @@ column's values are only compared with their neighbours, for equality,
 so any values that sort alike serve, such as the forest grower's
 per-feature ranks with a padding rank above them all.
 
-The distance kernel puts the longer of its two inputs on the inner
-axis: when `b` has fewer rows than `a` it computes the (len(b), len(a))
-matrix and returns its C-contiguous transpose, so that the one
-centroid of a k-means++ seeding step never makes the innermost loop a
-single element long.
-The rule reads only the two shapes. (x - y)² and (y - x)² are the same
-IEEE number, so the orientation does not change a bit. The kernel then
-walks the rows of the outer input in blocks of about BLOCK_CELLS output
-cells, so that a block of output and one scratch buffer of the same
-size stay in L2 cache. Inside a block it adds the squared differences
-feature by feature, in column order, into the zeroed block, so every
-distance is (((0 + d0²) + d1²) + ...) in that order and bit for bit
-what a whole-matrix pass per feature gives. No (len(a), len(b), d)
-temporary is ever built. The difference of a column of one input and a
-row of the other is a broadcast that numpy's ufunc loop copies through
-buffers of `np.getbufsize()` elements; the kernel shrinks them to
-UFUNC_BUFFER elements, so that they stay in L1 cache, and restores the
-caller's size on return. Buffering moves values, it does not change the
-arithmetic.
-
-`gathered_sq_dists` computes the same numbers for a list of (row of
-`a`, row of `b`) pairs only. It takes the pairs in chunks of about
-GATHER_CELLS (pair, feature) cells, so a chunk's scratch stays in L2
-cache: it gathers the chunk's rows of both inputs, subtracts and
+`gathered_sq_dists` computes the squared euclidean distances of a list
+of (row of `a`, row of `b`) pairs. It takes the pairs in chunks of
+about GATHER_CELLS (pair, feature) cells, so a chunk's scratch stays in
+L2 cache: it gathers the chunk's rows of both inputs, subtracts and
 squares in place, and adds the features with one `np.add.reduce` over
 axis 0 of the chunk's C-contiguous (features, pairs) transpose. numpy
 reduces the outer axis of a C-contiguous array row by row, adding each
 row into the running sums with an elementwise loop along the
 contiguous axis, so every pair's distance is ((d0² + d1²) + d2²) + ...
-in column order: bit for bit the matching entry of
-`pairwise_sq_dists(a, b)`, since 0 + d0² is d0² (a square is never
+in column order, which is also what adding the squares to a zero one
+feature at a time gives, since 0 + d0² is d0² (a square is never
 -0.0). A reduction over the contiguous axis instead, or over a single
 pair, whose pair axis numpy drops, would run numpy's pairwise
 summation, which adds in another order from 8 features on; so a chunk
-never holds one pair alone. A kNN query and the k-means assignment
-rank on a cheaper approximation and compute the exact distances of
-their few candidates with it.
+never holds one pair alone. `pairwise_sq_dists` is the all-pairs case,
+every pair of a row of `a` and a row of `b` in row-major order,
+reshaped to the (len(a), len(b)) matrix; k-means++ seeding asks it for
+every point's distance to a new centroid. A kNN query and the k-means
+assignment rank on a cheaper approximation and gather the pairs of
+their few candidates only. So every exact distance comes from the one
+reduction, and a distance is the same bits whichever form computes it.
 
 Error of these distances (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., §2.2 and §3.1). Let u = 2**-53 be the unit
@@ -86,8 +70,6 @@ import numpy as np
 
 USING_NUMBA = False  # one numpy implementation per kernel; kept for result stamps
 
-BLOCK_CELLS = 32768  # cells per distance block: block and scratch are 256 KiB each
-UFUNC_BUFFER = 1024  # elements per ufunc buffer in the distance kernel: 8 KiB
 GATHER_CELLS = 16384  # (pair, feature) cells per gathered chunk: 128 KiB of scratch each
 
 # ---------------------------------------------------------------- splits
@@ -196,39 +178,16 @@ def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
 
 
 def pairwise_sq_dists(a, b):
-    """Squared euclidean distances, shape (len(a), len(b))."""
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"feature counts differ: {a.shape[1]} and {b.shape[1]}")
-    if b.shape[0] < a.shape[0]:
-        return np.ascontiguousarray(_blocked_sq_dists(b, a).T)
-    return _blocked_sq_dists(a, b)
-
-
-def _blocked_sq_dists(a, b):
-    """The (len(a), len(b)) distances, row blocks of `a` at a time."""
-    n_a, n_b = a.shape[0], b.shape[0]
-    out = np.zeros((n_a, n_b))
-    at = np.ascontiguousarray(a.T, dtype=np.float64)
-    bt = np.ascontiguousarray(b.T, dtype=np.float64)
-    rows = max(1, BLOCK_CELLS // max(n_b, 1))
-    scratch = np.empty((min(rows, n_a), n_b))
-    previous = np.setbufsize(UFUNC_BUFFER)
-    try:
-        for lo in range(0, n_a, rows):
-            block = out[lo : lo + rows]
-            diff = scratch[: block.shape[0]]
-            for a_col, b_col in zip(at[:, lo : lo + rows, None], bt):
-                np.subtract(a_col, b_col, out=diff)
-                np.multiply(diff, diff, out=diff)
-                np.add(block, diff, out=block)
-    finally:
-        np.setbufsize(previous)
-    return out
+    """Squared euclidean distances, shape (len(a), len(b)): every pair
+    of `gathered_sq_dists`, row by row of `a`."""
+    n_a, n_b = len(a), len(b)
+    rows_a, rows_b = np.repeat(np.arange(n_a), n_b), np.tile(np.arange(n_b), n_a)
+    return gathered_sq_dists(a, b, rows_a, rows_b).reshape(n_a, n_b)
 
 
 def gathered_sq_dists(a, b, rows_a, rows_b):
     """Squared euclidean distances of the pairs (a[rows_a[i]], b[rows_b[i]]),
-    shape (len(rows_a),); bit for bit `pairwise_sq_dists(a, b)[rows_a, rows_b]`."""
+    shape (len(rows_a),)."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature counts differ: {a.shape[1]} and {b.shape[1]}")
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

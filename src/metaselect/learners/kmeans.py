@@ -16,11 +16,12 @@ matrix. The kNN prefilter with k = 1 (`neighbors.candidate_mask`, whose
 margin is proven in `neighbors`) gives each row the centroids that may
 be nearest by one matrix product. Every row's candidates get exact
 distances from `_kernels.gathered_sq_dists`. A row with a single
-candidate takes it; when some row has several, the rows pick the least
-exact distance among their candidates, the lower cluster on a tie. The
-inertia and the empty-cluster reseeding read these per-row distances.
-k-means++ seeding needs every point's distance to each new centroid and
-stays on `_kernels.pairwise_sq_dists`.
+candidate takes it; when some row has several, the rows rank their
+candidates by (exact distance, cluster) as a kNN query ranks its own,
+through `neighbors.first_k_by_distance` at k = 1, so a tie goes to the
+lower cluster. The inertia and the empty-cluster reseeding read these
+per-row distances. k-means++ seeding needs every point's distance to
+each new centroid and takes it from `_kernels.pairwise_sq_dists`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from ..errors import DegenerateData, KTooLarge
 from . import _kernels
-from .neighbors import candidate_mask, squared_norms
+from .neighbors import candidate_mask, first_k_by_distance, squared_norms
 
 MAX_ITERATIONS = 100
 
@@ -73,10 +74,8 @@ def _nearest_sq(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     dists = _kernels.gathered_sq_dists(x, centroids, rows, clusters)
     if rows.size == x.shape[0]:  # a single candidate per row: its nearest
         return clusters, dists
-    exact = np.full(mask.shape, np.inf)
-    exact[mask] = dists
-    closest = exact.argmin(axis=1)
-    return closest, exact[np.arange(x.shape[0]), closest]
+    nearest = first_k_by_distance(np.bincount(rows, minlength=x.shape[0]), dists, 1)[:, 0]
+    return clusters[nearest], dists[nearest]
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,8 +26,8 @@ with one matrix product and three in-place passes over its result,
 takes as candidates the points whose G lies within twice a rigorous
 per-row margin of the row's k-th smallest G (`candidate_mask`),
 computes the exact distances of the candidates only
-(`_kernels.gathered_sq_dists`, bit for bit
-`_kernels.pairwise_sq_dists`), and selects among them by (exact
+(`_kernels.gathered_sq_dists`, of which `_kernels.pairwise_sq_dists`
+is the all-pairs case), and selects among them by (exact
 distance, row id): each row's candidates fill one row of a
 +inf-padded (query rows × most candidates) matrix, in ascending row
 id, and one stable argsort per row orders them (`first_k_by_distance`).
@@ -37,10 +37,12 @@ GEMM cells, so the scratch memory of a query, the padded matrix
 included, does not grow with its row count.
 
 k-means finds each row's nearest centroid through the same
-`candidate_mask` with k = 1, the centroids as the points: the k-th
-smallest G is then the row minimum, and the proof below holds for it
-as for any k. A row with one candidate has its nearest centroid, and
-the exact distance to it is that candidate's (see `kmeans`).
+`candidate_mask` and `first_k_by_distance` with k = 1, the centroids
+as the points: the k-th smallest G is then the row minimum, and the
+proof below holds for it as for any k. A row with one candidate has
+its nearest centroid, and the exact distance to it is that
+candidate's; rows with several take their first by (exact distance,
+cluster) (see `kmeans`).
 
 The margin. Notation as in `_kernels`: u = 2**-53, γ_n = n·u/(1 - n·u).
 For rows q and p of d features let s_q = ‖q‖², s_p = ‖p‖², t = q·p and
@@ -133,7 +135,7 @@ def candidate_mask(q, points, sq_norms, k, columns=None):
     length. The margin and the proof are in the module docstring."""
     relative, absolute = _margin_terms(q.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_rows = np.einsum("ij,ij->i", q, q)
+        sq_rows = squared_norms(q)
         approx = q @ points.T
         approx *= -2.0
         approx += sq_norms

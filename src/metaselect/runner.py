@@ -26,7 +26,8 @@ After the cells, each sweep scores every voting composition of its
 members on the fold's test rows with `ensembles.subset_par10`, the
 scorer of voting's exhaustive search, against the fold's
 `FoldBaselines`; a member that fails to fit ends the run.
-`run_experiment` and `sweep_voting` are thin wrappers over this loop.
+`run_config` runs this loop; `run_experiment` and `sweep_voting` are
+thin wrappers over it.
 
 Folds and approaches are evaluated sequentially here; all inputs are
 immutable, so callers may shard folds across processes and merge cells
@@ -112,14 +113,11 @@ def run_experiment(config: ExperimentConfig, scenario: ScenarioSpec | None = Non
 
 def run_config(config: ExperimentConfig, scenario: ScenarioSpec | None = None):
     """`run_experiment`'s (report, timings) plus one SweepReport per
-    sweep of the config, in its order."""
-    config.validate()
+    sweep of the config, in its order. The config's scenario source is
+    read, and so must be valid, only when no scenario is passed."""
+    config.validate_run()
     if scenario is None:
         scenario = config.load_scenario_data()
-    return _run(config, scenario)
-
-
-def _run(config: ExperimentConfig, scenario: ScenarioSpec):
     folds = _resolve_folds(scenario, config.folds)
     approaches = _canonical_approaches(config.approaches)
     plain = [a for a in approaches if is_plain_selector(a)]
@@ -293,8 +291,7 @@ def sweep_voting(
     folds = None if folds is None else tuple(folds)
     sweeps = ((tuple(member_specs), aggregation),)
     config = ExperimentConfig(approaches=(), sweeps=sweeps, folds=folds, seed=global_seed)
-    config.validate_run()
-    return _run(config, scenario)[2][0]
+    return run_config(config, scenario)[2][0]
 
 
 def _sweep_fold(scenario, fold, specs, aggregation, seed) -> dict[tuple[int, ...], float]:

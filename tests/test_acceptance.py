@@ -252,9 +252,7 @@ def test_criterion_6_voting_beats_sbas_on_complementary_family():
     with registered_stubs():
         for seed in range(10):
             sc = complementary_scenario(seed, n=200)
-            config = ExperimentConfig(
-                approaches=approaches, synthetic=SyntheticConfig(), seed=seed
-            )
+            config = ExperimentConfig(approaches=approaches, seed=seed)
             report, _ = run_experiment(config, scenario=sc)
             vote_mean = next(
                 s.mean_npar10 for s in report.summary if s.approach == vote_spec
@@ -342,9 +340,7 @@ def test_criterion_9_two_seed_42_runs_are_byte_identical(toy):
         "stacking{meta=multiclass;bases=sunny,sbs;fs=none;split=shared}",
         "ass{meta=sbs;bases=sunny,sbs;inner=3}",
     )
-    config = ExperimentConfig(
-        approaches=approaches, synthetic=SyntheticConfig(), seed=42
-    )
+    config = ExperimentConfig(approaches=approaches, seed=42)
     first, _ = run_experiment(config, scenario=toy)
     second, _ = run_experiment(config, scenario=toy)
     first_text = canonical_json(first)

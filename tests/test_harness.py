@@ -39,6 +39,7 @@ from metaselect.meta import AlgorithmSelectorSelector
 from metaselect.runner import (
     internal_error_cells,
     is_plain_selector,
+    run_config,
     run_experiment,
     sweep_voting,
 )
@@ -56,10 +57,6 @@ from metaselect.selectors import (
 )
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
-# a dummy synthetic block satisfies "exactly one source" when the
-# scenario itself is passed to run_experiment directly
-DUMMY_SOURCE = SyntheticConfig(n_instances=12, n_folds=2)
-
 TOY_APPROACHES = (
     "oracle",
     "sbs",
@@ -75,7 +72,7 @@ OVER_GATE_EXHAUSTIVE = (
 
 
 def make_config(approaches, **overrides):
-    base = dict(approaches=tuple(approaches), synthetic=DUMMY_SOURCE, seed=7)
+    base = dict(approaches=tuple(approaches), seed=7)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -253,9 +250,17 @@ class TestRunExperiment:
             sweep_voting(scenario, ["sunny", "isac"], "maj")
 
     def test_config_still_validated_with_scenario_override(self, toy):
-        config = ExperimentConfig(approaches=("oracle",), seed=0)  # no source at all
-        with pytest.raises(InvalidConfig):
+        config = ExperimentConfig(approaches=("oracle",), seed=-1)  # no source, a bad seed
+        with pytest.raises(InvalidConfig, match="seed"):
             run_experiment(config, scenario=toy)
+
+    def test_a_scenario_override_needs_no_source(self, toy):
+        config = ExperimentConfig(approaches=("oracle", "sbs", "sunny"))
+        report, _ = run_experiment(config, toy)
+        assert report.approaches == ("oracle", "sbs", "sunny")
+        assert all(cell.error is None for cell in report.cells)
+        with pytest.raises(InvalidConfig, match="exactly one of scenario/synthetic"):
+            run_config(config)
 
     def test_approaches_are_canonicalized(self, toy):
         config = make_config(("ORACLE", "Sunny ( k = 3 )"))

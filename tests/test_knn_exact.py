@@ -3,16 +3,16 @@
 `KnnIndex.query` ranks on ‖q‖² + ‖p‖² - 2q·p, keeps the points within a
 rounding margin of each row's k-th value and recomputes only those
 exactly. These tests hold it to the first k columns of a stable argsort
-of the exact kernel's distances on inputs where the two forms round
-differently: continuous data, ties across the k-th place, large offsets
-with a small spread, magnitudes where squares overflow, and bootstrap
-indexes with duplicate rows. An index must also group its rows as
-`np.unique(rows, axis=0)` does, by value. The gathered kernel must give
-the matrix kernel's bits on both sides of its chunk size, and the
-per-row ranking of candidates the order of a lexsort. BLAS may sum the matrix
-product in another order under another thread count; CI runs this
-module once more with OPENBLAS_NUM_THREADS=1, and every answer must
-stay the same.
+of exact distances (`reference.ref_pairwise_sq_dists`) on inputs where
+the two forms round differently: continuous data, ties across the k-th
+place, large offsets with a small spread, magnitudes where squares
+overflow, and bootstrap indexes with duplicate rows. An index must also
+group its rows as `np.unique(rows, axis=0)` does, by value. The
+gathered kernel must give the reference's bits on both sides of its
+chunk size, and the per-row ranking of candidates the order of a
+lexsort. BLAS may sum the matrix product in another order under another
+thread count; CI runs this module once more with OPENBLAS_NUM_THREADS=1,
+and every answer must stay the same.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference import ref_pairwise_sq_dists
 
 from metaselect.learners import KnnIndex, _kernels
 from metaselect.learners.neighbors import QUERY_BLOCK_CELLS, first_k_by_distance
@@ -43,7 +44,7 @@ def _rows(kind, rng, n, d):
 
 def _stable_argsort_answer(x, rows, k):
     with np.errstate(over="ignore"):
-        dists = _kernels.pairwise_sq_dists(x, rows)
+        dists = ref_pairwise_sq_dists(x, rows)
     return np.argsort(dists, axis=1, kind="stable")[:, :k]
 
 
@@ -163,8 +164,7 @@ def test_gathered_pairs_equal_the_matrix_kernel_bit_for_bit(n_a, n_b, d, n_pairs
     rows_a = rng.integers(0, n_a, size=n_pairs)
     rows_b = rng.integers(0, n_b, size=n_pairs)
     got = _kernels.gathered_sq_dists(a, b, rows_a, rows_b)
-    # both orientations of the matrix kernel give the same bits
-    want = _kernels.pairwise_sq_dists(a, b)[rows_a, rows_b]
+    want = ref_pairwise_sq_dists(a, b)[rows_a, rows_b]
     assert got.shape == (n_pairs,)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -179,7 +179,7 @@ def test_gathered_pairs_equal_the_matrix_kernel_across_chunk_boundaries(d):
     rng = np.random.default_rng(d)
     scale = 10.0 ** rng.integers(-3, 4, size=d)
     a, b = rng.normal(size=(40, d)) * scale, rng.normal(size=(30, d)) * scale
-    want = _kernels.pairwise_sq_dists(a, b)
+    want = ref_pairwise_sq_dists(a, b)
     chunk = _kernels.GATHER_CELLS // max(d, 1)
     for n_pairs in (1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         rows_a = rng.integers(0, 40, size=n_pairs)
@@ -193,7 +193,7 @@ def test_gathered_pairs_equal_the_matrix_kernel_across_chunk_boundaries(d):
 def test_gathered_pairs_take_any_integer_row_list(as_rows):
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(12, 20)), rng.normal(size=(9, 20))
-    want = _kernels.pairwise_sq_dists(a, b)
+    want = ref_pairwise_sq_dists(a, b)
     for n_pairs in (0, 1, 5):
         rows_a, rows_b = rng.integers(0, 9, size=n_pairs), rng.integers(0, 9, size=n_pairs)
         if as_rows is list:

@@ -2,8 +2,8 @@
 
 The split kernels are checked bit for bit against a one-feature
 reference search, on one node's columns and on padded columns of
-several nodes, the distance kernel against a column-by-column one in
-both orientations and the k-means accumulation against per-column
+several nodes, the distance kernel against the column-by-column one of
+`reference` across its chunk edges and the k-means accumulation against per-column
 bincounts; pinned digests hold every tree a seeded forest grows, so a change to
 the grower cannot shift a split unnoticed. Forests grown together by
 `fit_forests` are compared with each forest grown alone, the batched
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference import ref_pairwise_sq_dists
 
 from metaselect.errors import AllColumnsDropped, DegenerateData, KTooLarge
 from metaselect.learners import (
@@ -177,22 +178,18 @@ def test_pairwise_sq_dists_match_scipy_cdist():
     )
 
 
-def _ref_pairwise_sq_dists(a, b):
-    """Whole-matrix passes, one feature column at a time."""
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for j in range(a.shape[1]):
-        diff = a[:, j, None] - b[None, :, j]
-        out = out + diff * diff
-    return out
+def _chunk(d):
+    """Pairs per chunk of the gathered kernel at d features."""
+    return _kernels.GATHER_CELLS // d
 
 
-_BLOCK = _kernels.BLOCK_CELLS
 _DIST_SHAPES = [  # (n_a, n_b, d)
-    (3 * (_BLOCK // 100) + 7, 100, 3),  # several row blocks, a ragged last one
-    (3, _BLOCK + 5, 2),  # n_b larger than a block
-    # n_a >> n_b: computed as (n_b, n_a) over several blocks of b's rows
-    (_BLOCK // 4 + 3, 10, 3),
-    (_BLOCK + 5, 3, 2),
+    (3 * (_chunk(3) // 100) + 7, 100, 3),  # several chunks, a ragged last one
+    (3, _chunk(2) + 5, 2),  # one row of a spans more than a chunk
+    (_chunk(2) + 5, 3, 2),
+    (_chunk(8) // 32, 32, 8),  # exactly one chunk
+    (_chunk(8) + 1, 1, 8),  # one pair more than a chunk
+    (800, 1, 50),  # k-means++ seeding: every point against one centroid
     (800, 4, 6),
     (1, 40, 5),
     (40, 1, 5),
@@ -221,7 +218,7 @@ def test_pairwise_sq_dists_match_the_column_reference(shape, seed):
     if n_a and n_b:
         b[-1] = a[0]
     got = _kernels.pairwise_sq_dists(a, b)
-    want = _ref_pairwise_sq_dists(a, b)
+    want = ref_pairwise_sq_dists(a, b)
     assert got.shape == (n_a, n_b)
     assert got.flags.c_contiguous
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -622,7 +619,7 @@ class TestKnn:
         # a 3 x 3 grid of positions: equal distances, also at the k-th place
         pts = rng.integers(-1, 2, size=(n_points, 2)).astype(np.float64)
         x = rng.integers(-1, 2, size=(n_queries, 2)).astype(np.float64)
-        order = np.argsort(_kernels.pairwise_sq_dists(x, pts), axis=1, kind="stable")
+        order = np.argsort(ref_pairwise_sq_dists(x, pts), axis=1, kind="stable")
         index = KnnIndex().fit(pts)
         for k in {1, int(rng.integers(1, n_points + 1)), n_points}:
             np.testing.assert_array_equal(index.query(x, k), order[:, :k])
@@ -646,7 +643,7 @@ class TestKnn:
         base = rng.integers(-1, 2, size=(n_distinct, 3)).astype(np.float64)
         rows = base[rng.integers(0, n_distinct, size=3 * n_distinct)]
         x = rng.integers(-1, 2, size=(n_queries, 3)).astype(np.float64)
-        order = np.argsort(_ref_pairwise_sq_dists(x, rows), axis=1, kind="stable")
+        order = np.argsort(ref_pairwise_sq_dists(x, rows), axis=1, kind="stable")
         index = KnnIndex().fit(rows)
         assert index.n_points == rows.shape[0]
         assert index.inverse_ is not None  # 3n draws of at most n rows repeat
@@ -727,7 +724,7 @@ class TestKmeans:
         x, centroids = _nearest_inputs(kind, np.random.default_rng(seed), n, k, d)
         with np.errstate(over="ignore"):
             closest, sq_dists = _nearest_sq(x, centroids)
-            want = _kernels.pairwise_sq_dists(x, centroids)
+            want = ref_pairwise_sq_dists(x, centroids)
         want_closest = want.argmin(axis=1)
         np.testing.assert_array_equal(closest, want_closest)
         np.testing.assert_array_equal(
@@ -783,7 +780,7 @@ def _reference_fit_kmeans(x, k, seed):
     assignments = np.zeros(n, dtype=np.int64)
     inertia_history, reseeds = [], 0
     for _ in range(kmeans_module.MAX_ITERATIONS):
-        dists = _kernels.pairwise_sq_dists(x, centroids)
+        dists = ref_pairwise_sq_dists(x, centroids)
         new_assign = np.argmin(dists, axis=1).astype(np.int64)
         inertia_history.append(float(dists[np.arange(n), new_assign].sum()))
         sums, counts = _kernels.kmeans_accumulate(x, new_assign, k)
@@ -803,7 +800,7 @@ def _reference_fit_kmeans(x, k, seed):
         centroids = sums / counts[:, None]
         if converged:
             break
-    dists = _kernels.pairwise_sq_dists(x, centroids)
+    dists = ref_pairwise_sq_dists(x, centroids)
     closest = np.argmin(dists, axis=1)
     model = KMeansModel(
         centroids=centroids,
