@@ -38,10 +38,14 @@ timeouts, fit by `pairwise(trees=2)` (465 two-tree forests) and
 `peralgo(trees=10)` (31 ten-tree forests); they are timed like the
 forest fits and also report their split-kernel calls. The other inputs
 resemble a mid-sized scenario, not the tiny fixtures the tests use.
+Every case draws its inputs from its own generator, seeded from
+``--seed`` and the case's label (an ASlib case: its selector spec), so
+adding, removing or reordering cases changes no other case's inputs.
 """
 
 import argparse
 import time
+import zlib
 from collections import deque
 
 import numpy as np
@@ -82,51 +86,71 @@ def all_borda_subsets(scores):
     deque(subset_choices("borda", scores), maxlen=0)
 
 
-def bench_cases(rng):
+def case_seed(seed: int, label: str) -> int:
+    """Seed of one case's inputs, from the run's seed and the case's label,
+    so adding or removing a case leaves every other case's inputs as they
+    were."""
+    return zlib.crc32(f"{seed}/{label}".encode())
+
+
+def case_rng(seed: int, label: str) -> np.random.Generator:
+    """The generator of one case's inputs."""
+    return np.random.default_rng(case_seed(seed, label))
+
+
+def bench_cases(seed):
     """(label, function, arguments) of every timed call."""
+    rng = case_rng(seed, label := "best_split_reg")
     values, weights, padding, sizes = node_columns(rng)
     targets = np.where(padding, 0.0, rng.normal(size=values.shape))
-    yield "best_split_reg", _kernels.best_split_reg, (
-        values, targets, weights, MIN_LEAF, sizes)
+    yield label, _kernels.best_split_reg, (values, targets, weights, MIN_LEAF, sizes)
+    rng = case_rng(seed, label := "best_split_cls")
     values, weights, padding, sizes = node_columns(rng)
     labels = np.where(padding, 0, rng.integers(0, N_CLASSES, size=values.shape))
-    yield "best_split_cls", _kernels.best_split_cls, (
+    yield label, _kernels.best_split_cls, (
         values, labels, weights, N_CLASSES, MIN_LEAF, sizes)
     for n_a, n_b, d in DIST_SHAPES:
-        yield f"pairwise_sq_dists {n_a}x{n_b}x{d}", _kernels.pairwise_sq_dists, (
+        rng = case_rng(seed, label := f"pairwise_sq_dists {n_a}x{n_b}x{d}")
+        yield label, _kernels.pairwise_sq_dists, (
             rng.normal(size=(n_a, d)), rng.normal(size=(n_b, d)))
+    rng = case_rng(seed, label := "kmeans_accumulate 20000x16 k=32")
     x = rng.normal(size=(20000, 16))
     assign = rng.integers(0, 32, size=20000).astype(np.int64)
-    yield "kmeans_accumulate 20000x16 k=32", _kernels.kmeans_accumulate, (x, assign, 32)
+    yield label, _kernels.kmeans_accumulate, (x, assign, 32)
     n, d, k = KMEANS_SHAPE
-    assign = rng.integers(0, k, size=n).astype(np.int64)
-    yield f"kmeans_accumulate {n}x{d} k={k}", _kernels.kmeans_accumulate, (
-        rng.normal(size=(n, d)), assign, k)
+    rng = case_rng(seed, label := f"kmeans_accumulate {n}x{d} k={k}")
+    x = rng.normal(size=(n, d))
+    yield label, _kernels.kmeans_accumulate, (x, rng.integers(0, k, size=n).astype(np.int64), k)
     n_q, n, d, k = KNN_SHAPE
+    rng = case_rng(seed, label := f"knn query {n}x{n}x{d} self k={k}")
     rows = rng.normal(size=(n, d))
-    index = KnnIndex().fit(rows)
-    yield f"knn query {n}x{n}x{d} self k={k}", index.query, (rows, k)
-    yield f"knn query {n_q}x{n}x{d} distinct k={k}", index.query, (
-        rng.normal(size=(n_q, d)), k)
-    index = KnnIndex().fit(rows[rng.integers(0, n, size=n)])
-    yield f"knn query {n_q}x{n}x{d} bootstrap k={k}", index.query, (
-        rng.normal(size=(n_q, d)), k)
-    yield f"knn fit {n}x{d} distinct", KnnIndex().fit, (rows,)
-    yield f"knn fit {n}x{d} bootstrap", KnnIndex().fit, (rows[rng.integers(0, n, size=n)],)
+    yield label, KnnIndex().fit(rows).query, (rows, k)
+    rng = case_rng(seed, label := f"knn query {n_q}x{n}x{d} distinct k={k}")
+    index = KnnIndex().fit(rng.normal(size=(n, d)))
+    yield label, index.query, (rng.normal(size=(n_q, d)), k)
+    rng = case_rng(seed, label := f"knn query {n_q}x{n}x{d} bootstrap k={k}")
+    index = KnnIndex().fit(rng.normal(size=(n, d))[rng.integers(0, n, size=n)])
+    yield label, index.query, (rng.normal(size=(n_q, d)), k)
+    rng = case_rng(seed, label := f"knn fit {n}x{d} distinct")
+    yield label, KnnIndex().fit, (rng.normal(size=(n, d)),)
+    rng = case_rng(seed, label := f"knn fit {n}x{d} bootstrap")
+    yield label, KnnIndex().fit, (rng.normal(size=(n, d))[rng.integers(0, n, size=n)],)
     trees, n, n_test, d, k = PREDICT_SHAPE
+    rng = case_rng(seed, label := f"forest predict {trees}x{n}x{d} test={n_test}")
     forest = ForestClassifier(n_trees=trees, n_classes=k, seed=0).fit(
         rng.normal(size=(n, d)), rng.integers(0, k, size=n))
-    yield f"forest predict {trees}x{n}x{d} test={n_test}", forest.predict_proba, (
-        rng.normal(size=(n_test, d)),)
-    yield "tree_apply", _kernels.tree_apply, full_tree(depth=12) + (rng.normal(size=(20000, 16)),)
+    yield label, forest.predict_proba, (rng.normal(size=(n_test, d)),)
+    rng = case_rng(seed, label := "tree_apply")
+    yield label, _kernels.tree_apply, full_tree(depth=12) + (rng.normal(size=(20000, 16)),)
     for m, n, k in ENGINE_SHAPES:
-        yield f"subset_choices borda {m}x{n}x{k}", all_borda_subsets, (
-            rng.normal(size=(m, n, k)),)
+        rng = case_rng(seed, label := f"subset_choices borda {m}x{n}x{k}")
+        yield label, all_borda_subsets, (rng.normal(size=(m, n, k)),)
     n, d, k = KMEANS_SHAPE
-    x = rng.normal(size=(n, d))
     for clusters in (k, 4):
-        yield f"kmeans fit {n}x{d} k={clusters}", fit_kmeans, (x, clusters, 0)
-    yield f"kmeans nearest {n}x{d} k={k}", fit_kmeans(x, k, 0).nearest, (rng.normal(size=(n, d)),)
+        rng = case_rng(seed, label := f"kmeans fit {n}x{d} k={clusters}")
+        yield label, fit_kmeans, (rng.normal(size=(n, d)), clusters, 0)
+    rng = case_rng(seed, label := f"kmeans nearest {n}x{d} k={k}")
+    yield label, fit_kmeans(rng.normal(size=(n, d)), k, 0).nearest, (rng.normal(size=(n, d)),)
 
 
 def choice_draws(rng, nodes, d, m):
@@ -134,25 +158,28 @@ def choice_draws(rng, nodes, d, m):
         rng.choice(d, m, replace=False)
 
 
-def fit_cases(rng):
+def fit_cases(seed):
     """(label, function, arguments) of every timed forest fit."""
     for n, d, k, weighted in FIT_SHAPES:
+        label = f"forest fit {FIT_TREES}x{n}x{d} k={k}" + (" weighted" if weighted else "")
+        rng = case_rng(seed, label)
         x = rng.normal(size=(n, d))
         y = rng.integers(0, k, size=n)
         w = rng.uniform(0.1, 2.0, size=n) if weighted else None
         forest = ForestClassifier(n_trees=FIT_TREES, n_classes=k, seed=0)
-        label = f"forest fit {FIT_TREES}x{n}x{d} k={k}" + (" weighted" if weighted else "")
         yield label, forest.fit, (x, y, w)
 
 
-def aslib_cases():
+def aslib_cases(seed):
     """(label, function, arguments) of the ASlib-shaped selector fits,
-    each on the training rows of fold 1."""
+    each on the training rows of fold 1 of its own scenario, seeded from
+    the selector spec."""
     n, k, d, folds = ASLIB_SHAPE
-    scenario = generate_synthetic(SyntheticConfig(
-        n_instances=n, n_algorithms=k, n_features=d, n_folds=folds, unsolved_rate=0.3, seed=0))
-    train, _ = scenario.fold_split(1)
     for spec in ASLIB_FITS:
+        scenario = generate_synthetic(SyntheticConfig(
+            n_instances=n, n_algorithms=k, n_features=d, n_folds=folds, unsolved_rate=0.3,
+            seed=case_seed(seed, spec)))
+        train, _ = scenario.fold_split(1)
         yield f"{spec} fit {train.size}x{k}x{d}", make_selector(spec, 0).fit, (scenario, train)
 
 
@@ -210,23 +237,22 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
     header = f"{'case':<36}{'ms':>10}"
     print(header)
     print("-" * len(header))
-    for label, fn, inputs in bench_cases(rng):
+    for label, fn, inputs in bench_cases(args.seed):
         ms = best_of(fn, inputs, args.repeats) * 1e3
         print(f"{label:<36}{ms:>10.3f}")
     nodes, d, m = DRAW_SHAPE
-    draws = np.random.default_rng(args.seed)  # its own generator: the fit cases never see it
+    label = f"candidate draws {nodes}x{d} m={m}"
+    draws = case_rng(args.seed, label)
     block_ms = best_of(_refill, ([_GrowingTree(draws)], d, m), args.repeats) * 1e3
     choice_ms = best_of(choice_draws, (draws, nodes, d, m), args.repeats) * 1e3
-    label = f"candidate draws {nodes}x{d} m={m}"
     print(f"{label:<36}{block_ms:>10.3f}  per-node choice {choice_ms:.3f} ms")
-    for label, fn, inputs in fit_cases(rng):
+    for label, fn, inputs in fit_cases(args.seed):
         ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
         print(f"{label:<36}{ms:>10.3f}")
-    for label, fn, inputs in aslib_cases():
+    for label, fn, inputs in aslib_cases(args.seed):
         ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
         print(f"{label:<36}{ms:>10.3f}  split-kernel calls {split_calls(fn, inputs)}")
 

@@ -129,10 +129,6 @@ class ParsedApproach:
     params: dict = field(default_factory=dict)  # the kind's constructor keyword arguments
     seed: int | None = None        # bagging/boosting `seed=`: enters the name, hence the entropy
 
-    @property
-    def aggregation(self) -> str | None:
-        return self.params.get("aggregation")
-
 
 def parse_approach(spec: str) -> ParsedApproach:
     text = re.sub(r"\s+", "", spec)

@@ -43,10 +43,6 @@ class DegenerateData(MetaselectError):
     """A learner received an empty or unusable data matrix."""
 
 
-class UnknownInstanceFeatures(MetaselectError):
-    """A feature-based model was queried without a feature vector."""
-
-
 class KTooLarge(MetaselectError):
     """Neighbor or cluster count exceeds the number of stored points."""
 

@@ -43,8 +43,7 @@ DEFAULT_INNER_FOLDS = 3
 class MetaScenario:
     """The selector-level scenario plus the deployable base selectors."""
 
-    scenario: ScenarioSpec          # algorithms are selector spec strings
-    selector_specs: tuple[str, ...]
+    scenario: ScenarioSpec          # algorithms are the canonical base selector specs
     deployed: tuple[Selector, ...]  # refit on the full outer train set
 
 
@@ -57,7 +56,7 @@ def _inner_fold_assignment(n: int, inner_folds: int, rng: np.random.Generator) -
 def build_meta_scenario(
     source: ScenarioSpec,
     train_indices,
-    selector_specs,
+    base_specs,
     inner_folds: int = DEFAULT_INNER_FOLDS,
     global_seed: int = 0,
 ) -> MetaScenario:
@@ -70,7 +69,7 @@ def build_meta_scenario(
     standalone fits of the same specs.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
-    specs = tuple(canonical_selector_spec(s) for s in selector_specs)
+    specs = tuple(canonical_selector_spec(s) for s in base_specs)
     if not specs:
         raise EmptyEnsemble("meta scenario needs at least one selector spec")
     if inner_folds < 2:
@@ -121,7 +120,7 @@ def build_meta_scenario(
         folds=np.ones(n, dtype=np.int64),
         validate=False,
     )
-    return MetaScenario(scenario=meta, selector_specs=specs, deployed=deployed)
+    return MetaScenario(scenario=meta, deployed=deployed)
 
 
 def fit_meta_learner(meta: MetaScenario, meta_spec: str, global_seed: int = 0) -> Selector:

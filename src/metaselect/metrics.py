@@ -5,7 +5,10 @@ unsolved one costs ten times the cutoff. Selector quality is reported as
 PAR10 (mean PR10 of the chosen algorithms, plus the instance's feature
 acquisition cost when the selector looked at features) and as nPAR10,
 which rescales PAR10 so the oracle sits at 0 and the single best
-algorithm at 1.
+algorithm at 1. Those two endpoints are priced like any selector: as
+the PAR10 of a `SelectionTrace` (the oracle's per-instance choices, or
+the single best algorithm everywhere) that charges no feature cost, so
+one formula prices every cell and both baselines.
 """
 
 from __future__ import annotations
@@ -67,10 +70,10 @@ def oracle_choices(scenario: ScenarioSpec, indices: np.ndarray) -> np.ndarray:
 
 
 def oracle_par10(scenario: ScenarioSpec, indices: np.ndarray) -> float:
+    """PAR10 of the oracle choices, priced as a trace with no feature cost."""
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        raise EmptyInstanceSet("oracle needs at least one instance")
-    return float(scenario.pr10_matrix()[indices].min(axis=1).mean())
+    trace = SelectionTrace(indices, oracle_choices(scenario, indices), charge_feature_costs=False)
+    return trace_par10(scenario, trace)
 
 
 def single_best(scenario: ScenarioSpec, indices: np.ndarray) -> int:
@@ -82,10 +85,10 @@ def single_best(scenario: ScenarioSpec, indices: np.ndarray) -> int:
 
 
 def fixed_algorithm_par10(scenario: ScenarioSpec, indices: np.ndarray, algorithm: int) -> float:
+    """PAR10 of always running `algorithm`, priced as a trace with no feature cost."""
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        raise EmptyInstanceSet("par10 needs at least one instance")
-    return float(scenario.pr10_matrix()[indices, algorithm].mean())
+    trace = SelectionTrace(indices, np.full(indices.shape, algorithm), charge_feature_costs=False)
+    return trace_par10(scenario, trace)
 
 
 def npar10(value: float, oracle: float, sbs: float) -> float:

@@ -122,8 +122,6 @@ def run_config(config: ExperimentConfig, scenario: ScenarioSpec | None = None):
     approaches = _canonical_approaches(config.approaches)
     plain = [a for a in approaches if is_plain_selector(a)]
     sweeps = [canonical_sweep(*sweep) for sweep in config.sweeps]
-    if sweeps and not folds:
-        raise InvalidConfig("sweep needs at least one fold")
 
     cells: list[CellResult] = []
     baselines: list[FoldBaselines] = []

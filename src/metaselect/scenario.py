@@ -83,6 +83,8 @@ class ScenarioSpec:
                 raise InconsistentScenario("duplicate instance ids")
             if len(set(algorithms)) != k:
                 raise InconsistentScenario("duplicate algorithm ids")
+            if np.any(np.isnan(runtimes)):  # NaN passes every comparison below
+                raise InconsistentScenario("NaN runtime")
             if np.any(runtimes < 0):
                 raise InconsistentScenario("negative runtime")
             bad = solved & (runtimes > cutoff)
@@ -139,7 +141,7 @@ class ScenarioSpec:
         train = np.flatnonzero(self.folds != fold)
         return train, test
 
-    def with_features(self, features, name: str | None = None) -> "ScenarioSpec":
+    def with_features(self, features) -> "ScenarioSpec":
         """Same runs and folds, different feature matrix.
 
         Used to hand a selector a derived feature space (for instance one
@@ -149,4 +151,4 @@ class ScenarioSpec:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != self.n_instances:
             raise InconsistentScenario("replacement features must be (n_instances, d)")
-        return replace(self, name=name or self.name, features=_frozen(features))
+        return replace(self, features=_frozen(features))

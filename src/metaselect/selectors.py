@@ -4,14 +4,12 @@ A selector is fit on the training slice of a scenario and afterwards
 maps a batch of raw feature rows to one score per algorithm and row,
 lower meaning better. Subclasses implement exactly two methods, `_fit`
 and `scores_batch` ((n, d) features -> (n, K) scores); `Selector`
-derives `scores`, `select` and `select_batch` from the latter, taking
-the argmin (lowest index wins ties). Nothing in the package calls
-`scores` or `select`, which score one instance at a time: they are the
-single-row API for library users (a feature-free model takes no row),
-and `tests/test_contract.py` pins them to the batch methods, so they
-stay. `needs_features` only decides whether feature acquisition costs
-are charged: a feature-free model still receives the feature rows and
-sizes its output from them. Five
+derives `select_batch` from the latter, taking the row-wise argmin
+(lowest index wins ties). There is no single-row path: one instance is
+a one-row batch, and a row's scores do not depend on the rows scored
+beside it. `needs_features` only decides whether feature acquisition
+costs are charged: a feature-free model still receives the feature rows
+and sizes its output from them, and must not read their values. Five
 feature-based strategies plus the feature-free single-best baseline:
 
 * ``peralgo``: one runtime regressor per algorithm,
@@ -54,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTraining, InvalidConfig, UnknownInstanceFeatures
+from .errors import DegenerateTraining, InvalidConfig
 from .learners import (
     ForestClassifier,
     ForestRegressor,
@@ -101,17 +99,6 @@ class Selector:
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         """(n, K) scores for an (n, d) matrix of raw feature rows."""
         raise NotImplementedError
-
-    def scores(self, x=None) -> np.ndarray:
-        """Scores for one feature vector; feature-free models accept None."""
-        if x is None:
-            if self.needs_features:
-                raise UnknownInstanceFeatures(f"{self.spec} needs a feature vector")
-            x = np.zeros((1, 0))
-        return self.scores_batch(np.atleast_2d(x))[0]
-
-    def select(self, x=None) -> int:
-        return int(np.argmin(self.scores(x)))
 
     def select_batch(self, x: np.ndarray) -> np.ndarray:
         return np.argmin(self.scores_batch(x), axis=1).astype(np.int64)

@@ -284,11 +284,7 @@ def test_criterion_7_sweep_completeness(toy):
         oracle_value = oracle_par10(toy, test)
         sbs_value = fixed_algorithm_par10(toy, test, single_best(toy, train))
         fitted = [make_selector(s, 0).fit(toy, train) for s in sweep.member_specs]
-        votes = np.array([
-            [m.select(toy.features[i]) if m.needs_features else m.select()
-             for m in fitted]
-            for i in test
-        ])
+        votes = np.stack([m.select_batch(toy.features[test]) for m in fitted], axis=1)
         for mask in masks:
             choices = []
             for row in votes[:, list(mask)]:

@@ -130,7 +130,7 @@ def test_parse_kinds():
 
 def test_parse_defaults():
     voting = parse_approach("voting{sunny,sbs}")
-    assert voting.aggregation == "maj" and voting.params["search"] == "all"
+    assert voting.params["aggregation"] == "maj" and voting.params["search"] == "all"
     bagging = parse_approach("bagging{sunny}")
     assert bagging.params["k"] == 10
     boosting = parse_approach("boosting{sunny}")

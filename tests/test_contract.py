@@ -1,9 +1,11 @@
 """The one scoring contract every model follows.
 
 Selectors, ensembles and the meta level implement `_fit` and
-`scores_batch` only; `Selector` derives `scores`, `select` and
-`select_batch` from it. Feature-free models accept a missing feature
-vector, feature-based ones refuse it.
+`scores_batch` only; `Selector` derives `select_batch` from it. There
+is no single-row path, so two properties of `scores_batch` carry the
+contract: a row scores the same alone as inside any batch (`ass` and
+`shared_scores` slice one batch's scores for row subsets), and a model
+that is charged no feature cost does not read the feature values.
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import pytest
 
 from metaselect import ensembles, meta, selectors
 from metaselect.approaches import build_approach
-from metaselect.errors import UnknownInstanceFeatures
 from metaselect.synthetic import SyntheticConfig, generate_synthetic
 
 SPECS = [
@@ -42,26 +43,22 @@ def fitted(request, toy):
 
 
 def test_single_and_batch_paths_agree(fitted):
+    # one row scored alone is byte-equal to its row of the full batch
     model, xs = fitted
-    for x in xs[:4]:
-        batch_scores = model.scores_batch(x[None])
-        assert batch_scores.shape == (1, model.n_algorithms_)
-        np.testing.assert_array_equal(model.scores(x), batch_scores[0])
-        assert model.select(x) == model.select_batch(x[None])[0]
-        assert model.select(x) == int(np.argmin(batch_scores[0]))
+    full = model.scores_batch(xs)
+    assert full.shape == (len(xs), model.n_algorithms_)
+    np.testing.assert_array_equal(model.select_batch(xs), np.argmin(full, axis=1))
+    for i in range(len(xs)):
+        assert model.scores_batch(xs[i : i + 1]).tobytes() == full[i : i + 1].tobytes()
 
 
 def test_missing_features_follow_needs_features(fitted):
+    # a model charged no feature cost scores unrelated feature rows
+    # exactly as the real ones: it never reads a feature value
     model, xs = fitted
-    if model.needs_features:
-        with pytest.raises(UnknownInstanceFeatures):
-            model.select(None)
-        with pytest.raises(UnknownInstanceFeatures):
-            model.scores()
-    else:
-        assert isinstance(model.select(), int)
-        assert model.select() == model.select(xs[0])
-        np.testing.assert_array_equal(model.scores(), model.scores(xs[0]))
+    if not model.needs_features:
+        unrelated = np.random.default_rng(0).normal(size=xs.shape) * 1e3
+        assert model.scores_batch(unrelated).tobytes() == model.scores_batch(xs).tobytes()
 
 
 def _subclasses(cls):

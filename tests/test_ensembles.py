@@ -205,7 +205,9 @@ class TestVoting:
         train, test = toy.fold_split(1)
         model = VotingEnsemble("v", 0, ["sbs"]).fit(toy, train)
         assert not model.needs_features
-        assert model.select() == make_selector("sbs", 0).fit(toy, train).select()
+        xs = toy.features[test]
+        bare = make_selector("sbs", 0).fit(toy, train)
+        np.testing.assert_array_equal(model.select_batch(xs), bare.select_batch(xs))
 
 
 # -- bagging ---------------------------------------------------------------

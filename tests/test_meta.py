@@ -27,7 +27,6 @@ SPECS = ["sunny(k=5)", "sbs"]
 def test_specs_are_canonicalized_and_required():
     sc = _tiny(12)
     meta = build_meta_scenario(sc, np.arange(12), ["SUNNY(k=5)", "sbs"])
-    assert meta.selector_specs == ("sunny(k=5)", "sbs")
     assert meta.scenario.algorithms == ("sunny(k=5)", "sbs")
     with pytest.raises(EmptyEnsemble):
         build_meta_scenario(sc, np.arange(12), [])
@@ -58,7 +57,7 @@ def test_matrix_matches_independent_inner_cv(toy):
     meta = build_meta_scenario(toy, train, SPECS, inner_folds=folds, global_seed=9)
 
     # independent recomputation of the fold assignment and every cell
-    entropy = [9, zlib.crc32(",".join(meta.selector_specs).encode())]
+    entropy = [9, zlib.crc32(",".join(meta.scenario.algorithms).encode())]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     assignment = np.empty(train.size, dtype=np.int64)
     for pos, idx in enumerate(rng.permutation(train.size)):
@@ -68,13 +67,11 @@ def test_matrix_matches_independent_inner_cv(toy):
     for fold in range(folds):
         held = assignment == fold
         inner_train, inner_test = train[~held], train[held]
-        for s, spec in enumerate(meta.selector_specs):
+        for s, spec in enumerate(meta.scenario.algorithms):
             member = make_selector(spec, 9, salt=(fold,)).fit(toy, inner_train)
+            expected = pr10[inner_test, member.select_batch(toy.features[inner_test])]
             if member.needs_features:
-                choices = member.select_batch(toy.features[inner_test])
-                expected = pr10[inner_test, choices] + toy.feature_costs[inner_test]
-            else:
-                expected = pr10[inner_test, member.select()]
+                expected = expected + toy.feature_costs[inner_test]
             np.testing.assert_array_equal(
                 meta.scenario.runtimes[held, s], expected
             )
@@ -92,7 +89,7 @@ def test_meta_scenario_shape_and_bookkeeping(toy):
     np.testing.assert_array_equal(sc.features, toy.features[train])
     np.testing.assert_array_equal(sc.feature_costs, toy.feature_costs[train])
     assert len(meta.deployed) == len(SPECS)
-    for spec, member in zip(meta.selector_specs, meta.deployed):
+    for spec, member in zip(meta.scenario.algorithms, meta.deployed):
         assert member.spec == spec
 
 
@@ -133,9 +130,8 @@ def test_fit_meta_learner_and_route(toy):
     train, test = toy.fold_split(3)
     meta = build_meta_scenario(toy, train, SPECS, global_seed=2)
     learner = fit_meta_learner(meta, "multiclass(trees=10)", global_seed=2)
-    for x in toy.features[test][:3]:
-        picked = learner.select(x)
-        assert 0 <= picked < len(SPECS)
+    picked = learner.select_batch(toy.features[test][:3])
+    assert picked.shape == (3,) and ((0 <= picked) & (picked < len(SPECS))).all()
 
 
 class TestAlgorithmSelectorSelector:
@@ -163,7 +159,7 @@ class TestAlgorithmSelectorSelector:
             "ass", 1, ["sunny(k=5)", "sbs"], "multiclass(trees=10)"
         ).fit(toy, train)
         batch = model.select_batch(xs)
-        singles = np.array([model.select(x) for x in xs])
+        singles = np.array([model.select_batch(x[None])[0] for x in xs])
         np.testing.assert_array_equal(batch, singles)
         assert model.scores_batch(xs).shape == (len(test), toy.n_algorithms)
 
@@ -171,7 +167,7 @@ class TestAlgorithmSelectorSelector:
         train, _ = toy.fold_split(1)
         model = AlgorithmSelectorSelector("ass", 0, ["sbs"], "sbs").fit(toy, train)
         assert not model.needs_features
-        assert isinstance(model.select(), int)
+        assert model.select_batch(np.zeros((2, 0))).shape == (2,)  # reads no feature
 
     def test_meta_sbs_picks_lowest_mean_selector_column(self, toy):
         train, test = toy.fold_split(1)
@@ -180,14 +176,10 @@ class TestAlgorithmSelectorSelector:
         ).fit(toy, train)
         matrix = model.meta_scenario_.scenario.runtimes
         expected = int(np.argmin(matrix.mean(axis=0)))
-        assert model.meta_.select() == expected
+        xs = toy.features[test]
+        np.testing.assert_array_equal(model.meta_.select_batch(xs), np.full(len(test), expected))
         chosen = model.meta_scenario_.deployed[expected]
-        np.testing.assert_array_equal(
-            model.select_batch(toy.features[test]),
-            chosen.select_batch(toy.features[test])
-            if chosen.needs_features
-            else np.full(len(test), chosen.select()),
-        )
+        np.testing.assert_array_equal(model.select_batch(xs), chosen.select_batch(xs))
 
     def test_refit_is_deterministic(self, toy):
         train, test = toy.fold_split(4)

@@ -66,6 +66,8 @@ def test_with_features_swaps_matrix_only():
         # unsolved run not pinned to cutoff
         {"runtimes": [[1.0, 9.0], [10.0, 2.0], [3.0, 4.0]]},
         {"feature_costs": [-0.5, 0.0, 0.25]},
+        # NaN runtime on a solved cell: it passes every comparison check
+        {"runtimes": [[float("nan"), 10.0], [10.0, 2.0], [3.0, 4.0]]},
         {"cutoff": float("nan")},
         {"cutoff": float("inf")},
         {"feature_costs": [float("nan"), 0.0, 0.25]},
@@ -82,3 +84,9 @@ def test_validate_false_skips_checks():
         runtimes=[[1.0, 9.0], [10.0, 2.0], [3.0, 4.0]], validate=False
     )
     assert sc.runtimes[0, 1] == 9.0
+
+
+def test_nan_features_stay_legal():
+    sc = small_scenario(features=[[float("nan")], [1.0], [2.0]])
+    assert np.isnan(sc.features[0, 0])
+

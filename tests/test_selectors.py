@@ -5,11 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metaselect.errors import (
-    DegenerateTraining,
-    InvalidConfig,
-    UnknownInstanceFeatures,
-)
+from metaselect.errors import DegenerateTraining, InvalidConfig
 from metaselect import selectors
 from metaselect.scenario import ScenarioSpec
 from metaselect.selectors import (
@@ -240,8 +236,6 @@ def test_empty_training_set_raises(toy, spec):
 def test_feature_based_selectors_need_a_vector(toy, spec):
     model = make_selector(spec, 0).fit(toy, toy.fold_split(1)[0])
     assert model.needs_features
-    with pytest.raises(UnknownInstanceFeatures):
-        model.select(None)
 
 
 # -- per-family specifics --------------------------------------------------
@@ -251,11 +245,11 @@ def test_sbs_is_feature_free(toy):
     train, _ = toy.fold_split(1)
     model = make_selector("sbs", 0).fit(toy, train)
     assert not model.needs_features
-    assert model.select() == model.algorithm_
+    xs = np.zeros((4, 3))
+    np.testing.assert_array_equal(model.select_batch(xs), np.full(4, model.algorithm_))
     np.testing.assert_array_equal(
-        model.scores(), dummy_scores(toy.n_algorithms, model.algorithm_)
+        model.scores_batch(xs), np.tile(dummy_scores(toy.n_algorithms, model.algorithm_), (4, 1))
     )
-    assert model.scores_batch(np.zeros((4, 3))).shape == (4, toy.n_algorithms)
 
 
 def test_sunny_scores_are_neighbor_means():
@@ -265,9 +259,9 @@ def test_sunny_scores_are_neighbor_means():
     )
     model = make_selector("sunny(k=2)", 0).fit(sc, np.arange(4))
     # query near the first pair: neighbors are rows 0 and 1
-    np.testing.assert_allclose(model.scores(np.array([0.4])), [2.0, 8.0])
+    np.testing.assert_allclose(model.scores_batch(np.array([[0.4]])), [[2.0, 8.0]])
     # query near the second pair
-    np.testing.assert_allclose(model.scores(np.array([10.6])), [8.5, 1.5])
+    np.testing.assert_allclose(model.scores_batch(np.array([[10.6]])), [[8.5, 1.5]])
 
 
 def test_sunny_clamps_k_to_training_size():
@@ -290,8 +284,8 @@ def test_isac_far_query_falls_back_to_single_best():
     sc = hand_scenario(runtimes=runtimes, features=rng.normal(size=(20, 2)))
     model = make_selector("isac(clusters=2)", 0).fit(sc, np.arange(20))
     assert model.fallback_ == 1
-    far = model.scores(np.array([1e6, 1e6]))
-    np.testing.assert_array_equal(far, dummy_scores(2, 1))
+    far = model.scores_batch(np.array([[1e6, 1e6]]))
+    np.testing.assert_array_equal(far, dummy_scores(2, 1)[None])
 
 
 def test_isac_empty_cluster_backs_the_single_best():
@@ -326,8 +320,8 @@ def test_pairwise_survives_fully_tied_pairs():
         features=np.arange(6, dtype=float)[:, None],
     )
     model = make_selector("pairwise(trees=5)", 0).fit(sc, np.arange(6))
-    out = model.scores(np.array([2.5]))
-    assert out.shape == (2,) and np.isfinite(out).all()
+    out = model.scores_batch(np.array([[2.5]]))
+    assert out.shape == (1, 2) and np.isfinite(out).all()
 
 
 def test_repr_mentions_spec(toy):
