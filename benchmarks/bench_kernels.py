@@ -36,7 +36,8 @@ an ASlib scenario: one training fold (900 rows) of a synthetic scenario
 of 1000 instances, 31 algorithms and 50 features with 30 % extra
 timeouts, fit by `pairwise(trees=2)` (465 two-tree forests) and
 `peralgo(trees=10)` (31 ten-tree forests); they are timed like the
-forest fits and also report their split-kernel calls. The other inputs
+forest fits, and one more, untimed fit under `tracemalloc` reports
+their split-kernel calls and the peak of the memory the fit allocates. The other inputs
 resemble a mid-sized scenario, not the tiny fixtures the tests use.
 Every case draws its inputs from its own generator, seeded from
 ``--seed`` and the case's label (an ASlib case: its selector spec), so
@@ -45,6 +46,7 @@ adding, removing or reordering cases changes no other case's inputs.
 
 import argparse
 import time
+import tracemalloc
 import zlib
 from collections import deque
 
@@ -183,8 +185,9 @@ def aslib_cases(seed):
         yield f"{spec} fit {train.size}x{k}x{d}", make_selector(spec, 0).fit, (scenario, train)
 
 
-def split_calls(fn, args):
-    """Split-kernel calls made by fn(*args)."""
+def split_calls_and_peak(fn, args):
+    """Split-kernel calls made by fn(*args), and the peak in MB of the
+    memory it allocates, as `tracemalloc` traces it."""
     calls = 0
     originals = {name: getattr(_kernels, name) for name in ("best_split_reg", "best_split_cls")}
 
@@ -198,11 +201,14 @@ def split_calls(fn, args):
     try:
         for name, kernel in originals.items():
             setattr(_kernels, name, counted(kernel))
+        tracemalloc.start()
         fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
+        tracemalloc.stop()
         for name, kernel in originals.items():
             setattr(_kernels, name, kernel)
-    return calls
+    return calls, peak / 2**20
 
 
 def full_tree(depth):
@@ -254,7 +260,8 @@ def main():
         print(f"{label:<36}{ms:>10.3f}")
     for label, fn, inputs in aslib_cases(args.seed):
         ms = best_of(fn, inputs, min(args.repeats, FIT_REPEATS), warm=False) * 1e3
-        print(f"{label:<36}{ms:>10.3f}  split-kernel calls {split_calls(fn, inputs)}")
+        calls, peak_mb = split_calls_and_peak(fn, inputs)
+        print(f"{label:<36}{ms:>10.3f}  split-kernel calls {calls}  traced peak {peak_mb:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ the caller's global seed; a plain member inside voting or stacking, a
 1-bag bagging member and boosting's first round therefore train
 bit-identically to the same spec run standalone, and they come from
 `fit_selector`, which inside an evaluation fold hands back the
-standalone fit instead of repeating it. `shared_scores` likewise hands
+standalone fit instead of repeating it. Bagging fits its bags in one
+`grow_together` scope, so their forests share lockstep growths (see
+`learners.forest`); boosting cannot, since each round's sample weights
+come from scoring the round before. `shared_scores` likewise hands
 back that fit's scores of rows already scored in the fold (the test
 rows by the plain cell, the training rows by another ensemble or the
 selector-level baselines) instead of scoring them again.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .aggregation import AGGREGATIONS, combine_scores, subset_choices, weight_from_npar10
 from .errors import BoostingCollapsed, DegenerateTraining, EmptyEnsemble, InvalidConfig
-from .learners import Preprocessor, fit_variance_threshold
+from .learners import Preprocessor, fit_variance_threshold, grow_together
 from .metrics import fixed_algorithm_par10, npar10, oracle_par10, single_best, trace_par10
 from .scenario import ScenarioSpec
 from .selectors import Selector, fit_selector, make_selector, selector_trace, shared_scores
@@ -193,7 +196,9 @@ class VotingEnsemble(_Ensemble):
 
 
 class BaggingEnsemble(_Ensemble):
-    """k members of one spec, each fit on an instance-level bootstrap."""
+    """k members of one spec, each fit on an instance-level bootstrap.
+    The bags are fit in one `grow_together` scope, so their forests grow
+    together, each as it would alone, before any bag is scored."""
 
     def __init__(self, spec, global_seed, member_spec, k=10, aggregation="maj"):
         super().__init__(spec, global_seed)
@@ -217,21 +222,22 @@ class BaggingEnsemble(_Ensemble):
                 fit_selector(self.member_spec, self.global_seed, scenario, train_indices)
             )
             self.bootstrap_indices_.append(train_indices.copy())
-        for j in range(self.k if self.k > 1 else 0):
-            sample = None
-            for _ in range(10):
-                candidate = rng.integers(0, n, size=n)
-                if np.unique(candidate).size >= 2:
-                    sample = candidate
-                    break
-            if sample is None:
-                raise DegenerateTraining(
-                    f"{self.spec}: bootstrap kept collapsing to <2 distinct instances"
-                )
-            member = make_selector(self.member_spec, self.global_seed, salt=(j,))
-            member.fit(scenario, train_indices[sample])
-            self.members_.append(member)
-            self.bootstrap_indices_.append(train_indices[sample])
+        with grow_together():
+            for j in range(self.k if self.k > 1 else 0):
+                sample = None
+                for _ in range(10):
+                    candidate = rng.integers(0, n, size=n)
+                    if np.unique(candidate).size >= 2:
+                        sample = candidate
+                        break
+                if sample is None:
+                    raise DegenerateTraining(
+                        f"{self.spec}: bootstrap kept collapsing to <2 distinct instances"
+                    )
+                member = make_selector(self.member_spec, self.global_seed, salt=(j,))
+                member.fit(scenario, train_indices[sample])
+                self.members_.append(member)
+                self.bootstrap_indices_.append(train_indices[sample])
         if self.aggregation == "wmaj":
             self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
 

@@ -89,13 +89,14 @@ def _split_window(n, min_leaf):
 
 def _pick_best(score, values, wl, wr, lo, hi, sizes):
     """Per column: the first lowest score among valid split positions,
-    which end as far before the column's own size as `hi` does before n."""
+    which end as far before the column's own size as `hi` does before n.
+    Overwrites the invalid positions of `score` with +inf."""
     ends = hi if sizes is None else np.asarray(sizes) + (hi - values.shape[0])
     valid = values[lo + 1 : hi + 1] != values[lo:hi]
     valid &= wl > 0.0
     valid &= wr > 0.0
     valid &= np.arange(lo, hi)[:, None] < ends
-    score = np.where(valid, score, np.inf)
+    np.copyto(score, np.inf, where=~valid)
     best = score.argmin(axis=0)
     best_pos = np.where(valid.any(axis=0), best + lo + 1, -1)
     return score[best, np.arange(score.shape[1])], best_pos
@@ -125,12 +126,13 @@ def best_split_reg(values, targets, weights, min_leaf, sizes=None):
     wl, wyl, wyyl = cw[lo:hi], cwy[lo:hi], cwyy[lo:hi]
     wr = cw[-1] - wl
     wyr = cwy[-1] - wyl
-    wyyr = cwyy[-1] - wyyl
-    # (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr), in place
+    # (wyyl - wyl * wyl / wl) + (wyyr - wyr * wyr / wr), in place; wyyr
+    # takes wyyl's place once the left term is done
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(wyl, wyl, out=wyl)
         wyl /= wl
         np.subtract(wyyl, wyl, out=wyl)
+        wyyr = np.subtract(cwyy[-1], wyyl, out=wyyl)
         np.multiply(wyr, wyr, out=wyr)
         wyr /= wr
         np.subtract(wyyr, wyr, out=wyr)
@@ -149,8 +151,11 @@ def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
     cw = weights.cumsum(axis=0)
     wl = cw[lo:hi]
     wr = cw[-1] - wl
-    # per-class prefix sums, shape (n_classes, n, m)
-    prefix = (labels == np.arange(n_classes)[:, None, None]) * weights
+    # per-class prefix sums, shape (n_classes, n, m): each class's 0/1
+    # indicator times the weights, in place
+    prefix = np.empty((n_classes, n, m))
+    np.equal(labels, np.arange(n_classes)[:, None, None], out=prefix)
+    prefix *= weights
     prefix.cumsum(axis=1, out=prefix)
     left = prefix[:, lo:hi]
     right = prefix[:, -1:] - left

@@ -20,9 +20,25 @@ the nodes of different forests share every gather. A sample sits at
 the same position of its node's row array as its row does when its
 forest grows alone.
 
-All trees of the fit grow in lockstep: each step takes the next node
-that needs a split search from every unfinished tree and scores all
-their candidate features together. The pending nodes are sorted by
+A fit's trees grow in growths of at most GROW_SAMPLES root samples
+(trees x root rows), tree after tree, and a tree bigger than that
+grows alone. A tree's generator and bootstrap are made when its
+growth starts, and its leaves get their payloads when it ends, so a
+tree's rows, stack and generator live only while its growth runs, and
+what a fit holds at once does not grow with its tree count.
+
+Inside a `grow_together()` scope, `fit_forests` checks its fits at
+once, so a bad fit raises where it is called, and queues them with
+their matrix; their forests have no trees until the scope exits, and
+predicting one raises DegenerateData. Leaving the scope grows the
+queued fits of one shape together under the same budget: their
+distinct matrices are stacked once, each fit's rows offset to its
+matrix's block. A scope left by an exception grows nothing. A scope
+inside another queues and grows its own fits.
+
+The trees of one growth grow in lockstep: each step takes the next
+node that needs a split search from every unfinished tree and scores
+all their candidate features together. The pending nodes are sorted by
 size and cut into split-kernel calls, each padded to its largest node;
 a call ends before its padding would pass SPLIT_PAD_ROWS rows, which
 keeps the wasted cells small without giving nodes of similar sizes a
@@ -30,10 +46,11 @@ call each, or before it would hold SPLIT_CELLS cells, which bounds the
 kernel's temporaries. Each tree keeps its own generator and depth-first
 order, and a node's candidates are sorted stably in the node's row
 order, so a tree is bit for bit the tree grown alone, whatever else
-shares its kernel calls. The search sorts each feature's dense ranks,
-not its values: equal values share a rank, so the stable order is the
-same, and 16-bit ranks sort by radix. Thresholds are read from the
-values.
+shares its growth and its kernel calls. The search sorts each
+feature's dense ranks, not its values: equal values share a rank, so
+the stable order is the same, and 16-bit ranks sort by radix; ranks of
+stacked matrices order each matrix's rows as its own ranks do.
+Thresholds are read from the values.
 
 A searched node's candidates are the next `rng.choice(d, mtry,
 replace=False)` of its tree's generator, drawn DRAW_BLOCK nodes at a
@@ -51,12 +68,14 @@ which the winning column's sorted targets show. Only the other children
 go on their tree's stack, so every node popped from it is searched;
 node ids and the order of the generator's draws are those of a grower
 that tests each node when it pops it. Leaves, and the nodes no
-candidate could split, keep their rows until the fit ends, and then get
-their payloads in one batched pass.
+candidate could split, keep their rows until their growth ends, and
+then get their payloads in one batched pass.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -96,6 +115,7 @@ SPLIT_PAD_ROWS = 512  # padding rows one split-kernel call may take on
 SPLIT_CELLS = 1 << 18  # rows x candidates (x classes) of one call, unless it is one node
 DRAW_BLOCK = 64  # candidate sets a tree draws at once
 FLOYD_MAX_FEATURES = 10_000  # above it numpy's choice may shuffle the tail instead
+GROW_SAMPLES = 1 << 17  # root samples (trees x root rows) of one growth, unless it is one tree
 
 
 class _GrowingTree:
@@ -209,9 +229,9 @@ def _refill(trees, d, m):
 
 
 class _Grower:
-    """Grows the trees of one fit in lockstep. Sample i is feature row
-    `rows[i]` of `x` with target `y[i]` and weight `w[i]`; a node's rows
-    are sample ids.
+    """Grows trees in lockstep, one growth per `grow` call. Sample i is
+    feature row `rows[i]` of `x` with target `y[i]` and weight `w[i]`; a
+    node's rows are sample ids.
 
     Each step refills the candidate block of every tree that has used
     its block up (`_refill`: numpy's own Floyd-and-shuffle stream, so a
@@ -242,11 +262,12 @@ class _Grower:
         self.max_depth = max_depth if max_depth is not None else -1
         self.classification = classification
         self.n_classes = n_classes
-        # every leaf as (tree, node id), its size, and its rows in blocks
-        self.leaves, self.leaf_sizes, self.leaf_rows = [], [], []
 
     def grow(self, roots) -> None:
-        """Grow each (tree, rows of its root) to the end."""
+        """Grow each (tree, rows of its root) to the end, and give its
+        leaves their payloads."""
+        # every leaf of the growth as (tree, node id), its size, and its rows in blocks
+        self.leaves, self.leaf_sizes, self.leaf_rows = [], [], []
         for tree, rows in roots:
             if (
                 rows.size < 2 * self.min_leaf
@@ -310,9 +331,13 @@ class _Grower:
         values = values.reshape(sizes[0], width)
         # each column's stable order, as flat cells of values; index has
         # one column per node, so cell // m is the same row's cell there
-        cells = values.argsort(axis=0, kind="stable") * width + np.arange(width)
+        cells = values.argsort(axis=0, kind="stable")
+        cells *= width
+        cells += np.arange(width)
         values = values.take(cells)
-        rows = index.take(cells // m)
+        cells //= m
+        rows = index.take(cells)
+        del cells
         weights = self.w.take(rows)
         column_sizes = np.array(sizes).repeat(m)
         if self.classification:
@@ -398,17 +423,19 @@ class _Grower:
         return left_leaf, right_leaf
 
     def _settle(self):
-        """Give every leaf its payload."""
-        if not self.leaves:
+        """Give every leaf of the growth its payload, and drop its rows."""
+        leaves, sizes, rows = self.leaves, self.leaf_sizes, self.leaf_rows
+        self.leaves = self.leaf_sizes = self.leaf_rows = None
+        if not leaves:
             return
         payloads = _leaf_payloads(
-            np.concatenate(self.leaf_rows),
-            np.array(self.leaf_sizes),
+            np.concatenate(rows),
+            np.array(sizes),
             self.y,
             self.w,
             self.n_classes if self.classification else 0,
         )
-        for (tree, nid), row in zip(self.leaves, payloads):
+        for (tree, nid), row in zip(leaves, payloads):
             tree.leaves.append((nid, row))
 
 
@@ -433,15 +460,40 @@ def _leaf_payloads(samples, sizes, y, w, n_classes=0) -> np.ndarray:
     return payload[:, None]
 
 
+# The queue of the innermost open `grow_together` scope, or None outside every scope.
+_GROW_QUEUE = contextvars.ContextVar("metaselect_grow_together", default=None)
+
+
+@contextlib.contextmanager
+def grow_together():
+    """Queue every `fit_forests` call of the block, and grow the queued
+    fits when the block exits, those of one shape together.
+
+    The calls check their fits at once and raise as they would outside
+    the block; a queued forest has no trees until the block exits. A
+    block left by an exception grows nothing, and the queue is dropped.
+    A block inside another queues and grows its own fits.
+    """
+    queue = []
+    token = _GROW_QUEUE.set(queue)
+    try:
+        yield
+    finally:
+        _GROW_QUEUE.reset(token)
+    _grow(queue)
+
+
 def fit_forests(x, fits) -> None:
     """Fit each (forest, rows, y, sample_weight) of `fits` on the rows
     `rows` of `x` (every row when None), targets `y` and weights
-    `sample_weight`, one per row, growing all their trees in lockstep.
+    `sample_weight`, one per row, growing their trees in growths of at
+    most GROW_SAMPLES root samples; inside a `grow_together()` scope,
+    check the fits now and grow them when the scope exits.
 
     Every forest ends bit for bit as `forest.fit(x[rows], y,
-    sample_weight)` leaves it. The forests must be of one class with
-    equal max_depth, min_leaf, mtry and class count; tree counts, seeds
-    and bootstrap may differ.
+    sample_weight)` leaves it, whatever grows beside it. The forests
+    must be of one class with equal max_depth, min_leaf, mtry and class
+    count; tree counts, seeds and bootstrap may differ.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -477,36 +529,96 @@ def fit_forests(x, fits) -> None:
     if len(shapes) > 1:
         raise ValueError("forests grown together must share class and growth parameters")
 
-    roots, owned, offset = [], [], 0
-    for forest, rows, _, _ in parts:
-        seed = forest.seed
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        trees = [_GrowingTree(np.random.default_rng(s)) for s in root.spawn(forest.n_trees)]
-        for tree in trees:
-            if forest.bootstrap:
-                roots.append((tree, offset + tree.rng.integers(0, rows.size, size=rows.size)))
-            else:
-                roots.append((tree, offset + np.arange(rows.size)))
-        owned.append(trees)
-        offset += rows.size
-
     first = parts[0][0]
     mtry = first.mtry if first.mtry is not None else max(1, math.ceil(math.sqrt(d)))
-    _Grower(
+    shape = (d, mtry, first.min_leaf, first.max_depth, first._classification, first._n_classes)
+    checked = []
+    for forest, rows, y, w in parts:
+        seed = forest.seed
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        checked.append((forest, rows, y, w, root.spawn(forest.n_trees), forest.bootstrap))
+    queue = _GROW_QUEUE.get()
+    if queue is None:
+        _grow([(shape, x, checked)])
+        return
+    for forest, *_ in checked:
+        forest.nodes_ = forest.roots_ = None  # no trees until the scope grows them
+    queue.append((shape, x, checked))
+
+
+def _grow(batches) -> None:
+    """Grow the checked fits of each (shape, matrix, fits) of `batches`,
+    the fits of one shape together: their distinct matrices stacked
+    once, each fit's rows offset to its matrix's block."""
+    by_shape = {}
+    for shape, x, fits in batches:
+        by_shape.setdefault(shape, []).append((x, fits))
+    for shape, group in by_shape.items():
+        starts, matrices, fits, at = {}, [], [], 0
+        for x, parts in group:
+            if id(x) not in starts:
+                starts[id(x)] = at
+                matrices.append(x)
+                at += x.shape[0]
+            start = starts[id(x)]
+            fits += [(forest, rows + start, *rest) for forest, rows, *rest in parts]
+        x = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
+        _grow_budgeted(x, fits, *shape[1:])
+
+
+def _grow_budgeted(x, fits, mtry, min_leaf, max_depth, classification, n_classes) -> None:
+    """Grow the trees of `fits`, each (forest, rows, y, w, tree seeds,
+    bootstrap), tree after tree in growths of at most GROW_SAMPLES root
+    samples; a forest gets its trees when its last one has grown."""
+    forests = [forest for forest, *_ in fits]
+    sizes = [rows.size for _, rows, *_ in fits]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    seeds = [tree_seeds for *_, tree_seeds, _ in fits]
+    bootstraps = [bootstrap for *_, bootstrap in fits]
+    grower = _Grower(
         x,
-        np.concatenate([rows for _, rows, _, _ in parts]),
-        np.concatenate([y for _, _, y, _ in parts]),
-        np.concatenate([w for _, _, _, w in parts]),
+        np.concatenate([rows for _, rows, *_ in fits]),
+        np.concatenate([y for _, _, y, *_ in fits]),
+        np.concatenate([w for _, _, _, w, *_ in fits]),
         mtry,
-        first.min_leaf,
-        first.max_depth,
-        first._classification,
-        first._n_classes,
-    ).grow(roots)
-    width = first._n_classes if first._classification else 1
-    for (forest, *_), trees in zip(parts, owned):
-        forest.nodes_, forest.roots_ = _stack([tree.finish(width) for tree in trees])
-        forest.n_features_ = d
+        min_leaf,
+        max_depth,
+        classification,
+        n_classes,
+    )
+    width = n_classes if classification else 1
+    grown = [[] for _ in fits]
+    trees = [(i, seed) for i, tree_seeds in enumerate(seeds) for seed in tree_seeds]
+    for growth in _growths(trees, sizes):
+        roots = []
+        for i, seed in growth:
+            tree = _GrowingTree(np.random.default_rng(seed))
+            if bootstraps[i]:
+                rows = tree.rng.integers(0, sizes[i], size=sizes[i])
+            else:
+                rows = np.arange(sizes[i])
+            roots.append((tree, offsets[i] + rows))
+        grower.grow(roots)
+        for (i, _), (tree, _) in zip(growth, roots):
+            grown[i].append(tree.finish(width))
+            if len(grown[i]) == len(seeds[i]):
+                forests[i].nodes_, forests[i].roots_ = _stack(grown[i])
+                forests[i].n_features_ = x.shape[1]
+                grown[i] = None
+
+
+def _growths(trees, sizes):
+    """Cut `trees`, (fit, seed) pairs in order, into growths of at most
+    GROW_SAMPLES root samples, `sizes[fit]` per tree; a bigger tree
+    grows alone."""
+    growth, samples = [], 0
+    for i, seed in trees:
+        if growth and samples + sizes[i] > GROW_SAMPLES:
+            yield growth
+            growth, samples = [], 0
+        growth.append((i, seed))
+        samples += sizes[i]
+    yield growth
 
 
 @dataclass

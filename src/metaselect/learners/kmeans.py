@@ -14,7 +14,8 @@ Each assignment, in a Lloyd step, at the end of a fit and in
 `_kernels.pairwise_sq_dists(x, centroids)`, bit for bit, without that
 matrix. The kNN prefilter with k = 1 (`neighbors.candidate_mask`, whose
 margin is proven in `neighbors`) gives each row the centroids that may
-be nearest by one matrix product. Every row's candidates get exact
+be nearest by one matrix product; a fit computes its rows' squared
+norms for it once, for every assignment. Every row's candidates get exact
 distances from `_kernels.gathered_sq_dists`. A row with a single
 candidate takes it; when some row has several, the rows rank their
 candidates by (exact distance, cluster) as a kNN query ranks its own,
@@ -57,19 +58,24 @@ class KMeansModel:
                 f"kmeans query needs rows of {self.centroids.shape[1]} features, "
                 f"got shape {x.shape}"
             )
-        return _nearest(x, self.centroids)
+        return _nearest(x, squared_norms(x), self.centroids)
 
 
-def _nearest(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    closest, sq_dists = _nearest_sq(x, centroids)
+def _nearest(
+    x: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    closest, sq_dists = _nearest_sq(x, x_norms, centroids)
     return closest, np.sqrt(sq_dists)
 
 
-def _nearest_sq(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row of `x`, the lower one on ties, and the
-    exact squared distance to it: the argmin and min of each row of
+def _nearest_sq(
+    x: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per row of `x`, whose `squared_norms` are
+    `x_norms`, the lower one on ties, and the exact squared distance to
+    it: the argmin and min of each row of
     `_kernels.pairwise_sq_dists(x, centroids)`, bit for bit."""
-    mask = candidate_mask(x, centroids, squared_norms(centroids), 1)
+    mask = candidate_mask(x, x_norms, centroids, squared_norms(centroids), 1)
     rows, clusters = np.divmod(np.flatnonzero(mask), mask.shape[1])  # by row, then cluster
     dists = _kernels.gathered_sq_dists(x, centroids, rows, clusters)
     if rows.size == x.shape[0]:  # a single candidate per row: its nearest
@@ -108,11 +114,12 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
 
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(x, k, rng)
+    x_norms = squared_norms(x)  # once for every assignment of the fit
     assignments = np.zeros(n, dtype=np.int64)
     inertia_history: list[float] = []
 
     for _ in range(MAX_ITERATIONS):
-        new_assign, point_d = _nearest_sq(x, centroids)
+        new_assign, point_d = _nearest_sq(x, x_norms, centroids)
         inertia_history.append(float(point_d.sum()))
         sums, counts = _kernels.kmeans_accumulate(x, new_assign, k)
         empty = counts == 0
@@ -134,7 +141,7 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
         if converged:
             break
 
-    assignments, train_distances = _nearest(x, centroids)
+    assignments, train_distances = _nearest(x, x_norms, centroids)
     return KMeansModel(
         centroids=centroids,
         assignments=assignments,

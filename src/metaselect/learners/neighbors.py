@@ -126,16 +126,20 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", points, points)
 
 
-def candidate_mask(q, points, sq_norms, k, columns=None):
+def candidate_mask(q, sq_rows, points, sq_norms, k, columns=None):
     """Boolean (len(q), n) mask of each query row's candidates: the
     points whose GEMM value lies within twice the margin of the row's
     k-th smallest GEMM value, every point for a row whose scale the
-    margin does not cover. `sq_norms` are `squared_norms(points)`; with
-    `columns`, column j stands for point `columns[j]` and n is its
-    length. The margin and the proof are in the module docstring."""
+    margin does not cover. `sq_rows` and `sq_norms` are `squared_norms`
+    of `q` and of `points`; with `columns`, column j stands for point
+    `columns[j]` and n is its length. The margin and the proof are in
+    the module docstring. At k = 1 the row minimum is the outer-axis
+    minimum of the transposed copy, which numpy takes elementwise
+    instead of one short row at a time: a minimum is the same number in
+    any order, but for a tie of 0.0 and -0.0, and adding the positive
+    margin makes the two equal."""
     relative, absolute = _margin_terms(q.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_rows = squared_norms(q)
         approx = q @ points.T
         approx *= -2.0
         approx += sq_norms
@@ -143,7 +147,7 @@ def candidate_mask(q, points, sq_norms, k, columns=None):
         if columns is not None:
             approx = approx.take(columns, axis=1)
         if k == 1:
-            kth = approx.min(axis=1)
+            kth = approx.T.copy().min(axis=0)
         else:
             kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         scale = sq_rows + sq_norms.max()
@@ -249,7 +253,7 @@ class KnnIndex:
 
     def _query_block(self, q, k):
         """The answer for one block of query rows."""
-        mask = candidate_mask(q, self.points_, self.sq_norms_, k, self.inverse_)
+        mask = candidate_mask(q, squared_norms(q), self.points_, self.sq_norms_, k, self.inverse_)
         # row-major: by query row, then row id
         queries, ids = np.divmod(np.flatnonzero(mask), mask.shape[1])
         point_rows = ids if self.inverse_ is None else self.inverse_[ids]

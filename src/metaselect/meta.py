@@ -6,7 +6,9 @@ penalized runtime the selector's choice would have cost, feature
 acquisition included. Any selector spec can then be trained on that
 scenario as a meta learner. The training signal comes from inner
 cross-validation so the matrix reflects out-of-sample behaviour, not
-resubstitution.
+resubstitution. The inner folds' member forests grow together, in
+shared lockstep growths (see `learners.forest`), before any member is
+scored.
 
 `AlgorithmSelectorSelector` is itself a selector: like every other
 model it implements only `_fit` and `scores_batch`, routing each row of
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTraining, EmptyEnsemble, InvalidConfig
+from .learners import grow_together
 from .metrics import per_instance_pr10
 from .scenario import ScenarioSpec
 from .selectors import (
@@ -64,9 +67,12 @@ def build_meta_scenario(
 
     Every training instance gets, for each selector, the penalized
     runtime of the choice that selector makes when fit without that
-    instance's inner fold. Deployed selectors are full-train fits from
-    `fit_selector`, so inside an evaluation fold they are the fold's
-    standalone fits of the same specs.
+    instance's inner fold. Every (inner fold, base) member is fit in one
+    `grow_together` scope before any is scored, so the forests of all
+    inner folds grow together; a tree does not depend on what grows
+    beside it, so every member is the one fit alone. Deployed selectors
+    are full-train fits from `fit_selector`, so inside an evaluation
+    fold they are the fold's standalone fits of the same specs.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     specs = tuple(canonical_selector_spec(s) for s in base_specs)
@@ -86,22 +92,26 @@ def build_meta_scenario(
 
     performance = np.empty((n, len(specs)))
 
-    for fold in range(inner_folds):
-        held = assignment == fold
-        inner_train = train_indices[~held]
-        inner_test = train_indices[held]
-        if inner_train.size < 2:
-            raise DegenerateTraining(
-                f"inner fold {fold} leaves only {inner_train.size} training instances"
-            )
-        if inner_test.size == 0:
-            continue
-        for s, spec in enumerate(specs):
-            member = make_selector(spec, global_seed, salt=(fold,))
-            member.fit(source, inner_train)
-            performance[held, s] = per_instance_pr10(
-                source, selector_trace(member, source, inner_test)
-            )
+    members = []  # (held, base, fitted member, inner test rows)
+    with grow_together():
+        for fold in range(inner_folds):
+            held = assignment == fold
+            inner_train = train_indices[~held]
+            inner_test = train_indices[held]
+            if inner_train.size < 2:
+                raise DegenerateTraining(
+                    f"inner fold {fold} leaves only {inner_train.size} training instances"
+                )
+            if inner_test.size == 0:
+                continue
+            for s, spec in enumerate(specs):
+                member = make_selector(spec, global_seed, salt=(fold,))
+                members.append((held, s, member.fit(source, inner_train), inner_test))
+    for held, s, member, inner_test in members:
+        performance[held, s] = per_instance_pr10(
+            source, selector_trace(member, source, inner_test)
+        )
+    del members  # before the deployed fits
 
     deployed = tuple(fit_selector(spec, global_seed, source, train_indices) for spec in specs)
 

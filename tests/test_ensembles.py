@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metaselect.aggregation import combine_scores, weight_from_npar10
+from metaselect.approaches import build_approach
 from metaselect.ensembles import (
     ALPHA_CAP,
     MAX_EXHAUSTIVE_MEMBERS,
@@ -239,6 +240,18 @@ class TestBagging:
         a = BaggingEnsemble("b", 5, "multiclass(trees=10)", k=4).fit(toy, train)
         b = BaggingEnsemble("b", 5, "multiclass(trees=10)", k=4).fit(toy, train)
         np.testing.assert_array_equal(a.scores_batch(xs), b.scores_batch(xs))
+
+    def test_bags_grown_together_equal_bags_fit_one_by_one(self, toy):
+        train, test = toy.fold_split(1)
+        model = build_approach("bagging{multiclass(trees=3);k=4}", 5).fit(toy, train)
+        xs = toy.features[test]
+        for j, (member, sample) in enumerate(zip(model.members_, model.bootstrap_indices_)):
+            alone = make_selector("multiclass(trees=3)", 5, salt=(j,)).fit(toy, sample)
+            for name in ("feature", "threshold", "left", "right", "payload"):
+                np.testing.assert_array_equal(
+                    getattr(member.model_.nodes_, name), getattr(alone.model_.nodes_, name)
+                )
+            np.testing.assert_array_equal(member.scores_batch(xs), alone.scores_batch(xs))
 
     def test_single_training_instance_collapses(self, toy):
         with pytest.raises(DegenerateTraining):

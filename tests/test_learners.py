@@ -29,12 +29,14 @@ from metaselect.learners import (
     Preprocessor,
     fit_forests,
     fit_kmeans,
+    grow_together,
 )
 from metaselect.learners import KMeansModel, _kernels
 from metaselect.learners import forest as forest_module
 from metaselect.learners import kmeans as kmeans_module
 from metaselect.learners.forest import _GrowingTree, _leaf_payloads, _refill
 from metaselect.learners.kmeans import _nearest_sq
+from metaselect.learners.neighbors import squared_norms
 from metaselect.learners.preprocess import column_medians, fit_variance_threshold
 
 
@@ -411,6 +413,126 @@ def test_forests_grown_together_reject_mixed_shapes_and_bad_rows():
         fit_forests(x, [(ForestRegressor(), np.array([0, 4]), y[:2], None)])
 
 
+_SHAPES = [
+    (ForestRegressor, {"min_leaf": 2}),
+    (ForestClassifier, {"min_leaf": 1, "n_classes": 3}),
+]
+
+
+def _joint_forests(model, params, fits):
+    return [
+        model(n_trees=n_trees, seed=seed, bootstrap=bootstrap, **params)
+        for _, _, _, n_trees, seed, bootstrap in fits
+    ]
+
+
+def _count_growths(monkeypatch):
+    """A list that gets one entry, the growth's tree count, per growth."""
+    growths = []
+    grow = forest_module._Grower.grow
+
+    def counted(self, roots):
+        growths.append(len(roots))
+        return grow(self, roots)
+
+    monkeypatch.setattr(forest_module._Grower, "grow", counted)
+    return growths
+
+
+@pytest.mark.parametrize("budget", [1, 70, 150])
+@pytest.mark.parametrize("model, params", _SHAPES)
+def test_a_fit_split_into_growths_equals_one_growth(monkeypatch, budget, model, params):
+    # _joint_fits holds weights with zeros and a fit without bootstrap;
+    # a budget of 1 grows every tree alone, 70 one 70-row tree or two
+    # smaller ones at a time, 150 a few trees at a time
+    x, fits = _joint_fits(model is ForestClassifier)
+    one = _joint_forests(model, params, fits)
+    fit_forests(x, [(f, rows, y, w) for f, (rows, y, w, *_) in zip(one, fits)])
+    growths = _count_growths(monkeypatch)
+    monkeypatch.setattr(forest_module, "GROW_SAMPLES", budget)
+    split = _joint_forests(model, params, fits)
+    fit_forests(x, [(f, rows, y, w) for f, (rows, y, w, *_) in zip(split, fits)])
+    assert sum(growths) == sum(fit[3] for fit in fits)
+    assert len(growths) > 3
+    if budget == 1:
+        assert set(growths) == {1}
+    for a, b in zip(split, one):
+        assert _forest_digest(a) == _forest_digest(b)
+
+
+@pytest.mark.parametrize("model, params", _SHAPES)
+def test_fits_joined_in_one_scope_equal_fits_grown_alone(monkeypatch, model, params):
+    # two calls on one matrix and one on another matrix of the same
+    # width, plus a call of another shape, which grows on its own
+    x, fits = _joint_fits(model is ForestClassifier)
+    rng = np.random.default_rng(19)
+    other = np.round(rng.normal(size=(30, 5)), 1)
+    other_y = rng.integers(0, 3, size=30) if model is ForestClassifier else other[:, 0]
+    kwargs = [dict(n_trees=n, seed=seed, bootstrap=b, **params) for *_, n, seed, b in fits]
+    kwargs += [dict(n_trees=3, seed=8, **params), dict(n_trees=2, seed=9, **params, max_depth=2)]
+    data = [(x, rows, y, w) for rows, y, w, *_ in fits] + [(other, None, other_y, None)] * 2
+    forests = [model(**k) for k in kwargs]
+    stacked = []
+
+    class Recording(forest_module._Grower):
+        def __init__(self, x, *args):
+            stacked.append(x.shape[0])
+            super().__init__(x, *args)
+
+    monkeypatch.setattr(forest_module, "_Grower", Recording)
+    with grow_together():
+        for call in ([0, 1, 2, 3], [6], [4, 5], [7]):
+            fit_forests(data[call[0]][0], [(forests[i], *data[i][1:]) for i in call])
+        assert all(f.nodes_ is None for f in forests)
+        assert stacked == []
+    assert stacked == [70 + 30, 30]  # each matrix stacked once per shape
+    for forest, k, (matrix, rows, y, w) in zip(forests, kwargs, data):
+        alone = model(**k).fit(matrix if rows is None else matrix[rows], y, w)
+        assert _forest_digest(forest) == _forest_digest(alone)
+
+
+def test_a_queued_forest_cannot_predict_until_its_scope_exits():
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(40, 3))
+    y = x[:, 0] + rng.normal(scale=0.1, size=40)
+    fitted = ForestRegressor(n_trees=2, seed=1).fit(x, y)
+    fresh = ForestRegressor(n_trees=2, seed=1)
+    with grow_together():
+        fresh.fit(x, y)
+        fitted.fit(x, y)  # a refit drops the trees it had
+        for forest in (fresh, fitted):
+            with pytest.raises(DegenerateData):
+                forest.predict(x)
+        # a bad fit raises at its call, not when the scope exits
+        with pytest.raises(DegenerateData):
+            ForestRegressor().fit(np.full((4, 2), np.nan), y[:4])
+    np.testing.assert_array_equal(fresh.predict(x), fitted.predict(x))
+
+
+def test_a_scope_left_by_an_exception_grows_nothing(monkeypatch):
+    growths = _count_growths(monkeypatch)
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(40, 3))
+    y = x[:, 0]
+    dropped = ForestRegressor(n_trees=2, seed=1)
+    with pytest.raises(KeyError):
+        with grow_together():
+            dropped.fit(x, y)
+            raise KeyError("stop")
+    assert growths == []
+    assert dropped.nodes_ is None
+    assert forest_module._GROW_QUEUE.get() is None
+    # a later scope, and one inside it, grow only their own fits
+    outer, inner = ForestRegressor(n_trees=2, seed=2), ForestRegressor(n_trees=2, seed=3)
+    with grow_together():
+        outer.fit(x, y)
+        with grow_together():
+            inner.fit(x, y)
+        assert inner.nodes_ is not None and outer.nodes_ is None
+    assert outer.nodes_ is not None and dropped.nodes_ is None
+    assert growths == [2, 2]
+
+
 def test_a_forest_of_no_trees_is_rejected_at_fit():
     # also no candidate features: before any tree grows, even on rows
     # that would split
@@ -723,7 +845,7 @@ class TestKmeans:
     ):
         x, centroids = _nearest_inputs(kind, np.random.default_rng(seed), n, k, d)
         with np.errstate(over="ignore"):
-            closest, sq_dists = _nearest_sq(x, centroids)
+            closest, sq_dists = _nearest_sq(x, squared_norms(x), centroids)
             want = ref_pairwise_sq_dists(x, centroids)
         want_closest = want.argmin(axis=1)
         np.testing.assert_array_equal(closest, want_closest)

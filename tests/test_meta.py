@@ -10,7 +10,8 @@ import zlib
 import numpy as np
 import pytest
 
-from metaselect.errors import DegenerateTraining, EmptyEnsemble, InvalidConfig
+from metaselect.config import ExperimentConfig
+from metaselect.errors import DegenerateData, DegenerateTraining, EmptyEnsemble, InvalidConfig
 from metaselect.meta import (
     DEFAULT_INNER_FOLDS,
     AlgorithmSelectorSelector,
@@ -18,8 +19,9 @@ from metaselect.meta import (
     fit_meta_learner,
 )
 from metaselect.metrics import oracle_par10
+from metaselect.runner import run_experiment
 from metaselect.scenario import ScenarioSpec
-from metaselect.selectors import make_selector
+from metaselect.selectors import MulticlassSelector, make_selector
 
 SPECS = ["sunny(k=5)", "sbs"]
 
@@ -75,6 +77,29 @@ def test_matrix_matches_independent_inner_cv(toy):
             np.testing.assert_array_equal(
                 meta.scenario.runtimes[held, s], expected
             )
+
+
+def test_an_inner_fold_failure_is_the_cell_error(toy, monkeypatch):
+    # inner fold 1's multiclass member fails after fold 0's forests were
+    # queued: the error is the ass cell's, and the queued forests are
+    # dropped without touching any other cell
+    spec = "ass{meta=sbs;bases=multiclass(trees=3),sunny}"
+    config = ExperimentConfig(approaches=("multiclass(trees=3)", "sunny", spec), seed=7)
+    clean, _ = run_experiment(config, scenario=toy)
+    fit = MulticlassSelector._fit
+
+    def failing(self, scenario, train_indices):
+        if self._entropy[2:] == [1]:  # salted with inner fold 1
+            raise DegenerateData("injected")
+        return fit(self, scenario, train_indices)
+
+    monkeypatch.setattr(MulticlassSelector, "_fit", failing)
+    report, _ = run_experiment(config, scenario=toy)
+    for cell, clean_cell in zip(report.cells, clean.cells):
+        if cell.approach.startswith("ass"):
+            assert cell.error == "DegenerateData: injected"
+        else:
+            assert cell == clean_cell
 
 
 def test_meta_scenario_shape_and_bookkeeping(toy):
