@@ -11,30 +11,32 @@ starting from +0.0, so the sum rounds as a loop over the trees does.
 All randomness is drawn at numpy level from a per-tree generator; the
 kernels are pure functions.
 
-`fit_forests` grows several forests over one feature matrix in one
-`_Grower`, and `fit` is its one-forest case. Each forest fits its own
-rows of that matrix, with its own targets and weights. The grower lays
-the forests' rows end to end as its samples, so a node's rows are
-sample ids: one id reads a sample's feature row, target and weight, and
-the nodes of different forests share every gather. A sample sits at
-the same position of its node's row array as its row does when its
-forest grows alone.
+`fit_forests` checks each fit, a forest with its rows of a feature
+matrix, its targets and weights, and `fit` is its one-forest case. Fits
+of one shape (feature count, mtry, min_leaf, max_depth, classification
+and class count) grow together in one `_Grower`, whether one call or
+several calls of one `grow_together()` scope brought them. There
+`mtry=None` counts as ceil(sqrt(feature count)), and an mtry above the
+feature count as that count. The grower
+stacks the group's distinct matrices once and lays the fits' rows end
+to end as its samples, so a node's rows are sample ids: one id reads a
+sample's feature row, target and weight, and the nodes of different
+forests share every gather. A sample sits at the same position of its
+node's row array as its row does when its forest grows alone.
 
-A fit's trees grow in growths of at most GROW_SAMPLES root samples
+A group's trees grow in growths of at most GROW_SAMPLES root samples
 (trees x root rows), tree after tree, and a tree bigger than that
 grows alone. A tree's generator and bootstrap are made when its
 growth starts, and its leaves get their payloads when it ends, so a
 tree's rows, stack and generator live only while its growth runs, and
 what a fit holds at once does not grow with its tree count.
 
-Inside a `grow_together()` scope, `fit_forests` checks its fits at
-once, so a bad fit raises where it is called, and queues them with
-their matrix; their forests have no trees until the scope exits, and
-predicting one raises DegenerateData. Leaving the scope grows the
-queued fits of one shape together under the same budget: their
-distinct matrices are stacked once, each fit's rows offset to its
-matrix's block. A scope left by an exception grows nothing. A scope
-inside another queues and grows its own fits.
+Outside a `grow_together()` scope a call grows its fits at once.
+Inside one, `fit_forests` checks its fits at once, so a bad fit raises
+where it is called, and queues them; their forests have no trees until
+the scope exits, and predicting one raises DegenerateData. Leaving the
+scope grows the queued fits. A scope left by an exception grows
+nothing. A scope inside another queues and grows its own fits.
 
 The trees of one growth grow in lockstep: each step takes the next
 node that needs a split search from every unfinished tree and scores
@@ -78,6 +80,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,9 +232,9 @@ def _refill(trees, d, m):
 
 
 class _Grower:
-    """Grows trees in lockstep, one growth per `grow` call. Sample i is
-    feature row `rows[i]` of `x` with target `y[i]` and weight `w[i]`; a
-    node's rows are sample ids.
+    """Grows trees of one `_Fit` shape in lockstep, one growth per
+    `grow` call. Sample i is feature row `rows[i]` of `x` with target
+    `y[i]` and weight `w[i]`; a node's rows are sample ids.
 
     Each step refills the candidate block of every tree that has used
     its block up (`_refill`: numpy's own Floyd-and-shuffle stream, so a
@@ -244,24 +247,20 @@ class _Grower:
     splits are too.
     """
 
-    def __init__(self, x, rows, y, w, mtry, min_leaf, max_depth, classification, n_classes):
-        n, d = x.shape
+    def __init__(self, x, rows, y, w, shape):
         self.x = x
         self.ranks = _dense_ranks(x)
         # sample `pad` pads the columns of a batched search: its feature
         # row ranks above every value, and its zero weight and target
         # leave every prefix sum exact
-        self.feature_rows = np.append(rows, n)
+        self.feature_rows = np.append(rows, x.shape[0])
         self.y = np.append(y, 0.0)
         self.w = np.append(w, 0.0)
         self.pad = self.y.size - 1
-        self.labels = self.y.astype(np.int64) if classification else None
-        self.n_features = d
-        self.n_candidates = min(mtry, d)
-        self.min_leaf = min_leaf
+        self.n_features, self.n_candidates, self.min_leaf, max_depth = shape[:4]
+        self.classification, self.n_classes = shape[4:]
+        self.labels = self.y.astype(np.int64) if self.classification else None
         self.max_depth = max_depth if max_depth is not None else -1
-        self.classification = classification
-        self.n_classes = n_classes
 
     def grow(self, roots) -> None:
         """Grow each (tree, rows of its root) to the end, and give its
@@ -483,17 +482,33 @@ def grow_together():
     _grow(queue)
 
 
+class _Fit(NamedTuple):
+    """A checked fit: its growth shape (feature count, mtry, min_leaf,
+    max_depth, classification, class count), its matrix and forest, and
+    the matrix rows, targets, weights and tree seeds it grows on."""
+
+    shape: tuple
+    x: np.ndarray
+    forest: _BaseForest
+    rows: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    seeds: list
+
+
 def fit_forests(x, fits) -> None:
     """Fit each (forest, rows, y, sample_weight) of `fits` on the rows
     `rows` of `x` (every row when None), targets `y` and weights
-    `sample_weight`, one per row, growing their trees in growths of at
-    most GROW_SAMPLES root samples; inside a `grow_together()` scope,
-    check the fits now and grow them when the scope exits.
+    `sample_weight`, one per row. Each fit is checked now, and grown
+    by `_grow` at once or, inside a `grow_together()` scope, when the
+    scope exits. Targets must be finite, and a classifier's labels
+    nonnegative integers.
 
     Every forest ends bit for bit as `forest.fit(x[rows], y,
-    sample_weight)` leaves it, whatever grows beside it. The forests
-    must be of one class with equal max_depth, min_leaf, mtry and class
-    count; tree counts, seeds and bootstrap may differ.
+    sample_weight)` leaves it, whatever grows beside it. The forests of
+    one call may differ in class, growth parameters, tree count and
+    seed; fits of one shape grow together, whether one call or several
+    calls of one scope brought them.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -501,124 +516,79 @@ def fit_forests(x, fits) -> None:
     if not np.isfinite(x).all():
         raise DegenerateData("forest features must be finite after imputation")
     n, d = x.shape
-    parts = []
+    records = []
     for forest, rows, y, sample_weight in fits:
         if forest.n_trees < 1:
             raise DegenerateData("forest needs at least one tree")
         if forest.mtry is not None and forest.mtry < 1:
             raise DegenerateData("forest needs mtry of at least one feature")
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.size == 0:
-            raise DegenerateData("forest needs a nonempty 2-d feature matrix")
-        if rows.min() < 0 or rows.max() >= n:
+        if rows.size == 0:
+            raise DegenerateData("forest needs at least one row")
+        if rows.ndim != 1 or rows.min() < 0 or rows.max() >= n:
             raise DegenerateData("forest rows must index the feature matrix")
-        y = np.ascontiguousarray(forest._targets(y), dtype=np.float64)
+        y = np.ascontiguousarray(forest._targets(y))
         if y.shape != rows.shape:
             raise DegenerateData("target length does not match feature rows")
-        w = (
-            np.ones(rows.size)
-            if sample_weight is None
-            else np.ascontiguousarray(sample_weight, dtype=np.float64)
-        )
+        w = np.ones(rows.size) if sample_weight is None else sample_weight
+        w = np.ascontiguousarray(w, dtype=np.float64)
         if w.shape != rows.shape or not np.isfinite(w).all() or (w < 0).any():
             raise DegenerateData("sample weights must be finite and nonnegative, one per row")
-        parts.append((forest, rows, y, w))
-    if not parts:
-        return
-    shapes = {(type(f), f.max_depth, f.min_leaf, f.mtry, f._n_classes) for f, *_ in parts}
-    if len(shapes) > 1:
-        raise ValueError("forests grown together must share class and growth parameters")
-
-    first = parts[0][0]
-    mtry = first.mtry if first.mtry is not None else max(1, math.ceil(math.sqrt(d)))
-    shape = (d, mtry, first.min_leaf, first.max_depth, first._classification, first._n_classes)
-    checked = []
-    for forest, rows, y, w in parts:
+        mtry = min(d, forest.mtry if forest.mtry is not None else math.ceil(math.sqrt(d)))
+        shape = (d, mtry, forest.min_leaf, forest.max_depth, forest._classification,
+                 forest._n_classes)
         seed = forest.seed
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        checked.append((forest, rows, y, w, root.spawn(forest.n_trees), forest.bootstrap))
+        records.append(_Fit(shape, x, forest, rows, y, w, root.spawn(forest.n_trees)))
     queue = _GROW_QUEUE.get()
     if queue is None:
-        _grow([(shape, x, checked)])
+        _grow(records)
         return
-    for forest, *_ in checked:
-        forest.nodes_ = forest.roots_ = None  # no trees until the scope grows them
-    queue.append((shape, x, checked))
+    for record in records:
+        record.forest.nodes_ = record.forest.roots_ = None  # no trees until the scope grows them
+    queue += records
 
 
-def _grow(batches) -> None:
-    """Grow the checked fits of each (shape, matrix, fits) of `batches`,
-    the fits of one shape together: their distinct matrices stacked
-    once, each fit's rows offset to its matrix's block."""
-    by_shape = {}
-    for shape, x, fits in batches:
-        by_shape.setdefault(shape, []).append((x, fits))
-    for shape, group in by_shape.items():
-        starts, matrices, fits, at = {}, [], [], 0
-        for x, parts in group:
-            if id(x) not in starts:
-                starts[id(x)] = at
-                matrices.append(x)
-                at += x.shape[0]
-            start = starts[id(x)]
-            fits += [(forest, rows + start, *rest) for forest, rows, *rest in parts]
-        x = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
-        _grow_budgeted(x, fits, *shape[1:])
-
-
-def _grow_budgeted(x, fits, mtry, min_leaf, max_depth, classification, n_classes) -> None:
-    """Grow the trees of `fits`, each (forest, rows, y, w, tree seeds,
-    bootstrap), tree after tree in growths of at most GROW_SAMPLES root
-    samples; a forest gets its trees when its last one has grown."""
-    forests = [forest for forest, *_ in fits]
-    sizes = [rows.size for _, rows, *_ in fits]
-    offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    seeds = [tree_seeds for *_, tree_seeds, _ in fits]
-    bootstraps = [bootstrap for *_, bootstrap in fits]
-    grower = _Grower(
-        x,
-        np.concatenate([rows for _, rows, *_ in fits]),
-        np.concatenate([y for _, _, y, *_ in fits]),
-        np.concatenate([w for _, _, _, w, *_ in fits]),
-        mtry,
-        min_leaf,
-        max_depth,
-        classification,
-        n_classes,
-    )
-    width = n_classes if classification else 1
-    grown = [[] for _ in fits]
-    trees = [(i, seed) for i, tree_seeds in enumerate(seeds) for seed in tree_seeds]
-    for growth in _growths(trees, sizes):
-        roots = []
-        for i, seed in growth:
-            tree = _GrowingTree(np.random.default_rng(seed))
-            if bootstraps[i]:
-                rows = tree.rng.integers(0, sizes[i], size=sizes[i])
-            else:
-                rows = np.arange(sizes[i])
-            roots.append((tree, offsets[i] + rows))
-        grower.grow(roots)
-        for (i, _), (tree, _) in zip(growth, roots):
-            grown[i].append(tree.finish(width))
-            if len(grown[i]) == len(seeds[i]):
-                forests[i].nodes_, forests[i].roots_ = _stack(grown[i])
-                forests[i].n_features_ = x.shape[1]
-                grown[i] = None
-
-
-def _growths(trees, sizes):
-    """Cut `trees`, (fit, seed) pairs in order, into growths of at most
-    GROW_SAMPLES root samples, `sizes[fit]` per tree; a bigger tree
-    grows alone."""
-    growth, samples = [], 0
-    for i, seed in trees:
-        if growth and samples + sizes[i] > GROW_SAMPLES:
-            yield growth
+def _grow(records) -> None:
+    """Grow every `_Fit` of `records`, the fits of one shape together:
+    their distinct matrices stacked once, each fit's rows offset to its
+    matrix's block, and their trees grown tree after tree in growths of
+    at most GROW_SAMPLES root samples (trees x root rows); a bigger tree
+    grows alone. A forest gets its trees when its last one has grown."""
+    groups = {}
+    for record in records:
+        groups.setdefault(record.shape, []).append(record)
+    for shape, fits in groups.items():
+        matrices = list({id(fit.x): fit.x for fit in fits}.values())
+        ends = np.cumsum([m.shape[0] for m in matrices]).tolist()
+        starts = {id(m): end - m.shape[0] for m, end in zip(matrices, ends)}
+        grower = _Grower(
+            np.concatenate(matrices) if len(matrices) > 1 else matrices[0],
+            np.concatenate([fit.rows + starts[id(fit.x)] for fit in fits]),
+            np.concatenate([fit.y for fit in fits]),
+            np.concatenate([fit.w for fit in fits]),
+            shape,
+        )
+        sizes = [fit.rows.size for fit in fits]
+        offsets = np.cumsum([0] + sizes).tolist()
+        grown = [[] for _ in fits]
+        # every (fit, tree seed), the first last, so that pop() takes them in order
+        trees = [(i, seed) for i, fit in enumerate(fits) for seed in fit.seeds][::-1]
+        while trees:
             growth, samples = [], 0
-        growth.append((i, seed))
-        samples += sizes[i]
-    yield growth
+            while trees and (not growth or samples + sizes[trees[-1][0]] <= GROW_SAMPLES):
+                i, seed = trees.pop()
+                samples += sizes[i]
+                tree = _GrowingTree(np.random.default_rng(seed))
+                growth.append((i, tree, offsets[i] + tree.rng.integers(0, sizes[i], size=sizes[i])))
+            grower.grow([(tree, rows) for _, tree, rows in growth])
+            for i, tree, _ in growth:
+                grown[i].append(tree.finish(grower.n_classes if grower.classification else 1))
+                if len(grown[i]) == len(fits[i].seeds):
+                    forest = fits[i].forest
+                    forest.nodes_, forest.roots_ = _stack(grown[i])
+                    forest.n_features_ = grower.n_features
+                    grown[i] = None
 
 
 @dataclass
@@ -628,7 +598,6 @@ class _BaseForest:
     min_leaf: int = 1
     mtry: int | None = None
     seed: int = 0
-    bootstrap: bool = True
     nodes_: _Tree | None = field(default=None, repr=False)  # every tree's nodes, see _stack
     roots_: np.ndarray | None = field(default=None, repr=False)  # each tree's root in nodes_
     n_features_: int = field(default=0, repr=False)
@@ -651,6 +620,9 @@ class _BaseForest:
         ]
 
     def _targets(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise DegenerateData("forest targets must be finite")
         return y
 
     def _accumulate(self, x):
@@ -672,8 +644,8 @@ class _BaseForest:
 
 
 class ForestRegressor(_BaseForest):
-    def __init__(self, n_trees=100, max_depth=None, min_leaf=5, mtry=None, seed=0, bootstrap=True):
-        super().__init__(n_trees, max_depth, min_leaf, mtry, seed, bootstrap)
+    def __init__(self, n_trees=100, max_depth=None, min_leaf=5, mtry=None, seed=0):
+        super().__init__(n_trees, max_depth, min_leaf, mtry, seed)
 
     def fit(self, x, y, sample_weight=None):
         fit_forests(x, [(self, None, y, sample_weight)])
@@ -686,22 +658,13 @@ class ForestRegressor(_BaseForest):
 class ForestClassifier(_BaseForest):
     _classification = True
 
-    def __init__(
-        self,
-        n_trees=100,
-        max_depth=None,
-        min_leaf=1,
-        mtry=None,
-        seed=0,
-        bootstrap=True,
-        n_classes=None,
-    ):
-        super().__init__(n_trees, max_depth, min_leaf, mtry, seed, bootstrap)
+    def __init__(self, n_trees=100, max_depth=None, min_leaf=1, mtry=None, seed=0, n_classes=None):
+        super().__init__(n_trees, max_depth, min_leaf, mtry, seed)
         self.n_classes = n_classes
 
     def _targets(self, y):
-        labels = np.asarray(y, dtype=np.int64)
-        if labels.size and labels.min() < 0:
+        labels = super()._targets(y)
+        if (labels < 0).any() or (labels != np.floor(labels)).any():
             raise DegenerateData("class labels must be nonnegative integers")
         inferred = int(labels.max()) + 1 if labels.size else 0
         self._n_classes = self.n_classes if self.n_classes is not None else inferred

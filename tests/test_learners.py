@@ -164,9 +164,10 @@ def test_equal_best_scores_go_to_the_earlier_candidate(classification):
     y = (col > 0).astype(np.float64)
     model = ForestClassifier if classification else ForestRegressor
     for seed in range(6):
-        tree = model(n_trees=1, min_leaf=1, mtry=2, seed=seed, bootstrap=False).fit(x, y).trees_[0]
-        stream = np.random.SeedSequence(seed).spawn(1)[0]
-        drawn = np.random.default_rng(stream).choice(3, size=2, replace=False)
+        tree = model(n_trees=1, min_leaf=1, mtry=2, seed=seed).fit(x, y).trees_[0]
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        rng.integers(0, 30, size=30)  # the tree's bootstrap is drawn first
+        drawn = rng.choice(3, size=2, replace=False)
         assert tree.feature[0] == drawn[0]
 
 
@@ -350,7 +351,7 @@ def test_a_tree_does_not_depend_on_the_trees_grown_beside_it(classification):
 def _joint_fits(classification):
     """Forests of one shape on one 70-row matrix: all rows, an ascending
     and a shuffled subset, weights with zeros, an all-pure target, all
-    weights zero, no bootstrap, and differing tree counts and seeds."""
+    weights zero, a 12-row fit, and differing tree counts and seeds."""
     rng = np.random.default_rng(16)
     x = np.round(rng.normal(size=(70, 5)), 1)
     x[:, 3] = 0.5  # a constant feature
@@ -365,13 +366,13 @@ def _joint_fits(classification):
     weights = rng.uniform(0.0, 2.0, size=40)
     weights[::4] = 0.0
     fits = [
-        # (rows, y, sample_weight, n_trees, seed, bootstrap)
-        (None, target(70), None, 3, 1, True),
-        (subset, target(40), weights, 4, 2, True),
-        (shuffled, target(25), rng.uniform(0.5, 1.5, size=25), 2, 3, True),
-        (None, np.full(70, 2), None, 2, 4, True),  # every target equal
-        (subset, target(40), np.zeros(40), 2, 5, True),  # every weight zero
-        (subset[:12], target(12), None, 2, 6, False),
+        # (rows, y, sample_weight, n_trees, seed)
+        (None, target(70), None, 3, 1),
+        (subset, target(40), weights, 4, 2),
+        (shuffled, target(25), rng.uniform(0.5, 1.5, size=25), 2, 3),
+        (None, np.full(70, 2), None, 2, 4),  # every target equal
+        (subset, target(40), np.zeros(40), 2, 5),  # every weight zero
+        (subset[:12], target(12), None, 2, 6),
     ]
     return x, fits
 
@@ -389,28 +390,42 @@ def _joint_fits(classification):
 )
 def test_forests_grown_together_equal_forests_grown_alone(model, params):
     x, fits = _joint_fits(model is ForestClassifier)
-    together = [
-        model(n_trees=n_trees, seed=seed, bootstrap=bootstrap, **params)
-        for _, _, _, n_trees, seed, bootstrap in fits
-    ]
+    together = _joint_forests(model, params, fits)
     fit_forests(x, [(f, rows, y, w) for f, (rows, y, w, *_) in zip(together, fits)])
-    for forest, (rows, y, w, n_trees, seed, bootstrap) in zip(together, fits):
-        alone = model(n_trees=n_trees, seed=seed, bootstrap=bootstrap, **params)
+    for forest, (rows, y, w, n_trees, seed) in zip(together, fits):
+        alone = model(n_trees=n_trees, seed=seed, **params)
         alone.fit(x if rows is None else x[rows], y, w)
         assert len(forest.trees_) == n_trees
         assert _forest_digest(forest) == _forest_digest(alone)
 
 
-def test_forests_grown_together_reject_mixed_shapes_and_bad_rows():
+def test_forests_grown_together_reject_empty_and_outside_rows():
     x = np.zeros((4, 2))
     y = np.arange(4.0)
-    fits = [(ForestRegressor(min_leaf=m), None, y, None) for m in (1, 2)]
-    with pytest.raises(ValueError):
-        fit_forests(x, fits)
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DegenerateData, match="at least one row"):
         fit_forests(x, [(ForestRegressor(), np.array([], dtype=np.int64), y[:0], None)])
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DegenerateData, match="must index the feature matrix"):
         fit_forests(x, [(ForestRegressor(), np.array([0, 4]), y[:2], None)])
+
+
+def test_forests_of_mixed_shapes_grow_in_one_call(monkeypatch):
+    # a regressor, a classifier, two min_leaf values, and mtry=None next
+    # to its resolved value ceil(sqrt(5)) = 3, with which it shares a growth
+    x, fits = _joint_fits(classification=True)
+    rows, labels, w, *_ = fits[1]
+    specs = [
+        (ForestRegressor, dict(n_trees=2, min_leaf=1, seed=1), x[rows, 0]),
+        (ForestClassifier, dict(n_trees=3, min_leaf=2, n_classes=3, seed=2), labels),
+        (ForestClassifier, dict(n_trees=2, min_leaf=1, n_classes=3, seed=3), labels),
+        (ForestClassifier, dict(n_trees=4, min_leaf=1, n_classes=3, mtry=3, seed=4), labels),
+    ]
+    forests = [model(**kwargs) for model, kwargs, _ in specs]
+    growths = _count_growths(monkeypatch)
+    fit_forests(x, [(f, rows, y, w) for f, (*_, y) in zip(forests, specs)])
+    assert growths == [2, 3, 2 + 4]
+    for forest, (model, kwargs, y) in zip(forests, specs):
+        alone = model(**kwargs).fit(x[rows], y, w)
+        assert _forest_digest(forest) == _forest_digest(alone)
 
 
 _SHAPES = [
@@ -420,10 +435,7 @@ _SHAPES = [
 
 
 def _joint_forests(model, params, fits):
-    return [
-        model(n_trees=n_trees, seed=seed, bootstrap=bootstrap, **params)
-        for _, _, _, n_trees, seed, bootstrap in fits
-    ]
+    return [model(n_trees=n_trees, seed=seed, **params) for *_, n_trees, seed in fits]
 
 
 def _count_growths(monkeypatch):
@@ -442,7 +454,7 @@ def _count_growths(monkeypatch):
 @pytest.mark.parametrize("budget", [1, 70, 150])
 @pytest.mark.parametrize("model, params", _SHAPES)
 def test_a_fit_split_into_growths_equals_one_growth(monkeypatch, budget, model, params):
-    # _joint_fits holds weights with zeros and a fit without bootstrap;
+    # _joint_fits holds weights with zeros and a 12-row fit;
     # a budget of 1 grows every tree alone, 70 one 70-row tree or two
     # smaller ones at a time, 150 a few trees at a time
     x, fits = _joint_fits(model is ForestClassifier)
@@ -468,7 +480,7 @@ def test_fits_joined_in_one_scope_equal_fits_grown_alone(monkeypatch, model, par
     rng = np.random.default_rng(19)
     other = np.round(rng.normal(size=(30, 5)), 1)
     other_y = rng.integers(0, 3, size=30) if model is ForestClassifier else other[:, 0]
-    kwargs = [dict(n_trees=n, seed=seed, bootstrap=b, **params) for *_, n, seed, b in fits]
+    kwargs = [dict(n_trees=n, seed=seed, **params) for *_, n, seed in fits]
     kwargs += [dict(n_trees=3, seed=8, **params), dict(n_trees=2, seed=9, **params, max_depth=2)]
     data = [(x, rows, y, w) for rows, y, w, *_ in fits] + [(other, None, other_y, None)] * 2
     forests = [model(**k) for k in kwargs]
@@ -543,6 +555,22 @@ def test_a_forest_of_no_trees_is_rejected_at_fit():
                                  ({}, x[:, :0])):
             with pytest.raises(DegenerateData):
                 model(**params).fit(features, y)
+
+
+@pytest.mark.parametrize(
+    "model, bad",
+    [(ForestRegressor, v) for v in (np.nan, np.inf, -np.inf)]
+    + [(ForestClassifier, v) for v in (np.nan, np.inf, -np.inf, 1.5)],
+)
+def test_a_nonfinite_target_or_a_fractional_label_is_rejected_at_fit(model, bad):
+    # before any cast or split search: no warning escapes
+    x = np.random.default_rng(0).normal(size=(30, 2))
+    y = (np.arange(30) % 2).astype(np.float64)
+    y[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateData):
+            model(n_trees=2).fit(x, y)
 
 
 def _choice_equivalence_cases():
