@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on configuration problems (bad config file,
 bad approach string, malformed scenario), 2 on runtime failures,
-including an experiment whose reports were written but in which some
-cell failed with an internal error.
+including a run whose reports were written but in which some cell
+failed with an internal error or some sweep failed on a fold.
 """
 
 from __future__ import annotations
@@ -59,13 +59,16 @@ def main(ctx, seed, out, formats):
     ctx.obj = {"seed": seed, "out": out, "formats": tuple(formats)}
 
 
-def _exit_on_internal_errors(report):
+def _exit_on_errors(report, sweeps=()):
     """Exit 2 when a cell failed with an internal error (a defect, not
-    unusable input); the reports are already written by then."""
-    failed = internal_error_cells(report)
-    for cell in failed:
-        click.echo(f"error: {cell.approach}, fold {cell.fold}: {cell.error}", err=True)
-    if failed:
+    unusable input) or a sweep failed on a fold; the reports are
+    already written by then."""
+    errors = [(f"{c.approach}, fold {c.fold}", c.error) for c in internal_error_cells(report)]
+    for number, sweep in enumerate(sweeps, 1):
+        errors += [(f"sweep {number}, fold {fold}", error) for fold, error in sweep.errors]
+    for where, error in errors:
+        click.echo(f"error: {where}: {error}", err=True)
+    if errors:
         sys.exit(2)
 
 
@@ -96,7 +99,7 @@ def evaluate(ctx, config_path):
             written += emit_sweep(sweep, f"{config.out}.sweep{number}", config.formats)
         for path in written:
             click.echo(f"wrote {path}", err=True)
-    _exit_on_internal_errors(report)
+    _exit_on_errors(report, sweeps)
 
 
 def _split_multi(values) -> list[str]:
@@ -130,7 +133,7 @@ def sweep_voting_command(ctx, scenario_path, members, agg, folds):
         config = _effective(ctx.obj, ExperimentConfig(
             approaches=(), sweeps=sweeps, scenario_path=scenario_path, folds=_fold_subset(folds)
         ))
-        _, _, (sweep,) = run_config(config)
+        report, _, (sweep,) = run_config(config)
     except MetaselectError as e:
         _fail(e)
     click.echo(sweep_csv(sweep), nl=False)
@@ -138,6 +141,7 @@ def sweep_voting_command(ctx, scenario_path, members, agg, folds):
     if config.out:
         for path in emit_sweep(sweep, config.out, config.formats):
             click.echo(f"wrote {path}", err=True)
+    _exit_on_errors(report, [sweep])
 
 
 @main.command()
@@ -160,7 +164,7 @@ def baselines(ctx, scenario_path, selectors, folds):
     if config.out:
         for path in emit_report(report, config.out, config.formats, timings=timings):
             click.echo(f"wrote {path}", err=True)
-    _exit_on_internal_errors(report)
+    _exit_on_errors(report)
 
 
 @main.command("validate-scenario")

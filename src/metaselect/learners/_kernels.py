@@ -91,7 +91,7 @@ def _pick_best(score, values, wl, wr, lo, hi, sizes):
     """Per column: the first lowest score among valid split positions,
     which end as far before the column's own size as `hi` does before n.
     Overwrites the invalid positions of `score` with +inf."""
-    ends = hi if sizes is None else np.asarray(sizes) + (hi - values.shape[0])
+    ends = np.asarray(sizes) + (hi - values.shape[0])
     valid = values[lo + 1 : hi + 1] != values[lo:hi]
     valid &= wl > 0.0
     valid &= wr > 0.0
@@ -102,17 +102,17 @@ def _pick_best(score, values, wl, wr, lo, hi, sizes):
     return score[best, np.arange(score.shape[1])], best_pos
 
 
-def best_split_reg(values, targets, weights, min_leaf, sizes=None):
+def best_split_reg(values, targets, weights, min_leaf, sizes):
     """Best weighted-SSE split of each column.
 
     `values`, `targets` and `weights` have shape (n, m). Column j holds
-    one candidate feature of some node: its first `sizes[j]` rows (all
-    n when `sizes` is None) are the node's values in ascending order,
-    with targets and weights in the same row order; rows below are
-    padding, +inf values with zero weight and target. Returns (score,
-    pos), each of shape (m,): the first pos rows of a column go left. A
-    column with no position that satisfies the leaf-size and
-    distinct-value constraints gets (inf, -1).
+    one candidate feature of some node: its first `sizes[j]` rows are
+    the node's values in ascending order, with targets and weights in
+    the same row order; rows below are padding, +inf values with zero
+    weight and target. Returns (score, pos), each of shape (m,): the
+    first pos rows of a column go left. A column with no position that
+    satisfies the leaf-size and distinct-value constraints gets
+    (inf, -1).
     """
     n, m = values.shape
     lo, hi = _split_window(n, min_leaf)
@@ -140,7 +140,7 @@ def best_split_reg(values, targets, weights, min_leaf, sizes=None):
     return _pick_best(wyl, values, wl, wr, lo, hi, sizes)
 
 
-def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes=None):
+def best_split_cls(values, labels, weights, n_classes, min_leaf, sizes):
     """Best weighted-Gini split of each column, same contract as
     best_split_reg; `labels` holds class ids in [0, n_classes), 0 in
     padding rows."""

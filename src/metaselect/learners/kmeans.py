@@ -12,17 +12,13 @@ lower one's ends without members.
 Each assignment, in a Lloyd step, at the end of a fit and in
 `KMeansModel.nearest`, is the argmin and the min of each row of
 `_kernels.pairwise_sq_dists(x, centroids)`, bit for bit, without that
-matrix. The kNN prefilter with k = 1 (`neighbors.candidate_mask`, whose
-margin is proven in `neighbors`) gives each row the centroids that may
-be nearest by one matrix product; a fit computes its rows' squared
-norms for it once, for every assignment. Every row's candidates get exact
-distances from `_kernels.gathered_sq_dists`. A row with a single
-candidate takes it; when some row has several, the rows rank their
-candidates by (exact distance, cluster) as a kNN query ranks its own,
-through `neighbors.first_k_by_distance` at k = 1, so a tie goes to the
-lower cluster. The inertia and the empty-cluster reseeding read these
-per-row distances. k-means++ seeding needs every point's distance to
-each new centroid and takes it from `_kernels.pairwise_sq_dists`.
+matrix: it is `neighbors.nearest` with k = 1 and the centroids as the
+points, so a tie goes to the lower cluster (the proof is in
+`neighbors`). A fit computes its rows' squared norms for it once, for
+every assignment. The inertia and the empty-cluster reseeding read
+these per-row distances. k-means++ seeding needs every point's
+distance to each new centroid and takes it from
+`_kernels.pairwise_sq_dists`.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 
 from ..errors import DegenerateData, KTooLarge
 from . import _kernels
-from .neighbors import candidate_mask, first_k_by_distance, squared_norms
+from .neighbors import nearest, squared_norms
 
 MAX_ITERATIONS = 100
 
@@ -58,30 +54,17 @@ class KMeansModel:
                 f"kmeans query needs rows of {self.centroids.shape[1]} features, "
                 f"got shape {x.shape}"
             )
-        return _nearest(x, squared_norms(x), self.centroids)
-
-
-def _nearest(
-    x: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    closest, sq_dists = _nearest_sq(x, x_norms, centroids)
-    return closest, np.sqrt(sq_dists)
+        closest, sq_dists = _nearest_sq(x, squared_norms(x), self.centroids)
+        return closest, np.sqrt(sq_dists)
 
 
 def _nearest_sq(
     x: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row of `x`, whose `squared_norms` are
-    `x_norms`, the lower one on ties, and the exact squared distance to
-    it: the argmin and min of each row of
-    `_kernels.pairwise_sq_dists(x, centroids)`, bit for bit."""
-    mask = candidate_mask(x, x_norms, centroids, squared_norms(centroids), 1)
-    rows, clusters = np.divmod(np.flatnonzero(mask), mask.shape[1])  # by row, then cluster
-    dists = _kernels.gathered_sq_dists(x, centroids, rows, clusters)
-    if rows.size == x.shape[0]:  # a single candidate per row: its nearest
-        return clusters, dists
-    nearest = first_k_by_distance(np.bincount(rows, minlength=x.shape[0]), dists, 1)[:, 0]
-    return clusters[nearest], dists[nearest]
+    `x_norms`, and the exact squared distance to it: `nearest` at k = 1."""
+    closest, sq_dists = nearest(x, x_norms, centroids, squared_norms(centroids), 1)
+    return closest[:, 0], sq_dists[:, 0]
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,10 +124,10 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
         if converged:
             break
 
-    assignments, train_distances = _nearest(x, x_norms, centroids)
+    assignments, sq_dists = _nearest_sq(x, x_norms, centroids)
     return KMeansModel(
         centroids=centroids,
         assignments=assignments,
-        train_distances=train_distances,
+        train_distances=np.sqrt(sq_dists),
         inertia_history=inertia_history,
     )

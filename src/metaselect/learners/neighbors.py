@@ -17,8 +17,10 @@ computes each candidate's exact distance for its own pair, and orders
 by (distance, row id), and the margin below holds for the points in
 any order.
 
-A query does not compute the exact distance of every (query row,
-point) pair. For each block of query rows it computes the GEMM form
+One routine, `nearest`, answers every exact nearest-neighbour search:
+a kNN query, a block of query rows at a time, and each k-means
+assignment, with k = 1 and the centroids as the points. It computes
+the GEMM form
 
     G = ((-2 · q·p) + ‖p‖²) + ‖q‖²
 
@@ -27,22 +29,13 @@ takes as candidates the points whose G lies within twice a rigorous
 per-row margin of the row's k-th smallest G (`candidate_mask`),
 computes the exact distances of the candidates only
 (`_kernels.gathered_sq_dists`, of which `_kernels.pairwise_sq_dists`
-is the all-pairs case), and selects among them by (exact
-distance, row id): each row's candidates fill one row of a
-+inf-padded (query rows × most candidates) matrix, in ascending row
-id, and one stable argsort per row orders them (`first_k_by_distance`).
-The answer is exactly what ranking every exact distance would give, as
-shown below. The query rows go in blocks of about QUERY_BLOCK_CELLS
-GEMM cells, so the scratch memory of a query, the padded matrix
-included, does not grow with its row count.
-
-k-means finds each row's nearest centroid through the same
-`candidate_mask` and `first_k_by_distance` with k = 1, the centroids
-as the points: the k-th smallest G is then the row minimum, and the
-proof below holds for it as for any k. A row with one candidate has
-its nearest centroid, and the exact distance to it is that
-candidate's; rows with several take their first by (exact distance,
-cluster) (see `kmeans`).
+is the all-pairs case), and orders each row's candidates by (exact
+distance, id) with one stable argsort per row of a +inf-padded
+(rows × most candidates) matrix (`first_k_by_distance`), unless every
+row has a single candidate, as k = 1 nearly always gives. The answer is
+exactly what ranking every exact distance would give, as shown below.
+A kNN query goes in blocks of about QUERY_BLOCK_CELLS GEMM cells, so
+its scratch memory does not grow with its row count.
 
 The margin. Notation as in `_kernels`: u = 2**-53, γ_n = n·u/(1 - n·u).
 For rows q and p of d features let s_q = ‖q‖², s_p = ‖p‖², t = q·p and
@@ -172,18 +165,31 @@ def first_k_by_distance(counts, dists, k):
     return starts[:, None] + order
 
 
+def nearest(q, sq_q, points, sq_points, k, inverse=None):
+    """(ids, sq_dists), each of shape (len(q), k): each query row's first
+    k ids by (exact squared distance, id) and those distances, bit for
+    bit the first k columns of a stable argsort of
+    `_kernels.pairwise_sq_dists(q, points)` and its entries there.
+    `sq_q` and `sq_points` are `squared_norms` of `q` and of `points`.
+    With `inverse`, id j stands for point `inverse[j]`, as if `points`
+    were `points[inverse]`. There must be at least k ids."""
+    mask = candidate_mask(q, sq_q, points, sq_points, k, inverse)
+    rows, ids = np.divmod(np.flatnonzero(mask), mask.shape[1])  # by query row, then id
+    dists = _kernels.gathered_sq_dists(q, points, rows, ids if inverse is None else inverse[ids])
+    if rows.size == q.shape[0]:  # a single candidate per row: its nearest
+        return ids[:, None], dists[:, None]
+    first = first_k_by_distance(np.bincount(rows, minlength=q.shape[0]), dists, k)
+    return ids[first], dists[first]
+
+
 class KnnIndex:
     """Brute-force euclidean index; ties resolve to the lower row id.
 
-    A query returns exactly the first k columns of a stable argsort of
-    each row's exact distances (`_kernels.pairwise_sq_dists`): nearest
-    first, equal distances in ascending row id, also where a tie
-    straddles the k-th place. It gets there without the exact distance
-    of every point or a sort of a whole row: `np.partition` finds the
-    k-th smallest GEMM value, the points within twice the margin of it
-    are the candidates, and only the candidates get exact distances and
-    are sorted, by (distance, row id). So the answer for k is the first
-    k columns of the answer for any larger k.
+    A query is `nearest` over blocks of its rows: exactly the first k
+    columns of a stable argsort of each row's exact distances
+    (`_kernels.pairwise_sq_dists`), equal distances in ascending row
+    id, so the answer for k is the first k columns of that for any
+    larger k.
     """
 
     def __init__(self):
@@ -247,16 +253,8 @@ class KnnIndex:
         if x.shape[0] == 0:
             return np.empty((0, k), dtype=np.int64)
         rows = max(1, QUERY_BLOCK_CELLS // self.n_points)
+        blocks = (x[lo : lo + rows] for lo in range(0, x.shape[0], rows))
         return np.concatenate(
-            [self._query_block(x[lo : lo + rows], k) for lo in range(0, x.shape[0], rows)]
+            [nearest(q, squared_norms(q), self.points_, self.sq_norms_, k, self.inverse_)[0]
+             for q in blocks]
         )
-
-    def _query_block(self, q, k):
-        """The answer for one block of query rows."""
-        mask = candidate_mask(q, squared_norms(q), self.points_, self.sq_norms_, k, self.inverse_)
-        # row-major: by query row, then row id
-        queries, ids = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        point_rows = ids if self.inverse_ is None else self.inverse_[ids]
-        dists = _kernels.gathered_sq_dists(q, self.points_, queries, point_rows)
-        counts = np.bincount(queries, minlength=q.shape[0])
-        return ids[first_k_by_distance(counts, dists, k)]

@@ -85,9 +85,9 @@ class SweepRow:
 
     members: tuple[int, ...]  # indices into SweepReport.member_specs
     spec: str                 # the equivalent voting approach string
-    mean_par10: float
+    mean_par10: float | None  # None when every fold failed
     mean_npar10: float | None
-    fold_npar10: tuple[float | None, ...]
+    fold_npar10: tuple[float | None, ...]  # None for a failed fold too
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     best_members: tuple[int, ...]
     best_spec: str
+    errors: tuple[tuple[int, str], ...] = ()  # (fold, error text) of each failed fold
 
 
 # canonical order of a report's records, shared by its JSON and CSV forms
@@ -202,7 +203,7 @@ def markdown_summary(report: EvaluationReport) -> str:
 
 
 def sweep_to_dict(sweep: SweepReport) -> dict:
-    return {
+    data = {
         "schema": SWEEP_SCHEMA,
         "scenario": sweep.scenario_name,
         "aggregation": sweep.aggregation,
@@ -212,6 +213,9 @@ def sweep_to_dict(sweep: SweepReport) -> dict:
         "rows": [asdict(r) for r in sweep.rows],
         "best": {"members": list(sweep.best_members), "spec": sweep.best_spec},
     }
+    if sweep.errors:  # only then, so a clean sweep's bytes stay as they were
+        data["errors"] = [{"fold": fold, "error": error} for fold, error in sweep.errors]
+    return data
 
 
 def sweep_json(sweep: SweepReport) -> str:

@@ -8,7 +8,7 @@ approach is fit on the training folds and charged feature costs
 whenever it reads features. A failing approach becomes a missing cell
 with the error recorded, not a penalized score; an exception that is
 not a `MetaselectError` is recorded the same way, its message prefixed
-with `internal: `.
+with `internal: `. A sweep fails per fold in the same way (see below).
 
 Each fold runs inside one `shared_fits` scope: a selector fit that
 several approaches or sweeps of the fold need (a plain cell, voting or
@@ -25,7 +25,8 @@ scores of the whole batch.
 After the cells, each sweep scores every voting composition of its
 members on the fold's test rows with `ensembles.subset_par10`, the
 scorer of voting's exhaustive search, against the fold's
-`FoldBaselines`; a member that fails to fit ends the run.
+`FoldBaselines`. A member fit, `wmaj` weighting or scoring that raises
+leaves the sweep's values for that fold missing, the error recorded.
 `run_config` runs this loop; `run_experiment` and `sweep_voting` are
 thin wrappers over it.
 
@@ -126,14 +127,14 @@ def run_config(config: ExperimentConfig, scenario: ScenarioSpec | None = None):
     cells: list[CellResult] = []
     baselines: list[FoldBaselines] = []
     timings: dict[str, dict[str, dict[str, float]]] = {}
-    sweep_values = []  # per fold, per sweep: subset -> test PAR10
+    sweep_folds = []  # per fold, per sweep: (subset -> test PAR10, error)
 
     for fold in folds:
         with shared_fits(scenario):
             fold_cells, fold_baselines = _run_fold(
                 scenario, fold, approaches, plain, config.seed, timings
             )
-            sweep_values.append([_sweep_fold(scenario, fold, *s, config.seed) for s in sweeps])
+            sweep_folds.append([_sweep_fold(scenario, fold, *s, config.seed) for s in sweeps])
         cells.extend(fold_cells)
         baselines.append(fold_baselines)
 
@@ -152,8 +153,8 @@ def run_config(config: ExperimentConfig, scenario: ScenarioSpec | None = None):
         summary=tuple(summary),
     )
     sweep_reports = [
-        _sweep_report(scenario.name, *sweep, config.seed, values, baselines)
-        for sweep, values in zip(sweeps, zip(*sweep_values))
+        _sweep_report(scenario.name, *sweep, config.seed, results, baselines)
+        for sweep, results in zip(sweeps, zip(*sweep_folds))
     ]
     return report, timings, sweep_reports
 
@@ -185,10 +186,8 @@ def _run_fold(scenario, fold, approaches, plain, seed, timings):
                 started = time.perf_counter()
                 trace = selector_trace(model, scenario, test)
                 predict_seconds = time.perf_counter() - started
-            except MetaselectError as e:
-                error = f"{type(e).__name__}: {e}"
-            except Exception as e:  # one approach's bug must not end the run
-                error = f"{INTERNAL_ERROR}{type(e).__name__}: {e}"
+            except Exception as e:  # one approach's failure must not end the run
+                error = _error_text(e)
             if error is not None:
                 cells.append(CellResult(spec, fold, None, None, None, int(test.size), error))
                 continue
@@ -227,6 +226,13 @@ def _run_fold(scenario, fold, approaches, plain, seed, timings):
     return cells, baselines
 
 
+def _error_text(error: Exception) -> str:
+    """What a failed cell or sweep fold records; `internal: ` marks a
+    defect, an exception that is not a `MetaselectError`."""
+    prefix = "" if isinstance(error, MetaselectError) else INTERNAL_ERROR
+    return f"{prefix}{type(error).__name__}: {error}"
+
+
 def internal_error_cells(report: EvaluationReport) -> list[CellResult]:
     """Cells that failed with an exception that is not a
     `MetaselectError`, i.e. a defect rather than unusable input."""
@@ -249,16 +255,14 @@ def _summarize(approaches, plain, folds, cells) -> list[ApproachSummary]:
             rank_sum[cell.approach] += float(rank)
             rank_count[cell.approach] += 1
 
-    npar_values = {
-        a: [c.npar10 for c in by_approach[a] if c.npar10 is not None] for a in approaches
-    }
-    mean_npar10 = {a: float(np.mean(v)) if v else None for a, v in npar_values.items()}
+    mean_npar10 = {a: _mean([c.npar10 for c in by_approach[a]]) for a in approaches}
     plain_means = {p: mean_npar10[p] for p in plain if mean_npar10[p] is not None}
 
     summary = []
     for approach in approaches:
         par_values = [c.par10 for c in by_approach[approach] if c.par10 is not None]
-        npars, mean = npar_values[approach], mean_npar10[approach]
+        npars = [c.npar10 for c in by_approach[approach] if c.npar10 is not None]
+        mean = mean_npar10[approach]
         wins = losses = None
         if plain_means and mean is not None:
             rivals = [v for p, v in plain_means.items() if p != approach]
@@ -268,7 +272,7 @@ def _summarize(approaches, plain, folds, cells) -> list[ApproachSummary]:
             ApproachSummary(
                 approach=approach,
                 n_folds_evaluated=len(par_values),
-                mean_par10=float(np.mean(par_values)) if par_values else None,
+                mean_par10=_mean(par_values),
                 mean_npar10=mean,
                 median_npar10=float(np.median(npars)) if npars else None,
                 avg_rank=(
@@ -292,41 +296,43 @@ def sweep_voting(
     return run_config(config, scenario)[2][0]
 
 
-def _sweep_fold(scenario, fold, specs, aggregation, seed) -> dict[tuple[int, ...], float]:
-    """Test PAR10 of every composition on one fold, in bitmask order.
-
-    Members are fit once and every composition is scored from their
-    test scores by one `subset_par10` call, so a subset's selections and
-    feature charge are exactly what the corresponding voting approach
-    would produce.
-    """
+def _sweep_fold(scenario, fold, specs, aggregation, seed):
+    """(test PAR10 of every composition in bitmask order, None) of one
+    fold, or (None, error text) when a member's fit, the `wmaj` weights
+    or the scoring raises. Members are fit once and every composition is
+    scored from their test scores by one `subset_par10` call, so a
+    subset's selections and feature charge are exactly what the
+    corresponding voting approach would produce."""
     train, test = scenario.fold_split(fold)
-    members = [fit_selector(s, seed, scenario, train) for s in specs]
-    x = scenario.features[test]
-    rows = np.stack([shared_scores(m, x) for m in members])
-    weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
-    return subset_par10(aggregation, members, rows, weights, scenario, test)
+    try:
+        members = [fit_selector(s, seed, scenario, train) for s in specs]
+        rows = np.stack([shared_scores(m, scenario.features[test]) for m in members])
+        weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
+        return subset_par10(aggregation, members, rows, weights, scenario, test), None
+    except Exception as e:  # one sweep's failure must not end the run
+        return None, _error_text(e)
 
 
-def _sweep_report(name, specs, aggregation, seed, fold_values, baselines) -> SweepReport:
-    """Cross-fold rows of one sweep. Best composition: lowest mean test
-    nPAR10, ties broken toward fewer members, then lexicographically."""
+def _mean(values) -> float | None:
+    """Mean of the values that are not None; None if none is."""
+    defined = [v for v in values if v is not None]
+    return float(np.mean(defined)) if defined else None
+
+
+def _sweep_report(name, specs, aggregation, seed, fold_results, baselines) -> SweepReport:
+    """Cross-fold rows of one sweep, means over the folds that have
+    values. Best composition: lowest mean test nPAR10, ties broken
+    toward fewer members, then lexicographically."""
     rows = []
-    for mask in fold_values[0]:
-        pars = [values[mask] for values in fold_values]
-        npars = [
-            npar10_or_none(par, b.oracle_par10, b.sbs_par10) for par, b in zip(pars, baselines)
-        ]
-        defined = [v for v in npars if v is not None]
-        rows.append(
-            SweepRow(
-                members=mask,
-                spec=_subset_spec(specs, mask, aggregation),
-                mean_par10=float(np.mean(pars)),
-                mean_npar10=float(np.mean(defined)) if defined else None,
-                fold_npar10=tuple(npars),
-            )
+    for bits in range(1, 1 << len(specs)):  # bitmask order, as `subset_par10` keys
+        mask = tuple(i for i in range(len(specs)) if bits >> i & 1)
+        pars = [None if values is None else values[mask] for values, _ in fold_results]
+        npars = tuple(
+            None if par is None else npar10_or_none(par, b.oracle_par10, b.sbs_par10)
+            for par, b in zip(pars, baselines)
         )
+        spec = _subset_spec(specs, mask, aggregation)
+        rows.append(SweepRow(mask, spec, _mean(pars), _mean(npars), npars))
     best = min(
         rows,
         key=lambda r: (
@@ -345,6 +351,9 @@ def _sweep_report(name, specs, aggregation, seed, fold_values, baselines) -> Swe
         rows=tuple(rows),
         best_members=best.members,
         best_spec=best.spec,
+        errors=tuple(
+            (b.fold, error) for (_, error), b in zip(fold_results, baselines) if error is not None
+        ),
     )
 
 

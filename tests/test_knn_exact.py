@@ -1,7 +1,8 @@
-"""Exactness of the kNN query's GEMM prefilter.
+"""Exactness of the GEMM prefilter of the nearest-neighbour search.
 
-`KnnIndex.query` ranks on ‖q‖² + ‖p‖² - 2q·p, keeps the points within a
-rounding margin of each row's k-th value and recomputes only those
+`neighbors.nearest`, the search behind `KnnIndex.query` and every
+k-means assignment, ranks on ‖q‖² + ‖p‖² - 2q·p, keeps the points within
+a rounding margin of each row's k-th value and recomputes only those
 exactly. These tests hold it to the first k columns of a stable argsort
 of exact distances (`reference.ref_pairwise_sq_dists`) on inputs where
 the two forms round differently: continuous data, ties across the k-th
@@ -23,7 +24,12 @@ from hypothesis.extra.numpy import arrays
 from reference import ref_pairwise_sq_dists
 
 from metaselect.learners import KnnIndex, _kernels
-from metaselect.learners.neighbors import QUERY_BLOCK_CELLS, first_k_by_distance
+from metaselect.learners.neighbors import (
+    QUERY_BLOCK_CELLS,
+    first_k_by_distance,
+    nearest,
+    squared_norms,
+)
 
 KINDS = ("continuous", "grid", "offset", "huge", "bootstrap")
 
@@ -73,6 +79,43 @@ def test_query_equals_a_stable_argsort_of_exact_distances(kind, n, n_queries, d,
         with np.errstate(over="ignore"):
             got = index.query(x, k)
         np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, k))
+
+
+SIGNED_GRID = np.array([0.0, -0.0, 1.0, -1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10), st.integers(1, 8), st.integers(1, 4),
+    st.booleans(), st.integers(0, 2**31 - 1),
+)
+@example(6, 5, 2, True, 0)
+@example(1, 1, 1, False, 1)
+def test_nearest_equals_a_stable_argsort_of_the_exact_kernel(n, n_queries, d, mapped, seed):
+    rng = np.random.default_rng(seed)
+    base = SIGNED_GRID[rng.integers(0, 4, size=(n, d))]
+    flipped = np.where(base == 0.0, -base, base)  # equal by value, other zero signs
+    points = np.vstack([base, flipped])[rng.integers(0, 2 * n, size=n)]
+    q = np.vstack([SIGNED_GRID[rng.integers(0, 4, size=(n_queries, d))], flipped[:2]])
+    inverse = rng.integers(0, n, size=n + 3) if mapped else None
+    want_dists = _kernels.pairwise_sq_dists(q, points if inverse is None else points[inverse])
+    order = np.argsort(want_dists, axis=1, kind="stable")
+    for k in range(1, want_dists.shape[1] + 1):
+        ids, sq_dists = nearest(q, squared_norms(q), points, squared_norms(points), k, inverse)
+        np.testing.assert_array_equal(ids, order[:, :k])
+        want = np.take_along_axis(want_dists, order[:, :k], axis=1)
+        np.testing.assert_array_equal(sq_dists.view(np.uint64), want.view(np.uint64))
+
+
+def test_nearest_sends_a_tie_to_the_lower_centroid():
+    # centroids 0 and 2 coincide, 1 and 3 are equal by value; the last
+    # query row lies midway between centroids 0 and 1
+    centroids = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [-0.0, 0.0]])
+    q = np.array([[1.0, 2.0], [-0.0, -0.0], [0.9, 1.9], [0.5, 1.0]])
+    ids, sq_dists = nearest(q, squared_norms(q), centroids, squared_norms(centroids), 1)
+    np.testing.assert_array_equal(ids[:, 0], [0, 1, 0, 0])
+    want = _kernels.pairwise_sq_dists(q, centroids)[np.arange(4), ids[:, 0]]
+    np.testing.assert_array_equal(sq_dists[:, 0].view(np.uint64), want.view(np.uint64))
 
 
 ROW_KINDS = ("signed zeros", "single row", "all equal", "zero width", "magnitudes")

@@ -104,7 +104,7 @@ def _ref_best_split_cls(values, labels, weights, n_classes, min_leaf):
 def _node_columns(draw):
     """Presorted candidate columns: few distinct values, so ties are
     common, and weights that are often zero. Either one node's columns,
-    all of full length (sizes None), or columns of several nodes of
+    all of full length, or columns of several nodes of
     mixed real lengths, padded below with +inf values of zero weight,
     target and label, as the grower batches them."""
     n = draw(st.integers(1, 14))
@@ -124,7 +124,7 @@ def _node_columns(draw):
     if n > 1 and draw(st.booleans()):  # a duplicated row
         for a in (values, targets, weights, labels):
             a[1] = a[0]
-    sizes = None
+    sizes = np.full(m, n)
     if draw(st.booleans()):
         sizes = np.array(draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
         padding = np.arange(n)[:, None] >= sizes
@@ -145,7 +145,7 @@ def test_split_kernels_match_the_one_feature_search(node):
     reg = _kernels.best_split_reg(values, targets, weights, min_leaf, sizes)
     cls = _kernels.best_split_cls(values, labels, weights, n_classes, min_leaf, sizes)
     for j in range(values.shape[1]):
-        real = slice(0, values.shape[0] if sizes is None else sizes[j])
+        real = slice(0, sizes[j])
         cols = values[real, j], targets[real, j], weights[real, j]
         ref_score, ref_pos = _ref_best_split_reg(*cols, min_leaf)
         assert _same_bits(reg[0][j], ref_score) and reg[1][j] == ref_pos

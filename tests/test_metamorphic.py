@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from metaselect.config import ExperimentConfig
+from metaselect.metrics import SelectionTrace, trace_par10
 from metaselect.report import report_to_dict
 from metaselect.runner import run_experiment
 from metaselect.scenario import ScenarioSpec
@@ -107,3 +108,102 @@ def test_renaming_every_instance_and_algorithm_changes_no_score(toy, make_synthe
         replace(b, sbs_algorithm=algorithms[b.sbs_algorithm]) for b in before.baselines
     )
     assert all(cell.error is None for cell in after.cells)
+
+
+def tie_free_scenario(seed, n=40, k=5, n_folds=4, cutoff=1000):
+    """A scenario of integer runtimes, feature costs and penalties, so
+    that every mean is exact in any order, with no tie for an oracle
+    choice or for any fold's single best algorithm. About a third of
+    the instances have one algorithm that times out."""
+    rng = np.random.default_rng(seed)
+    runtimes = np.stack([rng.choice(np.arange(1, cutoff), size=k, replace=False) for _ in range(n)])
+    solved = np.ones((n, k), dtype=bool)
+    timeouts = rng.random(n) < 1 / 3
+    solved[timeouts, rng.integers(0, k, size=n)[timeouts]] = False
+    scenario = ScenarioSpec.create(
+        name="tie-free",
+        instances=[f"case-{i:03d}" for i in range(n)],
+        algorithms=[f"solver-{j}" for j in range(k)],
+        cutoff=float(cutoff),
+        runtimes=np.where(solved, runtimes, cutoff),
+        solved=solved,
+        features=rng.normal(size=(n, 3)),
+        feature_costs=rng.integers(0, 20, size=n),
+        folds=rng.permutation(np.arange(n) % n_folds) + 1,
+    )
+    pr10 = scenario.pr10_matrix()
+    assert all(len(set(row)) == k for row in pr10.tolist())
+    for fold in scenario.fold_ids():
+        train, _ = scenario.fold_split(fold)
+        assert len(set(pr10[train].sum(axis=0).tolist())) == k
+    return scenario
+
+
+def permuted(scenario: ScenarioSpec, algorithms=None, instances=None) -> ScenarioSpec:
+    """`scenario` with its algorithms, or its instance rows together with
+    their folds, in the given order of old positions."""
+    a = slice(None) if algorithms is None else np.asarray(algorithms)
+    i = slice(None) if instances is None else np.asarray(instances)
+    return ScenarioSpec.create(
+        name=scenario.name,
+        instances=np.array(scenario.instances)[i],
+        algorithms=np.array(scenario.algorithms)[a],
+        cutoff=scenario.cutoff,
+        runtimes=scenario.runtimes[i][:, a],
+        solved=scenario.solved[i][:, a],
+        features=scenario.features[i],
+        feature_costs=scenario.feature_costs[i],
+        folds=scenario.folds[i],
+    )
+
+
+def fixed_choice_par10s(scenario, choices, rows=None, algorithm_at=None):
+    """Per fold, the PAR10, feature costs included, of choosing algorithm
+    `choices[i]` on each test instance i of an original scenario, of
+    which `scenario` may be a permuted copy: its row p is original
+    instance `rows[p]`, and original algorithm a is its `algorithm_at[a]`."""
+    values = []
+    for fold in scenario.fold_ids():
+        _, test = scenario.fold_split(fold)
+        chosen = choices[test if rows is None else rows[test]]
+        if algorithm_at is not None:
+            chosen = algorithm_at[chosen]
+        values.append(trace_par10(scenario, SelectionTrace(test, chosen)))
+    return values
+
+
+BASELINE_CONFIG = ExperimentConfig(approaches=("oracle", "sbs"), seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permuting_the_algorithms_changes_no_baseline(seed):
+    scenario = tie_free_scenario(seed)
+    rng = np.random.default_rng(100 + seed)
+    order = rng.permutation(scenario.n_algorithms)
+    assert not np.array_equal(order, np.arange(scenario.n_algorithms))
+    copy = permuted(scenario, algorithms=order)
+    before, _ = run_experiment(BASELINE_CONFIG, scenario)
+    after, _ = run_experiment(BASELINE_CONFIG, copy)
+    assert after.cells == before.cells
+    assert after.baselines == before.baselines  # each fold's oracle and SBS PAR10, SBS name
+    choices = rng.integers(0, scenario.n_algorithms, size=scenario.n_instances)
+    assert fixed_choice_par10s(copy, choices, algorithm_at=np.argsort(order)) == (
+        fixed_choice_par10s(scenario, choices)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permuting_the_instance_rows_with_their_folds_changes_no_baseline(seed):
+    scenario = tie_free_scenario(seed)
+    rng = np.random.default_rng(200 + seed)
+    order = rng.permutation(scenario.n_instances)
+    copy = permuted(scenario, instances=order)
+    assert not np.array_equal(copy.folds, scenario.folds)
+    before, _ = run_experiment(BASELINE_CONFIG, scenario)
+    after, _ = run_experiment(BASELINE_CONFIG, copy)
+    assert after.cells == before.cells
+    assert after.baselines == before.baselines
+    choices = rng.integers(0, scenario.n_algorithms, size=scenario.n_instances)
+    assert fixed_choice_par10s(copy, choices, rows=order) == (
+        fixed_choice_par10s(scenario, choices)
+    )

@@ -1,6 +1,7 @@
 """Voting sweeps listed in a config: one fold loop with the approach
-cells, one validator for config load and `sweep_voting`, and the CLI
-commands that build such configs."""
+cells, one validator for config load and `sweep_voting`, a failing
+sweep fold recorded rather than fatal, and the CLI commands that build
+such configs."""
 
 import csv
 import io
@@ -14,10 +15,10 @@ from conftest import TOY_DIR
 
 from metaselect.cli import main
 from metaselect.config import ExperimentConfig, config_from_mapping
-from metaselect.errors import InvalidConfig
-from metaselect.report import canonical_json, sweep_json
+from metaselect.errors import DegenerateData, InvalidConfig
+from metaselect.report import canonical_json, sweep_csv, sweep_json, sweep_markdown
 from metaselect.runner import run_config, run_experiment, sweep_voting
-from metaselect.selectors import Selector
+from metaselect.selectors import IsacSelector, Selector
 
 MEMBERS = ("sunny", "isac", "multiclass(trees=5)")
 
@@ -141,6 +142,99 @@ class TestOneFoldLoop:
             sweep_voting(toy, ["sunny"], global_seed=-1)
         with pytest.raises(InvalidConfig, match="not present"):
             sweep_voting(toy, ["sunny"], folds=[9])
+
+
+FAILING_FOLD = 2
+# (exception raised, error text recorded)
+INJECTED = [
+    (DegenerateData, "DegenerateData: injected"),
+    (ValueError, "internal: ValueError: injected"),
+]
+
+
+def inject_isac_failure(monkeypatch, scenario, exception):
+    """Make every ISAC fit on FAILING_FOLD's training rows raise."""
+    train, _ = scenario.fold_split(FAILING_FOLD)
+    original = IsacSelector._fit
+
+    def failing_fit(model, scenario, train_indices):
+        if np.array_equal(train_indices, train):
+            raise exception("injected")
+        return original(model, scenario, train_indices)
+
+    monkeypatch.setattr(IsacSelector, "_fit", failing_fit)
+
+
+class TestSweepFailure:
+    SWEEPS = ((("sunny", "isac"), "maj"), (("sunny", "sbs"), "borda"))
+
+    @pytest.mark.parametrize("exception, recorded", INJECTED)
+    def test_a_failing_member_leaves_its_fold_missing(
+        self, toy, monkeypatch, exception, recorded
+    ):
+        config = toy_config(("sunny", "isac"), sweeps=self.SWEEPS)
+        clean, _, (clean_sweep, clean_other) = run_config(config, toy)
+        inject_isac_failure(monkeypatch, toy, exception)
+        report, _, (sweep, other) = run_config(config, toy)
+        # the cells score as in the clean run, but for the ISAC cell of that fold
+        failed = ("isac", FAILING_FOLD)
+        assert [c for c in report.cells if (c.approach, c.fold) != failed] == [
+            c for c in clean.cells if (c.approach, c.fold) != failed
+        ]
+        (cell,) = [c for c in report.cells if (c.approach, c.fold) == failed]
+        assert cell.par10 is None and cell.error == recorded
+        # the sweep without ISAC is untouched, to the byte
+        assert sweep_json(other) == sweep_json(clean_other)
+        assert sweep.errors == ((FAILING_FOLD, recorded),)
+        assert json.loads(sweep_json(sweep))["errors"] == [
+            {"fold": FAILING_FOLD, "error": recorded}
+        ]
+        at = toy.fold_ids().index(FAILING_FOLD)
+        for row, clean_row in zip(sweep.rows, clean_sweep.rows, strict=True):
+            assert row.members == clean_row.members
+            assert row.fold_npar10[at] is None
+            assert row.fold_npar10[:at] + row.fold_npar10[at + 1 :] == (
+                clean_row.fold_npar10[:at] + clean_row.fold_npar10[at + 1 :]
+            )
+        # a clean sweep reports no errors entry in any format
+        assert "errors" not in json.loads(sweep_json(clean_sweep))
+        assert "error" not in sweep_csv(clean_sweep) + sweep_markdown(clean_sweep)
+
+    def test_a_sweep_failing_on_every_fold_still_reports(self, toy, monkeypatch):
+        def failing_fit(model, scenario, train_indices):
+            raise DegenerateData("injected")
+
+        monkeypatch.setattr(IsacSelector, "_fit", failing_fit)
+        _, _, (sweep,) = run_config(toy_config(sweeps=((("isac",), "maj"),)), toy)
+        assert [fold for fold, _ in sweep.errors] == toy.fold_ids()
+        (row,) = sweep.rows
+        assert row.mean_par10 is None and row.mean_npar10 is None
+        assert set(row.fold_npar10) == {None}
+
+    def test_evaluate_and_sweep_voting_exit_2_after_writing(self, toy, monkeypatch, tmp_path):
+        inject_isac_failure(monkeypatch, toy, DegenerateData)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            f"scenario: {TOY_DIR}\n"
+            "approaches: [sunny, isac]\n"
+            "sweeps:\n"
+            "  - {members: [sunny, isac]}\n",
+            encoding="utf-8",
+        )
+        result = invoke("--out", tmp_path / "run", "evaluate", cfg)
+        assert result.exit_code == 2
+        assert f"error: sweep 1, fold {FAILING_FOLD}: DegenerateData: injected" in result.stderr
+        assert read_json(tmp_path / "run.json")["approaches"] == ["sunny", "isac"]
+        assert read_json(tmp_path / "run.sweep1.json")["errors"] == [
+            {"fold": FAILING_FOLD, "error": "DegenerateData: injected"}
+        ]
+        result = invoke(
+            "--out", tmp_path / "alone", "sweep-voting", "--scenario", TOY_DIR,
+            "--member", "sunny,isac",
+        )
+        assert result.exit_code == 2
+        assert f"error: sweep 1, fold {FAILING_FOLD}: DegenerateData: injected" in result.stderr
+        assert (tmp_path / "alone.json").read_bytes() == (tmp_path / "run.sweep1.json").read_bytes()
 
 
 class TestCli:
