@@ -26,9 +26,11 @@ the one-instance case of the same code. Voting, bagging and boosting
 the subsets depth-first, each one's sum being its parent's plus the
 term of its highest member, so a subset's sum is bit-identical to the
 one `combine_scores` computes for it alone, and at most M partial
-(n, K) sums are alive at any time. `ensembles.subset_par10` turns them
-into PAR10 for voting's exhaustive search and the sweeps of
-`runner.run_config`.
+(n, K) sums are alive at any time. `VotingEnsemble.composition_par10`
+turns them into PAR10 for voting's exhaustive search and for each sweep
+of `runner.run_config`, a `VotingEnsemble` per fold whose members are
+the fold's shared fits: a failed fit fails once per fold, and `sunny`
+fits on equal training rows share their neighbour rankings.
 """
 
 from __future__ import annotations

@@ -186,6 +186,11 @@ def parse_approach(spec: str) -> ParsedApproach:
     return ParsedApproach(kind, members, {**_DEFAULTS[kind], **args}, seed)
 
 
+def voting_spec(members, aggregation: str, search: str = "all") -> str:
+    """The canonical voting string of canonical member atoms."""
+    return f"voting[{aggregation}]{{{','.join(members)};search={search}}}"
+
+
 def _canonical(parsed: ParsedApproach) -> str:
     kind, p = parsed.kind, parsed.params
     if kind == ORACLE:
@@ -195,7 +200,7 @@ def _canonical(parsed: ParsedApproach) -> str:
     members = ",".join(parsed.members)
     seed = "" if parsed.seed is None else f";seed={parsed.seed}"
     if kind == "voting":
-        return f"voting[{p['aggregation']}]{{{members};search={p['search']}}}"
+        return voting_spec(parsed.members, p["aggregation"], p["search"])
     if kind == "bagging":
         return f"bagging[{p['aggregation']}]{{{members};k={p['k']}{seed}}}"
     if kind == "boosting":

@@ -137,7 +137,8 @@ def sweep_voting_command(ctx, scenario_path, members, agg, folds):
     except MetaselectError as e:
         _fail(e)
     click.echo(sweep_csv(sweep), nl=False)
-    click.echo(f"best: {sweep.best_spec}", err=True)
+    if sweep.best_spec is not None:
+        click.echo(f"best: {sweep.best_spec}", err=True)
     if config.out:
         for path in emit_sweep(sweep, config.out, config.formats):
             click.echo(f"wrote {path}", err=True)

@@ -22,10 +22,9 @@ from pathlib import Path
 
 import yaml
 
-from .aggregation import AGGREGATIONS
-from .approaches import canonical_approach_spec
+from .approaches import canonical_approach_spec, voting_spec
 from .aslib import load_scenario
-from .ensembles import MAX_EXHAUSTIVE_MEMBERS
+from .ensembles import VotingEnsemble
 from .errors import InvalidConfig
 from .report import FORMATS
 from .scenario import ScenarioSpec
@@ -39,16 +38,16 @@ _TOP_LEVEL_KEYS = {
 
 def canonical_sweep(members, aggregation: str) -> tuple[tuple[str, ...], str]:
     """(canonical member atoms, aggregation) of a voting sweep, or
-    InvalidConfig when no sweep could score it."""
-    if aggregation not in AGGREGATIONS:
-        raise InvalidConfig(f"unknown aggregation {aggregation!r}")
+    InvalidConfig when no sweep could score it: the members must be
+    distinct and at least one, and the aggregation and the member gate
+    are the exhaustive `VotingEnsemble`'s."""
     specs = tuple(canonical_selector_spec(s) for s in members)
     if len(specs) != len(set(specs)):
         raise InvalidConfig("duplicate member specs in sweep")
     if not specs:
         raise InvalidConfig("sweep needs at least one member spec")
-    if len(specs) > MAX_EXHAUSTIVE_MEMBERS:
-        raise InvalidConfig(f"sweep gated at {MAX_EXHAUSTIVE_MEMBERS} members, got {len(specs)}")
+    exhaustive = voting_spec(specs, aggregation, "exhaustive")
+    VotingEnsemble(exhaustive, 0, specs, aggregation, search="exhaustive")
     return specs, aggregation
 
 

@@ -8,19 +8,23 @@ the caller's global seed; a plain member inside voting or stacking, a
 1-bag bagging member and boosting's first round therefore train
 bit-identically to the same spec run standalone, and they come from
 `fit_selector`, which inside an evaluation fold hands back the
-standalone fit instead of repeating it. Bagging fits its bags in one
-`grow_together` scope, so their forests share lockstep growths (see
-`learners.forest`); boosting cannot, since each round's sample weights
-come from scoring the round before. `shared_scores` likewise hands
-back that fit's scores of rows already scored in the fold (the test
-rows by the plain cell, the training rows by another ensemble or the
-selector-level baselines) instead of scoring them again.
+standalone fit, or raises its error, instead of repeating it. Bagging
+fits its bags in one `grow_together` scope, so their forests share
+lockstep growths (see `learners.forest`); boosting cannot, since each
+round's sample weights come from scoring the round before.
+`shared_scores` likewise hands back that fit's scores of rows already
+scored in the fold (the test rows by the plain cell, the training rows
+by another ensemble or the selector-level baselines) instead of
+scoring them again; `sunny` fits on equal training rows share their
+neighbour rankings too.
 
 Voting, bagging and boosting (`wmaj` with its round alphas as weights)
 share one `scores_batch`: their members' (n, K) scores, stacked into a
 (members, instances, algorithms) tensor, go to one `combine_scores`
-call. `subset_par10` scores every member subset through `subset_choices`
-(see `aggregation`) for voting's exhaustive search and `runner`'s sweeps.
+call. `VotingEnsemble.composition_par10` prices every member subset
+through `subset_choices` (see `aggregation`) for voting's exhaustive
+search and for `runner`'s sweeps, which fit one `VotingEnsemble` per
+fold.
 """
 
 from __future__ import annotations
@@ -92,27 +96,6 @@ def wmaj_weights(members, scenario: ScenarioSpec, train_indices: np.ndarray) -> 
     )
 
 
-def subset_par10(
-    aggregation: str, members, rows: np.ndarray, weights, scenario: ScenarioSpec, indices
-) -> dict[tuple[int, ...], float]:
-    """Mean PAR10 on `indices` of every nonempty subset of `members`
-    voting through `aggregation` on their stacked scores `rows` of those
-    rows, keyed by subset in bitmask order: (0,), (1,), (0, 1), (2,), ...
-    A subset is charged feature costs iff one of its members reads them.
-    """
-    pr10 = scenario.pr10_matrix()[indices]
-    costs = scenario.feature_costs[indices]
-    reads = [m.needs_features for m in members]
-    at = np.arange(pr10.shape[0])
-    values = {}
-    for subset, choices in subset_choices(aggregation, rows, weights):
-        per_instance = pr10[at, choices]
-        if any(reads[i] for i in subset):
-            per_instance = per_instance + costs
-        values[subset] = float(per_instance.mean())
-    return dict(sorted(values.items(), key=lambda item: sum(1 << i for i in item[0])))
-
-
 class _Ensemble(Selector):
     """Shared plumbing: entropy derivation, member bookkeeping and the
     vote of the active members through `self.aggregation`."""
@@ -177,14 +160,29 @@ class VotingEnsemble(_Ensemble):
         else:
             self.active_ = tuple(range(len(self.members_)))
 
+    def composition_par10(self, scenario, indices) -> dict[tuple[int, ...], float]:
+        """Mean PAR10 on `indices` of every nonempty subset of the fitted
+        members voting as this ensemble does, keyed by subset in bitmask
+        order: (0,), (1,), (0, 1), (2,), ... A subset is charged feature
+        costs iff one of its members reads them."""
+        x = scenario.features[indices]
+        rows = np.stack([shared_scores(m, x) for m in self.members_])
+        pr10 = scenario.pr10_matrix()[indices]
+        costs = scenario.feature_costs[indices]
+        reads = [m.needs_features for m in self.members_]
+        at = np.arange(pr10.shape[0])
+        values = {}
+        for subset, choices in subset_choices(self.aggregation, rows, self.weights_):
+            per_instance = pr10[at, choices]
+            if any(reads[i] for i in subset):
+                per_instance = per_instance + costs
+            values[subset] = float(per_instance.mean())
+        return dict(sorted(values.items(), key=lambda item: sum(1 << i for i in item[0])))
+
     def _search(self, scenario, train_indices):
         # Ranked on PAR10, not nPAR10: on a positive training gap both give
         # the same order, and a zero gap leaves nPAR10 undefined.
-        x = scenario.features[train_indices]
-        rows = np.stack([shared_scores(m, x) for m in self.members_])
-        values = subset_par10(
-            self.aggregation, self.members_, rows, self.weights_, scenario, train_indices
-        )
+        values = self.composition_par10(scenario, train_indices)
         best = min(values, key=lambda subset: (values[subset], len(subset), subset))
         result = CompositionSearchResult(
             aggregation=self.aggregation,

@@ -226,17 +226,6 @@ class KnnIndex:
             raise DegenerateData("knn index used before fit")
         return self.points_.shape[0] if self.inverse_ is None else self.inverse_.shape[0]
 
-    def same_content(self, other: "KnnIndex") -> bool:
-        """True when both indexes hold bit-identical rows in the same order."""
-        if other is self:
-            return True
-        return (
-            self.points_.shape == other.points_.shape
-            and np.array_equal(self.points_.view(np.uint64), other.points_.view(np.uint64))
-            and (self.inverse_ is None) == (other.inverse_ is None)
-            and (self.inverse_ is None or np.array_equal(self.inverse_, other.inverse_))
-        )
-
     def query(self, x: np.ndarray, k: int) -> np.ndarray:
         """Row ids of the k nearest points per query row, nearest first."""
         if self.points_ is None:

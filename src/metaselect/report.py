@@ -98,8 +98,8 @@ class SweepReport:
     folds: tuple[int, ...]
     seed: int
     rows: tuple[SweepRow, ...]
-    best_members: tuple[int, ...]
-    best_spec: str
+    best_members: tuple[int, ...] | None  # None when every fold failed
+    best_spec: str | None
     errors: tuple[tuple[int, str], ...] = ()  # (fold, error text) of each failed fold
 
 
@@ -211,7 +211,11 @@ def sweep_to_dict(sweep: SweepReport) -> dict:
         "folds": list(sweep.folds),
         "seed": sweep.seed,
         "rows": [asdict(r) for r in sweep.rows],
-        "best": {"members": list(sweep.best_members), "spec": sweep.best_spec},
+        "best": (
+            None
+            if sweep.best_spec is None
+            else {"members": list(sweep.best_members), "spec": sweep.best_spec}
+        ),
     }
     if sweep.errors:  # only then, so a clean sweep's bytes stay as they were
         data["errors"] = [{"fold": fold, "error": error} for fold, error in sweep.errors]

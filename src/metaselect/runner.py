@@ -12,21 +12,23 @@ with `internal: `. A sweep fails per fold in the same way (see below).
 
 Each fold runs inside one `shared_fits` scope: a selector fit that
 several approaches or sweeps of the fold need (a plain cell, voting or
-sweep members, stacking bases, `ass` deployed selectors, ...) is trained
-once, and so is every `shared_scores` prediction of such a fit on the
-same rows (the fold's test rows, its training rows for the SBAS
+sweep members, stacking bases, `ass` deployed selectors, ...) is
+trained once, and so is every `shared_scores` prediction of such a fit
+on the same rows (the fold's test rows, its training rows for the SBAS
 baseline and for ensemble fits). Either's seconds land in the timings
-of the first cell that needs it. Below that, held `sunny` models whose
-indexes hold equal rows (`sunny` and `sunny(k=4)`) rank each set of
-query rows once per fold through `shared_neighbours`, the widest k
-serving smaller ones as a prefix, and `ass` slices its bases' shared
-scores of the whole batch.
+of the first cell that needs it. A fit that raises is attempted once
+too, its later users failing with the same error. Below that, held
+`sunny` fits on equal training rows (`sunny` and `sunny(k=4)`) rank
+each set of query rows once per fold through `shared_neighbours`, the
+widest k serving smaller ones as a prefix, and `ass` slices its bases'
+shared scores of the whole batch.
 
-After the cells, each sweep scores every voting composition of its
-members on the fold's test rows with `ensembles.subset_par10`, the
-scorer of voting's exhaustive search, against the fold's
-`FoldBaselines`. A member fit, `wmaj` weighting or scoring that raises
-leaves the sweep's values for that fold missing, the error recorded.
+After the cells, each sweep fits one `VotingEnsemble` of its members
+on the fold's training rows and prices every composition on its test
+rows with `composition_par10`, the scorer of voting's exhaustive
+search, against the fold's `FoldBaselines`. A fit or scoring that
+raises leaves the sweep's values for that fold missing, the error
+recorded; a sweep that failed on every fold names no best.
 `run_config` runs this loop; `run_experiment` and `sweep_voting` are
 thin wrappers over it.
 
@@ -44,9 +46,9 @@ import numpy as np
 # combine_scores stays importable from here for wrappers that patch
 # runner.combine_scores (perfbench/tracer.py); nothing here calls it.
 from .aggregation import combine_scores, ranks_from_scores  # noqa: F401
-from .approaches import ORACLE, build_approach, canonical_approach_spec, parse_approach
+from .approaches import ORACLE, build_approach, canonical_approach_spec, parse_approach, voting_spec
 from .config import ExperimentConfig, canonical_sweep
-from .ensembles import subset_par10, wmaj_weights
+from .ensembles import VotingEnsemble
 from .errors import InvalidConfig, MetaselectError
 from .metrics import (
     SelectionTrace,
@@ -69,7 +71,7 @@ from .report import (
     SweepRow,
 )
 from .scenario import ScenarioSpec
-from .selectors import Selector, fit_selector, selector_trace, shared_fits, shared_scores
+from .selectors import Selector, fit_selector, selector_trace, shared_fits
 
 SBS = "sbs"
 INTERNAL_ERROR = "internal: "
@@ -298,17 +300,13 @@ def sweep_voting(
 
 def _sweep_fold(scenario, fold, specs, aggregation, seed):
     """(test PAR10 of every composition in bitmask order, None) of one
-    fold, or (None, error text) when a member's fit, the `wmaj` weights
-    or the scoring raises. Members are fit once and every composition is
-    scored from their test scores by one `subset_par10` call, so a
-    subset's selections and feature charge are exactly what the
-    corresponding voting approach would produce."""
+    fold, or (None, error text) when fitting or scoring the sweep's
+    `VotingEnsemble` raises. Its members are the fold's shared fits, and
+    each composition is priced as that voting approach would score."""
     train, test = scenario.fold_split(fold)
     try:
-        members = [fit_selector(s, seed, scenario, train) for s in specs]
-        rows = np.stack([shared_scores(m, scenario.features[test]) for m in members])
-        weights = wmaj_weights(members, scenario, train) if aggregation == "wmaj" else None
-        return subset_par10(aggregation, members, rows, weights, scenario, test), None
+        ensemble = VotingEnsemble(voting_spec(specs, aggregation), seed, specs, aggregation)
+        return ensemble.fit(scenario, train).composition_par10(scenario, test), None
     except Exception as e:  # one sweep's failure must not end the run
         return None, _error_text(e)
 
@@ -322,25 +320,27 @@ def _mean(values) -> float | None:
 def _sweep_report(name, specs, aggregation, seed, fold_results, baselines) -> SweepReport:
     """Cross-fold rows of one sweep, means over the folds that have
     values. Best composition: lowest mean test nPAR10, ties broken
-    toward fewer members, then lexicographically."""
+    toward fewer members, then lexicographically; None when every fold
+    failed."""
     rows = []
-    for bits in range(1, 1 << len(specs)):  # bitmask order, as `subset_par10` keys
+    for bits in range(1, 1 << len(specs)):  # bitmask order, as `composition_par10` keys
         mask = tuple(i for i in range(len(specs)) if bits >> i & 1)
         pars = [None if values is None else values[mask] for values, _ in fold_results]
         npars = tuple(
             None if par is None else npar10_or_none(par, b.oracle_par10, b.sbs_par10)
             for par, b in zip(pars, baselines)
         )
-        spec = _subset_spec(specs, mask, aggregation)
+        spec = voting_spec([specs[i] for i in mask], aggregation)
         rows.append(SweepRow(mask, spec, _mean(pars), _mean(npars), npars))
     best = min(
-        rows,
+        (r for r in rows if r.mean_par10 is not None),
         key=lambda r: (
             r.mean_npar10 is None,
             r.mean_npar10 if r.mean_npar10 is not None else r.mean_par10,
             len(r.members),
             r.members,
         ),
+        default=None,
     )
     return SweepReport(
         scenario_name=name,
@@ -349,14 +349,10 @@ def _sweep_report(name, specs, aggregation, seed, fold_results, baselines) -> Sw
         folds=tuple(b.fold for b in baselines),
         seed=seed,
         rows=tuple(rows),
-        best_members=best.members,
-        best_spec=best.spec,
+        best_members=None if best is None else best.members,
+        best_spec=None if best is None else best.spec,
         errors=tuple(
             (b.fold, error) for (_, error), b in zip(fold_results, baselines) if error is not None
         ),
     )
 
-
-def _subset_spec(specs, mask, aggregation) -> str:
-    members = ",".join(specs[i] for i in mask)
-    return f"voting[{aggregation}]{{{members};search=all}}"

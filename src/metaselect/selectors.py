@@ -30,13 +30,14 @@ canonical spec), so the same spec under the same global seed trains
 identically wherever it appears.
 `fit_selector` turns that promise into sharing: inside a `shared_fits`
 scope, fits on the scope's scenario with equal (canonical spec, entropy,
-training rows) return one fitted model instead of training it again.
-`shared_scores` does the same for predictions: a model the scope holds
-scores equal feature rows once per scope, and every later caller gets
-the same read-only result. `shared_neighbours` shares one level lower:
-held ``sunny`` models whose indexes hold equal rows (``sunny`` and
-``sunny(k=4)`` on one fold) rank equal query rows once, the widest k
-serving every smaller one.
+training rows) return one fitted model, or raise its fit's error,
+instead of training it again; a sweep's `VotingEnsemble` gets its
+members this way too. `shared_scores` does the same for predictions: a
+model the scope holds scores equal feature rows once per scope, and
+every later caller gets the same read-only result. `shared_neighbours`
+shares one level lower: held ``sunny`` fits on equal training rows
+(``sunny`` and ``sunny(k=4)`` on one fold) rank equal query rows once,
+the widest k serving every smaller one.
 """
 
 from __future__ import annotations
@@ -390,16 +391,16 @@ class _FoldScope:
     """What one `shared_fits` scope holds."""
 
     scenario: ScenarioSpec
-    # (spec, entropy, training rows) -> fitted selector
+    # (spec, entropy, training-row bytes) -> fitted selector or the
+    # exception its fit raised
     fits: dict = field(default_factory=dict)
-    # ids of the selectors in `fits`; they stay alive until the scope
-    # exits, so no other model can take one of these ids meanwhile
-    held: set = field(default_factory=set)
+    # id of each selector in `fits` -> its key's training-row bytes; the
+    # selectors stay alive until the scope exits, so their ids stay theirs
+    held: dict = field(default_factory=dict)
     # (dtype, shape, bytes of x) -> {id(model): read-only scores of x}
     scores: dict = field(default_factory=dict)
-    # one (kNN index, {(dtype, shape, bytes of z): read-only neighbour
-    # ids}) pair per distinct index content
-    neighbours: list = field(default_factory=list)
+    # (training-row bytes, dtype, shape, bytes of z) -> read-only neighbour ids
+    neighbours: dict = field(default_factory=dict)
 
 
 # The innermost open `shared_fits` scope, or None outside every scope.
@@ -429,9 +430,10 @@ def fit_selector(
 
     Two such fits train bit-identically, so inside a scope opened on this
     very `scenario` object the first one is kept and returned again for
-    the same canonical spec, entropy and training rows. Fits on any other
-    scenario (a derived copy included), fits outside a scope and fits
-    that raise are never shared.
+    the same canonical spec, entropy and training rows; a fit that raises
+    is attempted once too, its exception raised again, without the
+    failing fit's frames, for every later caller. Fits on any other
+    scenario (a derived copy included) and outside a scope are fresh.
     """
     model = make_selector(spec, global_seed, salt)
     scope = _SHARED_FITS.get()
@@ -440,8 +442,14 @@ def fit_selector(
     key = (model.spec, tuple(model._entropy), np.asarray(rows, dtype=np.int64).tobytes())
     fitted = scope.fits.get(key)
     if fitted is None:
-        fitted = scope.fits[key] = model.fit(scenario, rows)
-        scope.held.add(id(fitted))
+        try:
+            fitted = model.fit(scenario, rows)
+            scope.held[id(fitted)] = key[2]
+        except Exception as error:
+            fitted = error
+        scope.fits[key] = fitted
+    if isinstance(fitted, Exception):
+        raise fitted.with_traceback(None)
     return fitted
 
 
@@ -472,29 +480,23 @@ def shared_neighbours(model: SunnySelector, z: np.ndarray) -> np.ndarray:
     `shared_fits` scope across every k.
 
     Only models the open scope holds are cached. An entry belongs to the
-    content of the index (its rows, bit for bit, and its duplicate map),
-    not to the model, so models fit on equal rows share it; the scope
-    keeps the first such index and compares later ones against it, no
-    copy of its rows. Within it, query rows match on exact content
-    (dtype, shape, bytes). An entry keeps the widest ranking computed so
-    far: a query is the first k entries of one total order, by distance
-    and then row id, so a smaller k is a prefix of it, and a larger k
-    ranks afresh and replaces it. Cached rankings are read-only.
+    model's training rows, not to the model: held fits on equal rows of
+    the scope's scenario preprocess and index those rows bit for bit
+    alike, so they share it. Query rows match on exact content (dtype,
+    shape, bytes). An entry keeps the widest ranking computed so far: a
+    query is the first k entries of one total order, by distance and
+    then row id, so a smaller k is a prefix of it, and a larger k ranks
+    afresh and replaces it. Cached rankings are read-only.
     """
     index, k = model.index_, model.k_effective_
     scope = _SHARED_FITS.get()
-    if scope is None or id(model) not in scope.held:
+    rows = None if scope is None else scope.held.get(id(model))
+    if rows is None:
         return index.query(z, k)
-    for held, rankings in scope.neighbours:
-        if held.same_content(index):
-            break
-    else:
-        rankings = {}
-        scope.neighbours.append((index, rankings))
     z = np.asarray(z)
-    key = (z.dtype.str, z.shape, z.tobytes())
-    ranked = rankings.get(key)
+    key = (rows, z.dtype.str, z.shape, z.tobytes())
+    ranked = scope.neighbours.get(key)
     if ranked is None or ranked.shape[1] < k:
-        ranked = rankings[key] = index.query(z, k)
+        ranked = scope.neighbours[key] = index.query(z, k)
         ranked.flags.writeable = False
     return ranked[:, :k]

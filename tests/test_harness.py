@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import shutil
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -728,6 +729,24 @@ class TestSharedFits:
             assert fit_selector("sunny", 0, copy, train) is not on_copy
         assert fit_selector("sunny", 0, toy, train) is not first
 
+    def test_a_failed_fit_is_attempted_once_and_keeps_no_frames(self, toy, broken_isac):
+        train, _ = toy.fold_split(1)
+        with shared_fits(toy):
+            with pytest.raises(ValueError, match="boom") as first:
+                fit_selector("isac", 0, toy, train)
+            with pytest.raises(ValueError, match="boom") as again:
+                fit_selector("isac", 0, toy, train)
+            assert again.value is first.value
+            assert broken_isac == ["isac"]
+            frames = [f.f_code.co_name for f, _ in traceback.walk_tb(again.value.__traceback__)]
+            assert "fit_selector" in frames and "broken_fit" not in frames
+            with pytest.raises(ValueError):
+                fit_selector("isac", 0, toy, train[1:])  # other rows: a fit of its own
+            assert broken_isac == ["isac"] * 2
+        with pytest.raises(ValueError):
+            fit_selector("isac", 0, toy, train)  # the scope and its errors are gone
+        assert broken_isac == ["isac"] * 3
+
 
 class TestSharedScores:
     APPROACHES = (
@@ -965,8 +984,9 @@ class TestInternalErrors:
                 assert cell.error is None
                 assert cell.par10 is not None
         assert len(internal_error_cells(report)) == 2 * folds
-        # a failed fit is not shared: voting refits isac and fails alike
-        assert broken_isac == ["isac"] * (2 * folds)
+        # a failed fit fails once per fold: voting's isac member raises
+        # the cell's error again instead of attempting the fit again
+        assert broken_isac == ["isac"] * folds
 
     def test_library_errors_are_not_internal(self, err_run):
         report, _ = err_run

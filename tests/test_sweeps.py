@@ -15,6 +15,7 @@ from conftest import TOY_DIR
 
 from metaselect.cli import main
 from metaselect.config import ExperimentConfig, config_from_mapping
+from metaselect.ensembles import VotingEnsemble
 from metaselect.errors import DegenerateData, InvalidConfig
 from metaselect.report import canonical_json, sweep_csv, sweep_json, sweep_markdown
 from metaselect.runner import run_config, run_experiment, sweep_voting
@@ -93,12 +94,14 @@ class TestSweepConfig:
 
 class TestOneFoldLoop:
     def fits_of(self, toy, monkeypatch, config):
-        """(report, sweeps, (spec, training rows) of every fit) of one run."""
+        """(report, sweeps, (spec, training rows) of every member fit) of
+        one run; the sweeps' own `VotingEnsemble` fits are not counted."""
         fits = []
         original = Selector.fit
 
         def counting_fit(model, scenario, rows):
-            fits.append((model.spec, np.asarray(rows, dtype=np.int64).tobytes()))
+            if not isinstance(model, VotingEnsemble):
+                fits.append((model.spec, np.asarray(rows, dtype=np.int64).tobytes()))
             return original(model, scenario, rows)
 
         monkeypatch.setattr(Selector, "fit", counting_fit)
@@ -153,16 +156,20 @@ INJECTED = [
 
 
 def inject_isac_failure(monkeypatch, scenario, exception):
-    """Make every ISAC fit on FAILING_FOLD's training rows raise."""
+    """Make every ISAC fit on FAILING_FOLD's training rows raise; returns
+    the list of the specs whose fit on those rows was attempted."""
     train, _ = scenario.fold_split(FAILING_FOLD)
     original = IsacSelector._fit
+    attempts = []
 
     def failing_fit(model, scenario, train_indices):
         if np.array_equal(train_indices, train):
+            attempts.append(model.spec)
             raise exception("injected")
         return original(model, scenario, train_indices)
 
     monkeypatch.setattr(IsacSelector, "_fit", failing_fit)
+    return attempts
 
 
 class TestSweepFailure:
@@ -210,6 +217,14 @@ class TestSweepFailure:
         (row,) = sweep.rows
         assert row.mean_par10 is None and row.mean_npar10 is None
         assert set(row.fold_npar10) == {None}
+        # nothing scored, so no composition is named best
+        assert sweep.best_members is None and sweep.best_spec is None
+        assert json.loads(sweep_json(sweep))["best"] is None
+        assert "**" not in sweep_markdown(sweep)
+        result = invoke("sweep-voting", "--scenario", TOY_DIR, "--member", "isac")
+        assert result.exit_code == 2
+        assert "best:" not in result.stderr
+        assert result.stderr.count("DegenerateData: injected") == len(toy.fold_ids())
 
     def test_evaluate_and_sweep_voting_exit_2_after_writing(self, toy, monkeypatch, tmp_path):
         inject_isac_failure(monkeypatch, toy, DegenerateData)
@@ -233,8 +248,55 @@ class TestSweepFailure:
             "--member", "sunny,isac",
         )
         assert result.exit_code == 2
+        assert "best: voting[maj]{" in result.stderr  # the other folds still score
         assert f"error: sweep 1, fold {FAILING_FOLD}: DegenerateData: injected" in result.stderr
         assert (tmp_path / "alone.json").read_bytes() == (tmp_path / "run.sweep1.json").read_bytes()
+
+
+class TestFaultInjection:
+    """One failing member fit, shared by a cell, a voting member, a
+    stacking base, an `ass` deployed base and a sweep member."""
+
+    APPROACHES = (
+        "oracle",
+        "sbs",
+        "sunny",
+        "isac",
+        "voting[maj]{sunny,isac}",
+        "stacking{meta=sunny;bases=sunny,isac}",
+        "ass{meta=sunny;bases=sunny,isac}",
+    )
+
+    @pytest.mark.parametrize("exception, recorded", INJECTED)
+    def test_every_layer_fails_on_one_attempt_with_one_error(
+        self, toy, monkeypatch, exception, recorded
+    ):
+        config = toy_config(self.APPROACHES, sweeps=((("sunny", "isac"), "maj"),))
+        clean, _, (clean_sweep,) = run_config(config, toy)
+        assert all(c.error is None for c in clean.cells)
+        attempts = inject_isac_failure(monkeypatch, toy, exception)
+        report, _, (sweep,) = run_config(config, toy)
+        assert attempts == ["isac"]
+        # on the injected fold every approach holding isac fails alike
+        failed = {(a, FAILING_FOLD) for a in report.approaches if "isac" in a}
+        assert len(failed) == 4
+        assert {(c.approach, c.fold): c.error for c in report.cells if c.error} == dict.fromkeys(
+            failed, recorded
+        )
+        assert sweep.errors == ((FAILING_FOLD, recorded),)
+        # every other cell and sweep fold equals the clean run's
+        assert [c for c in report.cells if (c.approach, c.fold) not in failed] == [
+            c for c in clean.cells if (c.approach, c.fold) not in failed
+        ]
+        at = toy.fold_ids().index(FAILING_FOLD)
+        for row, clean_row in zip(sweep.rows, clean_sweep.rows, strict=True):
+            assert row.fold_npar10[:at] + row.fold_npar10[at + 1 :] == (
+                clean_row.fold_npar10[:at] + clean_row.fold_npar10[at + 1 :]
+            )
+        rerun, _, (rerun_sweep,) = run_config(config, toy)
+        assert attempts == ["isac", "isac"]
+        assert canonical_json(rerun) == canonical_json(report)
+        assert sweep_json(rerun_sweep) == sweep_json(sweep)
 
 
 class TestCli:
