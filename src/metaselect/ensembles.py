@@ -1,12 +1,17 @@
 """Ensembles of algorithm selectors: voting, bagging, boosting, stacking.
 
 Each ensemble is itself a selector: it implements `_fit` and
-`scores_batch` only, scoring its members on the same feature batch
-through `shared_scores`, so the evaluation harness treats it like any
-other approach. Member selectors are created from spec strings under
-the caller's global seed; a plain member inside voting or stacking, a
-1-bag bagging member and boosting's first round therefore train
-bit-identically to the same spec run standalone, and they come from
+`scores_batch` only, so the evaluation harness treats it like any other
+approach. `_Ensemble` is the base of these four composers and of the
+fifth, `meta.AlgorithmSelectorSelector` (`ass`), whose members are its
+deployed bases. It holds the members, stacks their `shared_scores` of
+a batch and owns the one charge rule: members cost feature acquisition
+iff one of them reads features.
+
+Member selectors are created from spec strings under the caller's
+global seed; a plain member inside voting or stacking, a 1-bag bagging
+member, boosting's first round and an `ass` deployed base therefore
+train bit-identically to the same spec run standalone, and they come from
 `fit_selector`, which inside an evaluation fold hands back the
 standalone fit, or raises its error, instead of repeating it. Bagging
 fits its bags in one `grow_together` scope, so their forests share
@@ -22,9 +27,9 @@ Voting, bagging and boosting (`wmaj` with its round alphas as weights)
 share one `scores_batch`: their members' (n, K) scores, stacked into a
 (members, instances, algorithms) tensor, go to one `combine_scores`
 call. `VotingEnsemble.composition_par10` prices every member subset
-through `subset_choices` (see `aggregation`) for voting's exhaustive
-search and for `runner`'s sweeps, which fit one `VotingEnsemble` per
-fold.
+through `subset_choices` (see `aggregation`), charging each subset by
+the same rule, for voting's exhaustive search and for `runner`'s
+sweeps, which fit one `VotingEnsemble` per fold.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ def wmaj_weights(members, scenario: ScenarioSpec, train_indices: np.ndarray) -> 
 
 
 class _Ensemble(Selector):
-    """Shared plumbing: entropy derivation, member bookkeeping and the
+    """Shared plumbing of every composer: entropy derivation, member
+    bookkeeping, the charge rule, the members' stacked scores and the
     vote of the active members through `self.aggregation`."""
 
     def __init__(self, spec: str, global_seed: int):
@@ -113,16 +119,23 @@ class _Ensemble(Selector):
     def _active(self) -> list[int]:
         return list(range(len(self.members_)) if self.active_ is None else self.active_)
 
+    def _charged(self, positions) -> bool:
+        """The charge rule: the members at `positions` cost feature
+        acquisition iff one reads features; no members (unfitted) do too."""
+        return not positions or any(self.members_[i].needs_features for i in positions)
+
     @property
     def needs_features(self):  # noqa: D401 - property mirrors the class attr
-        active = self._active()
-        return not active or any(self.members_[i].needs_features for i in active)
+        return self._charged(self._active())
+
+    def _member_scores(self, x, positions) -> np.ndarray:
+        """(members, n, K): the shared scores of the members at `positions`."""
+        return np.stack([shared_scores(self.members_[i], x) for i in positions])
 
     def scores_batch(self, x):
         active = self._active()
-        rows = np.stack([shared_scores(self.members_[i], x) for i in active])
         weights = None if self.weights_ is None else self.weights_[active]
-        return combine_scores(self.aggregation, rows, weights)
+        return combine_scores(self.aggregation, self._member_scores(x, active), weights)
 
 
 class VotingEnsemble(_Ensemble):
@@ -156,7 +169,16 @@ class VotingEnsemble(_Ensemble):
         if self.aggregation == "wmaj":
             self.weights_ = wmaj_weights(self.members_, scenario, train_indices)
         if self.search == "exhaustive":
-            self.active_, self.search_result_ = self._search(scenario, train_indices)
+            # Ranked on PAR10, not nPAR10: on a positive training gap both
+            # give the same order, and a zero gap leaves nPAR10 undefined.
+            values = self.composition_par10(scenario, train_indices)
+            self.active_ = min(values, key=lambda subset: (values[subset], len(subset), subset))
+            self.search_result_ = CompositionSearchResult(
+                aggregation=self.aggregation,
+                masks=tuple(values),
+                train_par10=tuple(values.values()),
+                best_mask=self.active_,
+            )
         else:
             self.active_ = tuple(range(len(self.members_)))
 
@@ -165,32 +187,17 @@ class VotingEnsemble(_Ensemble):
         members voting as this ensemble does, keyed by subset in bitmask
         order: (0,), (1,), (0, 1), (2,), ... A subset is charged feature
         costs iff one of its members reads them."""
-        x = scenario.features[indices]
-        rows = np.stack([shared_scores(m, x) for m in self.members_])
+        rows = self._member_scores(scenario.features[indices], range(len(self.members_)))
         pr10 = scenario.pr10_matrix()[indices]
         costs = scenario.feature_costs[indices]
-        reads = [m.needs_features for m in self.members_]
         at = np.arange(pr10.shape[0])
         values = {}
         for subset, choices in subset_choices(self.aggregation, rows, self.weights_):
             per_instance = pr10[at, choices]
-            if any(reads[i] for i in subset):
+            if self._charged(subset):
                 per_instance = per_instance + costs
             values[subset] = float(per_instance.mean())
         return dict(sorted(values.items(), key=lambda item: sum(1 << i for i in item[0])))
-
-    def _search(self, scenario, train_indices):
-        # Ranked on PAR10, not nPAR10: on a positive training gap both give
-        # the same order, and a zero gap leaves nPAR10 undefined.
-        values = self.composition_par10(scenario, train_indices)
-        best = min(values, key=lambda subset: (values[subset], len(subset), subset))
-        result = CompositionSearchResult(
-            aggregation=self.aggregation,
-            masks=tuple(values),
-            train_par10=tuple(values.values()),
-            best_mask=best,
-        )
-        return best, result
 
 
 class BaggingEnsemble(_Ensemble):
@@ -303,6 +310,8 @@ class StackingEnsemble(_Ensemble):
     """A meta selector fit on base features extended with every base
     selector's score vector."""
 
+    needs_features = True  # charged always, whatever its meta selector and bases read
+
     def __init__(
         self,
         spec,
@@ -334,10 +343,6 @@ class StackingEnsemble(_Ensemble):
         self.split_ratio = float(split_ratio)
         self.include_base_scores = include_base_scores
 
-    @property
-    def needs_features(self):
-        return True
-
     def _fit(self, scenario, train_indices):
         n = train_indices.size
         if self.split == "disjoint":
@@ -365,13 +370,14 @@ class StackingEnsemble(_Ensemble):
 
         full = np.full((scenario.n_instances, augmented.shape[1]), np.nan)
         full[meta_idx] = augmented
-        self.meta_ = make_selector(self.meta_spec, self.global_seed)
-        self.meta_.fit(scenario.with_features(full), meta_idx)
+        self.meta_ = make_selector(self.meta_spec, self.global_seed).fit(
+            scenario.with_features(full), meta_idx
+        )
 
     def _augment(self, x: np.ndarray) -> np.ndarray:
         if not self.include_base_scores:
             return x
-        return np.hstack([x] + [shared_scores(m, x) for m in self.members_])
+        return np.hstack([x, *self._member_scores(x, self._active())])
 
     def scores_batch(self, x):
         augmented = self._augment(x)

@@ -10,13 +10,14 @@ resubstitution. The inner folds' member forests grow together, in
 shared lockstep growths (see `learners.forest`), before any member is
 scored.
 
-`AlgorithmSelectorSelector` is itself a selector: like every other
-model it implements only `_fit` and `scores_batch`, routing each row of
-a feature batch through the meta learner's `select_batch` to one
-deployed base selector. A base's rows are a slice of its
-`shared_scores` of the whole batch: a row's scores do not depend on the
-rows scored beside it, and inside a fold the base's plain cell has
-usually scored that batch already.
+`AlgorithmSelectorSelector` (`ass`) is the fifth `ensembles._Ensemble`
+composer; its members are its deployed bases. Like every other model it
+implements only `_fit` and `scores_batch`, routing each row of a feature
+batch through the meta learner's `select_batch` to one member, and
+scoring only the members some row was routed to. A member's rows are a
+slice of its `shared_scores` of the whole batch: a row's scores do not
+depend on the rows scored beside it, and inside a fold the base's plain
+cell has usually scored that batch already.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import _Ensemble
 from .errors import DegenerateTraining, EmptyEnsemble, InvalidConfig
 from .learners import grow_together
 from .metrics import per_instance_pr10
@@ -48,12 +50,6 @@ class MetaScenario:
 
     scenario: ScenarioSpec          # algorithms are the canonical base selector specs
     deployed: tuple[Selector, ...]  # refit on the full outer train set
-
-
-def _inner_fold_assignment(n: int, inner_folds: int, rng: np.random.Generator) -> np.ndarray:
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[rng.permutation(n)] = np.arange(n) % inner_folds
-    return assignment
 
 
 def build_meta_scenario(
@@ -88,7 +84,8 @@ def build_meta_scenario(
 
     entropy = [int(global_seed), zlib.crc32(",".join(specs).encode())]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    assignment = _inner_fold_assignment(n, inner_folds, rng)
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[rng.permutation(n)] = np.arange(n) % inner_folds
 
     performance = np.empty((n, len(specs)))
 
@@ -133,20 +130,14 @@ def build_meta_scenario(
     return MetaScenario(scenario=meta, deployed=deployed)
 
 
-def fit_meta_learner(meta: MetaScenario, meta_spec: str, global_seed: int = 0) -> Selector:
-    """Train any selector spec on the selector-level scenario."""
-    learner = make_selector(meta_spec, global_seed)
-    learner.fit(meta.scenario, np.arange(meta.scenario.n_instances))
-    return learner
-
-
-class AlgorithmSelectorSelector(Selector):
+class AlgorithmSelectorSelector(_Ensemble):
     """Two-level selector: a meta learner picks a base selector, the
     picked selector picks the algorithm. Both levels read the same
-    feature vector, so features are computed once."""
+    feature vector, so features are computed once. The deployed bases
+    are the members; each row is routed to exactly one of them."""
 
     def __init__(self, spec, global_seed, base_specs, meta_spec, inner_folds=DEFAULT_INNER_FOLDS):
-        super().__init__(spec, (int(global_seed), zlib.crc32(spec.encode())))
+        super().__init__(spec, global_seed)
         if not base_specs:
             raise EmptyEnsemble("ass needs at least one base spec")
         if inner_folds < 2:
@@ -154,30 +145,24 @@ class AlgorithmSelectorSelector(Selector):
         self.base_specs = tuple(base_specs)
         self.meta_spec = meta_spec
         self.inner_folds = int(inner_folds)
-        self.global_seed = int(global_seed)
 
     @property
     def needs_features(self):
-        meta = getattr(self, "meta_", None)
-        deployed = getattr(self, "meta_scenario_", None)
-        if meta is None or deployed is None:
-            return True
-        return meta.needs_features or any(m.needs_features for m in deployed.deployed)
+        return super().needs_features or self.meta_.needs_features
 
     def _fit(self, scenario, train_indices):
         self.meta_scenario_ = build_meta_scenario(
-            scenario,
-            train_indices,
-            self.base_specs,
-            inner_folds=self.inner_folds,
-            global_seed=self.global_seed,
+            scenario, train_indices, self.base_specs, self.inner_folds, self.global_seed
         )
-        self.meta_ = fit_meta_learner(self.meta_scenario_, self.meta_spec, self.global_seed)
+        self.meta_ = make_selector(self.meta_spec, self.global_seed).fit(
+            self.meta_scenario_.scenario, np.arange(train_indices.size)
+        )
+        self.members_ = list(self.meta_scenario_.deployed)
 
     def scores_batch(self, x):
         chosen = self.meta_.select_batch(x)
         out = np.empty((x.shape[0], self.n_algorithms_))
         for s in np.unique(chosen):
             mask = chosen == s
-            out[mask] = shared_scores(self.meta_scenario_.deployed[s], x)[mask]
+            out[mask] = shared_scores(self.members_[s], x)[mask]
         return out

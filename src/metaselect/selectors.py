@@ -373,7 +373,7 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
     of the canonical spec, so equal specs train identically whether they
     run standalone or inside an ensemble. `salt` adds entropy terms for
     callers that need decorrelated copies of one spec (bootstrap
-    members, boosting rounds). A negative global seed is rejected here,
+    members, boosting rounds, `ass` inner folds). A negative global seed is rejected here,
     not at fit time.
     """
     _require_seed(global_seed)
@@ -422,10 +422,8 @@ def shared_fits(scenario: ScenarioSpec):
         _SHARED_FITS.reset(token)
 
 
-def fit_selector(
-    spec: str, global_seed: int, scenario: ScenarioSpec, rows, salt: tuple[int, ...] = ()
-) -> Selector:
-    """`make_selector(spec, global_seed, salt).fit(scenario, rows)`, shared
+def fit_selector(spec: str, global_seed: int, scenario: ScenarioSpec, rows) -> Selector:
+    """`make_selector(spec, global_seed).fit(scenario, rows)`, shared
     within a `shared_fits` scope.
 
     Two such fits train bit-identically, so inside a scope opened on this
@@ -433,9 +431,11 @@ def fit_selector(
     the same canonical spec, entropy and training rows; a fit that raises
     is attempted once too, its exception raised again, without the
     failing fit's frames, for every later caller. Fits on any other
-    scenario (a derived copy included) and outside a scope are fresh.
+    scenario (a derived copy included) and outside a scope are fresh, and
+    so is every salted copy (a bag, a later boosting round, an `ass`
+    inner-fold member), which its caller fits through `make_selector`.
     """
-    model = make_selector(spec, global_seed, salt)
+    model = make_selector(spec, global_seed)
     scope = _SHARED_FITS.get()
     if scope is None or scope.scenario is not scenario:
         return model.fit(scenario, rows)

@@ -19,7 +19,7 @@ from metaselect.config import ExperimentConfig, config_from_mapping, load_config
 from metaselect.errors import InvalidConfig, MetaselectError
 from metaselect.metrics import fixed_algorithm_par10, oracle_par10, single_best
 from metaselect.aggregation import ranks_from_scores
-from metaselect.aslib import write_scenario
+from metaselect.aslib import load_scenario, write_scenario
 from metaselect.report import (
     baselines_csv,
     canonical_json,
@@ -28,6 +28,7 @@ from metaselect.report import (
     markdown_summary,
     summary_csv,
     sweep_csv,
+    sweep_json,
 )
 from metaselect.ensembles import (
     BaggingEnsemble,
@@ -722,7 +723,6 @@ class TestSharedFits:
             first = fit_selector("sunny", 0, toy, train)
             assert fit_selector("sunny", 0, toy, train) is first
             assert fit_selector("sunny", 1, toy, train) is not first
-            assert fit_selector("sunny", 0, toy, train, salt=(1,)) is not first
             assert fit_selector("sunny", 0, toy, train[1:]) is not first
             on_copy = fit_selector("sunny", 0, copy, train)
             assert on_copy is not first
@@ -1011,6 +1011,76 @@ class TestInternalErrors:
         assert result.exit_code == 2
         assert (tmp_path / "base.json").exists()
         assert result.stdout.startswith("fold,")
+
+
+def aslib_shaped(seed=0, n=90, k=31, d=8):
+    """An ASlib-shaped scenario: 31 algorithms, about half of all runs
+    timed out, five instances no algorithm solves, two constant feature
+    columns, about 5 % `?` feature cells, and a one-instance fold."""
+    rng = np.random.default_rng(seed)
+    cutoff = 300.0
+    solved = rng.random((n, k)) < 0.5
+    solved[:5] = False
+    runtimes = np.where(solved, np.round(rng.uniform(1.0, cutoff, size=(n, k)), 2), cutoff)
+    features = rng.normal(size=(n, d))
+    features[:, 0] = 1.0
+    features[:, 1] = 0.0
+    features[rng.random((n, d)) < 0.05] = np.nan
+    folds = np.arange(n) % 4 + 1
+    folds[-1] = 5
+    return ScenarioSpec.create(
+        name="aslib-shaped",
+        instances=[f"inst-{i:03d}" for i in range(n)],
+        algorithms=[f"algo-{j:02d}" for j in range(k)],
+        cutoff=cutoff,
+        runtimes=runtimes,
+        solved=solved,
+        features=features,
+        feature_costs=np.round(rng.uniform(0.0, 3.0, size=n), 2),
+        folds=folds,
+    )
+
+
+class TestAslibShapedStress:
+    """Every family over a scenario shaped like an ASlib one scores, or
+    fails with a typed error, and reruns byte-identically."""
+
+    APPROACHES = (
+        "oracle",
+        "sbs",
+        "peralgo(trees=2)",
+        "multiclass(trees=3)",
+        "pairwise(trees=1)",
+        "sunny",
+        "isac",
+        "voting[maj]{sunny,isac,multiclass(trees=3)}",
+        "voting[borda]{sunny,isac,multiclass(trees=3);search=exhaustive}",
+        "bagging{sunny;k=3}",
+        "boosting{multiclass(trees=3);iters=3}",
+        "stacking{meta=sunny;bases=sunny,isac}",
+        "stacking{meta=multiclass(trees=3);bases=sunny,isac;fs=vt(0.16);split=disjoint(0.7)}",
+        "ass{meta=sunny;bases=sunny,isac,sbs}",
+    )
+    SWEEP = (("sunny", "isac", "multiclass(trees=3)"), "borda")
+
+    def test_every_cell_scores_or_fails_typed_and_reruns_identically(self, tmp_path):
+        scenario = load_scenario(write_scenario(aslib_shaped(), tmp_path / "aslib-shaped"))
+        assert scenario.n_algorithms == 31
+        assert 0.45 < 1 - scenario.solved.mean() < 0.55
+        assert (~scenario.solved.any(axis=1)).sum() == 5
+        assert np.isnan(scenario.features).any()
+        assert (np.nanstd(scenario.features, axis=0) == 0).sum() == 2
+        assert min(np.sum(scenario.folds == f) for f in scenario.fold_ids()) == 1
+        config = make_config(self.APPROACHES, sweeps=(self.SWEEP,))
+
+        report, _, (sweep,) = run_config(config, scenario)
+        assert len(report.cells) == len(self.APPROACHES) * 5
+        assert internal_error_cells(report) == []
+        assert not any(text.startswith("internal:") for _, text in sweep.errors)
+        assert all((c.error is None) == (c.par10 is not None) for c in report.cells)
+        rerun, _, (rerun_sweep,) = run_config(config, scenario)
+        assert canonical_json(rerun) == canonical_json(report)
+        assert sweep_json(rerun_sweep) == sweep_json(sweep)
 
 
 def _no_fold_may_run(*args, **kwargs):

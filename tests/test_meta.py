@@ -16,12 +16,12 @@ from metaselect.meta import (
     DEFAULT_INNER_FOLDS,
     AlgorithmSelectorSelector,
     build_meta_scenario,
-    fit_meta_learner,
 )
 from metaselect.metrics import oracle_par10
+from metaselect.report import canonical_json
 from metaselect.runner import run_experiment
 from metaselect.scenario import ScenarioSpec
-from metaselect.selectors import MulticlassSelector, make_selector
+from metaselect.selectors import MulticlassSelector, Selector, SunnySelector, make_selector
 
 SPECS = ["sunny(k=5)", "sbs"]
 
@@ -154,7 +154,7 @@ def test_complementary_selectors_give_meta_oracle_an_edge():
 def test_fit_meta_learner_and_route(toy):
     train, test = toy.fold_split(3)
     meta = build_meta_scenario(toy, train, SPECS, global_seed=2)
-    learner = fit_meta_learner(meta, "multiclass(trees=10)", global_seed=2)
+    learner = make_selector("multiclass(trees=10)", 2).fit(meta.scenario, np.arange(train.size))
     picked = learner.select_batch(toy.features[test][:3])
     assert picked.shape == (3,) and ((0 <= picked) & (picked < len(SPECS))).all()
 
@@ -194,6 +194,15 @@ class TestAlgorithmSelectorSelector:
         assert not model.needs_features
         assert model.select_batch(np.zeros((2, 0))).shape == (2,)  # reads no feature
 
+    @pytest.mark.parametrize("meta_spec, base_specs", [("sunny", ["sbs"]), ("sbs", ["sbs", "sunny"])])
+    def test_charged_when_the_meta_learner_or_a_base_reads_features(
+        self, toy, meta_spec, base_specs
+    ):
+        train, _ = toy.fold_split(1)
+        model = AlgorithmSelectorSelector("ass", 0, base_specs, meta_spec)
+        assert model.needs_features  # not fitted yet
+        assert model.fit(toy, train).needs_features
+
     def test_meta_sbs_picks_lowest_mean_selector_column(self, toy):
         train, test = toy.fold_split(1)
         model = AlgorithmSelectorSelector(
@@ -219,3 +228,79 @@ class TestAlgorithmSelectorSelector:
 
     def test_default_inner_folds(self):
         assert DEFAULT_INNER_FOLDS == 3
+
+
+class TestFaultInjection:
+    """A failure on the `ass` path fails only the `ass` cells of its fold.
+
+    Both `ass` approaches hold the fold's one deployed `sunny(k=4)` fit.
+    On fold 2 the first routes test rows to it and the second routes
+    every row to `sbs`, so it never scores that base."""
+
+    FOLD = 2
+    APPROACHES = (
+        "oracle",
+        "sbs",
+        "sunny",
+        "isac",
+        "voting[maj]{sunny,isac}",
+        "stacking{meta=sunny;bases=sunny,isac}",
+        "ass{meta=sunny;bases=sunny(k=4),isac(clusters=2);inner=3}",
+        "ass{meta=multiclass(trees=4);bases=sunny(k=4),sbs;inner=3}",
+    )
+    ASS = APPROACHES[-2:]
+
+    def meta_fit_fails(self, monkeypatch, toy, exception):
+        """Every meta learner fit on fold FOLD's `::selectors` scenario raises."""
+        train, _ = toy.fold_split(self.FOLD)
+        instances = tuple(toy.instances[i] for i in train)
+        fit = Selector.fit
+        attempts = []
+
+        def failing(model, scenario, rows):
+            if scenario.name == f"{toy.name}::selectors" and scenario.instances == instances:
+                attempts.append(model.spec)
+                raise exception("injected")
+            return fit(model, scenario, rows)
+
+        monkeypatch.setattr(Selector, "fit", failing)
+        return attempts, set(self.ASS)
+
+    def deployed_scores_fail(self, monkeypatch, toy, exception):
+        """The deployed `sunny(k=4)` raises when it scores fold FOLD's test rows."""
+        _, test = toy.fold_split(self.FOLD)
+        batch = toy.features[test]
+        scores = SunnySelector.scores_batch
+        attempts = []
+
+        def failing(model, x):
+            if model.spec == "sunny(k=4)" and np.array_equal(x, batch, equal_nan=True):
+                attempts.append(model.spec)
+                raise exception("injected")
+            return scores(model, x)
+
+        monkeypatch.setattr(SunnySelector, "scores_batch", failing)
+        return attempts, {self.ASS[0]}
+
+    @pytest.mark.parametrize(
+        "exception, recorded",
+        [(DegenerateData, "DegenerateData: injected"), (ValueError, "internal: ValueError: injected")],
+    )
+    @pytest.mark.parametrize("inject", ["meta_fit_fails", "deployed_scores_fail"])
+    def test_only_the_ass_cells_of_the_fold_fail(
+        self, toy, monkeypatch, inject, exception, recorded
+    ):
+        config = ExperimentConfig(approaches=self.APPROACHES, seed=0)
+        clean, _ = run_experiment(config, scenario=toy)
+        assert all(c.error is None for c in clean.cells)
+        attempts, failing = getattr(self, inject)(monkeypatch, toy, exception)
+        report, _ = run_experiment(config, scenario=toy)
+        assert attempts and len(attempts) == len(failing)
+        assert {(c.approach, c.fold): c.error for c in report.cells if c.error} == {
+            (a, self.FOLD): recorded for a in failing
+        }
+        assert [c for c in report.cells if c.error is None] == [
+            c for c in clean.cells if (c.approach, c.fold) not in {(a, self.FOLD) for a in failing}
+        ]
+        rerun, _ = run_experiment(config, scenario=toy)
+        assert canonical_json(rerun) == canonical_json(report)

@@ -9,7 +9,7 @@ import pytest
 from metaselect.config import ExperimentConfig
 from metaselect.metrics import SelectionTrace, trace_par10
 from metaselect.report import report_to_dict
-from metaselect.runner import run_experiment
+from metaselect.runner import run_config, run_experiment
 from metaselect.scenario import ScenarioSpec
 
 # Forest selectors are left out: adding an algorithm reseeds their
@@ -207,3 +207,51 @@ def test_permuting_the_instance_rows_with_their_folds_changes_no_baseline(seed):
     assert fixed_choice_par10s(copy, choices, rows=order) == (
         fixed_choice_par10s(scenario, choices)
     )
+
+
+# Every family over shared members: the fold memo hands each of them
+# the same fits, scores and neighbour rankings of sunny, isac and
+# multiclass, and ass's deployed bases are those fits too.
+MEMO_APPROACHES = (
+    "oracle",
+    "sbs",
+    "sunny",
+    "sunny(k=4)",
+    "isac",
+    "multiclass(trees=4)",
+    "voting[maj]{sunny,isac,multiclass(trees=4);search=exhaustive}",
+    "voting[wmaj]{sunny,isac,multiclass(trees=4);search=exhaustive}",
+    "voting[borda]{sunny,isac,multiclass(trees=4);search=exhaustive}",
+    "bagging{sunny;k=3}",
+    "boosting{multiclass(trees=4);iters=3}",
+    "stacking{meta=sunny;bases=sunny,isac}",
+    "ass{meta=multiclass(trees=4);bases=sunny,isac,sbs}",
+)
+MEMO_SWEEP = (("sunny", "sunny(k=4)", "isac", "multiclass(trees=4)"), "borda")
+
+
+def cells_by_key(report):
+    return {(c.approach, c.fold): c for c in report.cells}
+
+
+@pytest.mark.parametrize("source", ["toy", "tie-free"])
+def test_the_fold_memo_changes_no_cell_and_no_sweep_row(toy, source):
+    scenario = toy if source == "toy" else tie_free_scenario(3)
+
+    def run(approaches, sweeps=()):
+        config = ExperimentConfig(approaches=tuple(approaches), sweeps=sweeps, seed=2)
+        report, _, sweep_reports = run_config(config, scenario)
+        return report, sweep_reports
+
+    full, (sweep,) = run(MEMO_APPROACHES, (MEMO_SWEEP,))
+    assert all(c.error is None for c in full.cells) and not sweep.errors
+    cells = cells_by_key(full)
+    order = np.random.default_rng(7).permutation(len(MEMO_APPROACHES))
+    shuffled, (shuffled_sweep,) = run([MEMO_APPROACHES[i] for i in order], (MEMO_SWEEP,))
+    assert cells_by_key(shuffled) == cells
+    assert shuffled_sweep == sweep
+    for approach in full.approaches:
+        alone, _ = run([approach])
+        assert cells_by_key(alone) == {k: c for k, c in cells.items() if k[0] == approach}
+    _, (sweep_alone,) = run((), (MEMO_SWEEP,))
+    assert sweep_alone.rows == sweep.rows
