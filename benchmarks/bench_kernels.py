@@ -18,7 +18,7 @@ queries at k = 16 rank 800 training rows against an index of themselves
 800 distinct rows, and 200 test rows against an index of an 800-row
 bootstrap resample, which keeps only its distinct rows; two kNN index
 fits build an index of those 800 rows and of a bootstrap resample of
-them, which must find the repeated rows. A 5-tree, 5-class forest fit on
+them, each grouping its rows by their training ids. A 5-tree, 5-class forest fit on
 240 rows of 10 features (a training fold of a 300-instance scenario)
 predicts its 60 test rows, all trees in one descent. The voting engine scores
 every member subset with `borda`: 3 members on 800 instances over 10
@@ -126,17 +126,19 @@ def bench_cases(seed):
     n_q, n, d, k = KNN_SHAPE
     rng = case_rng(seed, label := f"knn query {n}x{n}x{d} self k={k}")
     rows = rng.normal(size=(n, d))
-    yield label, KnnIndex().fit(rows).query, (rows, k)
+    yield label, KnnIndex().fit(rows, np.arange(n)).query, (rows, k)
     rng = case_rng(seed, label := f"knn query {n_q}x{n}x{d} distinct k={k}")
-    index = KnnIndex().fit(rng.normal(size=(n, d)))
+    index = KnnIndex().fit(rng.normal(size=(n, d)), np.arange(n))
     yield label, index.query, (rng.normal(size=(n_q, d)), k)
     rng = case_rng(seed, label := f"knn query {n_q}x{n}x{d} bootstrap k={k}")
-    index = KnnIndex().fit(rng.normal(size=(n, d))[rng.integers(0, n, size=n)])
+    rows, sample = rng.normal(size=(n, d)), rng.integers(0, n, size=n)
+    index = KnnIndex().fit(rows[sample], sample)
     yield label, index.query, (rng.normal(size=(n_q, d)), k)
     rng = case_rng(seed, label := f"knn fit {n}x{d} distinct")
-    yield label, KnnIndex().fit, (rng.normal(size=(n, d)),)
+    yield label, KnnIndex().fit, (rng.normal(size=(n, d)), np.arange(n))
     rng = case_rng(seed, label := f"knn fit {n}x{d} bootstrap")
-    yield label, KnnIndex().fit, (rng.normal(size=(n, d))[rng.integers(0, n, size=n)],)
+    rows, sample = rng.normal(size=(n, d)), rng.integers(0, n, size=n)
+    yield label, KnnIndex().fit, (rows[sample], sample)
     trees, n, n_test, d, k = PREDICT_SHAPE
     rng = case_rng(seed, label := f"forest predict {trees}x{n}x{d} test={n_test}")
     forest = ForestClassifier(n_trees=trees, n_classes=k, seed=0).fit(

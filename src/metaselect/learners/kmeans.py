@@ -18,7 +18,14 @@ points, so a tie goes to the lower cluster (the proof is in
 every assignment. The inertia and the empty-cluster reseeding read
 these per-row distances. k-means++ seeding needs every point's
 distance to each new centroid and takes it from
-`_kernels.pairwise_sq_dists`.
+`_kernels.pairwise_sq_dists`, one centroid at a time; each column of
+that kernel is the same bits alone as in the full matrix. So the
+seeding's running minimum, with the first centroid that reached it
+(a later one only where it is strictly closer), is already the first
+Lloyd step's assignment, and that step does not compute it again.
+Nor does the end of a fit: when the last Lloyd step reseeded no
+cluster and left the centroids bitwise unchanged, its assignment is
+the final one.
 """
 
 from __future__ import annotations
@@ -67,12 +74,17 @@ def _nearest_sq(
     return closest[:, 0], sq_dists[:, 0]
 
 
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(
+    x: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means++ centroids, and each row's nearest of them (the first on
+    ties) with the exact squared distance to it."""
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     first = int(rng.integers(0, n))
     centroids[0] = x[first]
     closest = _kernels.pairwise_sq_dists(x, centroids[:1])[:, 0]
+    nearest_centroid = np.zeros(n, dtype=np.int64)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -81,8 +93,9 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             pick = int(rng.choice(n, p=closest / total))
         centroids[j] = x[pick]
         new_d = _kernels.pairwise_sq_dists(x, centroids[j : j + 1])[:, 0]
+        nearest_centroid[new_d < closest] = j
         closest = np.minimum(closest, new_d)
-    return centroids
+    return centroids, nearest_centroid, closest
 
 
 def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
@@ -96,17 +109,19 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
         raise KTooLarge(f"k={k} outside [1, {n}]")
 
     rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(x, k, rng)
+    centroids, new_assign, point_d = _plus_plus_init(x, k, rng)
     x_norms = squared_norms(x)  # once for every assignment of the fit
     assignments = np.zeros(n, dtype=np.int64)
     inertia_history: list[float] = []
 
     for _ in range(MAX_ITERATIONS):
-        new_assign, point_d = _nearest_sq(x, x_norms, centroids)
+        if inertia_history:
+            new_assign, point_d = _nearest_sq(x, x_norms, centroids)
         inertia_history.append(float(point_d.sum()))
         sums, counts = _kernels.kmeans_accumulate(x, new_assign, k)
         empty = counts == 0
-        if empty.any():
+        reseeded = empty.any()
+        if reseeded:
             # hand each empty cluster the point farthest from its centroid
             # among those whose cluster keeps another member, so that no
             # donor is left empty; a moved point is then alone in its
@@ -120,14 +135,15 @@ def fit_kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
                 counts[cluster] = 1
         converged = len(inertia_history) > 1 and np.array_equal(new_assign, assignments)
         assignments = new_assign
-        centroids = sums / counts[:, None]
+        previous, centroids = centroids, sums / counts[:, None]
         if converged:
             break
 
-    assignments, sq_dists = _nearest_sq(x, x_norms, centroids)
+    if reseeded or not np.array_equal(previous.view(np.int64), centroids.view(np.int64)):
+        assignments, point_d = _nearest_sq(x, x_norms, centroids)
     return KMeansModel(
         centroids=centroids,
         assignments=assignments,
-        train_distances=np.sqrt(sq_dists),
+        train_distances=np.sqrt(point_d),
         inertia_history=inertia_history,
     )

@@ -1,21 +1,21 @@
 """Exact k-nearest-neighbour lookup over a fixed training matrix.
 
-An index keeps each distinct training row once. A bootstrap resample
-repeats about a third of its rows, so `fit` stores the distinct rows
-and, only when some row repeats, the map from every original row to
-its distinct one. A query ranks the distinct rows and expands that to
-one column per original row with that map, so a row's id stays its
-original position and ties still go to the lower id. Rows are distinct
-by value, so a row holding 0.0 where another holds -0.0 is kept once;
-(q - 0.0)² and (q + 0.0)² are the same number for every q. `fit` finds
-them with one 1-D sort of byte keys, each row's 8·d bytes once -0.0 is
-folded into 0.0 (x + 0.0): ±0.0 are the only finite floats that are
-equal with different bytes, so two finite rows share a key exactly
-when they are equal by value. The distinct rows are kept in key order.
-No answer depends on that order: a query reports original row ids,
-computes each candidate's exact distance for its own pair, and orders
-by (distance, row id), and the margin below holds for the points in
-any order.
+An index keeps each training row once. A bootstrap resample repeats
+about a third of its rows, so `fit` takes each row's training id (the
+scenario row it was taken from) and groups the rows by id with one
+`np.unique` over those ids. Rows of equal id are equal, so it stores the
+first row of each id as one point and, only when some id repeats, the
+map from every original row to its point; every point is some row's.
+A query ranks the points and expands that to one column per original
+row with that map, so a row's id stays its original position and ties
+still go to the lower id. Rows of different ids stay different points
+even where they are equal by value, as a row holding 0.0 and another
+holding -0.0 in its place are; they tie, and the tie goes to the lower
+row as it would without the map. The points are kept in ascending id
+order. No answer depends on that order: a query reports original row
+ids, computes each candidate's exact distance for its own pair, and
+orders by (distance, row id), and the margin below holds for the points
+in any order.
 
 One routine, `nearest`, answers every exact nearest-neighbour search:
 a kNN query, a block of query rows at a time, and each k-means
@@ -193,26 +193,25 @@ class KnnIndex:
     """
 
     def __init__(self):
-        self.points_ = None  # the distinct training rows
-        self.inverse_ = None  # original row -> distinct row, None if all distinct
-        self.sq_norms_ = None  # squared norm of each distinct row, in any summation order
+        self.points_ = None  # one training row per distinct id
+        self.inverse_ = None  # original row -> its point, None if every id is distinct
+        self.sq_norms_ = None  # squared norm of each point, in any summation order
 
-    def fit(self, x: np.ndarray) -> "KnnIndex":
-        """Index the rows of `x`. With no repeated row, `points_` is `x`
-        and `inverse_` is None. Otherwise `points_` holds the first
-        occurrence of each distinct row, in the order of its byte key,
-        and `inverse_` maps every row of `x` to its distinct row. A
-        matrix of no features is one distinct row."""
+    def fit(self, x: np.ndarray, ids) -> "KnnIndex":
+        """Index the rows of `x`, whose training ids are `ids`, one int
+        per row; rows of equal id must be equal. With no repeated id,
+        `points_` is `x` and `inverse_` is None. Otherwise `points_` holds
+        the first row of each id, in ascending id order, and `inverse_`
+        maps every row of `x` to its point."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise DegenerateData("knn index needs a nonempty 2-d matrix")
         if not np.isfinite(x).all():
             raise DegenerateData("knn index requires finite features")
-        if x.shape[1] == 0:  # one distinct row, and no 0-byte key to sort
-            first, inverse = np.zeros(1, np.int64), np.zeros(x.shape[0], np.int64)
-        else:  # each row's bytes as one key, -0.0 folded into 0.0
-            keys = (x + 0.0).view(np.dtype((np.void, 8 * x.shape[1]))).reshape(-1)
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape != x.shape[:1]:
+            raise DegenerateData(f"knn index needs one id per row, got shape {ids.shape}")
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         if first.size < x.shape[0]:
             self.points_, self.inverse_ = x[first], inverse
         else:

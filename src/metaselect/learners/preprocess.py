@@ -35,8 +35,10 @@ class Preprocessor:
         if self.medians_ is None:
             raise DegenerateData("preprocessor used before fit")
         x = np.asarray(x, dtype=np.float64)
-        filled = np.where(np.isnan(x), self.medians_[None, :], x)
-        return (filled - self.means_[None, :]) / self.scales_[None, :]
+        z = np.where(np.isnan(x), self.medians_[None, :], x)  # a fresh array, scaled in place
+        z -= self.means_[None, :]
+        z /= self.scales_[None, :]
+        return z
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)

@@ -20,8 +20,10 @@ of the first cell that needs it. A fit that raises is attempted once
 too, its later users failing with the same error. Below that, held
 `sunny` fits on equal training rows (`sunny` and `sunny(k=4)`) rank
 each set of query rows once per fold through `shared_neighbours`, the
-widest k serving smaller ones as a prefix, and `ass` slices its bases'
-shared scores of the whole batch.
+widest k serving smaller ones as a prefix, every feature-based fit on
+one set of training rows conditions its features with one fitted
+preprocessor (`fold_preprocessor`), and `ass` slices its bases' shared
+scores of the whole batch.
 
 After the cells, each sweep fits one `VotingEnsemble` of its members
 on the fold's training rows and prices every composition on its test

@@ -37,7 +37,10 @@ model the scope holds scores equal feature rows once per scope, and
 every later caller gets the same read-only result. `shared_neighbours`
 shares one level lower: held ``sunny`` fits on equal training rows
 (``sunny`` and ``sunny(k=4)`` on one fold) rank equal query rows once,
-the widest k serving every smaller one.
+the widest k serving every smaller one. `fold_preprocessor` shares the
+lowest level: every feature-based fit on equal training rows of the
+scope's scenario, held or not (``sunny``, ``isac(clusters=4)``, a
+sweep member), conditions its features with one fitted `Preprocessor`.
 """
 
 from __future__ import annotations
@@ -124,8 +127,8 @@ def _require_positive(spec: str, **values) -> None:
 
 class _FeatureBasedSelector(Selector):
     def _prepare(self, scenario, train_indices):
-        self.preprocessor_ = Preprocessor()
-        x = self.preprocessor_.fit_transform(scenario.features[train_indices])
+        self.preprocessor_ = fold_preprocessor(scenario, train_indices)
+        x = self.preprocessor_.transform(scenario.features[train_indices])
         pr10 = scenario.pr10_matrix()[train_indices]
         return x, pr10
 
@@ -219,7 +222,7 @@ class SunnySelector(_FeatureBasedSelector):
 
     def _fit(self, scenario, train_indices):
         x, pr10 = self._prepare(scenario, train_indices)
-        self.index_ = KnnIndex().fit(x)
+        self.index_ = KnnIndex().fit(x, train_indices)
         self.pr10_ = pr10
         self.k_effective_ = min(self.k, x.shape[0])
 
@@ -401,6 +404,8 @@ class _FoldScope:
     scores: dict = field(default_factory=dict)
     # (training-row bytes, dtype, shape, bytes of z) -> read-only neighbour ids
     neighbours: dict = field(default_factory=dict)
+    # training-row bytes -> the `Preprocessor` fit on those rows' features
+    preprocessors: dict = field(default_factory=dict)
 
 
 # The innermost open `shared_fits` scope, or None outside every scope.
@@ -500,3 +505,24 @@ def shared_neighbours(model: SunnySelector, z: np.ndarray) -> np.ndarray:
         ranked = scope.neighbours[key] = index.query(z, k)
         ranked.flags.writeable = False
     return ranked[:, :k]
+
+
+def fold_preprocessor(scenario: ScenarioSpec, rows: np.ndarray) -> Preprocessor:
+    """`Preprocessor().fit(scenario.features[rows])`, fit once per
+    `shared_fits` scope for each training set.
+
+    Inside a scope opened on this very `scenario` object, every fit on
+    equal int64 `rows` gets the first one's fitted preprocessor: a fit
+    on equal rows learns the same medians, means and scales bit for bit.
+    Only the fitted preprocessors are kept, never a transformed matrix.
+    Any other scenario, a derived copy included, and calls outside a
+    scope fit afresh.
+    """
+    scope = _SHARED_FITS.get()
+    if scope is None or scope.scenario is not scenario:
+        return Preprocessor().fit(scenario.features[rows])
+    key = rows.tobytes()
+    preprocessor = scope.preprocessors.get(key)
+    if preprocessor is None:
+        preprocessor = scope.preprocessors[key] = Preprocessor().fit(scenario.features[rows])
+    return preprocessor

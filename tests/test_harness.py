@@ -16,9 +16,10 @@ from conftest import TOY_DIR, TOY_TINY_DIR
 from metaselect import ensembles, meta, runner, selectors
 from metaselect.cli import main
 from metaselect.config import ExperimentConfig, config_from_mapping, load_config
-from metaselect.errors import InvalidConfig, MetaselectError
+from metaselect.errors import DegenerateData, InvalidConfig, MetaselectError
 from metaselect.metrics import fixed_algorithm_par10, oracle_par10, single_best
 from metaselect.aggregation import ranks_from_scores
+from metaselect.approaches import canonical_approach_spec
 from metaselect.aslib import load_scenario, write_scenario
 from metaselect.report import (
     baselines_csv,
@@ -36,7 +37,7 @@ from metaselect.ensembles import (
     StackingEnsemble,
     VotingEnsemble,
 )
-from metaselect.learners import KnnIndex, _kernels
+from metaselect.learners import KnnIndex, Preprocessor, _kernels
 from metaselect.meta import AlgorithmSelectorSelector
 from metaselect.runner import (
     internal_error_cells,
@@ -954,6 +955,53 @@ class TestSharedNeighbours:
             assert len(queried) == 4
 
 
+class TestFoldPreprocessor:
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """The rows of every Preprocessor.fit call."""
+        rows = []
+        original = Preprocessor.fit
+
+        def counting(preprocessor, x):
+            rows.append(np.asarray(x).shape[0])
+            return original(preprocessor, x)
+
+        monkeypatch.setattr(Preprocessor, "fit", counting)
+        return rows
+
+    def test_feature_based_fits_on_equal_rows_hold_one_preprocessor(self, toy, fitted):
+        train, _ = toy.fold_split(1)
+        with shared_fits(toy):
+            sunny = fit_selector("sunny", 0, toy, train)
+            held = fit_selector("isac(clusters=4)", 0, toy, train)
+            unheld = make_selector("multiclass(trees=2)", 0).fit(toy, train.copy())
+            assert held.preprocessor_ is sunny.preprocessor_
+            assert unheld.preprocessor_ is sunny.preprocessor_
+            assert len(fitted) == 1
+        alone = make_selector("sunny", 0).fit(toy, train)
+        for name in ("medians_", "means_", "scales_"):
+            np.testing.assert_array_equal(
+                getattr(sunny.preprocessor_, name).view(np.uint64),
+                getattr(alone.preprocessor_, name).view(np.uint64),
+            )
+
+    def test_other_rows_scenarios_and_unscoped_fits_get_their_own(self, toy, fitted):
+        train, _ = toy.fold_split(1)
+        copy = toy.with_features(toy.features.copy())
+        with shared_fits(toy):
+            sunny = fit_selector("sunny", 0, toy, train)
+            others = [
+                fit_selector("sunny", 0, toy, train[1:]),
+                fit_selector("sunny", 0, toy, train[::-1]),
+                fit_selector("isac", 0, copy, train),
+                fit_selector("sunny", 0, copy, train),
+            ]
+        outside = [fit_selector("sunny", 0, toy, train) for _ in range(2)]
+        preprocessors = [m.preprocessor_ for m in [sunny, *others, *outside]]
+        assert len({id(p) for p in preprocessors}) == len(preprocessors)
+        assert len(fitted) == len(preprocessors)
+
+
 # -- internal errors -----------------------------------------------------------
 
 
@@ -1011,6 +1059,84 @@ class TestInternalErrors:
         assert result.exit_code == 2
         assert (tmp_path / "base.json").exists()
         assert result.stdout.startswith("fold,")
+
+
+class TestFaultInjection:
+    """A failure in one bag's fit or in one plain selector's scoring of
+    a fold's test rows fails only the cells that depend on it."""
+
+    FOLD = 2
+    APPROACHES = (
+        "oracle",
+        "sbs",
+        "sunny",
+        "isac",
+        "voting[maj]{sunny,isac}",
+        "bagging[mean]{sunny;k=3}",
+        "bagging[mean]{isac;k=3}",
+        "stacking{meta=sunny;bases=sunny,isac}",
+    )
+
+    def bag_fit_fails(self, monkeypatch, toy, exception):
+        """The second bag of `bagging[mean]{sunny;k=3}` on fold FOLD raises."""
+        _, test = toy.fold_split(self.FOLD)
+        fit = SunnySelector._fit
+        attempts = []
+
+        def failing(model, scenario, rows):
+            if model._entropy[2:] == [1] and not np.isin(rows, test).any():
+                attempts.append(model.spec)
+                raise exception("injected")
+            return fit(model, scenario, rows)
+
+        monkeypatch.setattr(SunnySelector, "_fit", failing)
+        return attempts, {"bagging[mean]{sunny;k=3}": 1}
+
+    def plain_scores_fail(self, monkeypatch, toy, exception):
+        """The fold's `isac` fit raises when it scores fold FOLD's test rows;
+        its bags, other isac models, score them as before."""
+        _, test = toy.fold_split(self.FOLD)
+        batch = toy.features[test]
+        scores = IsacSelector.scores_batch
+        attempts = []
+
+        def failing(model, x):
+            if len(model._entropy) == 2 and np.array_equal(x, batch, equal_nan=True):
+                attempts.append(model.spec)
+                raise exception("injected")
+            return scores(model, x)
+
+        monkeypatch.setattr(IsacSelector, "scores_batch", failing)
+        # a failed scoring is not kept: each dependent cell scores again
+        return attempts, {"isac": 1, self.APPROACHES[4]: 1, self.APPROACHES[7]: 1}
+
+    @pytest.mark.parametrize(
+        "exception, recorded",
+        [(DegenerateData, "DegenerateData: injected"),
+         (ValueError, "internal: ValueError: injected")],
+    )
+    @pytest.mark.parametrize("inject", ["bag_fit_fails", "plain_scores_fail"])
+    def test_only_the_dependent_cells_of_the_fold_fail(
+        self, toy, monkeypatch, inject, exception, recorded
+    ):
+        config = make_config(self.APPROACHES)
+        clean, _ = run_experiment(config, scenario=toy)
+        assert all(c.error is None for c in clean.cells)
+        attempts, failing = getattr(self, inject)(monkeypatch, toy, exception)
+        report, _ = run_experiment(config, scenario=toy)
+        assert len(attempts) == sum(failing.values())
+        failing = {canonical_approach_spec(a) for a in failing}
+        assert {(c.approach, c.fold): c.error for c in report.cells if c.error} == {
+            (a, self.FOLD): recorded for a in failing
+        }
+        assert [c for c in report.cells if c.error is None] == [
+            c for c in clean.cells if (c.approach, c.fold) not in {(a, self.FOLD) for a in failing}
+        ]
+        assert [b for b in report.baselines if b.fold != self.FOLD] == [
+            b for b in clean.baselines if b.fold != self.FOLD
+        ]
+        rerun, _ = run_experiment(config, scenario=toy)
+        assert canonical_json(rerun) == canonical_json(report)
 
 
 def aslib_shaped(seed=0, n=90, k=31, d=8):

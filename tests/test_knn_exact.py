@@ -8,7 +8,7 @@ of exact distances (`reference.ref_pairwise_sq_dists`) on inputs where
 the two forms round differently: continuous data, ties across the k-th
 place, large offsets with a small spread, magnitudes where squares
 overflow, and bootstrap indexes with duplicate rows. An index must also
-group its rows as `np.unique(rows, axis=0)` does, by value. The
+group its rows by their training ids, as `np.unique(ids)` does. The
 gathered kernel must give the reference's bits on both sides of its
 chunk size, and the per-row ranking of candidates the order of a
 lexsort. BLAS may sum the matrix product in another order under another
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference import ref_pairwise_sq_dists
 
+from metaselect.errors import DegenerateData
 from metaselect.learners import KnnIndex, _kernels
 from metaselect.learners.neighbors import (
     QUERY_BLOCK_CELLS,
@@ -69,12 +70,13 @@ def _stable_argsort_answer(x, rows, k):
 @example("continuous", 1, 1, 0, 4)  # one point, no features
 def test_query_equals_a_stable_argsort_of_exact_distances(kind, n, n_queries, d, seed):
     rng = np.random.default_rng(seed)
-    rows = _rows(kind, rng, n, d)
+    rows, ids = _rows(kind, rng, n, d), np.arange(n)
     if kind == "bootstrap":
-        rows = rows[rng.integers(0, n, size=n)]
+        ids = rng.integers(0, n, size=n)
+        rows = rows[ids]
     # queries: fresh rows of the same kind, and some training rows
     x = np.vstack([_rows(kind, rng, n_queries, d), rows[: n_queries // 2]])
-    index = KnnIndex().fit(rows)
+    index = KnnIndex().fit(rows, ids)
     for k in {1, int(rng.integers(1, n + 1)), n}:
         with np.errstate(over="ignore"):
             got = index.query(x, k)
@@ -129,28 +131,35 @@ MAGNITUDES = st.builds(
 
 @st.composite
 def index_rows(draw):
-    """Rows drawn with repeats from a few base rows of one kind."""
+    """Rows drawn with repeats from a few base rows of one kind, and
+    their ids: the distinct id of the base row each was drawn from."""
     kind = draw(st.sampled_from(ROW_KINDS))
     d = 0 if kind == "zero width" else draw(st.integers(1, 4))
     n_base = 1 if kind in ("single row", "all equal") else draw(st.integers(1, 8))
     elements = MAGNITUDES if kind == "magnitudes" else SIGNED_ZERO_GRID
     base = draw(arrays(np.float64, (n_base, d), elements=elements))
+    base_ids = np.array(draw(st.lists(
+        st.integers(0, 2**40), min_size=n_base, max_size=n_base, unique=True)))
     if kind == "single row":
-        return base
-    return base[draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=16))]
+        return base, base_ids
+    drawn = draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=16))
+    return base[drawn], base_ids[drawn]
 
 
 @settings(max_examples=200, deadline=None)
 @given(index_rows())
-@example(np.zeros((1, 0)))
-@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
-def test_an_index_groups_rows_as_unique_by_value_does(rows):
-    index = KnnIndex().fit(rows)
-    want_points, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+@example((np.zeros((1, 0)), np.array([0])))
+@example((np.zeros((3, 0)), np.array([4, 2, 4])))
+# equal by value, other ids: two points that tie, the lower row first
+@example((np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]), np.array([0, 1, 0])))
+def test_an_index_groups_rows_by_id(rows_and_ids):
+    rows, ids = rows_and_ids
+    index = KnnIndex().fit(rows, ids)
+    distinct = np.unique(ids).size
     inverse = np.arange(len(rows)) if index.inverse_ is None else index.inverse_
-    assert index.points_.shape[0] == want_points.shape[0]
-    # one group per distinct row on both sides: the same partition of row ids
-    assert len(set(zip(inverse.tolist(), want_inverse.reshape(-1).tolist()))) == len(want_points)
+    assert index.points_.shape[0] == distinct
+    # one point per distinct id: rows share a point exactly when they share an id
+    assert len(set(zip(inverse.tolist(), ids.tolist()))) == distinct
     np.testing.assert_array_equal(index.points_[inverse], rows)
     x = np.vstack([rows, -rows[::-1]])
     for k in {1, len(rows) // 2 + 1, len(rows)}:
@@ -159,18 +168,25 @@ def test_an_index_groups_rows_as_unique_by_value_does(rows):
         np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, k))
 
 
+def test_an_index_needs_one_id_per_row():
+    for ids in (np.arange(3), np.arange(5), np.zeros((4, 1), dtype=np.int64)):
+        with pytest.raises(DegenerateData):
+            KnnIndex().fit(np.zeros((4, 2)), ids)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_several_row_blocks_answer_like_one(kind):
     # more query rows than one block holds, and a ragged last block
     rng = np.random.default_rng(7)
     n = 400
-    rows = _rows(kind, rng, n, 5)
+    rows, ids = _rows(kind, rng, n, 5), np.arange(n)
     if kind == "bootstrap":
-        rows = rows[rng.integers(0, n, size=n)]
+        ids = rng.integers(0, n, size=n)
+        rows = rows[ids]
     per_block = QUERY_BLOCK_CELLS // n
     x = _rows(kind, rng, 2 * per_block + 7, 5)
     with np.errstate(over="ignore"):
-        got = KnnIndex().fit(rows).query(x, 16)
+        got = KnnIndex().fit(rows, ids).query(x, 16)
     np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, 16))
 
 
@@ -187,7 +203,7 @@ def test_continuous_rows_recompute_only_k_distances(monkeypatch):
         return gathered(a, b, rows_a, rows_b)
 
     monkeypatch.setattr(_kernels, "gathered_sq_dists", counting)
-    got = KnnIndex().fit(rows).query(x, 8)
+    got = KnnIndex().fit(rows, np.arange(300)).query(x, 8)
     np.testing.assert_array_equal(got, _stable_argsort_answer(x, rows, 8))
     assert sum(pairs) == 50 * 8
 

@@ -738,7 +738,7 @@ class TestForest:
 
 class TestKnn:
     def test_k_bounds(self):
-        index = KnnIndex().fit(np.zeros((4, 2)))
+        index = KnnIndex().fit(np.zeros((4, 2)), np.arange(4))
         with pytest.raises(KTooLarge):
             index.query(np.zeros(2), 5)
         with pytest.raises(KTooLarge):
@@ -750,13 +750,13 @@ class TestKnn:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(12, 3))
         # distinct rows with probability 1 under a continuous draw
-        index = KnnIndex().fit(pts)
+        index = KnnIndex().fit(pts, np.arange(12))
         for i in range(len(pts)):
             assert index.query(pts[i : i + 1], 1)[0, 0] == i
 
     def test_a_tie_at_the_kth_place_goes_to_the_lower_row_id(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-        index = KnnIndex().fit(pts)
+        index = KnnIndex().fit(pts, np.arange(5))
         origin = np.zeros((1, 2))
         np.testing.assert_array_equal(index.query(origin, 1), [[2]])
         np.testing.assert_array_equal(index.query(origin, 3), [[2, 0, 1]])
@@ -770,17 +770,17 @@ class TestKnn:
         pts = rng.integers(-1, 2, size=(n_points, 2)).astype(np.float64)
         x = rng.integers(-1, 2, size=(n_queries, 2)).astype(np.float64)
         order = np.argsort(ref_pairwise_sq_dists(x, pts), axis=1, kind="stable")
-        index = KnnIndex().fit(pts)
+        index = KnnIndex().fit(pts, np.arange(n_points))
         for k in {1, int(rng.integers(1, n_points + 1)), n_points}:
             np.testing.assert_array_equal(index.query(x, k), order[:, :k])
 
     def test_query_rejects_nonfinite_features(self):
-        index = KnnIndex().fit(np.zeros((4, 2)))
+        index = KnnIndex().fit(np.zeros((4, 2)), np.arange(4))
         with pytest.raises(DegenerateData):
             index.query(np.array([[0.0, np.nan]]), 1)
 
     def test_query_rejects_another_feature_count(self):
-        index = KnnIndex().fit(np.arange(20.0).reshape(4, 5))
+        index = KnnIndex().fit(np.arange(20.0).reshape(4, 5), np.arange(4))
         for x in (np.zeros((2, 3)), np.zeros((2, 6)), np.zeros(5)):
             with pytest.raises(DegenerateData):
                 index.query(x, 1)
@@ -790,14 +790,16 @@ class TestKnn:
     def test_a_bootstrap_index_answers_like_its_full_rows(self, seed, n_distinct, n_queries):
         rng = np.random.default_rng(seed)
         # grid positions, so that distances tie, also across the k-th place
+        # (equal base rows keep their own ids, and stay apart)
         base = rng.integers(-1, 2, size=(n_distinct, 3)).astype(np.float64)
-        rows = base[rng.integers(0, n_distinct, size=3 * n_distinct)]
+        ids = rng.integers(0, n_distinct, size=3 * n_distinct)
+        rows = base[ids]
         x = rng.integers(-1, 2, size=(n_queries, 3)).astype(np.float64)
         order = np.argsort(ref_pairwise_sq_dists(x, rows), axis=1, kind="stable")
-        index = KnnIndex().fit(rows)
+        index = KnnIndex().fit(rows, ids)
         assert index.n_points == rows.shape[0]
-        assert index.inverse_ is not None  # 3n draws of at most n rows repeat
-        assert index.points_.shape[0] == np.unique(rows, axis=0).shape[0]
+        assert index.inverse_ is not None  # 3n draws of at most n ids repeat
+        assert index.points_.shape[0] == np.unique(ids).size
         with pytest.raises(KTooLarge):
             index.query(x, rows.shape[0] + 1)
         for k in {1, int(rng.integers(1, rows.shape[0] + 1)), rows.shape[0]}:
@@ -805,7 +807,7 @@ class TestKnn:
 
     def test_distinct_rows_are_kept_as_given(self):
         rows = np.arange(12.0).reshape(4, 3)
-        index = KnnIndex().fit(rows)
+        index = KnnIndex().fit(rows, [7, 2, 5, 0])
         assert index.inverse_ is None
         np.testing.assert_array_equal(index.points_, rows)
 
@@ -896,6 +898,27 @@ class TestKmeans:
         _assert_same_model(fit_kmeans(x, 1 + int(fraction * (n - 1)), seed=seed),
                            _reference_fit_kmeans(x, 1 + int(fraction * (n - 1)), seed)[0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(("grid", "continuous")), st.integers(1, 30),
+        st.floats(0.0, 1.0), st.integers(1, 4), st.integers(0, 999),
+    )
+    @example("grid", 11, 0.7, 2, 93)
+    def test_seeding_returns_the_first_assignment(self, kind, n, fraction, d, seed):
+        # the first Lloyd step takes its assignment from the seeding, so
+        # that must be the argmin and min of the exact kernel, bit for bit
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # few distinct rows: ties among the centroids
+            x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        else:
+            x = rng.normal(size=(n, d))
+        k = 1 + int(fraction * (n - 1))
+        centroids, closest, sq_dists = kmeans_module._plus_plus_init(
+            x, k, np.random.default_rng(seed))
+        want = ref_pairwise_sq_dists(x, centroids)
+        np.testing.assert_array_equal(closest, want.argmin(axis=1))
+        np.testing.assert_array_equal(sq_dists.view(np.uint64), want.min(axis=1).view(np.uint64))
+
     def test_fit_equals_the_reference_lloyd_loop_through_a_reseed(self):
         x = np.array([[1, 0], [1, 0], [1, 2], [1, 2], [0, 0], [2, 0], [1, 1],
                       [2, 2], [0, 0], [2, 2], [2, 2]], dtype=np.float64)
@@ -926,7 +949,7 @@ def _reference_fit_kmeans(x, k, seed):
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[0]
     rng = np.random.default_rng(seed)
-    centroids = kmeans_module._plus_plus_init(x, k, rng)
+    centroids = kmeans_module._plus_plus_init(x, k, rng)[0]
     assignments = np.zeros(n, dtype=np.int64)
     inertia_history, reseeds = [], 0
     for _ in range(kmeans_module.MAX_ITERATIONS):

@@ -211,7 +211,9 @@ def test_permuting_the_instance_rows_with_their_folds_changes_no_baseline(seed):
 
 # Every family over shared members: the fold memo hands each of them
 # the same fits, scores and neighbour rankings of sunny, isac and
-# multiclass, and ass's deployed bases are those fits too.
+# multiclass, and ass's deployed bases are those fits too. Every
+# feature-based fit on the fold's training rows, the bags' and ass's
+# inner fits on theirs, shares one fitted preprocessor per row set.
 MEMO_APPROACHES = (
     "oracle",
     "sbs",
@@ -223,9 +225,11 @@ MEMO_APPROACHES = (
     "voting[wmaj]{sunny,isac,multiclass(trees=4);search=exhaustive}",
     "voting[borda]{sunny,isac,multiclass(trees=4);search=exhaustive}",
     "bagging{sunny;k=3}",
+    "bagging[mean]{sunny;k=3}",
     "boosting{multiclass(trees=4);iters=3}",
     "stacking{meta=sunny;bases=sunny,isac}",
     "ass{meta=multiclass(trees=4);bases=sunny,isac,sbs}",
+    "ass{meta=sunny;bases=sunny,isac}",
 )
 MEMO_SWEEP = (("sunny", "sunny(k=4)", "isac", "multiclass(trees=4)"), "borda")
 
