@@ -29,8 +29,7 @@ one `combine_scores` computes for it alone, and at most M partial
 (n, K) sums are alive at any time. `VotingEnsemble.composition_par10`
 turns them into PAR10 for voting's exhaustive search and for each sweep
 of `runner.run_config`, a `VotingEnsemble` per fold whose members are
-the fold's shared fits: a failed fit fails once per fold, and `sunny`
-fits on equal training rows share their neighbour rankings.
+the fold's shared fits (see `selectors`).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ This module reads syntax only. Each bracket and `key=value` segment
 becomes a keyword argument of the kind's model constructor, and an
 omitted one takes that constructor's default; the constructor alone
 judges the values (`<agg>` is an aggregation registry key, k >= 1, ...).
-Only `seed=`, which enters the name and no constructor, is judged here:
-it must be at least 0, as on atoms. Atoms go to
+Only `seed=`, which enters the name and no constructor, is judged here,
+by the check atoms use: it must be at least 0. Atoms go to
 `selectors.parse_selector_spec`, which takes their keys from the
 selector constructors alike and shares the `key=value` reader.
 `canonical_approach_spec` therefore validates a spec by building its
@@ -158,9 +158,7 @@ def parse_approach(spec: str) -> ParsedApproach:
         if key in params:
             args[keyword] = _int(params, key)
         if "seed" in params:
-            seed = _int(params, "seed")
-            if seed < 0:
-                raise InvalidConfig(f"{spec}: seed must be nonnegative")
+            seed = _require_seed(_int(params, "seed"), spec)
     else:
         tuning = {"fs", "split"} if kind == "stacking" else {"inner"}
         params = _key_value_segments(segments, {"meta", "bases"} | tuning, kind)

@@ -11,17 +11,12 @@ iff one of them reads features.
 Member selectors are created from spec strings under the caller's
 global seed; a plain member inside voting or stacking, a 1-bag bagging
 member, boosting's first round and an `ass` deployed base therefore
-train bit-identically to the same spec run standalone, and they come from
-`fit_selector`, which inside an evaluation fold hands back the
-standalone fit, or raises its error, instead of repeating it. Bagging
+train bit-identically to the same spec run standalone. They come from
+`fit_selector` and are scored through `shared_scores`, so within a fold
+they share the standalone fit and its scores (see `selectors`). Bagging
 fits its bags in one `grow_together` scope, so their forests share
 lockstep growths (see `learners.forest`); boosting cannot, since each
 round's sample weights come from scoring the round before.
-`shared_scores` likewise hands back that fit's scores of rows already
-scored in the fold (the test rows by the plain cell, the training rows
-by another ensemble or the selector-level baselines) instead of
-scoring them again; `sunny` fits on equal training rows share their
-neighbour rankings too.
 
 Voting, bagging and boosting (`wmaj` with its round alphas as weights)
 share one `scores_batch`: their members' (n, K) scores, stacked into a

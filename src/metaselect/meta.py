@@ -15,9 +15,8 @@ composer; its members are its deployed bases. Like every other model it
 implements only `_fit` and `scores_batch`, routing each row of a feature
 batch through the meta learner's `select_batch` to one member, and
 scoring only the members some row was routed to. A member's rows are a
-slice of its `shared_scores` of the whole batch: a row's scores do not
-depend on the rows scored beside it, and inside a fold the base's plain
-cell has usually scored that batch already.
+slice of its `shared_scores` of the whole batch (see `selectors`): a
+row's scores do not depend on the rows scored beside it.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ def build_meta_scenario(
     `grow_together` scope before any is scored, so the forests of all
     inner folds grow together; a tree does not depend on what grows
     beside it, so every member is the one fit alone. Deployed selectors
-    are full-train fits from `fit_selector`, so inside an evaluation
-    fold they are the fold's standalone fits of the same specs.
+    are full-train fits from `fit_selector`.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     specs = tuple(canonical_selector_spec(s) for s in base_specs)

@@ -10,20 +10,10 @@ with the error recorded, not a penalized score; an exception that is
 not a `MetaselectError` is recorded the same way, its message prefixed
 with `internal: `. A sweep fails per fold in the same way (see below).
 
-Each fold runs inside one `shared_fits` scope: a selector fit that
-several approaches or sweeps of the fold need (a plain cell, voting or
-sweep members, stacking bases, `ass` deployed selectors, ...) is
-trained once, and so is every `shared_scores` prediction of such a fit
-on the same rows (the fold's test rows, its training rows for the SBAS
-baseline and for ensemble fits). Either's seconds land in the timings
-of the first cell that needs it. A fit that raises is attempted once
-too, its later users failing with the same error. Below that, held
-`sunny` fits on equal training rows (`sunny` and `sunny(k=4)`) rank
-each set of query rows once per fold through `shared_neighbours`, the
-widest k serving smaller ones as a prefix, every feature-based fit on
-one set of training rows conditions its features with one fitted
-preprocessor (`fold_preprocessor`), and `ass` slices its bases' shared
-scores of the whole batch.
+Each fold runs inside one `shared_fits` scope, the fold memo that
+`selectors` describes: the fold's cells and sweeps share its fits,
+scores, neighbour rankings and preprocessors, whose seconds land in the
+timings of the first cell that needs them.
 
 After the cells, each sweep fits one `VotingEnsemble` of its members
 on the fold's training rows and prices every composition on its test

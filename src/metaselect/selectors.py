@@ -28,19 +28,44 @@ and `canonical_selector_spec` builds the selector, so a bad atom fails
 at config load. Randomness derives from (global seed, crc32 of the
 canonical spec), so the same spec under the same global seed trains
 identically wherever it appears.
-`fit_selector` turns that promise into sharing: inside a `shared_fits`
-scope, fits on the scope's scenario with equal (canonical spec, entropy,
-training rows) return one fitted model, or raise its fit's error,
-instead of training it again; a sweep's `VotingEnsemble` gets its
-members this way too. `shared_scores` does the same for predictions: a
-model the scope holds scores equal feature rows once per scope, and
-every later caller gets the same read-only result. `shared_neighbours`
-shares one level lower: held ``sunny`` fits on equal training rows
-(``sunny`` and ``sunny(k=4)`` on one fold) rank equal query rows once,
-the widest k serving every smaller one. `fold_preprocessor` shares the
-lowest level: every feature-based fit on equal training rows of the
-scope's scenario, held or not (``sunny``, ``isac(clusters=4)``, a
-sweep member), conditions its features with one fitted `Preprocessor`.
+
+One fold memo turns that promise into sharing. `runner` opens a
+`shared_fits` scope on each evaluation fold's scenario; until it exits,
+four functions keep what they compute in the scope's one memo, and
+every later call with an equal key gets the kept value:
+
+* `fit_selector`, keyed by (canonical spec, entropy, training-row
+  bytes), keeps the fitted model, or the exception its fit raised,
+  which it raises again without the failing fit's frames. The models it
+  keeps are the scope's held models. Only fits on the scope's own
+  scenario object are kept; a derived copy (stacking's augmented
+  features, `ass`'s selector-level scenario) and every salted fit (a
+  bag, a later boosting round, an `ass` inner fold), which its caller
+  makes through `make_selector`, stay fresh.
+* `shared_scores`, keyed by (fit key, query content), keeps a held
+  model's `scores_batch`. A scoring that raises is not kept, so each
+  caller attempts it again.
+* `shared_neighbours`, keyed by (training-row bytes, query content),
+  keeps a held ``sunny`` fit's neighbour ranking. Held fits on equal
+  rows preprocess and index them bit for bit alike, so ``sunny`` and
+  ``sunny(k=4)`` share it. A query is the first k entries of one total
+  order, by distance and then row id: the memo keeps the widest k
+  ranked so far, a smaller k reads its prefix, and a wider k ranks
+  afresh and replaces it.
+* `fold_preprocessor`, keyed by training-row bytes, keeps the fitted
+  `Preprocessor` of every feature-based fit on the scope's scenario,
+  held or not: a bag or an `ass` inner fold shares with any fit on its
+  exact rows. Only fitted preprocessors are kept, never a transformed
+  matrix.
+
+Two rules hold throughout. Scores and rankings are kept for held models
+only: those stay alive until the scope exits, so no other object takes
+their id meanwhile; any other model is scored afresh. Keys match on
+exact content only: a query's content is its dtype, shape and bytes,
+and the memo keeps one copy of each distinct content, which every key
+naming it shares. Everything kept is computed deterministically, so a
+kept value is bit-identical to a fresh one; kept arrays are read-only.
+Outside a scope every call computes afresh.
 """
 
 from __future__ import annotations
@@ -325,10 +350,14 @@ def _key_value_segments(segments, allowed, where: str) -> dict:
     return params
 
 
-def _require_seed(seed) -> None:
-    """InvalidConfig unless the global seed is at least 0."""
+def _require_seed(seed: int, spec: str | None = None) -> int:
+    """`seed`, the global one or the `seed=` of `spec`; InvalidConfig
+    unless it is at least 0."""
     if seed < 0:
-        raise InvalidConfig(f"seed must be nonnegative, got {seed}")
+        raise InvalidConfig(
+            f"{spec}: seed must be nonnegative" if spec else f"seed must be nonnegative, got {seed}"
+        )
+    return seed
 
 
 def _int(params, key) -> int:
@@ -351,8 +380,7 @@ def parse_selector_spec(spec: str) -> tuple[str, dict]:
     body = body[:-1]
     raw = _key_value_segments(body.split(",") if body else [], _atom_keys(_REGISTRY[name]), spec)
     params = {key: _int(raw, key) for key in raw}
-    if params.get("seed", 0) < 0:
-        raise InvalidConfig(f"{spec}: seed must be nonnegative")
+    _require_seed(params.get("seed", 0), spec)
     return name, params
 
 
@@ -391,21 +419,12 @@ def make_selector(spec: str, global_seed: int = 0, salt: tuple[int, ...] = ()) -
 
 @dataclass
 class _FoldScope:
-    """What one `shared_fits` scope holds."""
+    """What one `shared_fits` scope holds: its scenario, its memo, and
+    the fit key of each held model by the model's id."""
 
     scenario: ScenarioSpec
-    # (spec, entropy, training-row bytes) -> fitted selector or the
-    # exception its fit raised
-    fits: dict = field(default_factory=dict)
-    # id of each selector in `fits` -> its key's training-row bytes; the
-    # selectors stay alive until the scope exits, so their ids stay theirs
+    memo: dict = field(default_factory=dict)
     held: dict = field(default_factory=dict)
-    # (dtype, shape, bytes of x) -> {id(model): read-only scores of x}
-    scores: dict = field(default_factory=dict)
-    # (training-row bytes, dtype, shape, bytes of z) -> read-only neighbour ids
-    neighbours: dict = field(default_factory=dict)
-    # training-row bytes -> the `Preprocessor` fit on those rows' features
-    preprocessors: dict = field(default_factory=dict)
 
 
 # The innermost open `shared_fits` scope, or None outside every scope.
@@ -414,10 +433,8 @@ _SHARED_FITS = contextvars.ContextVar("metaselect_shared_fits", default=None)
 
 @contextlib.contextmanager
 def shared_fits(scenario: ScenarioSpec):
-    """Share `fit_selector` fits on `scenario`, and `shared_scores`
-    predictions of those fits, for the block's duration.
-
-    Fitted models and their scores are kept until the block exits, so
+    """Open a fold memo on `scenario` (see the module docstring) for the
+    block's duration. What it keeps is dropped when the block exits, so
     the block should span one evaluation fold, not a whole experiment.
     """
     token = _SHARED_FITS.set(_FoldScope(scenario))
@@ -427,102 +444,78 @@ def shared_fits(scenario: ScenarioSpec):
         _SHARED_FITS.reset(token)
 
 
-def fit_selector(spec: str, global_seed: int, scenario: ScenarioSpec, rows) -> Selector:
-    """`make_selector(spec, global_seed).fit(scenario, rows)`, shared
-    within a `shared_fits` scope.
+def _memo(scope: _FoldScope, key, compute, fresh=lambda kept: True):
+    """The value `scope` keeps under `key`. On a miss, or when `fresh`
+    rejects the kept value, `compute()` is kept there instead; a kept
+    array is made read-only."""
+    value = scope.memo.get(key)
+    if value is None or not fresh(value):
+        value = scope.memo[key] = compute()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return value
 
-    Two such fits train bit-identically, so inside a scope opened on this
-    very `scenario` object the first one is kept and returned again for
-    the same canonical spec, entropy and training rows; a fit that raises
-    is attempted once too, its exception raised again, without the
-    failing fit's frames, for every later caller. Fits on any other
-    scenario (a derived copy included) and outside a scope are fresh, and
-    so is every salted copy (a bag, a later boosting round, an `ass`
-    inner-fold member), which its caller fits through `make_selector`.
-    """
+
+def _content(scope: _FoldScope, x) -> tuple:
+    """The exact content of `x`: dtype, shape and bytes, one copy per
+    scope, which every key on equal content shares."""
+    x = np.asarray(x)
+    content = ("content", x.dtype.str, x.shape, x.tobytes())
+    return _memo(scope, content, lambda: content)
+
+
+def _fit_or_error(model: Selector, scenario: ScenarioSpec, rows) -> Selector | Exception:
+    """`model` fitted, or the exception its fit raised."""
+    try:
+        return model.fit(scenario, rows)
+    except Exception as error:
+        return error
+
+
+def fit_selector(spec: str, global_seed: int, scenario: ScenarioSpec, rows) -> Selector:
+    """`make_selector(spec, global_seed).fit(scenario, rows)`, kept in the
+    fold memo: a later equal fit gets the same model, or its fit's error
+    raised again without the failing fit's frames."""
     model = make_selector(spec, global_seed)
     scope = _SHARED_FITS.get()
     if scope is None or scope.scenario is not scenario:
         return model.fit(scenario, rows)
-    key = (model.spec, tuple(model._entropy), np.asarray(rows, dtype=np.int64).tobytes())
-    fitted = scope.fits.get(key)
-    if fitted is None:
-        try:
-            fitted = model.fit(scenario, rows)
-            scope.held[id(fitted)] = key[2]
-        except Exception as error:
-            fitted = error
-        scope.fits[key] = fitted
+    key = ("fit", model.spec, tuple(model._entropy), np.asarray(rows, dtype=np.int64).tobytes())
+    fitted = _memo(scope, key, functools.partial(_fit_or_error, model, scenario, rows))
     if isinstance(fitted, Exception):
         raise fitted.with_traceback(None)
+    scope.held[id(fitted)] = key
     return fitted
 
 
 def shared_scores(model: Selector, x: np.ndarray) -> np.ndarray:
-    """`model.scores_batch(x)`, computed once per `shared_fits` scope.
-
-    Only models the open scope holds (returned by its `fit_selector`)
-    are cached, keyed by the exact content of `x`: dtype, shape and
-    bytes. Scoring is deterministic, so a hit is bit-identical to a
-    fresh call; the cached array is read-only and shared by every
-    caller. Any other model, and any model outside a scope, is scored
-    afresh on every call.
-    """
+    """`model.scores_batch(x)`, kept in the fold memo if the scope holds
+    `model`."""
     scope = _SHARED_FITS.get()
-    if scope is None or id(model) not in scope.held:
+    fit = None if scope is None else scope.held.get(id(model))
+    if fit is None:
         return model.scores_batch(x)
-    x = np.asarray(x)
-    by_model = scope.scores.setdefault((x.dtype.str, x.shape, x.tobytes()), {})
-    scores = by_model.get(id(model))
-    if scores is None:
-        scores = by_model[id(model)] = model.scores_batch(x)
-        scores.flags.writeable = False
-    return scores
+    return _memo(scope, ("scores", fit, _content(scope, x)), lambda: model.scores_batch(x))
 
 
 def shared_neighbours(model: SunnySelector, z: np.ndarray) -> np.ndarray:
-    """`model.index_.query(z, model.k_effective_)`, ranked once per
-    `shared_fits` scope across every k.
-
-    Only models the open scope holds are cached. An entry belongs to the
-    model's training rows, not to the model: held fits on equal rows of
-    the scope's scenario preprocess and index those rows bit for bit
-    alike, so they share it. Query rows match on exact content (dtype,
-    shape, bytes). An entry keeps the widest ranking computed so far: a
-    query is the first k entries of one total order, by distance and
-    then row id, so a smaller k is a prefix of it, and a larger k ranks
-    afresh and replaces it. Cached rankings are read-only.
-    """
+    """`model.index_.query(z, model.k_effective_)`, kept in the fold memo
+    per training rows if the scope holds `model`, the widest k serving
+    every smaller one."""
     index, k = model.index_, model.k_effective_
     scope = _SHARED_FITS.get()
-    rows = None if scope is None else scope.held.get(id(model))
-    if rows is None:
+    fit = None if scope is None else scope.held.get(id(model))
+    if fit is None:
         return index.query(z, k)
-    z = np.asarray(z)
-    key = (rows, z.dtype.str, z.shape, z.tobytes())
-    ranked = scope.neighbours.get(key)
-    if ranked is None or ranked.shape[1] < k:
-        ranked = scope.neighbours[key] = index.query(z, k)
-        ranked.flags.writeable = False
-    return ranked[:, :k]
+    key = ("neighbours", fit[-1], _content(scope, z))
+    return _memo(scope, key, lambda: index.query(z, k), lambda kept: kept.shape[1] >= k)[:, :k]
 
 
 def fold_preprocessor(scenario: ScenarioSpec, rows: np.ndarray) -> Preprocessor:
-    """`Preprocessor().fit(scenario.features[rows])`, fit once per
-    `shared_fits` scope for each training set.
-
-    Inside a scope opened on this very `scenario` object, every fit on
-    equal int64 `rows` gets the first one's fitted preprocessor: a fit
-    on equal rows learns the same medians, means and scales bit for bit.
-    Only the fitted preprocessors are kept, never a transformed matrix.
-    Any other scenario, a derived copy included, and calls outside a
-    scope fit afresh.
-    """
+    """`Preprocessor().fit(scenario.features[rows])`, kept in the fold memo
+    per training rows."""
     scope = _SHARED_FITS.get()
     if scope is None or scope.scenario is not scenario:
         return Preprocessor().fit(scenario.features[rows])
-    key = rows.tobytes()
-    preprocessor = scope.preprocessors.get(key)
-    if preprocessor is None:
-        preprocessor = scope.preprocessors[key] = Preprocessor().fit(scenario.features[rows])
-    return preprocessor
+    key = ("preprocessor", rows.tobytes())
+    return _memo(scope, key, lambda: Preprocessor().fit(scenario.features[rows]))

@@ -19,7 +19,7 @@ from metaselect.config import ExperimentConfig, config_from_mapping, load_config
 from metaselect.errors import DegenerateData, InvalidConfig, MetaselectError
 from metaselect.metrics import fixed_algorithm_par10, oracle_par10, single_best
 from metaselect.aggregation import ranks_from_scores
-from metaselect.approaches import canonical_approach_spec
+from metaselect.approaches import build_approach, canonical_approach_spec
 from metaselect.aslib import load_scenario, write_scenario
 from metaselect.report import (
     baselines_csv,
@@ -830,6 +830,29 @@ class TestSharedScores:
         assert shared_scores(model, x) is not after
         assert len(counted) == 5
 
+    def test_the_memo_keeps_one_copy_of_equal_rows(self, toy):
+        train, test = toy.fold_split(1)
+        x = toy.features[test]
+
+        def payloads(item):
+            """Every bytes object equal to `x`'s bytes inside `item`."""
+            if isinstance(item, bytes):
+                return [item] if item == x.tobytes() else []
+            if isinstance(item, tuple):
+                return [b for part in item for b in payloads(part)]
+            return []
+
+        with shared_fits(toy):
+            sunny = fit_selector("sunny", 0, toy, train)
+            isac = fit_selector("isac", 0, toy, train)
+            first = shared_scores(sunny, x)
+            other = shared_scores(isac, x.copy())
+            memo = selectors._SHARED_FITS.get().memo
+            kept = [b for key in memo for b in payloads(key)]
+        assert other is not first
+        assert len(kept) > 1  # the content itself and both models' scores keys
+        assert len({id(b) for b in kept}) == 1
+
     def queries_of_run(self, toy, monkeypatch, cached=True):
         """(report, Counter of (kNN index, query rows)) of one run."""
         queries = Counter()
@@ -1062,8 +1085,9 @@ class TestInternalErrors:
 
 
 class TestFaultInjection:
-    """A failure in one bag's fit or in one plain selector's scoring of
-    a fold's test rows fails only the cells that depend on it."""
+    """A failure in one bag's fit, in a later boosting round's fit, in one
+    plain selector's scoring of a fold's test rows or in a split search
+    of bags that grow together fails only the cells that depend on it."""
 
     FOLD = 2
     APPROACHES = (
@@ -1075,6 +1099,8 @@ class TestFaultInjection:
         "bagging[mean]{sunny;k=3}",
         "bagging[mean]{isac;k=3}",
         "stacking{meta=sunny;bases=sunny,isac}",
+        "boosting{sunny(k=8);iters=3}",
+        "bagging[maj]{multiclass(trees=2);k=3}",
     )
 
     def bag_fit_fails(self, monkeypatch, toy, exception):
@@ -1110,12 +1136,62 @@ class TestFaultInjection:
         # a failed scoring is not kept: each dependent cell scores again
         return attempts, {"isac": 1, self.APPROACHES[4]: 1, self.APPROACHES[7]: 1}
 
+    def boosting_round_fails(self, monkeypatch, toy, exception):
+        """Round two of `boosting{sunny(k=8);iters=3}` on fold FOLD, a salted
+        fit, raises."""
+        train, test = toy.fold_split(self.FOLD)
+        boosting = self.APPROACHES[8]
+        # round one is neither perfect nor rejected, so round two runs
+        assert build_approach(boosting, 7).fit(toy, train).weight_history_
+        fit = SunnySelector._fit
+        attempts = []
+
+        def failing(model, scenario, rows):
+            salted = model.spec == "sunny(k=8)" and model._entropy[2:] == [2]
+            if salted and not np.isin(rows, test).any():
+                attempts.append(model.spec)
+                raise exception("injected")
+            return fit(model, scenario, rows)
+
+        monkeypatch.setattr(SunnySelector, "_fit", failing)
+        return attempts, {boosting: 1}
+
+    def queued_split_fails(self, monkeypatch, toy, exception):
+        """The first `best_split_cls` call of fold FOLD's bagging over
+        multiclass raises; it is made while the bags' `grow_together()`
+        scope grows their queued forests."""
+        train, _ = toy.fold_split(self.FOLD)
+        fit, split = BaggingEnsemble._fit, _kernels.best_split_cls
+        on_fold, attempts = [], []
+
+        def bagging_fit(model, scenario, rows):
+            on_fold.append(np.array_equal(rows, train))
+            try:
+                return fit(model, scenario, rows)
+            finally:
+                on_fold.pop()
+
+        def failing(*args):
+            if on_fold and on_fold[-1]:
+                frames = [frame.name for frame in traceback.extract_stack()]
+                if "grow_together" in frames:
+                    attempts.append("best_split_cls")
+                    raise exception("injected")
+            return split(*args)
+
+        monkeypatch.setattr(BaggingEnsemble, "_fit", bagging_fit)
+        monkeypatch.setattr(_kernels, "best_split_cls", failing)
+        return attempts, {self.APPROACHES[9]: 1}
+
     @pytest.mark.parametrize(
         "exception, recorded",
         [(DegenerateData, "DegenerateData: injected"),
          (ValueError, "internal: ValueError: injected")],
     )
-    @pytest.mark.parametrize("inject", ["bag_fit_fails", "plain_scores_fail"])
+    @pytest.mark.parametrize(
+        "inject",
+        ["bag_fit_fails", "plain_scores_fail", "boosting_round_fails", "queued_split_fails"],
+    )
     def test_only_the_dependent_cells_of_the_fold_fail(
         self, toy, monkeypatch, inject, exception, recorded
     ):
