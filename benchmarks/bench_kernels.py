@@ -31,11 +31,13 @@ fits two 100-tree forests, the paper's forest size: a 5-class forest on
 240 rows by 10 features (a training fold of a 300-instance scenario)
 and a weighted binary one on 1000 rows by 50 features (one pair of a
 pairwise selector at ASlib size); a fit is timed at most FIT_REPEATS
-times and not called untimed first. Two selector fits have the shape of
-an ASlib scenario: one training fold (900 rows) of a synthetic scenario
-of 1000 instances, 31 algorithms and 50 features with 30 % extra
-timeouts, fit by `pairwise(trees=2)` (465 two-tree forests) and
-`peralgo(trees=10)` (31 ten-tree forests); they are timed like the
+times and not called untimed first. Three selector fits have the shape
+of an ASlib scenario: one training fold (900 rows) of a synthetic
+scenario of 1000 instances, 31 algorithms and 50 features with 30 %
+extra timeouts, fit by `pairwise(trees=2)` (465 two-tree forests),
+`peralgo(trees=10)` (31 ten-tree forests) and `multiclass(trees=20)`
+(one 20-tree, 31-class forest, whose unweighted trees grow on their
+distinct bootstrap rows weighted by multiplicity); they are timed like the
 forest fits, and one more, untimed fit under `tracemalloc` reports
 their split-kernel calls and the peak of the memory the fit allocates. The other inputs
 resemble a mid-sized scenario, not the tiny fixtures the tests use.
@@ -69,7 +71,7 @@ KNN_SHAPE = (200, 800, 50, 16)  # (test queries, training rows, features, k)
 PREDICT_SHAPE = (5, 240, 60, 10, 5)  # (trees, training rows, test rows, features, classes)
 ENGINE_SHAPES = ((3, 800, 10), (MAX_EXHAUSTIVE_MEMBERS, 200, 10))  # (members, n, K)
 ASLIB_SHAPE = (1000, 31, 50, 10)  # (instances, algorithms, features, folds)
-ASLIB_FITS = ("pairwise(trees=2)", "peralgo(trees=10)")
+ASLIB_FITS = ("pairwise(trees=2)", "peralgo(trees=10)", "multiclass(trees=20)")
 DRAW_SHAPE = (DRAW_BLOCK, 50, 8)  # (nodes, features, candidates per node)
 
 

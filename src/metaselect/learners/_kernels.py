@@ -14,10 +14,14 @@ each column's totals. Prefix sums run along axis 0, which accumulates
 each column sequentially from the first row, and a column's split
 window ends `min_leaf` rows before its own length, so every column's
 result is bit for bit what the same search on that column alone would
-give. One node is the case where every column has full length. A
-column's values are only compared with their neighbours, for equality,
-so any values that sort alike serve, such as the forest grower's
-per-feature ranks with a padding rank above them all.
+give. One node is the case where every column has full length. In
+the Gini kernel, integer-valued weights that total less than 2**26 per
+column make every prefix sum, square and sum over classes an exact
+integer in any order of the rows, so a run of equal samples merged into
+one row weighted by the run's length scores every value boundary to the
+same bits. A column's values are only compared with their neighbours,
+for equality, so any values that sort alike serve, such as the forest
+grower's per-feature ranks with a padding rank above them all.
 
 `gathered_sq_dists` computes the squared euclidean distances of a list
 of (row of `a`, row of `b`) pairs. It takes the pairs in chunks of

@@ -21,8 +21,24 @@ feature count as that count. The grower
 stacks the group's distinct matrices once and lays the fits' rows end
 to end as its samples, so a node's rows are sample ids: one id reads a
 sample's feature row, target and weight, and the nodes of different
-forests share every gather. A sample sits at the same position of its
-node's row array as its row does when its forest grows alone.
+forests share every gather.
+
+A classifier fit with min_leaf 1, every weight 1 and fewer than 2**26
+rows collapses: each of its trees grows on the distinct rows of its
+bootstrap, each a sample of its growth weighted by its multiplicity,
+not on every drawn row. With integer weights below 2**26 every class
+prefix sum, square, sum over classes and leaf histogram is an exact
+integer below 2**53 in any order, so every value boundary scores the
+same bits, the first lowest split is the same boundary and reads the
+same threshold (values of one rank are equal, and a midpoint from -0.0
+rounds as one from 0.0), a child is a leaf exactly when it is one in
+the expanded tree (with min_leaf 1 a one-row child is one training row,
+so pure) and every payload is the same ratio of integers. Node ids and
+candidate draws do not change, so a collapsed tree is bit for bit the
+tree grown on its duplicates. A regressor, a fit with any other weight
+or a min_leaf above 1 grows on its drawn rows, duplicates and all, and
+then a sample sits at the same position of its node's row array as its
+row does when its forest grows alone.
 
 A group's trees grow in growths of at most GROW_SAMPLES root samples
 (trees x root rows), tree after tree, and a tree bigger than that
@@ -233,8 +249,11 @@ def _refill(trees, d, m):
 
 class _Grower:
     """Grows trees of one `_Fit` shape in lockstep, one growth per
-    `grow` call. Sample i is feature row `rows[i]` of `x` with target
-    `y[i]` and weight `w[i]`; a node's rows are sample ids.
+    `grow` call. A node's rows are sample ids. The fit-level samples
+    are the rows laid end to end: sample i is feature row `rows[i]` of
+    `x` with target `y[i]` and weight `w[i]`. A growth with collapsed
+    trees grows on its own sample arrays (`_use_samples`); a growth
+    without one builds none.
 
     Each step refills the candidate block of every tree that has used
     its block up (`_refill`: numpy's own Floyd-and-shuffle stream, so a
@@ -250,21 +269,20 @@ class _Grower:
     def __init__(self, x, rows, y, w, shape):
         self.x = x
         self.ranks = _dense_ranks(x)
-        # sample `pad` pads the columns of a batched search: its feature
-        # row ranks above every value, and its zero weight and target
-        # leave every prefix sum exact
-        self.feature_rows = np.append(rows, x.shape[0])
-        self.y = np.append(y, 0.0)
-        self.w = np.append(w, 0.0)
-        self.pad = self.y.size - 1
         self.n_features, self.n_candidates, self.min_leaf, max_depth = shape[:4]
         self.classification, self.n_classes = shape[4:]
-        self.labels = self.y.astype(np.int64) if self.classification else None
         self.max_depth = max_depth if max_depth is not None else -1
+        # the last sample pads the columns of a batched search: its
+        # feature row ranks above every value, and its zero weight and
+        # target leave every prefix sum exact
+        y = np.append(y, 0.0)
+        labels = y.astype(np.int64) if self.classification else None
+        self.fit_samples = (np.append(rows, x.shape[0]), y, np.append(w, 0.0), labels)
 
     def grow(self, roots) -> None:
-        """Grow each (tree, rows of its root) to the end, and give its
-        leaves their payloads."""
+        """Grow each (tree, sample ids of its root, their counts or None)
+        to the end, and give its leaves their payloads."""
+        roots = self._use_samples(roots)
         # every leaf of the growth as (tree, node id), its size, and its rows in blocks
         self.leaves, self.leaf_sizes, self.leaf_rows = [], [], []
         for tree, rows in roots:
@@ -286,6 +304,32 @@ class _Grower:
                 self._search(group)
             trees = [tree for tree in trees if tree.stack]
         self._settle()
+
+    def _use_samples(self, roots):
+        """Set the growth's sample arrays, and return each (tree, rows of
+        its root) in them. Without counts these are the fit-level arrays.
+        A root with counts grows on new samples, one per id, weighted by
+        its count; they follow the fit-level samples when a root without
+        counts reads those, and precede the padding sample."""
+        self.feature_rows, self.y, self.w, self.labels = self.fit_samples
+        feature_rows, y, w, labels = self.fit_samples
+        self.pad = y.size - 1
+        collapsed = [root[1:] for root in roots if root[2] is not None]
+        if not collapsed:
+            return [root[:2] for root in roots]
+        kept = self.pad if len(collapsed) < len(roots) else 0
+        ids, counts = zip(*collapsed)
+        picked = np.concatenate([np.arange(kept), *ids, [self.pad]])
+        self.feature_rows, self.y, self.labels = (a.take(picked) for a in (feature_rows, y, labels))
+        self.w = np.concatenate([w[:kept], *counts, [0.0]])
+        self.pad = picked.size - 1
+        out, start = [], kept
+        for tree, rows, root_counts in roots:
+            if root_counts is not None:
+                rows = np.arange(start, start + rows.size)
+                start += rows.size
+            out.append((tree, rows))
+        return out
 
     def _draw(self, tree):
         """The tree's next node as (tree, node id, rows, depth, candidates)."""
@@ -443,7 +487,10 @@ def _leaf_payloads(samples, sizes, y, w, n_classes=0) -> np.ndarray:
     of `samples`: with `n_classes`, its class histogram weighted by `w`
     over its total weight (uniform when that is zero); without, its mean
     target weighted by `w` (the plain mean when the weights sum to zero).
-    Bit for bit the payload computed for one leaf at a time."""
+    Bit for bit the payload computed for one leaf at a time. With
+    integer weights the histogram and total are exact integers, so
+    equal samples merged into one weighted by their count, as a
+    collapsed tree's are, give the same class payload bits."""
     w = w.take(samples)
     if n_classes:
         bins = np.arange(sizes.size).repeat(sizes) * n_classes + y.take(samples).astype(np.int64)
@@ -494,6 +541,7 @@ class _Fit(NamedTuple):
     y: np.ndarray
     w: np.ndarray
     seeds: list
+    collapse: bool
 
 
 def fit_forests(x, fits) -> None:
@@ -508,7 +556,9 @@ def fit_forests(x, fits) -> None:
     sample_weight)` leaves it, whatever grows beside it. The forests of
     one call may differ in class, growth parameters, tree count and
     seed; fits of one shape grow together, whether one call or several
-    calls of one scope brought them.
+    calls of one scope brought them. Whether a fit's trees collapse onto
+    their distinct bootstrap rows (see the module docstring) is decided
+    here, from the fit alone.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -539,7 +589,10 @@ def fit_forests(x, fits) -> None:
                  forest._n_classes)
         seed = forest.seed
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        records.append(_Fit(shape, x, forest, rows, y, w, root.spawn(forest.n_trees)))
+        collapse = (
+            forest._classification and forest.min_leaf == 1 and rows.size < 2**26 and (w == 1).all()
+        )
+        records.append(_Fit(shape, x, forest, rows, y, w, root.spawn(forest.n_trees), collapse))
     queue = _GROW_QUEUE.get()
     if queue is None:
         _grow(records)
@@ -580,9 +633,14 @@ def _grow(records) -> None:
                 i, seed = trees.pop()
                 samples += sizes[i]
                 tree = _GrowingTree(np.random.default_rng(seed))
-                growth.append((i, tree, offsets[i] + tree.rng.integers(0, sizes[i], size=sizes[i])))
-            grower.grow([(tree, rows) for _, tree, rows in growth])
-            for i, tree, _ in growth:
+                rows, counts = tree.rng.integers(0, sizes[i], size=sizes[i]), None
+                if fits[i].collapse:
+                    counts = np.bincount(rows, minlength=sizes[i])
+                    rows = np.flatnonzero(counts)
+                    counts = counts[rows]
+                growth.append((i, tree, offsets[i] + rows, counts))
+            grower.grow([root[1:] for root in growth])
+            for i, tree, *_ in growth:
                 grown[i].append(tree.finish(grower.n_classes if grower.classification else 1))
                 if len(grown[i]) == len(fits[i].seeds):
                     forest = fits[i].forest

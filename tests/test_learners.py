@@ -2,10 +2,12 @@
 
 The split kernels are checked bit for bit against a one-feature
 reference search, on one node's columns and on padded columns of
-several nodes, the distance kernel against the column-by-column one of
-`reference` across its chunk edges and the k-means accumulation against per-column
-bincounts; pinned digests hold every tree a seeded forest grows, so a change to
-the grower cannot shift a split unnoticed. Forests grown together by
+several nodes, and the Gini kernel on columns whose equal samples are
+merged into rows weighted by their count; the distance kernel against
+the column-by-column one of `reference` across its chunk edges and the
+k-means accumulation against per-column bincounts; pinned digests hold
+every tree a seeded forest grows, so a change to the grower cannot
+shift a split unnoticed. Forests grown together by
 `fit_forests` are compared with each forest grown alone, the batched
 leaf payloads with a one-leaf-at-a-time reference and the block draw of
 candidate features with numpy's own `Generator.choice`, bit for bit.
@@ -153,6 +155,60 @@ def test_split_kernels_match_the_one_feature_search(node):
             values[real, j], labels[real, j], weights[real, j], n_classes, min_leaf
         )
         assert _same_bits(cls[0][j], ref_score) and cls[1][j] == ref_pos
+
+
+def _padded(columns):
+    """(values, labels, weights) columns laid side by side, padded below
+    as the grower pads them, and each column's real length."""
+    sizes = np.array([column[0].size for column in columns])
+    shape = (sizes.max(), len(columns))
+    values, labels, weights = np.full(shape, np.inf), np.zeros(shape, np.int64), np.zeros(shape)
+    for j, column in enumerate(columns):
+        for out, a in zip((values, labels, weights), column):
+            out[: a.size, j] = a
+    return values, labels, weights, sizes
+
+
+def _expanded_and_merged(rng, n_classes, runs):
+    """Columns of several nodes, each the drawn rows of a few distinct
+    samples (value, label) sorted stably by value, every row of weight
+    1: with `runs` each sample's rows are one run, otherwise they mix
+    with the other samples of their value. And the same columns with each
+    sample's rows merged into one row weighted by their count, in
+    another order among equal values."""
+    expanded, merged = [], []
+    for _ in range(rng.integers(1, 7)):
+        k = rng.integers(1, 12)
+        values = rng.choice([-1.0, 0.0, 0.5, 2.0, 3.0], size=k)
+        labels = rng.integers(0, n_classes, size=k)
+        counts = rng.integers(1, 5, size=k)
+        drawn = np.repeat(np.arange(k), counts)
+        if not runs:
+            drawn = rng.permutation(drawn)
+        drawn = drawn[np.argsort(values[drawn], kind="stable")]
+        distinct = rng.permutation(k)
+        distinct = distinct[np.argsort(values[distinct], kind="stable")]
+        expanded.append((values[drawn], labels[drawn], np.ones(drawn.size)))
+        merged.append((values[distinct], labels[distinct], counts[distinct].astype(np.float64)))
+    return _padded(expanded), _padded(merged)
+
+
+@pytest.mark.parametrize("runs", [True, False])
+@pytest.mark.parametrize("n_classes", [1, 2, 5, 31])
+def test_merging_equal_samples_into_weighted_rows_changes_no_split(n_classes, runs):
+    # integer weights keep every Gini prefix sum exact in any row order,
+    # so each value boundary scores the same bits on either form
+    rng = np.random.default_rng(n_classes)
+    for _ in range(40):
+        (ev, el, ew, es), (mv, ml, mw, ms) = _expanded_and_merged(rng, n_classes, runs)
+        e_score, e_pos = _kernels.best_split_cls(ev, el, ew, n_classes, 1, es)
+        m_score, m_pos = _kernels.best_split_cls(mv, ml, mw, n_classes, 1, ms)
+        assert e_score.tobytes() == m_score.tobytes()
+        assert ((e_pos < 0) == (m_pos < 0)).all()
+        cols = np.flatnonzero(e_pos >= 0)
+        for side in (-1, 0):  # values[pos - 1] and values[pos]
+            below_or_above = ev[e_pos[cols] + side, cols], mv[m_pos[cols] + side, cols]
+            assert below_or_above[0].tobytes() == below_or_above[1].tobytes()
 
 
 @pytest.mark.parametrize("classification", [False, True])

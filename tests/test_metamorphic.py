@@ -1,5 +1,6 @@
 """Metamorphic relations of a whole run: a change of the scenario that
-must not move any score."""
+must not move any score; and of the forest grower: a change of the
+sample weights that must not move any tree."""
 
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from metaselect.config import ExperimentConfig
+from metaselect.learners import ForestClassifier, ForestRegressor, fit_forests, grow_together
 from metaselect.metrics import SelectionTrace, trace_par10
 from metaselect.report import report_to_dict
 from metaselect.runner import run_config, run_experiment
@@ -259,3 +261,57 @@ def test_the_fold_memo_changes_no_cell_and_no_sweep_row(toy, source):
         assert cells_by_key(alone) == {k: c for k, c in cells.items() if k[0] == approach}
     _, (sweep_alone,) = run((), (MEMO_SWEEP,))
     assert sweep_alone.rows == sweep.rows
+
+
+def weight_scaling_fits(scale):
+    """(forest, rows, y, weights) of forests of several shapes on one
+    tie-heavy matrix, every weight times `scale`: a regressor, a
+    weighted 2-class classifier, an unweighted one that shares its
+    growths, unweighted 5- and 31-class classifiers and an unweighted
+    classifier with min_leaf 3. The matrix has three integer values per
+    column and every feature row twice, the copies labelled apart."""
+    rng = np.random.default_rng(23)
+    half = rng.integers(0, 3, size=(40, 5)).astype(np.float64)
+    x = np.concatenate([half, half])
+    n = x.shape[0]
+    rows = np.sort(rng.choice(n, size=50, replace=False))
+    ones = np.ones(n)
+    specs = [
+        (ForestRegressor, {"min_leaf": 1}, None, rng.normal(size=n), ones),
+        (ForestClassifier, {"n_classes": 2}, None, rng.integers(0, 2, n), rng.uniform(0.5, 2, n)),
+        (ForestClassifier, {"n_classes": 2}, rows, rng.integers(0, 2, rows.size), ones[rows]),
+        (ForestClassifier, {"n_classes": 5}, None, rng.integers(0, 5, n), ones),
+        (ForestClassifier, {"n_classes": 31}, rows, rng.integers(0, 31, rows.size), ones[rows]),
+        (ForestClassifier, {"min_leaf": 3}, None, rng.integers(0, 4, n), ones),
+    ]
+    fits = [
+        (model(n_trees=6, mtry=2, seed=seed, **params), fit_rows, y, w * scale)
+        for seed, (model, params, fit_rows, y, w) in enumerate(specs)
+    ]
+    return x, fits
+
+
+def forest_bits(forest):
+    nodes = forest.nodes_
+    arrays = (nodes.feature, nodes.threshold, nodes.left, nodes.right, nodes.payload, forest.roots_)
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("together", ["one call", "one scope"])
+def test_halving_every_sample_weight_changes_no_tree(together):
+    # every prefix sum and payload ratio scales exactly by a power of
+    # two; with weights 1 the unweighted min_leaf-1 classifiers grow on
+    # their distinct bootstrap rows, with 0.5 on every drawn row
+    grown = []
+    for scale in (1.0, 0.5):
+        x, fits = weight_scaling_fits(scale)
+        if together == "one call":
+            fit_forests(x, fits)
+        else:
+            with grow_together():
+                for fit in fits:
+                    fit_forests(x, [fit])
+        grown.append([forest_bits(forest) for forest, *_ in fits])
+    whole, halved = grown
+    for i, (a, b) in enumerate(zip(whole, halved)):
+        assert a == b, f"fit {i}"
