@@ -7,7 +7,10 @@ the lowest algorithm index. Four schemes:
 
 * majority: one vote per member for its top pick,
 * weighted majority: votes weighted per member,
-* mean: average of per-member min-max normalized scores,
+* mean: average of per-member min-max normalized scores; the scaling
+  runs over the algorithms, so `mean` depends on the algorithm set: one
+  algorithm that always times out stretches every member's range and
+  can move a vote,
 * borda: sum of per-member midranks.
 
 All four are one additive engine over an (M, n, K) tensor of M members'

@@ -17,35 +17,40 @@ of one shape (feature count, mtry, min_leaf, max_depth, classification
 and class count) grow together in one `_Grower`, whether one call or
 several calls of one `grow_together()` scope brought them. There
 `mtry=None` counts as ceil(sqrt(feature count)), and an mtry above the
-feature count as that count. The grower
-stacks the group's distinct matrices once and lays the fits' rows end
-to end as its samples, so a node's rows are sample ids: one id reads a
-sample's feature row, target and weight, and the nodes of different
-forests share every gather.
+feature count as that count. The grower stacks the group's distinct
+matrices once. Each growth lays its own trees' root samples end to end,
+then one padding sample, so a node's rows are sample ids: one id reads
+a sample's feature row, target and weight, and the nodes of different
+trees share every gather. A tree's root samples are the rows its
+bootstrap drew, in draw order, each with its fit's weight. A
+classifier's targets are its int64 labels, the one array of them that
+the split search and the payloads read.
 
 A classifier fit with min_leaf 1, every weight 1 and fewer than 2**26
-rows collapses: each of its trees grows on the distinct rows of its
-bootstrap, each a sample of its growth weighted by its multiplicity,
-not on every drawn row. With integer weights below 2**26 every class
-prefix sum, square, sum over classes and leaf histogram is an exact
-integer below 2**53 in any order, so every value boundary scores the
-same bits, the first lowest split is the same boundary and reads the
-same threshold (values of one rank are equal, and a midpoint from -0.0
-rounds as one from 0.0), a child is a leaf exactly when it is one in
-the expanded tree (with min_leaf 1 a one-row child is one training row,
-so pure) and every payload is the same ratio of integers. Node ids and
-candidate draws do not change, so a collapsed tree is bit for bit the
-tree grown on its duplicates. A regressor, a fit with any other weight
-or a min_leaf above 1 grows on its drawn rows, duplicates and all, and
-then a sample sits at the same position of its node's row array as its
-row does when its forest grows alone.
+rows collapses: a tree's root samples are the distinct rows of its
+bootstrap, each weighted by its multiplicity, not every drawn row. With
+integer weights below 2**26 every class prefix sum, square, sum over
+classes and leaf histogram is an exact integer below 2**53 in any
+order, so every value boundary scores the same bits, the first lowest
+split is the same boundary and reads the same threshold (values of one
+rank are equal, and a midpoint from -0.0 rounds as one from 0.0), a
+child is a leaf exactly when it is one in the expanded tree (with
+min_leaf 1 a one-row child is one training row, so pure) and every
+payload is the same ratio of integers. Node ids and candidate draws do
+not change, so a collapsed tree is bit for bit the tree grown on its
+duplicates. A regressor, a fit with any other weight or a min_leaf
+above 1 grows on its drawn rows, duplicates and all. Either way a
+node's rows keep their order and each sample its feature row, target
+and weight, whatever else shares the growth, so every stable sort,
+prefix sum, threshold and payload reads the bits it reads when the tree
+grows alone.
 
 A group's trees grow in growths of at most GROW_SAMPLES root samples
 (trees x root rows), tree after tree, and a tree bigger than that
 grows alone. A tree's generator and bootstrap are made when its
 growth starts, and its leaves get their payloads when it ends, so a
-tree's rows, stack and generator live only while its growth runs, and
-what a fit holds at once does not grow with its tree count.
+tree's samples, rows, stack and generator live only while its growth
+runs, and what a fit holds at once does not grow with its tree count.
 
 Outside a `grow_together()` scope a call grows its fits at once.
 Inside one, `fit_forests` checks its fits at once, so a bad fit raises
@@ -249,11 +254,9 @@ def _refill(trees, d, m):
 
 class _Grower:
     """Grows trees of one `_Fit` shape in lockstep, one growth per
-    `grow` call. A node's rows are sample ids. The fit-level samples
-    are the rows laid end to end: sample i is feature row `rows[i]` of
-    `x` with target `y[i]` and weight `w[i]`. A growth with collapsed
-    trees grows on its own sample arrays (`_use_samples`); a growth
-    without one builds none.
+    `grow` call. A node's rows are sample ids into the growth's sample
+    arrays: sample i is feature row `feature_rows[i]` of `x` with target
+    `y[i]` and weight `w[i]`.
 
     Each step refills the candidate block of every tree that has used
     its block up (`_refill`: numpy's own Floyd-and-shuffle stream, so a
@@ -266,35 +269,41 @@ class _Grower:
     splits are too.
     """
 
-    def __init__(self, x, rows, y, w, shape):
+    def __init__(self, x, shape):
         self.x = x
         self.ranks = _dense_ranks(x)
         self.n_features, self.n_candidates, self.min_leaf, max_depth = shape[:4]
         self.classification, self.n_classes = shape[4:]
         self.max_depth = max_depth if max_depth is not None else -1
+
+    def grow(self, roots) -> None:
+        """Grow each (tree, matrix rows, targets, weights of its root
+        samples) to the end, and give its leaves their payloads. The
+        roots' samples are laid end to end, then the padding sample,
+        and each tree is rooted at its own range of them."""
+        trees, *pieces = zip(*roots)
+        ends = np.cumsum([rows.size for rows in pieces[0]]).tolist()
         # the last sample pads the columns of a batched search: its
         # feature row ranks above every value, and its zero weight and
         # target leave every prefix sum exact
-        y = np.append(y, 0.0)
-        labels = y.astype(np.int64) if self.classification else None
-        self.fit_samples = (np.append(rows, x.shape[0]), y, np.append(w, 0.0), labels)
-
-    def grow(self, roots) -> None:
-        """Grow each (tree, sample ids of its root, their counts or None)
-        to the end, and give its leaves their payloads."""
-        roots = self._use_samples(roots)
+        self.feature_rows, self.y, self.w = (
+            np.concatenate([*parts, [pad]]) for parts, pad in zip(pieces, (self.x.shape[0], 0, 0.0))
+        )
+        del roots, pieces  # the caller's list was a temporary: drop each tree's pieces
+        self.pad = self.w.size - 1
         # every leaf of the growth as (tree, node id), its size, and its rows in blocks
         self.leaves, self.leaf_sizes, self.leaf_rows = [], [], []
-        for tree, rows in roots:
+        for tree, start, end in zip(trees, [0, *ends], ends):
+            rows = np.arange(start, end)
             if (
                 rows.size < 2 * self.min_leaf
                 or self.max_depth == 0
-                or (self.y[rows] == self.y[rows[0]]).all()
+                or (self.y[start:end] == self.y[start]).all()
             ):
                 self._add_leaves([(tree, 0)], [rows])
             else:
                 tree.stack.append((0, rows, 0))
-        trees = [tree for tree, _ in roots if tree.stack]
+        trees = [tree for tree in trees if tree.stack]
         while trees:
             used_up = [tree for tree in trees if tree.drawn == len(tree.draws)]
             _refill(used_up, self.n_features, self.n_candidates)
@@ -304,32 +313,6 @@ class _Grower:
                 self._search(group)
             trees = [tree for tree in trees if tree.stack]
         self._settle()
-
-    def _use_samples(self, roots):
-        """Set the growth's sample arrays, and return each (tree, rows of
-        its root) in them. Without counts these are the fit-level arrays.
-        A root with counts grows on new samples, one per id, weighted by
-        its count; they follow the fit-level samples when a root without
-        counts reads those, and precede the padding sample."""
-        self.feature_rows, self.y, self.w, self.labels = self.fit_samples
-        feature_rows, y, w, labels = self.fit_samples
-        self.pad = y.size - 1
-        collapsed = [root[1:] for root in roots if root[2] is not None]
-        if not collapsed:
-            return [root[:2] for root in roots]
-        kept = self.pad if len(collapsed) < len(roots) else 0
-        ids, counts = zip(*collapsed)
-        picked = np.concatenate([np.arange(kept), *ids, [self.pad]])
-        self.feature_rows, self.y, self.labels = (a.take(picked) for a in (feature_rows, y, labels))
-        self.w = np.concatenate([w[:kept], *counts, [0.0]])
-        self.pad = picked.size - 1
-        out, start = [], kept
-        for tree, rows, root_counts in roots:
-            if root_counts is not None:
-                rows = np.arange(start, start + rows.size)
-                start += rows.size
-            out.append((tree, rows))
-        return out
 
     def _draw(self, tree):
         """The tree's next node as (tree, node id, rows, depth, candidates)."""
@@ -383,13 +366,12 @@ class _Grower:
         del cells
         weights = self.w.take(rows)
         column_sizes = np.array(sizes).repeat(m)
+        targets = self.y.take(rows)
         if self.classification:
-            targets = self.labels.take(rows)
             scores, positions = _kernels.best_split_cls(
                 values, targets, weights, self.n_classes, self.min_leaf, column_sizes
             )
         else:
-            targets = self.y.take(rows)
             scores, positions = _kernels.best_split_reg(
                 values, targets, weights, self.min_leaf, column_sizes
             )
@@ -484,22 +466,22 @@ class _Grower:
 
 def _leaf_payloads(samples, sizes, y, w, n_classes=0) -> np.ndarray:
     """The payload of each leaf, whose samples are the next `sizes[i]`
-    of `samples`: with `n_classes`, its class histogram weighted by `w`
-    over its total weight (uniform when that is zero); without, its mean
-    target weighted by `w` (the plain mean when the weights sum to zero).
-    Bit for bit the payload computed for one leaf at a time. With
+    of `samples`, ids into a growth's targets `y` and weights `w`: with
+    `n_classes`, its class histogram of the int64 labels `y` weighted by
+    `w` over its total weight (uniform when that is zero); without, its
+    mean target weighted by `w` (the plain mean when the weights sum to
+    zero). Bit for bit the payload computed for one leaf at a time. With
     integer weights the histogram and total are exact integers, so
     equal samples merged into one weighted by their count, as a
     collapsed tree's are, give the same class payload bits."""
-    w = w.take(samples)
+    w, y = w.take(samples), y.take(samples)
     if n_classes:
-        bins = np.arange(sizes.size).repeat(sizes) * n_classes + y.take(samples).astype(np.int64)
+        bins = np.arange(sizes.size).repeat(sizes) * n_classes + y
         hist = np.bincount(bins, weights=w, minlength=sizes.size * n_classes)
         total = _segment_sums(w[None], sizes).reshape(-1, 1)
         payload = np.full((sizes.size, n_classes), 1.0 / n_classes)
         np.divide(hist.reshape(-1, n_classes), total, out=payload, where=total > 0)
         return payload
-    y = y.take(samples)
     total, weighted, plain = _segment_sums(np.stack([w, w * y, y]), sizes)
     payload = plain / sizes
     np.divide(weighted, total, out=payload, where=total > 0)
@@ -532,7 +514,8 @@ def grow_together():
 class _Fit(NamedTuple):
     """A checked fit: its growth shape (feature count, mtry, min_leaf,
     max_depth, classification, class count), its matrix and forest, and
-    the matrix rows, targets, weights and tree seeds it grows on."""
+    the matrix rows, targets, weights and tree seeds it grows on, and
+    whether its trees collapse onto their distinct bootstrap rows."""
 
     shape: tuple
     x: np.ndarray
@@ -558,7 +541,8 @@ def fit_forests(x, fits) -> None:
     seed; fits of one shape grow together, whether one call or several
     calls of one scope brought them. Whether a fit's trees collapse onto
     their distinct bootstrap rows (see the module docstring) is decided
-    here, from the fit alone.
+    here, from the fit alone; each growth then lays out the root samples
+    of its own trees only, so what grows beside a fit never moves them.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -604,10 +588,10 @@ def fit_forests(x, fits) -> None:
 
 def _grow(records) -> None:
     """Grow every `_Fit` of `records`, the fits of one shape together:
-    their distinct matrices stacked once, each fit's rows offset to its
-    matrix's block, and their trees grown tree after tree in growths of
-    at most GROW_SAMPLES root samples (trees x root rows); a bigger tree
-    grows alone. A forest gets its trees when its last one has grown."""
+    their distinct matrices stacked once, and their trees grown tree
+    after tree in growths of at most GROW_SAMPLES root samples (trees x
+    root rows); a bigger tree grows alone. A forest gets its trees when
+    its last one has grown."""
     groups = {}
     for record in records:
         groups.setdefault(record.shape, []).append(record)
@@ -615,38 +599,46 @@ def _grow(records) -> None:
         matrices = list({id(fit.x): fit.x for fit in fits}.values())
         ends = np.cumsum([m.shape[0] for m in matrices]).tolist()
         starts = {id(m): end - m.shape[0] for m, end in zip(matrices, ends)}
-        grower = _Grower(
-            np.concatenate(matrices) if len(matrices) > 1 else matrices[0],
-            np.concatenate([fit.rows + starts[id(fit.x)] for fit in fits]),
-            np.concatenate([fit.y for fit in fits]),
-            np.concatenate([fit.w for fit in fits]),
-            shape,
-        )
-        sizes = [fit.rows.size for fit in fits]
-        offsets = np.cumsum([0] + sizes).tolist()
+        grower = _Grower(np.concatenate(matrices) if len(matrices) > 1 else matrices[0], shape)
         grown = [[] for _ in fits]
         # every (fit, tree seed), the first last, so that pop() takes them in order
         trees = [(i, seed) for i, fit in enumerate(fits) for seed in fit.seeds][::-1]
         while trees:
             growth, samples = [], 0
-            while trees and (not growth or samples + sizes[trees[-1][0]] <= GROW_SAMPLES):
+            while trees and (not growth or samples + fits[trees[-1][0]].rows.size <= GROW_SAMPLES):
                 i, seed = trees.pop()
-                samples += sizes[i]
-                tree = _GrowingTree(np.random.default_rng(seed))
-                rows, counts = tree.rng.integers(0, sizes[i], size=sizes[i]), None
-                if fits[i].collapse:
-                    counts = np.bincount(rows, minlength=sizes[i])
-                    rows = np.flatnonzero(counts)
-                    counts = counts[rows]
-                growth.append((i, tree, offsets[i] + rows, counts))
-            grower.grow([root[1:] for root in growth])
-            for i, tree, *_ in growth:
+                samples += fits[i].rows.size
+                growth.append((i, _GrowingTree(np.random.default_rng(seed))))
+            # a temporary list, so the grower alone holds each tree's root samples
+            grower.grow([
+                (tree, *_root_samples(fits[i], tree.rng, starts[id(fits[i].x)]))
+                for i, tree in growth
+            ])
+            for i, tree in growth:
                 grown[i].append(tree.finish(grower.n_classes if grower.classification else 1))
                 if len(grown[i]) == len(fits[i].seeds):
                     forest = fits[i].forest
                     forest.nodes_, forest.roots_ = _stack(grown[i])
                     forest.n_features_ = grower.n_features
                     grown[i] = None
+            del tree  # its candidate block is a view of its whole growth's draws
+
+
+def _root_samples(fit, rng, start):
+    """A tree's bootstrap of `fit`, drawn from its generator, as the
+    (stacked matrix rows, targets, weights) of its root samples: the
+    drawn rows with the fit's weights or, when the fit collapses, its
+    distinct rows weighted by how often they were drawn. `start` is the
+    first row of the fit's matrix in the stacked one."""
+    n = fit.rows.size
+    drawn = rng.integers(0, n, size=n)
+    if fit.collapse:
+        counts = np.bincount(drawn, minlength=n)
+        drawn = np.flatnonzero(counts)
+        w = counts[drawn].astype(np.float64)
+    else:
+        w = fit.w.take(drawn)
+    return fit.rows.take(drawn) + start, fit.y.take(drawn), w
 
 
 @dataclass
@@ -728,7 +720,7 @@ class ForestClassifier(_BaseForest):
         self._n_classes = self.n_classes if self.n_classes is not None else inferred
         if labels.size and inferred > self._n_classes:
             raise DegenerateData("label outside declared class range")
-        return labels
+        return labels.astype(np.int64)
 
     def fit(self, x, y, sample_weight=None):
         fit_forests(x, [(self, None, y, sample_weight)])

@@ -359,6 +359,26 @@ def test_weighted_classifier_trees_are_pinned():
     )
 
 
+@pytest.mark.parametrize("min_leaf, weighted", [(1, False), (2, True)])
+def test_labels_of_any_dtype_grow_the_same_classifier(min_leaf, weighted):
+    # a classifier casts its labels to int64 once, on fit: float, int
+    # and bool labels of equal value grow the same trees, whether they
+    # collapse onto distinct bootstrap rows or not
+    rng = np.random.default_rng(22)
+    x = np.round(rng.normal(size=(80, 4)), 1)
+    labels = x[:, 0] + rng.normal(scale=0.5, size=80) > 0
+    w = rng.uniform(0.5, 2.0, size=80) if weighted else None
+    forests = [
+        ForestClassifier(n_trees=5, min_leaf=min_leaf, seed=3).fit(x, labels.astype(dtype), w)
+        for dtype in (np.float64, np.int64, bool)
+    ]
+    assert len({_forest_digest(forest) for forest in forests}) == 1
+    for forest in forests:
+        predicted = forest.predict(x)
+        assert predicted.dtype == np.int64
+        np.testing.assert_array_equal(predicted, forests[0].predict(x))
+
+
 def test_tied_feature_values_keep_their_row_order():
     # integer features: distinct rows tie on most split features, and the
     # order of tied rows decides every prefix sum of weighted targets
@@ -494,14 +514,17 @@ def _joint_forests(model, params, fits):
     return [model(n_trees=n_trees, seed=seed, **params) for *_, n_trees, seed in fits]
 
 
-def _count_growths(monkeypatch):
-    """A list that gets one entry, the growth's tree count, per growth."""
+def _count_growths(monkeypatch, samples=None):
+    """A list that gets one entry, the growth's tree count, per growth;
+    `samples`, when given, gets the length of each growth's sample arrays."""
     growths = []
     grow = forest_module._Grower.grow
 
     def counted(self, roots):
         growths.append(len(roots))
-        return grow(self, roots)
+        grow(self, roots)
+        if samples is not None:
+            samples.append(self.w.size)
 
     monkeypatch.setattr(forest_module._Grower, "grow", counted)
     return growths
@@ -516,7 +539,8 @@ def test_a_fit_split_into_growths_equals_one_growth(monkeypatch, budget, model, 
     x, fits = _joint_fits(model is ForestClassifier)
     one = _joint_forests(model, params, fits)
     fit_forests(x, [(f, rows, y, w) for f, (rows, y, w, *_) in zip(one, fits)])
-    growths = _count_growths(monkeypatch)
+    samples = []
+    growths = _count_growths(monkeypatch, samples)
     monkeypatch.setattr(forest_module, "GROW_SAMPLES", budget)
     split = _joint_forests(model, params, fits)
     fit_forests(x, [(f, rows, y, w) for f, (rows, y, w, *_) in zip(split, fits)])
@@ -526,6 +550,18 @@ def test_a_fit_split_into_growths_equals_one_growth(monkeypatch, budget, model, 
         assert set(growths) == {1}
     for a, b in zip(split, one):
         assert _forest_digest(a) == _forest_digest(b)
+    # a growth lays out its own trees' root samples and one padding
+    # sample: an unweighted min_leaf 1 classifier tree's distinct
+    # bootstrap ids, any other tree's drawn rows
+    roots = []
+    for rows, y, w, n_trees, seed in fits:
+        n = y.size
+        collapse = model is ForestClassifier and params["min_leaf"] == 1 and w is None
+        for child in np.random.SeedSequence(seed).spawn(n_trees):
+            drawn = np.random.default_rng(child).integers(0, n, size=n)
+            roots.append(np.unique(drawn).size if collapse else n)
+    ends = np.cumsum(growths)
+    assert samples == [sum(roots[end - k : end]) + 1 for end, k in zip(ends, growths)]
 
 
 @pytest.mark.parametrize("model, params", _SHAPES)
@@ -698,7 +734,7 @@ def _leaves(draw):
     n_classes = draw(st.sampled_from([0, 1, 2, 5]))
     pool = draw(st.integers(1, 40))
     if n_classes:
-        y = draw(arrays(np.float64, pool, elements=st.integers(0, n_classes - 1).map(float)))
+        y = draw(arrays(np.int64, pool, elements=st.integers(0, n_classes - 1)))
     else:
         y = draw(arrays(np.float64, pool, elements=st.floats(-1e6, 1e6, width=32)))
     w = draw(arrays(np.float64, pool, elements=st.sampled_from([0.0, -0.0, 0.1, 0.7, 1.0, 3e5])))

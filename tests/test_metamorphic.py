@@ -15,7 +15,10 @@ from metaselect.runner import run_config, run_experiment
 from metaselect.scenario import ScenarioSpec
 
 # Forest selectors are left out: adding an algorithm reseeds their
-# pairs and forests, so their scores may move legitimately.
+# pairs and forests, so their scores may move legitimately. So is every
+# `mean` aggregation: it min-max scales each member's scores over the
+# algorithms, so an algorithm that always times out stretches the range
+# and can move a vote.
 APPROACHES = (
     "oracle",
     "sbs",
